@@ -247,6 +247,8 @@ def cyclic_bicharacter_sigma(n: int, p: int, omega: int, k: int):
     g -> g^k.  The invariance sigma∘(alpha⊗alpha) = sigma holds exactly when
     k^2 = 1 mod n, which the checkers report rather than enforce."""
     field = PrimeField(p)
+    if n < 1:
+        raise PreconditionError("group_order", None, f"n must be at least 1, got {n}")
     if (p - 1) % n != 0:
         raise PreconditionError("modulus_supports_roots", None, f"{n} does not divide {p}-1")
     omega = field.normalize(omega)
@@ -267,6 +269,8 @@ def cyclic_r_matrix(n: int, field: Field, omega, k: int):
 
     Over a prime field this needs n | p-1 and omega of order n; over the
     rationals only omega = ±1 (n = 1 or 2) qualifies."""
+    if n < 1:
+        raise PreconditionError("group_order", None, f"n must be at least 1, got {n}")
     if isinstance(field, PrimeField) and (field.p - 1) % n != 0:
         raise PreconditionError(
             "modulus_supports_roots", None, f"{n} does not divide {field.p}-1"

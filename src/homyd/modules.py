@@ -22,6 +22,7 @@ from .structures import (
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
+    certified,
     certify,
     require,
     twist_algebra,
@@ -238,41 +239,40 @@ def check_comodule(com: ComoduleStruct) -> CheckReport:
 
 def check_module_morphism(f: LinearMap, src: ModuleStruct, dst: ModuleStruct) -> CheckReport:
     """f intertwines the structure maps and the actions."""
-    if f.ncols != src.dim or f.nrows != dst.dim:
-        raise ShapeError(
-            f"morphism candidate has shape {f.dom} -> {f.cod}, "
-            f"modules have dims {src.dim} -> {dst.dim}"
-        )
-    f = f.with_shapes((src.dim,), (dst.dim,))
-    ident_a = LinearMap.identity(src.field, (src.over.dim,))
-    return CheckReport.combine(
-        "module_morphism",
-        [
-            compare_maps("morphism_alpha_compat", dst.alpha @ f, f @ src.alpha),
-            compare_maps("morphism_action_compat", f @ src.act, dst.act @ ident_a.tensor(f)),
-        ],
-    )
+    return _morphism_report("module_morphism", f, [(src, dst)], coaction=False)
 
 
 def check_comodule_morphism(
     g: LinearMap, src: ComoduleStruct, dst: ComoduleStruct
 ) -> CheckReport:
-    if g.ncols != src.dim or g.nrows != dst.dim:
+    return _morphism_report("comodule_morphism", g, [(src, dst)], action=False)
+
+
+def _morphism_report(law, f, pairs, action=True, coaction=True):
+    """f as a morphism src -> dst for every ``(src, dst)`` pair.  The pairs
+    share their structure maps, so that compatibility is scanned once; then
+    come the actions and the coactions of each pair."""
+    src, dst = pairs[0]
+    if f.ncols != src.dim or f.nrows != dst.dim:
         raise ShapeError(
-            f"morphism candidate has shape {g.dom} -> {g.cod}, "
-            f"comodules have dims {src.dim} -> {dst.dim}"
+            f"morphism candidate has shape {f.dom} -> {f.cod}, "
+            f"carriers have dims {src.dim} -> {dst.dim}"
         )
-    g = g.with_shapes((src.dim,), (dst.dim,))
-    ident_c = LinearMap.identity(src.field, (src.over.dim,))
-    return CheckReport.combine(
-        "comodule_morphism",
-        [
-            compare_maps("morphism_alpha_compat", dst.alpha @ g, g @ src.alpha),
-            compare_maps(
-                "morphism_coaction_compat", ident_c.tensor(g) @ src.coact, dst.coact @ g
-            ),
-        ],
-    )
+    f = f.with_shapes((src.dim,), (dst.dim,))
+    ident = LinearMap.identity(src.field, (src.over.dim,))
+    reports = [compare_maps("morphism_alpha_compat", dst.alpha @ f, f @ src.alpha)]
+    for src, dst in pairs:
+        if action:
+            reports.append(
+                compare_maps("morphism_action_compat", f @ src.act, dst.act @ ident.tensor(f))
+            )
+        if coaction:
+            reports.append(
+                compare_maps(
+                    "morphism_coaction_compat", ident.tensor(f) @ src.coact, dst.coact @ f
+                )
+            )
+    return CheckReport.combine(law, reports)
 
 
 # -- induced (twisted) structures ---------------------------------------
@@ -352,23 +352,42 @@ def tensor_coaction_map(
 
 def tensor_modules(m: ModuleStruct, n: ModuleStruct) -> ModuleStruct:
     """Module structure on M⊗N via the coproduct of the shared Hom-bialgebra."""
+    return certified(_tensor_modules(m, n))
+
+
+def _tensor_modules(m, n):
     if not isinstance(m.over, HomBialgebra):
         raise ShapeError("tensor of modules needs a Hom-bialgebra base")
     require_same_base(m, n)
-    alpha = m.alpha.tensor(n.alpha).with_shapes((m.dim * n.dim,), (m.dim * n.dim,))
-    out = ModuleStruct(m.over, tensor_action_map(m.over, m, n), alpha)
-    certify(check_module(out))
-    return out
+    out = _tensor_module_raw(m, n)
+    return out, check_module(out)
 
 
 def tensor_comodules(m: ComoduleStruct, n: ComoduleStruct) -> ComoduleStruct:
+    return certified(_tensor_comodules(m, n))
+
+
+def _tensor_comodules(m, n):
     if not isinstance(m.over, HomBialgebra):
         raise ShapeError("tensor of comodules needs a Hom-bialgebra base")
     require_same_base(m, n)
-    alpha = m.alpha.tensor(n.alpha).with_shapes((m.dim * n.dim,), (m.dim * n.dim,))
-    out = ComoduleStruct(m.over, tensor_coaction_map(m.over, m, n), alpha)
-    certify(check_comodule(out))
-    return out
+    out = _tensor_comodule_raw(m, n)
+    return out, check_comodule(out)
+
+
+def _tensor_alpha(m, n) -> LinearMap:
+    """alpha_M⊗alpha_N on the flattened product carrier."""
+    return m.alpha.tensor(n.alpha).with_shapes((m.dim * n.dim,), (m.dim * n.dim,))
+
+
+def _tensor_module_raw(m: ModuleStruct, n: ModuleStruct) -> ModuleStruct:
+    """The tensor module M⊗N, unchecked."""
+    return ModuleStruct(m.over, tensor_action_map(m.over, m, n), _tensor_alpha(m, n))
+
+
+def _tensor_comodule_raw(m: ComoduleStruct, n: ComoduleStruct) -> ComoduleStruct:
+    """The tensor comodule M⊗N, unchecked."""
+    return ComoduleStruct(m.over, tensor_coaction_map(m.over, m, n), _tensor_alpha(m, n))
 
 
 __all__ = [

@@ -15,9 +15,9 @@ from .linmap import LinearMap
 from .modules import (
     ComoduleStruct,
     ModuleStruct,
+    _tensor_comodule_raw,
+    _tensor_module_raw,
     require_same_base,
-    tensor_action_map,
-    tensor_coaction_map,
 )
 from .reports import CheckReport, compare_maps
 from .structures import HomBialgebra, tensor_square_product
@@ -126,13 +126,13 @@ def check_r_invariance(r: RElement) -> CheckReport:
     return compare_maps("r_invariance", lhs, r.element)
 
 
-def _require_qt(r: RElement) -> None:
-    for report in (check_qt(r), check_r_invariance(r)):
+def _require_axioms(what, reports) -> None:
+    for report in reports:
         if not report.passed:
             first = report.failures[0]
             raise PreconditionError(
                 first.law, first.index,
-                f"R does not satisfy {first.law} at {first.index}",
+                f"{what} does not satisfy {first.law} at {first.index}",
             )
 
 
@@ -148,17 +148,9 @@ def yd_from_module(mod: ModuleStruct, r: RElement) -> YDModule:
     if not isinstance(mod.over, HomBialgebra):
         raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
     require_same_base(mod, r)
-    _require_qt(r)
+    _require_axioms("R", (check_qt(r), check_r_invariance(r)))
     out = YDModule(mod.over, mod.act, _r_coaction(mod, r), mod.alpha)
     return _certify_yd(out)
-
-
-def _tensor_module(m: ModuleStruct, n: ModuleStruct) -> ModuleStruct:
-    return ModuleStruct(
-        m.over,
-        tensor_action_map(m.over, m, n),
-        m.alpha.tensor(n.alpha).with_shapes((m.dim * n.dim,), (m.dim * n.dim,)),
-    )
 
 
 def check_qt_tensor_coincide(m: ModuleStruct, n: ModuleStruct, r: RElement) -> CheckReport:
@@ -174,7 +166,7 @@ def check_qt_tensor_coincide(m: ModuleStruct, n: ModuleStruct, r: RElement) -> C
         raise PreconditionError(
             "alpha_invertible", None, "coincidence check needs a bijective base map"
         )
-    lhs = _r_coaction(_tensor_module(m, n), r)
+    lhs = _r_coaction(_tensor_module_raw(m, n), r)
     hat = _hat_raw(
         YDModule(h, m.act, _r_coaction(m, r), m.alpha),
         YDModule(h, n.act, _r_coaction(n, r), n.alpha),
@@ -249,16 +241,6 @@ def check_sigma_invariance(s: SigmaForm) -> CheckReport:
     return compare_maps("sigma_invariance", s.form, rhs)
 
 
-def _require_cqt(s: SigmaForm) -> None:
-    for report in (check_cqt(s), check_sigma_invariance(s)):
-        if not report.passed:
-            first = report.failures[0]
-            raise PreconditionError(
-                first.law, first.index,
-                f"sigma does not satisfy {first.law} at {first.index}",
-            )
-
-
 def _sigma_action(com: ComoduleStruct, s: SigmaForm) -> LinearMap:
     h = com.over
     ident_m = LinearMap.identity(com.field, (com.dim,))
@@ -272,17 +254,9 @@ def yd_from_comodule(com: ComoduleStruct, s: SigmaForm) -> YDModule:
     if not isinstance(com.over, HomBialgebra):
         raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
     require_same_base(com, s)
-    _require_cqt(s)
+    _require_axioms("sigma", (check_cqt(s), check_sigma_invariance(s)))
     out = YDModule(com.over, _sigma_action(com, s), com.coact, com.alpha)
     return _certify_yd(out)
-
-
-def _tensor_comodule(m: ComoduleStruct, n: ComoduleStruct) -> ComoduleStruct:
-    return ComoduleStruct(
-        m.over,
-        tensor_coaction_map(m.over, m, n),
-        m.alpha.tensor(n.alpha).with_shapes((m.dim * n.dim,), (m.dim * n.dim,)),
-    )
 
 
 def check_cqt_tensor_coincide(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> CheckReport:
@@ -298,7 +272,7 @@ def check_cqt_tensor_coincide(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm
         raise PreconditionError(
             "alpha_invertible", None, "coincidence check needs a bijective base map"
         )
-    lhs = _sigma_action(_tensor_comodule(m, n), s)
+    lhs = _sigma_action(_tensor_comodule_raw(m, n), s)
     tilde = _tilde_raw(
         YDModule(h, _sigma_action(m, s), m.coact, m.alpha),
         YDModule(h, _sigma_action(n, s), n.coact, n.alpha),

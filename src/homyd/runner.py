@@ -1,8 +1,10 @@
 """Task execution: dispatch parsed tasks to the checkers and collect reports.
 
-Tasks run independently; with a worker pool they are scheduled in waves
-that respect construction dependencies, and the report order always
-follows the document order.  A task whose preconditions fail (bad
+Every task kind is one entry of ``TASKS``; ``specfile`` validates tasks
+against the same table that dispatches them here.  Tasks run
+independently; with a worker pool they are scheduled in waves that
+respect construction dependencies, and the report order always follows
+the document order.  A task whose preconditions fail (bad
 hypotheses, non-bijective structure maps, missing dependencies) is
 reported as "inapplicable", which counts as non-passing.
 """
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 from .errors import (
     InapplicableError,
@@ -21,10 +25,10 @@ from .errors import (
 )
 from .linmap import LinearMap
 from .modules import (
+    _tensor_comodules,
+    _tensor_modules,
     check_comodule,
     check_module,
-    tensor_comodules,
-    tensor_modules,
 )
 from .quasitri import (
     check_cqt,
@@ -41,20 +45,21 @@ from .quasitri import (
     yd_from_module,
 )
 from .reports import CheckReport, compare_maps
-from .specfile import SpecDocument, Task
 from .structures import (
     ClassicalAlgebra,
     ClassicalBialgebra,
     ClassicalCoalgebra,
+    _twist_algebra,
+    _twist_bialgebra,
+    _twist_coalgebra,
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
-    twist_algebra,
-    twist_bialgebra,
-    twist_coalgebra,
 )
 from .yd import (
     ClassicalYD,
+    _twist_yd,
+    _yd_tensor,
     b_from_c,
     braiding_B,
     braiding_c,
@@ -62,13 +67,14 @@ from .yd import (
     check_braid_relation_for,
     check_classical_yd,
     check_hexagons,
+    check_hybe,
     check_hybe_for,
     check_pentagon,
-    hat_tensor,
-    tilde_tensor,
-    twist_yd,
     yd_suite,
 )
+
+if TYPE_CHECKING:
+    from .specfile import SpecDocument, Task
 
 INAPPLICABLE_ERRORS = (
     InapplicableError,
@@ -106,6 +112,24 @@ class ReportBundle:
         return 0 if self.all_passed else 1
 
 
+@dataclass(frozen=True)
+class TaskKind:
+    """One kind of task: what it references, how it runs, what it defines.
+
+    ``slots`` holds ``(spec key, count, accepted structure kinds)`` per
+    reference, where ``count`` is None for a single name and the list length
+    otherwise.  ``run(spec, *resolved)`` receives each slot's structure (or
+    list of structures) and returns a report, or ``(object, report)`` when
+    ``result`` names the kind that the task's optional ``result`` registers.
+    """
+
+    slots: tuple
+    run: Callable
+    result: str | None = None
+    matrices: tuple = ()  # spec keys that must hold matrices
+    flavored: bool = False  # takes a "hat"/"tilde" flavor
+
+
 def _classicalize(obj, what):
     """Interpret a Hom-structure with identity map as a classical one."""
     alpha = obj.alpha
@@ -129,189 +153,169 @@ def _bad(what):
     raise ShapeError(f"{what} entries must be scalar strings")
 
 
-def _run_check(spec, ns, field):
-    value = spec["check"]
-    if value == "hom_algebra":
-        target = ns[spec["target"]]
-        return check_hom_algebra(target if not hasattr(target, "delta") else target.algebra)
-    if value == "hom_coalgebra":
-        target = ns[spec["target"]]
-        return check_hom_coalgebra(target if not hasattr(target, "mu") else target.coalgebra)
-    if value == "hom_bialgebra":
-        return check_hom_bialgebra(ns[spec["target"]])
-    if value == "module":
-        target = ns[spec["target"]]
-        return check_module(target.module if hasattr(target, "coact") else target)
-    if value == "comodule":
-        target = ns[spec["target"]]
-        return check_comodule(target.comodule if hasattr(target, "act") else target)
-    if value == "yd":
-        target = ns[spec["target"]]
-        return yd_suite(target)
-    if value == "classical_yd":
-        target = ns[spec["target"]]
-        classical_base = _classicalize(target.over, "classical Yetter-Drinfeld check")
-        if not target.alpha.is_identity():
-            raise InapplicableError(
-                "classical Yetter-Drinfeld check requires an identity carrier map"
-            )
-        return check_classical_yd(ClassicalYD(classical_base, target.act, target.coact))
-    if value == "qt":
-        return check_qt(ns[spec["target"]])
-    if value == "r_invariance":
-        return check_r_invariance(ns[spec["target"]])
-    if value == "cqt":
-        return check_cqt(ns[spec["target"]])
-    if value == "sigma_invariance":
-        return check_sigma_invariance(ns[spec["target"]])
-
-    if value == "hybe":
-        m, n, p = (ns[x] for x in spec["modules"])
-        return check_hybe_for(m, n, p)
-    if value == "braid_relation":
-        m, n, p = (ns[x] for x in spec["modules"])
-        return check_braid_relation_for(m, n, p)
-    if value == "hexagons":
-        m, n, p = (ns[x] for x in spec["modules"])
-        return check_hexagons(m, n, p, spec.get("flavor", "hat"))
-    if value == "pentagon":
-        m, n, p, q = (ns[x] for x in spec["modules"])
-        return check_pentagon(m, n, p, q, spec.get("flavor", "hat"))
-    if value == "bridge":
-        m, n = (ns[x] for x in spec["modules"])
-        c = braiding_c(m, n)
-        report = compare_maps(
-            "bridge_b_equals_alpha_pair_after_c", braiding_B(m, n), b_from_c(c, m.alpha, n.alpha)
+def _classical_yd(target):
+    classical_base = _classicalize(target.over, "classical Yetter-Drinfeld check")
+    if not target.alpha.is_identity():
+        raise InapplicableError(
+            "classical Yetter-Drinfeld check requires an identity carrier map"
         )
-        note = "c matrix invertible: " + ("yes" if c.is_invertible() else "no")
-        return CheckReport.combine("bridge", [report]).with_notes(note)
-    if value == "braid_implies_hybe":
-        m, n, p = (ns[x] for x in spec["modules"])
-        return check_braid_implies_hybe(
-            braiding_c(m, n), braiding_c(m, p), braiding_c(n, p),
+    return check_classical_yd(ClassicalYD(classical_base, target.act, target.coact))
+
+
+def _bridge(m, n):
+    c = braiding_c(m, n)
+    report = compare_maps(
+        "bridge_b_equals_alpha_pair_after_c", braiding_B(m, n), b_from_c(c, m.alpha, n.alpha)
+    )
+    note = "c matrix invertible: " + ("yes" if c.is_invertible() else "no")
+    return CheckReport.combine("bridge", [report]).with_notes(note)
+
+
+def _braid_implies_hybe(m, n, p):
+    return check_braid_implies_hybe(
+        braiding_c(m, n), braiding_c(m, p), braiding_c(n, p),
+        m.alpha, n.alpha, p.alpha,
+    )
+
+
+def _induced_hybe(braiding):
+    """HYBE for the braidings B that R or sigma induces on three carriers."""
+    def run(spec, carriers, x):
+        m, n, p = carriers
+        return check_hybe(
+            braiding(m, n, x), braiding(m, p, x), braiding(n, p, x),
             m.alpha, n.alpha, p.alpha,
         )
-    if value == "qt_hybe":
-        m, n, p = (ns[x] for x in spec["modules"])
-        r = ns[spec["r"]]
-        from .yd import check_hybe
+    return run
 
-        return check_hybe(
-            qt_B(m, n, r), qt_B(m, p, r), qt_B(n, p, r), m.alpha, n.alpha, p.alpha
-        )
-    if value == "qt_braiding_matches":
-        m, n = (ns[x] for x in spec["modules"])
-        r = ns[spec["r"]]
+
+def _braiding_matches(route, braiding, braiding_b, induce):
+    """The braidings c and B that R or sigma induces equal those of the
+    induced Yetter-Drinfeld modules; each carrier is induced once."""
+    def run(spec, carriers, x):
+        m, n = carriers
+        c = braiding(m, n, x)
+        ym, yn = induce(m, x), induce(n, x)
         reports = [
-            compare_maps(
-                "qt_braiding_equals_induced_c",
-                qt_braiding(m, n, r),
-                braiding_c(yd_from_module(m, r), yd_from_module(n, r)),
-            ),
-            compare_maps(
-                "qt_b_equals_induced_b",
-                qt_B(m, n, r),
-                braiding_B(yd_from_module(m, r), yd_from_module(n, r)),
-            ),
+            compare_maps(f"{route}_braiding_equals_induced_c", c, braiding_c(ym, yn)),
+            compare_maps(f"{route}_b_equals_induced_b", braiding_b(m, n, x), braiding_B(ym, yn)),
         ]
-        return CheckReport.combine("qt_braiding_matches", reports)
-    if value == "cqt_hybe":
-        m, n, p = (ns[x] for x in spec["comodules"])
-        s = ns[spec["sigma"]]
-        from .yd import check_hybe
-
-        return check_hybe(
-            cqt_B(m, n, s), cqt_B(m, p, s), cqt_B(n, p, s), m.alpha, n.alpha, p.alpha
-        )
-    if value == "cqt_braiding_matches":
-        m, n = (ns[x] for x in spec["comodules"])
-        s = ns[spec["sigma"]]
-        reports = [
-            compare_maps(
-                "cqt_braiding_equals_induced_c",
-                cqt_braiding(m, n, s),
-                braiding_c(yd_from_comodule(m, s), yd_from_comodule(n, s)),
-            ),
-            compare_maps(
-                "cqt_b_equals_induced_b",
-                cqt_B(m, n, s),
-                braiding_B(yd_from_comodule(m, s), yd_from_comodule(n, s)),
-            ),
-        ]
-        return CheckReport.combine("cqt_braiding_matches", reports)
-    raise SpecFileError(f"unhandled check {value!r}")
+        return CheckReport.combine(f"{route}_braiding_matches", reports)
+    return run
 
 
-def _run_twist(spec, ns, field):
-    value = spec["twist"]
-    source = ns[spec["source"]]
-    if value == "yd":
-        alpha_h = _matrix_arg(field, spec["alpha_h"], source.over.dim, "alpha_h")
-        alpha_m = _matrix_arg(field, spec["alpha_m"], source.dim, "alpha_m")
-        base = _classicalize(source.over, "Yetter-Drinfeld twisting")
-        if not source.alpha.is_identity():
-            raise InapplicableError("Yetter-Drinfeld twisting starts from a classical pair")
-        out = twist_yd(ClassicalYD(base, source.act, source.coact), alpha_h, alpha_m)
-        return out, yd_suite(out)
-    alpha = _matrix_arg(field, spec["alpha"], source.dim, "alpha")
-    classical = _classicalize(source, "twisting")
-    if value == "algebra":
-        out = twist_algebra(classical, alpha)
-        return out, check_hom_algebra(out)
-    if value == "coalgebra":
-        out = twist_coalgebra(classical, alpha)
-        return out, check_hom_coalgebra(out)
-    out = twist_bialgebra(classical, alpha)
-    return out, check_hom_bialgebra(out)
+def _twist(kind, build):
+    def run(spec, source):
+        alpha = _matrix_arg(source.field, spec["alpha"], source.dim, "alpha")
+        return build(_classicalize(source, "twisting"), alpha)
+    return TaskKind((("source", None, (kind,)),), run, kind, ("alpha",))
 
 
-def _run_tensor(spec, ns):
-    value = spec["tensor"]
-    a, b = (ns[x] for x in spec["operands"])
-    if value == "modules":
-        out = tensor_modules(a, b)
-        return out, check_module(out)
-    if value == "comodules":
-        out = tensor_comodules(a, b)
-        return out, check_comodule(out)
-    if value == "hat":
-        out = hat_tensor(a, b)
-    else:
-        out = tilde_tensor(a, b)
-    gate = out.over.alpha.is_invertible() and out.alpha.is_invertible()
-    return out, yd_suite(out, gate=gate)
+def _twist_yd_task(spec, source):
+    field = source.field
+    alpha_h = _matrix_arg(field, spec["alpha_h"], source.over.dim, "alpha_h")
+    alpha_m = _matrix_arg(field, spec["alpha_m"], source.dim, "alpha_m")
+    base = _classicalize(source.over, "Yetter-Drinfeld twisting")
+    if not source.alpha.is_identity():
+        raise InapplicableError("Yetter-Drinfeld twisting starts from a classical pair")
+    return _twist_yd(ClassicalYD(base, source.act, source.coact), alpha_h, alpha_m)
 
 
-def _run_coincide(spec, ns):
-    value = spec["coincide"]
-    a, b = (ns[x] for x in spec["operands"])
-    if value == "qt":
-        return check_qt_tensor_coincide(a, b, ns[spec["r"]])
-    return check_cqt_tensor_coincide(a, b, ns[spec["sigma"]])
+def _unary(kinds, check, facet=None):
+    """A check of one target, or of its ``facet`` where it has one (the
+    algebra of a bialgebra, the module of a Yetter-Drinfeld module)."""
+    return TaskKind(
+        (("target", None, kinds),), lambda spec, t: check(getattr(t, facet, t) if facet else t)
+    )
 
 
-def execute_task(task: Task, ns: dict, field) -> tuple[TaskResult, dict]:
+def _on_yd(count, check, flavored=False):
+    """A check over a list of Yetter-Drinfeld modules."""
+    def run(spec, modules):
+        return check(*modules, spec.get("flavor", "hat")) if flavored else check(*modules)
+    return TaskKind((("modules", count, ("yd_module",)),), run, flavored=flavored)
+
+
+def _induced(key, count, x, run):
+    """A check over the (co)modules under ``key``, which an R element or a sigma
+    form makes Yetter-Drinfeld; ``key`` is the plural of their kind."""
+    return TaskKind(((key, count, (key[:-1],)), x), run)
+
+
+def _binary(kind, build, x=(), result=None):
+    """A task over two operands of one kind, plus an optional R element or sigma form."""
+    return TaskKind(
+        (("operands", 2, (kind,)),) + x, lambda spec, ops, *rest: build(*ops, *rest), result
+    )
+
+
+R = ("r", None, ("r_element",))
+SIGMA = ("sigma", None, ("sigma_form",))
+
+TASKS = {
+    ("check", "hom_algebra"): _unary(("algebra", "bialgebra"), check_hom_algebra, "algebra"),
+    ("check", "hom_coalgebra"): _unary(
+        ("coalgebra", "bialgebra"), check_hom_coalgebra, "coalgebra"
+    ),
+    ("check", "hom_bialgebra"): _unary(("bialgebra",), check_hom_bialgebra),
+    ("check", "module"): _unary(("module", "yd_module"), check_module, "module"),
+    ("check", "comodule"): _unary(("comodule", "yd_module"), check_comodule, "comodule"),
+    ("check", "yd"): _unary(("yd_module",), yd_suite),
+    ("check", "classical_yd"): _unary(("yd_module",), _classical_yd),
+    ("check", "qt"): _unary(("r_element",), check_qt),
+    ("check", "r_invariance"): _unary(("r_element",), check_r_invariance),
+    ("check", "cqt"): _unary(("sigma_form",), check_cqt),
+    ("check", "sigma_invariance"): _unary(("sigma_form",), check_sigma_invariance),
+    ("check", "hybe"): _on_yd(3, check_hybe_for),
+    ("check", "braid_relation"): _on_yd(3, check_braid_relation_for),
+    ("check", "hexagons"): _on_yd(3, check_hexagons, flavored=True),
+    ("check", "pentagon"): _on_yd(4, check_pentagon, flavored=True),
+    ("check", "bridge"): _on_yd(2, _bridge),
+    ("check", "braid_implies_hybe"): _on_yd(3, _braid_implies_hybe),
+    ("check", "qt_hybe"): _induced("modules", 3, R, _induced_hybe(qt_B)),
+    ("check", "qt_braiding_matches"): _induced(
+        "modules", 2, R, _braiding_matches("qt", qt_braiding, qt_B, yd_from_module)
+    ),
+    ("check", "cqt_hybe"): _induced("comodules", 3, SIGMA, _induced_hybe(cqt_B)),
+    ("check", "cqt_braiding_matches"): _induced(
+        "comodules", 2, SIGMA, _braiding_matches("cqt", cqt_braiding, cqt_B, yd_from_comodule)
+    ),
+    ("twist", "algebra"): _twist("algebra", _twist_algebra),
+    ("twist", "coalgebra"): _twist("coalgebra", _twist_coalgebra),
+    ("twist", "bialgebra"): _twist("bialgebra", _twist_bialgebra),
+    ("twist", "yd"): TaskKind(
+        (("source", None, ("yd_module",)),), _twist_yd_task, "yd_module", ("alpha_h", "alpha_m")
+    ),
+    ("tensor", "modules"): _binary("module", _tensor_modules, result="module"),
+    ("tensor", "comodules"): _binary("comodule", _tensor_comodules, result="comodule"),
+    ("tensor", "hat"): _binary("yd_module", partial(_yd_tensor, "hat"), result="yd_module"),
+    ("tensor", "tilde"): _binary("yd_module", partial(_yd_tensor, "tilde"), result="yd_module"),
+    ("coincide", "qt"): _binary("module", check_qt_tensor_coincide, (R,)),
+    ("coincide", "cqt"): _binary("comodule", check_cqt_tensor_coincide, (SIGMA,)),
+}
+
+
+def _resolve(spec, slot, ns):
+    key, count, _ = slot
+    return ns[spec[key]] if count is None else [ns[ref] for ref in spec[key]]
+
+
+def execute_task(task: Task, ns: dict) -> tuple[TaskResult, dict]:
     spec = task.spec
+    entry = TASKS[task.key]
     registrations = {}
     try:
-        if "check" in spec:
-            report = _run_check(spec, ns, field)
-        elif "twist" in spec:
-            obj, report = _run_twist(spec, ns, field)
-            if spec.get("result"):
-                registrations[spec["result"]] = obj
-        elif "tensor" in spec:
-            obj, report = _run_tensor(spec, ns)
-            if spec.get("result"):
-                registrations[spec["result"]] = obj
-        else:
-            report = _run_coincide(spec, ns)
+        report = entry.run(spec, *(_resolve(spec, slot, ns) for slot in entry.slots))
     except INAPPLICABLE_ERRORS as exc:
         detail = str(exc) if not isinstance(exc, KeyError) else f"missing dependency {exc}"
         return (
             TaskResult(task.name, task.kind, "inapplicable", None, f"inapplicable: {detail}"),
             registrations,
         )
+    if entry.result:
+        obj, report = report
+        if spec.get("result"):
+            registrations[spec["result"]] = obj
     status = "pass" if report.passed else "fail"
     return TaskResult(task.name, task.kind, status, report), registrations
 
@@ -332,7 +336,7 @@ def run_tasks(doc: SpecDocument, parallel: int = 1, max_dim: int = 16) -> Report
     results: list[TaskResult | None] = [None] * len(doc.tasks)
     if parallel <= 1:
         for i, task in enumerate(doc.tasks):
-            results[i], registrations = execute_task(task, ns, doc.field)
+            results[i], registrations = execute_task(task, ns)
             ns.update(registrations)
     else:
         pending = list(enumerate(doc.tasks))
@@ -340,7 +344,7 @@ def run_tasks(doc: SpecDocument, parallel: int = 1, max_dim: int = 16) -> Report
             while pending:
                 wave, blocked = [], []
                 for i, task in pending:
-                    refs = _references(task.spec)
+                    refs = _references(task)
                     (wave if all(r in ns for r in refs) else blocked).append((i, task))
                 if not wave:
                     # unresolvable names: report the remainder as inapplicable
@@ -351,7 +355,7 @@ def run_tasks(doc: SpecDocument, parallel: int = 1, max_dim: int = 16) -> Report
                         )
                     break
                 futures = [
-                    (i, pool.submit(execute_task, task, dict(ns), doc.field))
+                    (i, pool.submit(execute_task, task, dict(ns)))
                     for i, task in wave
                 ]
                 for i, fut in futures:
@@ -361,14 +365,10 @@ def run_tasks(doc: SpecDocument, parallel: int = 1, max_dim: int = 16) -> Report
     return ReportBundle(doc.field.descriptor, [r for r in results if r is not None])
 
 
-def _references(spec) -> list[str]:
+def _references(task: Task) -> list[str]:
     refs = []
-    for key in ("target", "source", "r", "sigma"):
-        if isinstance(spec.get(key), str):
-            refs.append(spec[key])
-    for key in ("modules", "comodules", "operands"):
-        if isinstance(spec.get(key), list):
-            refs.extend(x for x in spec[key] if isinstance(x, str))
+    for key, count, _ in TASKS[task.key].slots:
+        refs.extend([task.spec[key]] if count is None else task.spec[key])
     return refs
 
 

@@ -22,6 +22,7 @@ from .modules import (
     coaction_constants,
 )
 from .quasitri import RElement, SigmaForm
+from .runner import TASKS
 from .structures import (
     HomAlgebra,
     HomBialgebra,
@@ -42,40 +43,7 @@ STRUCTURE_KINDS = (
     "sigma_form",
 )
 
-UNARY_CHECKS = {
-    "hom_algebra": ("algebra", "bialgebra"),
-    "hom_coalgebra": ("coalgebra", "bialgebra"),
-    "hom_bialgebra": ("bialgebra",),
-    "module": ("module", "yd_module"),
-    "comodule": ("comodule", "yd_module"),
-    "yd": ("yd_module",),
-    "classical_yd": ("yd_module",),
-    "qt": ("r_element",),
-    "r_invariance": ("r_element",),
-    "cqt": ("sigma_form",),
-    "sigma_invariance": ("sigma_form",),
-}
-
-MODULE_LIST_CHECKS = {
-    "hybe": 3,
-    "braid_relation": 3,
-    "hexagons": 3,
-    "pentagon": 4,
-    "bridge": 2,
-    "braid_implies_hybe": 3,
-}
-
-QT_CHECKS = {"qt_hybe": 3, "qt_braiding_matches": 2}
-CQT_CHECKS = {"cqt_hybe": 3, "cqt_braiding_matches": 2}
-
-TENSOR_KINDS = {
-    "modules": ("module", "module"),
-    "comodules": ("comodule", "comodule"),
-    "hat": ("yd_module", "yd_module"),
-    "tilde": ("yd_module", "yd_module"),
-}
-
-TWIST_KINDS = ("algebra", "coalgebra", "bialgebra", "yd")
+HEADS = {"check": "check", "twist": "twist", "tensor": "tensor", "coincide": "coincidence"}
 
 
 @dataclass
@@ -84,11 +52,16 @@ class Task:
     spec: dict
 
     @property
-    def kind(self) -> str:
-        for key in ("check", "twist", "tensor", "coincide"):
-            if key in self.spec:
-                return f"{key}:{self.spec[key]}"
+    def key(self) -> tuple:
+        """The task's ``(head, value)`` entry in ``runner.TASKS``."""
+        for head in HEADS:
+            if head in self.spec:
+                return head, self.spec[head]
         raise AssertionError("validated task lost its kind")
+
+    @property
+    def kind(self) -> str:
+        return "%s:%s" % self.key
 
 
 @dataclass
@@ -130,13 +103,6 @@ def _parse_rank3(field, data, d0, d1, d2, path):
     return [
         _parse_matrix(field, sl, d1, d2, f"{path}[{i}]") for i, sl in enumerate(data)
     ]
-
-
-def _alpha_map(field, raw, dim, path):
-    if raw is None:
-        return LinearMap.identity(field, (dim,))
-    rows = _parse_matrix(field, raw, dim, dim, path)
-    return LinearMap.from_rows(field, (dim,), (dim,), rows)
 
 
 def _positive_dim(raw, path):
@@ -242,22 +208,28 @@ def _alpha_rows(field, raw, dim, path):
     return _parse_matrix(field, raw, dim, dim, path)
 
 
+_WHAT = {"r": "R element", "sigma": "sigma form"}
+
+
 def _validate_task(field, index, raw, kinds):
     if not isinstance(raw, dict):
         _fail(f"task #{index} must be an object")
     name = raw.get("name", f"task{index}")
     if not isinstance(name, str) or not name:
         _fail(f"task #{index} has a bad name {raw.get('name')!r}")
-    heads = [k for k in ("check", "twist", "tensor", "coincide") if k in raw]
+    heads = [k for k in HEADS if k in raw]
     if len(heads) != 1:
         _fail(
             f"task {name!r} must contain exactly one of check/twist/tensor/coincide"
         )
     head = heads[0]
     value = raw[head]
+    entry = TASKS.get((head, value)) if isinstance(value, str) else None
+    if entry is None:
+        _fail(f"task {name!r} has unknown {HEADS[head]} {value!r}")
 
-    def need(ref, expected, what="structure"):
-        if ref not in kinds:
+    def need(ref, expected, what):
+        if not isinstance(ref, str) or ref not in kinds:
             _fail(f"task {name!r} references undefined {what} {ref!r}")
         if kinds[ref] not in expected:
             _fail(
@@ -265,72 +237,27 @@ def _validate_task(field, index, raw, kinds):
                 f"got {kinds[ref]}"
             )
 
-    def need_list(key, count, expected):
+    for key, count, expected in entry.slots:
+        if count is None:
+            need(raw.get(key), expected, _WHAT.get(key, key))
+            continue
         refs = raw.get(key)
         if not isinstance(refs, list) or len(refs) != count:
             _fail(f"task {name!r} needs {key!r} to be a list of {count} names")
         for ref in refs:
-            need(ref, expected)
-        return refs
-
-    def register(result_key="result", kind=None):
-        result = raw.get(result_key)
-        if result is not None:
-            if not isinstance(result, str) or not result:
-                _fail(f"task {name!r} has a bad result name")
-            if result in kinds:
-                _fail(f"task {name!r} redefines existing name {result!r}")
-            kinds[result] = kind
-
-    if head == "check":
-        if value in UNARY_CHECKS:
-            need(raw.get("target"), UNARY_CHECKS[value], "target")
-        elif value in MODULE_LIST_CHECKS:
-            need_list("modules", MODULE_LIST_CHECKS[value], ("yd_module",))
-            flavor = raw.get("flavor", "hat")
-            if value in ("hexagons", "pentagon") and flavor not in ("hat", "tilde"):
-                _fail(f"task {name!r} has bad flavor {flavor!r}")
-        elif value in QT_CHECKS:
-            need_list("modules", QT_CHECKS[value], ("module",))
-            need(raw.get("r"), ("r_element",), "R element")
-        elif value in CQT_CHECKS:
-            need_list("comodules", CQT_CHECKS[value], ("comodule",))
-            need(raw.get("sigma"), ("sigma_form",), "sigma form")
-        else:
-            _fail(f"task {name!r} has unknown check {value!r}")
-    elif head == "twist":
-        if value not in TWIST_KINDS:
-            _fail(f"task {name!r} has unknown twist {value!r}")
-        if value == "yd":
-            need(raw.get("source"), ("yd_module",), "source")
-            for key in ("alpha_h", "alpha_m"):
-                if not isinstance(raw.get(key), list):
-                    _fail(f"task {name!r} needs matrix {key!r}")
-            register(kind="yd_module")
-        else:
-            need(raw.get("source"), (value,), "source")
-            if not isinstance(raw.get("alpha"), list):
-                _fail(f"task {name!r} needs matrix 'alpha'")
-            register(kind=value)
-    elif head == "tensor":
-        if value not in TENSOR_KINDS:
-            _fail(f"task {name!r} has unknown tensor {value!r}")
-        expected = TENSOR_KINDS[value]
-        refs = raw.get("operands")
-        if not isinstance(refs, list) or len(refs) != 2:
-            _fail(f"task {name!r} needs 'operands' to be a list of 2 names")
-        for ref, exp in zip(refs, expected):
-            need(ref, (exp,))
-        register(kind="yd_module" if value in ("hat", "tilde") else expected[0])
-    else:  # coincide
-        if value == "qt":
-            need_list("operands", 2, ("module",))
-            need(raw.get("r"), ("r_element",), "R element")
-        elif value == "cqt":
-            need_list("operands", 2, ("comodule",))
-            need(raw.get("sigma"), ("sigma_form",), "sigma form")
-        else:
-            _fail(f"task {name!r} has unknown coincidence {value!r}")
+            need(ref, expected, "structure")
+    if entry.flavored and raw.get("flavor", "hat") not in ("hat", "tilde"):
+        _fail(f"task {name!r} has bad flavor {raw.get('flavor')!r}")
+    for key in entry.matrices:
+        if not isinstance(raw.get(key), list):
+            _fail(f"task {name!r} needs matrix {key!r}")
+    result = raw.get("result")
+    if entry.result and result is not None:
+        if not isinstance(result, str) or not result:
+            _fail(f"task {name!r} has a bad result name")
+        if result in kinds:
+            _fail(f"task {name!r} redefines existing name {result!r}")
+        kinds[result] = entry.result
     return Task(name, dict(raw))
 
 

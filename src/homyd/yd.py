@@ -20,16 +20,23 @@ from .linmap import LinearMap
 from .modules import (
     ComoduleStruct,
     ModuleStruct,
+    _morphism_report,
+    _tensor_alpha,
     check_comodule,
-    check_comodule_morphism,
     check_module,
-    check_module_morphism,
     require_same_base,
     tensor_action_map,
     tensor_coaction_map,
 )
 from .reports import CheckReport, compare_maps
-from .structures import ClassicalBialgebra, HomBialgebra, certify, require, twist_bialgebra
+from .structures import (
+    ClassicalBialgebra,
+    HomBialgebra,
+    _twist_bialgebra,
+    certified,
+    certify,
+    require,
+)
 
 
 class YDModule:
@@ -169,6 +176,10 @@ def _certify_yd(m: YDModule) -> YDModule:
 def twist_yd(m: ClassicalYD, alpha_h: LinearMap, alpha_m: LinearMap) -> YDModule:
     """Carry a classical Yetter-Drinfeld module to one over the twisted base,
     with action alpha_M∘act and coaction (alpha_H⊗alpha_M)∘coact."""
+    return certified(_twist_yd(m, alpha_h, alpha_m))
+
+
+def _twist_yd(m, alpha_h, alpha_m):
     require(
         compare_maps(
             "module_twist_compat", alpha_m @ m.act, m.act @ alpha_h.tensor(alpha_m)
@@ -185,10 +196,10 @@ def twist_yd(m: ClassicalYD, alpha_h: LinearMap, alpha_m: LinearMap) -> YDModule
         raise PreconditionError("alpha_h_invertible", None, "twisting map of the base is not bijective")
     if not alpha_m.is_invertible():
         raise PreconditionError("alpha_m_invertible", None, "carrier twisting map is not bijective")
-    base = twist_bialgebra(m.over, alpha_h)
+    base, base_report = _twist_bialgebra(m.over, alpha_h)
     out = YDModule(base, alpha_m @ m.act, alpha_h.tensor(alpha_m) @ m.coact, alpha_m)
-    certify(yd_suite(out))
-    return out
+    # a base that breaks its laws leads the report; a sound base adds nothing
+    return out, CheckReport.combine("yd_module", [base_report, yd_suite(out)])
 
 
 # -- the braiding B and the Hom-Yang-Baxter equation ----------------------
@@ -231,13 +242,12 @@ def check_hybe_for(m: YDModule, n: YDModule, p: YDModule) -> CheckReport:
 
 def _hat_raw(m: YDModule, n: YDModule) -> YDModule:
     base = m.over
-    act = tensor_action_map(base, m.module, n.module)
-    alpha_pair = m.alpha.tensor(n.alpha).with_shapes((m.dim * n.dim,), (m.dim * n.dim,))
-    coact = tensor_coaction_map(base, m.comodule, n.comodule)
+    act = tensor_action_map(base, m, n)
+    coact = tensor_coaction_map(base, m, n)
     twisted_first = base.alpha.power(-2).tensor(
         LinearMap.identity(base.field, (m.dim * n.dim,))
     )
-    return YDModule(base, act, twisted_first @ coact, alpha_pair)
+    return YDModule(base, act, twisted_first @ coact, _tensor_alpha(m, n))
 
 
 def _tilde_raw(m: YDModule, n: YDModule) -> YDModule:
@@ -251,25 +261,26 @@ def _tilde_raw(m: YDModule, n: YDModule) -> YDModule:
         .permute_codomain((0, 2, 1, 3))
     )
     act = (m.act.tensor(n.act) @ spread).with_shapes((dh, m.dim * n.dim), (m.dim * n.dim,))
-    alpha_pair = m.alpha.tensor(n.alpha).with_shapes((m.dim * n.dim,), (m.dim * n.dim,))
-    coact = tensor_coaction_map(base, m.comodule, n.comodule)
-    return YDModule(base, act, coact, alpha_pair)
+    coact = tensor_coaction_map(base, m, n)
+    return YDModule(base, act, coact, _tensor_alpha(m, n))
 
 
 def hat_tensor(m: YDModule, n: YDModule) -> YDModule:
     """M ⊗̂ N: componentwise action, coaction α_H^{-2}(m_(-1)n_(-1)) ⊗ (m_(0)⊗n_(0))."""
-    require_same_base(m, n)
-    if not m.over.alpha.is_invertible():
-        raise InapplicableError("hat tensor product needs a bijective base structure map")
-    return _certify_yd(_hat_raw(m, n))
+    return certified(_yd_tensor("hat", m, n))
 
 
 def tilde_tensor(m: YDModule, n: YDModule) -> YDModule:
     """M ⊗̃ N: action α_H^{-2}(h_1)·m ⊗ α_H^{-2}(h_2)·n, componentwise coaction."""
+    return certified(_yd_tensor("tilde", m, n))
+
+
+def _yd_tensor(flavor, m, n):
     require_same_base(m, n)
     if not m.over.alpha.is_invertible():
-        raise InapplicableError("tilde tensor product needs a bijective base structure map")
-    return _certify_yd(_tilde_raw(m, n))
+        raise InapplicableError(f"{flavor} tensor product needs a bijective base structure map")
+    out = (_hat_raw if flavor == "hat" else _tilde_raw)(m, n)
+    return out, yd_suite(out, gate=False)
 
 
 # -- associators ----------------------------------------------------------
@@ -301,8 +312,7 @@ def _certify_assoc(a, m, n, p, raw_tensor):
     # below are the verification this constructor owes
     left = raw_tensor(raw_tensor(m, n), p)
     right = raw_tensor(m, raw_tensor(n, p))
-    certify(check_module_morphism(a, left.module, right.module))
-    certify(check_comodule_morphism(a, left.comodule, right.comodule))
+    certify(_morphism_report("associator_morphism", a, [(left, right)]))
 
 
 def _assoc_matrix(flavor, alpha_m, middle_dims, alpha_p, field, inverse=False):
@@ -332,12 +342,8 @@ def braiding_c(m: YDModule, n: YDModule) -> LinearMap:
         if not alpha.is_invertible():
             raise InapplicableError(f"braiding needs a bijective {what} structure map")
     c = _braiding_c_matrix(m, n)
-    hat_mn, hat_nm = _hat_raw(m, n), _hat_raw(n, m)
-    certify(check_module_morphism(c, hat_mn.module, hat_nm.module))
-    certify(check_comodule_morphism(c, hat_mn.comodule, hat_nm.comodule))
-    tilde_mn, tilde_nm = _tilde_raw(m, n), _tilde_raw(n, m)
-    certify(check_module_morphism(c, tilde_mn.module, tilde_nm.module))
-    certify(check_comodule_morphism(c, tilde_mn.comodule, tilde_nm.comodule))
+    pairs = [(raw(m, n), raw(n, m)) for raw in (_hat_raw, _tilde_raw)]
+    certify(_morphism_report("braiding_morphism", c, pairs))
     return c
 
 

@@ -1,11 +1,14 @@
+import copy
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from homyd.cli import main
 
 SUITES = pathlib.Path(__file__).parents[1] / "suites"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_check_standard_suite_exits_zero(capsys):
@@ -104,6 +107,8 @@ def test_example_to_stdout_parses(capsys):
 def test_example_bad_parameters_exit_two(capsys):
     assert main(["example", "cyclic_r_matrix", "3", "rational", "-1", "1"]) == 2
     assert main(["example", "cyclic_endo_twist"]) == 2
+    assert main(["example", "cyclic_bicharacter_sigma", "0", "7", "1", "1"]) == 2
+    assert main(["example", "cyclic_r_matrix", "0", "7", "1", "1"]) == 2
     capsys.readouterr()
 
 
@@ -138,3 +143,58 @@ def test_inapplicable_yd_task_is_distinct_from_fail(tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     assert payload["tasks"][0]["status"] == "inapplicable"
     assert payload["tasks"][0]["reason"].startswith("inapplicable:")
+
+
+@pytest.mark.parametrize(
+    "suite, code",
+    [("standard_rational", 0), ("standard_gf11", 0), ("standard_gf7", 0), ("perturbed", 1)],
+)
+def test_reports_match_golden_bytes(tmp_path, capsys, suite, code):
+    # tests/golden holds reports of an earlier release; any refactoring must
+    # reproduce them byte for byte, with the same exit codes
+    out = tmp_path / "report.json"
+    assert main(["report", str(SUITES / f"{suite}.json"), "--json", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (GOLDEN / f"{suite}.json").read_bytes()
+
+
+def _bump(value):
+    return str(Fraction(value) + 1)
+
+
+def _hat_of_bumped_operand(doc):
+    bumped = copy.deepcopy(doc["structures"]["A"])
+    bumped["act"][1][0][0] = _bump(bumped["act"][1][0][0])
+    doc["structures"]["A1"] = bumped
+    return {"name": "hat_bumped", "tensor": "hat", "operands": ["A1", "B"], "result": "AB"}
+
+
+def _twist_of_bumped_source(doc):
+    bumped = copy.deepcopy(doc["structures"]["H3C"])
+    bumped["delta"][0][0][0] = _bump(bumped["delta"][0][0][0])
+    doc["structures"]["H3X"] = bumped
+    twist = next(t for t in doc["tasks"] if t.get("twist") == "bialgebra")
+    return dict(twist, name="twist_bumped", source="H3X")
+
+
+@pytest.mark.parametrize(
+    "make_task, count, first",
+    [
+        (_hat_of_bumped_operand, 70, ("action_alpha_compat", [1, 0])),
+        (_twist_of_bumped_source, 7, ("delta_multiplicative", [0, 0])),
+    ],
+)
+def test_construction_breaking_its_laws_fails(tmp_path, capsys, make_task, count, first):
+    doc = json.loads((SUITES / "standard_rational.json").read_text())
+    doc["tasks"] = [make_task(doc)]
+    path = tmp_path / "bumped.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "FAIL" in captured.out
+    (task,) = json.loads(out.read_text())["tasks"]
+    assert task["status"] == "fail"
+    assert len(task["failures"]) == count
+    assert (task["failures"][0]["law"], task["failures"][0]["index"]) == first

@@ -157,3 +157,26 @@ def test_meta_block_survives_round_trip():
     doc = parse_spec(doc_text(meta={"description": "tiny"}))
     assert doc.meta == {"description": "tiny"}
     assert json.loads(serialize_spec(doc))["meta"] == {"description": "tiny"}
+
+
+def test_non_string_names_in_tasks_are_refused():
+    # a list where a name belongs must be refused, not break the table lookup
+    for task in (
+        {"check": "hom_bialgebra", "target": ["H"]},
+        {"check": ["hom_bialgebra"], "target": "H"},
+        {"tensor": "modules", "operands": [["H"], "H"]},
+    ):
+        with pytest.raises(SpecFileError):
+            parse_spec(doc_text(tasks=[task]))
+
+
+def test_task_table_names_only_known_kinds():
+    from homyd.runner import TASKS
+    from homyd.specfile import HEADS, STRUCTURE_KINDS
+
+    for (head, _), entry in TASKS.items():
+        assert head in HEADS
+        assert entry.result is None or entry.result in STRUCTURE_KINDS
+        for _, count, kinds in entry.slots:
+            assert count is None or count >= 1
+            assert set(kinds) <= set(STRUCTURE_KINDS)

@@ -6,6 +6,7 @@ from conftest import cyclic_mu, grouplike_delta, identity_rows, perturbed, power
 from homyd.errors import CertificationError, PreconditionError
 from homyd.fields import RATIONALS, PrimeField
 from homyd.linmap import LinearMap
+from homyd.reports import compare_maps
 from homyd.structures import (
     ClassicalAlgebra,
     ClassicalBialgebra,
@@ -207,3 +208,31 @@ def test_certification_error_carries_report():
     bad = HomAlgebra.from_constants(Q, cyclic_mu(3), power_rows(3, 2))
     with pytest.raises(CertificationError):
         certify(check_hom_algebra(bad))
+
+
+def test_restated_bialgebra_laws_match_direct_scans():
+    # delta_alpha_exchange and delta_of_alpha are read off the coassociativity
+    # and comultiplicativity scans; a bumped coproduct constant must give the
+    # failure lists that scanning their own composites gives
+    bumped = perturbed(grouplike_delta(3), (1, 0, 2))
+    bia = HomBialgebra.from_constants(Q, cyclic_mu(3), bumped, power_rows(3, 2))
+    mu, delta, alpha = bia.mu, bia.delta, bia.alpha
+    report = check_hom_bialgebra(bia)
+    direct = {
+        "delta_alpha_exchange": compare_maps(
+            "delta_alpha_exchange", delta.tensor(alpha) @ delta, alpha.tensor(delta) @ delta
+        ),
+        "delta_of_alpha": compare_maps(
+            "delta_of_alpha", delta @ alpha, alpha.tensor(alpha) @ delta
+        ),
+    }
+    for law, scan in direct.items():
+        assert scan.failures
+        assert [f for f in report.failures if f.law == law] == list(scan.failures)
+    order = [
+        "multiplicativity", "hom_associativity", "comultiplicativity",
+        "hom_coassociativity", "delta_alpha_exchange", "delta_multiplicative",
+        "delta_of_alpha",
+    ]
+    ranks = [order.index(f.law) for f in report.failures]
+    assert ranks == sorted(ranks)
