@@ -130,7 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="structure file to run")
         p.add_argument("--json", metavar="PATH", help="write the machine report here")
         p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="worker count; report order is unaffected")
+                       help="accepted for compatibility and ignored: tasks always "
+                       "run one at a time in document order")
         p.add_argument("--max-dim", type=int, default=16, metavar="D",
                        help="guard on declared structure dimensions (default 16)")
 
@@ -154,7 +155,7 @@ def _run_file(args, quiet: bool) -> int:
         return 2
     try:
         doc = parse_spec(text)
-        bundle = run_tasks(doc, parallel=args.parallel, max_dim=args.max_dim)
+        bundle = run_tasks(doc, max_dim=args.max_dim)
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

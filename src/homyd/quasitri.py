@@ -20,8 +20,8 @@ from .modules import (
     require_same_base,
 )
 from .reports import CheckReport, compare_maps
-from .structures import HomBialgebra, tensor_square_product
-from .yd import YDModule, _certify_yd, _hat_raw, _tilde_raw
+from .structures import HomBialgebra, certified, tensor_square_product
+from .yd import YDModule, _hat_raw, _tilde_raw, yd_suite
 
 
 class RElement:
@@ -145,12 +145,16 @@ def _r_coaction(mod: ModuleStruct, r: RElement) -> LinearMap:
 
 def yd_from_module(mod: ModuleStruct, r: RElement) -> YDModule:
     """Coaction m -> alpha(R2) ⊗ R1·m on a module over a quasitriangular base."""
+    return certified(_yd_from_module(mod, r))
+
+
+def _yd_from_module(mod, r):
     if not isinstance(mod.over, HomBialgebra):
         raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
     require_same_base(mod, r)
     _require_axioms("R", (check_qt(r), check_r_invariance(r)))
     out = YDModule(mod.over, mod.act, _r_coaction(mod, r), mod.alpha)
-    return _certify_yd(out)
+    return out, yd_suite(out, gate=False)
 
 
 def check_qt_tensor_coincide(m: ModuleStruct, n: ModuleStruct, r: RElement) -> CheckReport:
@@ -251,12 +255,16 @@ def _sigma_action(com: ComoduleStruct, s: SigmaForm) -> LinearMap:
 def yd_from_comodule(com: ComoduleStruct, s: SigmaForm) -> YDModule:
     """Action h·m = sigma(m_(-1) ⊗ alpha(h)) m_(0) on a comodule over a
     coquasitriangular base."""
+    return certified(_yd_from_comodule(com, s))
+
+
+def _yd_from_comodule(com, s):
     if not isinstance(com.over, HomBialgebra):
         raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
     require_same_base(com, s)
     _require_axioms("sigma", (check_cqt(s), check_sigma_invariance(s)))
     out = YDModule(com.over, _sigma_action(com, s), com.coact, com.alpha)
-    return _certify_yd(out)
+    return out, yd_suite(out, gate=False)
 
 
 def check_cqt_tensor_coincide(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> CheckReport:

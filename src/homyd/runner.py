@@ -1,17 +1,16 @@
 """Task execution: dispatch parsed tasks to the checkers and collect reports.
 
 Every task kind is one entry of ``TASKS``; ``specfile`` validates tasks
-against the same table that dispatches them here.  Tasks run
-independently; with a worker pool they are scheduled in waves that
-respect construction dependencies, and the report order always follows
-the document order.  A task whose preconditions fail (bad
-hypotheses, non-bijective structure maps, missing dependencies) is
-reported as "inapplicable", which counts as non-passing.
+against the same table that dispatches them here.  Tasks run one at a
+time in document order, and constructions register their results for
+later tasks.  A task whose preconditions fail (bad hypotheses,
+non-bijective structure maps, a construction result that was never
+registered) is reported as "inapplicable", which counts as non-passing.
+Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -31,6 +30,8 @@ from .modules import (
     check_module,
 )
 from .quasitri import (
+    _yd_from_comodule,
+    _yd_from_module,
     check_cqt,
     check_cqt_tensor_coincide,
     check_qt,
@@ -41,8 +42,6 @@ from .quasitri import (
     cqt_braiding,
     qt_B,
     qt_braiding,
-    yd_from_comodule,
-    yd_from_module,
 )
 from .reports import CheckReport, compare_maps
 from .structures import (
@@ -58,11 +57,11 @@ from .structures import (
 )
 from .yd import (
     ClassicalYD,
+    _braiding_c,
     _twist_yd,
     _yd_tensor,
     b_from_c,
     braiding_B,
-    braiding_c,
     check_braid_implies_hybe,
     check_braid_relation_for,
     check_classical_yd,
@@ -81,8 +80,6 @@ INAPPLICABLE_ERRORS = (
     PreconditionError,
     NotInvertibleError,
     ShapeError,
-    ZeroDivisionError,
-    KeyError,
 )
 
 
@@ -163,19 +160,21 @@ def _classical_yd(target):
 
 
 def _bridge(m, n):
-    c = braiding_c(m, n)
+    c, certification = _braiding_c(m, n)
     report = compare_maps(
         "bridge_b_equals_alpha_pair_after_c", braiding_B(m, n), b_from_c(c, m.alpha, n.alpha)
     )
     note = "c matrix invertible: " + ("yes" if c.is_invertible() else "no")
-    return CheckReport.combine("bridge", [report]).with_notes(note)
+    return CheckReport.combine("bridge", [certification, report]).with_notes(note)
 
 
 def _braid_implies_hybe(m, n, p):
-    return check_braid_implies_hybe(
-        braiding_c(m, n), braiding_c(m, p), braiding_c(n, p),
-        m.alpha, n.alpha, p.alpha,
-    )
+    # the commutation gates presume morphisms: a braiding that fails its
+    # certification is reported as such, not as an unmet hypothesis
+    built = [_braiding_c(m, n), _braiding_c(m, p), _braiding_c(n, p)]
+    if not all(report.passed for _, report in built):
+        return CheckReport.combine("braid_implies_hybe", [report for _, report in built])
+    return check_braid_implies_hybe(*(c for c, _ in built), m.alpha, n.alpha, p.alpha)
 
 
 def _induced_hybe(braiding):
@@ -191,13 +190,18 @@ def _induced_hybe(braiding):
 
 def _braiding_matches(route, braiding, braiding_b, induce):
     """The braidings c and B that R or sigma induces equal those of the
-    induced Yetter-Drinfeld modules; each carrier is induced once."""
+    induced Yetter-Drinfeld modules; each carrier is induced once, and the
+    certifications of the induced modules and of their c come first."""
     def run(spec, carriers, x):
         m, n = carriers
         c = braiding(m, n, x)
-        ym, yn = induce(m, x), induce(n, x)
+        (ym, m_report), (yn, n_report) = induce(m, x), induce(n, x)
+        induced_c, c_report = _braiding_c(ym, yn)
         reports = [
-            compare_maps(f"{route}_braiding_equals_induced_c", c, braiding_c(ym, yn)),
+            m_report,
+            n_report,
+            c_report,
+            compare_maps(f"{route}_braiding_equals_induced_c", c, induced_c),
             compare_maps(f"{route}_b_equals_induced_b", braiding_b(m, n, x), braiding_B(ym, yn)),
         ]
         return CheckReport.combine(f"{route}_braiding_matches", reports)
@@ -274,11 +278,11 @@ TASKS = {
     ("check", "braid_implies_hybe"): _on_yd(3, _braid_implies_hybe),
     ("check", "qt_hybe"): _induced("modules", 3, R, _induced_hybe(qt_B)),
     ("check", "qt_braiding_matches"): _induced(
-        "modules", 2, R, _braiding_matches("qt", qt_braiding, qt_B, yd_from_module)
+        "modules", 2, R, _braiding_matches("qt", qt_braiding, qt_B, _yd_from_module)
     ),
     ("check", "cqt_hybe"): _induced("comodules", 3, SIGMA, _induced_hybe(cqt_B)),
     ("check", "cqt_braiding_matches"): _induced(
-        "comodules", 2, SIGMA, _braiding_matches("cqt", cqt_braiding, cqt_B, yd_from_comodule)
+        "comodules", 2, SIGMA, _braiding_matches("cqt", cqt_braiding, cqt_B, _yd_from_comodule)
     ),
     ("twist", "algebra"): _twist("algebra", _twist_algebra),
     ("twist", "coalgebra"): _twist("coalgebra", _twist_coalgebra),
@@ -295,23 +299,33 @@ TASKS = {
 }
 
 
+def _references(task: Task) -> list[str]:
+    refs = []
+    for key, count, _ in TASKS[task.key].slots:
+        refs.extend([task.spec[key]] if count is None else task.spec[key])
+    return refs
+
+
 def _resolve(spec, slot, ns):
     key, count, _ = slot
     return ns[spec[key]] if count is None else [ns[ref] for ref in spec[key]]
 
 
+def _inapplicable(task: Task, detail: str) -> TaskResult:
+    return TaskResult(task.name, task.kind, "inapplicable", None, f"inapplicable: {detail}")
+
+
 def execute_task(task: Task, ns: dict) -> tuple[TaskResult, dict]:
     spec = task.spec
     entry = TASKS[task.key]
-    registrations = {}
+    missing = next((name for name in _references(task) if name not in ns), None)
+    if missing is not None:
+        return _inapplicable(task, f"missing dependency {missing!r}"), {}
     try:
         report = entry.run(spec, *(_resolve(spec, slot, ns) for slot in entry.slots))
     except INAPPLICABLE_ERRORS as exc:
-        detail = str(exc) if not isinstance(exc, KeyError) else f"missing dependency {exc}"
-        return (
-            TaskResult(task.name, task.kind, "inapplicable", None, f"inapplicable: {detail}"),
-            registrations,
-        )
+        return _inapplicable(task, str(exc)), {}
+    registrations = {}
     if entry.result:
         obj, report = report
         if spec.get("result"):
@@ -320,7 +334,7 @@ def execute_task(task: Task, ns: dict) -> tuple[TaskResult, dict]:
     return TaskResult(task.name, task.kind, status, report), registrations
 
 
-def run_tasks(doc: SpecDocument, parallel: int = 1, max_dim: int = 16) -> ReportBundle:
+def run_tasks(doc: SpecDocument, max_dim: int = 16) -> ReportBundle:
     """Execute every task in document order; constructions register their
     results for later tasks.  ``max_dim`` guards declared structure sizes."""
     for name, obj in doc.structures.items():
@@ -333,43 +347,12 @@ def run_tasks(doc: SpecDocument, parallel: int = 1, max_dim: int = 16) -> Report
                 f"which exceeds the guard --max-dim={max_dim}"
             )
     ns = dict(doc.structures)
-    results: list[TaskResult | None] = [None] * len(doc.tasks)
-    if parallel <= 1:
-        for i, task in enumerate(doc.tasks):
-            results[i], registrations = execute_task(task, ns)
-            ns.update(registrations)
-    else:
-        pending = list(enumerate(doc.tasks))
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            while pending:
-                wave, blocked = [], []
-                for i, task in pending:
-                    refs = _references(task)
-                    (wave if all(r in ns for r in refs) else blocked).append((i, task))
-                if not wave:
-                    # unresolvable names: report the remainder as inapplicable
-                    for i, task in blocked:
-                        results[i] = TaskResult(
-                            task.name, task.kind, "inapplicable", None,
-                            "inapplicable: unresolved dependency",
-                        )
-                    break
-                futures = [
-                    (i, pool.submit(execute_task, task, dict(ns)))
-                    for i, task in wave
-                ]
-                for i, fut in futures:
-                    results[i], registrations = fut.result()
-                    ns.update(registrations)
-                pending = blocked
-    return ReportBundle(doc.field.descriptor, [r for r in results if r is not None])
-
-
-def _references(task: Task) -> list[str]:
-    refs = []
-    for key, count, _ in TASKS[task.key].slots:
-        refs.extend([task.spec[key]] if count is None else task.spec[key])
-    return refs
+    results = []
+    for task in doc.tasks:
+        result, registrations = execute_task(task, ns)
+        results.append(result)
+        ns.update(registrations)
+    return ReportBundle(doc.field.descriptor, results)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -329,28 +329,6 @@ def _restated(report: CheckReport, law: str, swap: bool = False) -> CheckReport:
     return CheckReport(law, tuple(failures))
 
 
-def check_classical_algebra(alg: ClassicalAlgebra) -> CheckReport:
-    ident = LinearMap.identity(alg.field, (alg.dim,))
-    return CheckReport.combine(
-        "classical_algebra",
-        [compare_maps("associativity", alg.mu @ ident.tensor(alg.mu), alg.mu @ alg.mu.tensor(ident))],
-    )
-
-
-def check_classical_coalgebra(coalg: ClassicalCoalgebra) -> CheckReport:
-    ident = LinearMap.identity(coalg.field, (coalg.dim,))
-    return CheckReport.combine(
-        "classical_coalgebra",
-        [
-            compare_maps(
-                "coassociativity",
-                coalg.delta.tensor(ident) @ coalg.delta,
-                ident.tensor(coalg.delta) @ coalg.delta,
-            )
-        ],
-    )
-
-
 def check_classical_bialgebra(bia: ClassicalBialgebra) -> CheckReport:
     ident = LinearMap.identity(bia.field, (bia.dim,))
     return CheckReport.combine(
@@ -444,9 +422,3 @@ def tensor_algebra(a: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
     out = HomAlgebra(mu, a.alpha.tensor(b.alpha).with_shapes((a.dim * b.dim,), (a.dim * b.dim,)))
     certify(check_hom_algebra(out))
     return out
-
-
-def same_constants(*maps) -> bool:
-    """Value equality of structure constants (used to match module bases)."""
-    first = maps[0]
-    return all(m == first for m in maps[1:])

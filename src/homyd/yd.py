@@ -168,11 +168,6 @@ def yd_suite(m: YDModule, gate: bool = True) -> CheckReport:
     return CheckReport.combine("yd_module", reports)
 
 
-def _certify_yd(m: YDModule) -> YDModule:
-    certify(yd_suite(m, gate=False))
-    return m
-
-
 def twist_yd(m: ClassicalYD, alpha_h: LinearMap, alpha_m: LinearMap) -> YDModule:
     """Carry a classical Yetter-Drinfeld module to one over the twisted base,
     with action alpha_M∘act and coaction (alpha_H⊗alpha_M)∘coact."""
@@ -337,14 +332,17 @@ def _braiding_c_matrix(m: YDModule, n: YDModule) -> LinearMap:
 def braiding_c(m: YDModule, n: YDModule) -> LinearMap:
     """c(m⊗n) = α_N^{-1}(α_H^{-1}(m_(-1))·n) ⊗ α_M^{-1}(m_(0)); certified as a
     morphism for both tensor-product structures."""
+    return certified(_braiding_c(m, n))
+
+
+def _braiding_c(m, n):
     require_same_base(m, n)
     for alpha, what in ((m.over.alpha, "base"), (m.alpha, "first"), (n.alpha, "second")):
         if not alpha.is_invertible():
             raise InapplicableError(f"braiding needs a bijective {what} structure map")
     c = _braiding_c_matrix(m, n)
     pairs = [(raw(m, n), raw(n, m)) for raw in (_hat_raw, _tilde_raw)]
-    certify(_morphism_report("braiding_morphism", c, pairs))
-    return c
+    return c, _morphism_report("braiding_morphism", c, pairs)
 
 
 def b_from_c(c: LinearMap, alpha_m: LinearMap, alpha_n: LinearMap) -> LinearMap:

@@ -57,14 +57,33 @@ def test_report_verb_is_quiet_and_writes_json(tmp_path, capsys):
     assert main(["report", str(SUITES / "standard_gf7.json")]) == 2
 
 
+def _twist_then_check(tmp_path):
+    # twisting needs a classical source, so H6T is never registered
+    doc = json.loads((SUITES / "standard_rational.json").read_text())
+    identity = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+    doc["tasks"] = [
+        {"name": "twist_h6", "twist": "bialgebra", "source": "H6", "alpha": identity,
+         "result": "H6T"},
+        {"name": "laws_h6t", "check": "hom_bialgebra", "target": "H6T"},
+    ]
+    path = tmp_path / "dependency.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_parallel_runs_produce_identical_reports(tmp_path, capsys):
-    seq = tmp_path / "seq.json"
-    par = tmp_path / "par.json"
-    base = str(SUITES / "standard_gf7.json")
-    assert main(["check", base, "--json", str(seq)]) == 0
-    assert main(["check", base, "--json", str(par), "--parallel", "4"]) == 0
-    capsys.readouterr()
-    assert seq.read_bytes() == par.read_bytes()
+    # --parallel is accepted for compatibility; every run is sequential
+    for path, code in [(SUITES / "standard_gf7.json", 0), (_twist_then_check(tmp_path), 1)]:
+        seq = tmp_path / "seq.json"
+        par = tmp_path / "par.json"
+        assert main(["check", str(path), "--json", str(seq)]) == code
+        assert main(["check", str(path), "--json", str(par), "--parallel", "4"]) == code
+        capsys.readouterr()
+        assert seq.read_bytes() == par.read_bytes()
+    # the report of the last input, whose construction was inapplicable
+    tasks = json.loads(seq.read_text())["tasks"]
+    assert [t["status"] for t in tasks] == ["inapplicable", "inapplicable"]
+    assert tasks[1]["reason"] == "inapplicable: missing dependency 'H6T'"
 
 
 def test_max_dim_guard(capsys):
@@ -162,31 +181,72 @@ def _bump(value):
     return str(Fraction(value) + 1)
 
 
-def _hat_of_bumped_operand(doc):
-    bumped = copy.deepcopy(doc["structures"]["A"])
-    bumped["act"][1][0][0] = _bump(bumped["act"][1][0][0])
-    doc["structures"]["A1"] = bumped
-    return {"name": "hat_bumped", "tensor": "hat", "operands": ["A1", "B"], "result": "AB"}
+def _bumped(suite, name, copy_name, key, i, j, k):
+    """A shipped suite plus a copy ``copy_name`` of its structure ``name``
+    with ``key[i][j][k]`` raised by one."""
+    doc = json.loads((SUITES / f"{suite}.json").read_text())
+    bumped = copy.deepcopy(doc["structures"][name])
+    bumped[key][i][j][k] = _bump(bumped[key][i][j][k], doc["field"])
+    doc["structures"][copy_name] = bumped
+    return doc
 
 
-def _twist_of_bumped_source(doc):
-    bumped = copy.deepcopy(doc["structures"]["H3C"])
-    bumped["delta"][0][0][0] = _bump(bumped["delta"][0][0][0])
-    doc["structures"]["H3X"] = bumped
+def _bump(value, field):
+    if field == "rational":
+        return str(Fraction(value) + 1)
+    return str((int(value) + 1) % int(field.split(":")[1]))
+
+
+def _hat_of_bumped_operand():
+    doc = _bumped("standard_rational", "A", "A1", "act", 1, 0, 0)
+    return doc, {"name": "hat_bumped", "tensor": "hat", "operands": ["A1", "B"], "result": "AB"}
+
+
+def _twist_of_bumped_source():
+    doc = _bumped("standard_rational", "H3C", "H3X", "delta", 0, 0, 0)
     twist = next(t for t in doc["tasks"] if t.get("twist") == "bialgebra")
-    return dict(twist, name="twist_bumped", source="H3X")
+    return doc, dict(twist, name="twist_bumped", source="H3X")
 
 
+def _bridge_of_bumped_operand():
+    doc = _bumped("standard_rational", "A", "A1", "act", 1, 0, 0)
+    return doc, {"name": "bridge_bumped", "check": "bridge", "modules": ["A1", "A1"]}
+
+
+def _braid_implies_hybe_of_bumped_operand():
+    doc = _bumped("standard_rational", "A", "A1", "act", 1, 0, 0)
+    return doc, {"name": "bih_bumped", "check": "braid_implies_hybe", "modules": ["A1", "B", "A1"]}
+
+
+def _qt_braiding_of_bumped_module():
+    doc = _bumped("standard_rational", "M2", "M2X", "act", 1, 0, 0)
+    return doc, {"name": "qt_bumped", "check": "qt_braiding_matches", "modules": ["M2X", "M2X"],
+                 "r": "R2"}
+
+
+def _cqt_braiding_of_bumped_comodule():
+    doc = _bumped("standard_gf7", "CM1", "CM1X", "coact", 0, 0, 0)
+    return doc, {"name": "cqt_bumped", "check": "cqt_braiding_matches",
+                 "comodules": ["CM1X", "CM2"], "sigma": "S"}
+
+
+# the last four counts are certification failures alone: 26 for each braiding
+# c that takes A1's action, 4 for each Yetter-Drinfeld module induced on M2X
+# and 10 for the one induced on CM1X
 @pytest.mark.parametrize(
     "make_task, count, first",
     [
         (_hat_of_bumped_operand, 70, ("action_alpha_compat", [1, 0])),
         (_twist_of_bumped_source, 7, ("delta_multiplicative", [0, 0])),
+        (_bridge_of_bumped_operand, 26, ("morphism_alpha_compat", [5])),
+        (_braid_implies_hybe_of_bumped_operand, 52, ("morphism_alpha_compat", [5])),
+        (_qt_braiding_of_bumped_module, 8, ("action_hom_associativity", [1, 1, 0])),
+        (_cqt_braiding_of_bumped_comodule, 10, ("action_hom_associativity", [0, 0, 0])),
     ],
 )
 def test_construction_breaking_its_laws_fails(tmp_path, capsys, make_task, count, first):
-    doc = json.loads((SUITES / "standard_rational.json").read_text())
-    doc["tasks"] = [make_task(doc)]
+    doc, task = make_task()
+    doc["tasks"] = [task]
     path = tmp_path / "bumped.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
