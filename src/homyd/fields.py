@@ -84,7 +84,15 @@ class Rationals:
         return self.normalize(Fraction(1) / a)
 
     def reduce_array(self, arr):
-        return arr
+        """A 1-d object array with its values as ``normalize`` leaves them: a
+        ``Fraction`` with denominator 1 becomes an int."""
+        vals = arr.tolist()
+        hits = [k for k, v in enumerate(vals) if type(v) is Fraction and v.denominator == 1]
+        if not hits:
+            return arr
+        out = arr.copy()
+        out[hits] = [int(vals[k]) for k in hits]
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

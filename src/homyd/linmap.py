@@ -1,12 +1,19 @@
-"""Dense exact linear maps between tensor products of finite-dimensional spaces.
+"""Sparse exact linear maps between tensor products of finite-dimensional spaces.
 
 A ``LinearMap`` carries its domain and codomain as tuples of tensor-factor
-dimensions and a dense entry matrix indexed by (codomain index, domain
-index).  Multi-indices flatten row-major with the leftmost factor most
+dimensions and its nonzero entries in one canonical coordinate form: int64
+``rows`` (codomain index) and ``cols`` (domain index) sorted by (column,
+row), and an object array of the exact nonzero scalars at those positions.
+No zero is ever stored, so two maps are equal exactly when their three
+arrays are.  Multi-indices flatten row-major with the leftmost factor most
 significant; this one convention is fixed globally and everything else
 (Kronecker products, factor permutations, regrouping) is consistent with
-it.  Entries are exact field scalars; values are immutable after
-construction.
+it.  Every primitive works on the nonzeros only, so the coherence maps of
+the paper, Kronecker products of structure-map powers and factor shuffles
+with almost every cell zero, cost what they store.  The constructor
+``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
+dense entry and exit points for structure constants and small maps.  Maps
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -20,6 +27,13 @@ from .fields import Field
 
 Dims = tuple[int, ...]
 
+# Products that ``compose`` materialises at once, rounded to whole columns of
+# the result: bounds its working memory on dense maps.
+COMPOSE_BLOCK = 4096
+
+# Flat positions ``col * nrows + row`` must fit in int64.
+_MAX_CELLS = 2**62
+
 
 def _as_dims(dims) -> Dims:
     dims = tuple(int(d) for d in dims)
@@ -32,8 +46,12 @@ def _size(dims: Dims) -> int:
     return math.prod(dims)
 
 
-def _zeros(rows: int, cols: int):
-    return np.full((rows, cols), 0, dtype=object)
+def _index(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
+def _ones(field, n: int) -> np.ndarray:
+    return np.full(n, field.one, dtype=object)
 
 
 def _freeze(arr):
@@ -41,38 +59,100 @@ def _freeze(arr):
     return arr
 
 
-class LinearMap:
-    """An exact linear map ``⊗ dom -> ⊗ cod`` stored as a dense matrix."""
+def _shuffle(flat, dims: Dims, perm) -> np.ndarray:
+    """Flat indices over ``dims`` carried to the factor order ``perm``: factor
+    ``t`` of the result is factor ``perm[t]`` of ``dims``."""
+    multi = np.unravel_index(flat, dims)
+    return np.ravel_multi_index(
+        tuple(multi[p] for p in perm), tuple(dims[p] for p in perm)
+    ).astype(np.int64)
 
-    __slots__ = ("field", "dom", "cod", "_entries")
+
+def _run_starts(key) -> np.ndarray:
+    """Start of every run of equal values in the sorted array ``key``."""
+    if len(key) == 0:
+        return _index([])
+    return np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+
+
+def _sum_runs(key, vals):
+    """Sort by position ``key``, summing the values at a repeated position."""
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    starts = _run_starts(key)
+    if len(starts) < len(key):
+        key, vals = key[starts], np.add.reduceat(vals, starts)
+    return key, vals
+
+
+class LinearMap:
+    """An exact linear map ``⊗ dom -> ⊗ cod`` stored as sorted coordinates."""
+
+    # ``rows`` (codomain index) and ``cols`` (domain index) are read-only int64
+    # arrays sorted by (column, row); ``values`` holds the nonzero scalars there
+    __slots__ = ("field", "dom", "cod", "nrows", "ncols", "rows", "cols", "values", "_inverse")
 
     def __init__(self, field: Field, dom, cod, entries):
-        self.field = field
-        self.dom = _as_dims(dom)
-        self.cod = _as_dims(cod)
+        """Build from a dense entry matrix indexed by (codomain, domain) index."""
         arr = np.asarray(entries, dtype=object)
-        expect = (_size(self.cod), _size(self.dom))
+        dom, cod = _as_dims(dom), _as_dims(cod)
+        expect = (_size(cod), _size(dom))
         if arr.shape != expect:
             raise ShapeError(
                 f"entry matrix has shape {arr.shape}, expected {expect} "
-                f"for map {self.dom} -> {self.cod}"
+                f"for map {dom} -> {cod}"
             )
-        self._entries = _freeze(arr if arr.base is None else arr.copy())
+        cols, rows = np.nonzero(arr.T)
+        self._set(field, dom, cod, _index(rows), _index(cols), arr.T[cols, rows])
+        self._reduce()
+
+    def _set(self, field, dom, cod, rows, cols, vals):
+        self.field, self.dom, self.cod = field, dom, cod
+        self.nrows, self.ncols = _size(cod), _size(dom)
+        if self.nrows * self.ncols >= _MAX_CELLS:
+            raise ShapeError(f"map {dom} -> {cod} has too many cells to index")
+        self.rows, self.cols, self.values = _freeze(rows), _freeze(cols), _freeze(vals)
+        self._inverse = None
+
+    def _reduce(self):
+        """Reduce the values through the field and drop the zeros among them."""
+        vals = self.field.reduce_array(self.values)
+        keep = vals != 0
+        if not keep.all():
+            self.rows, self.cols = _freeze(self.rows[keep]), _freeze(self.cols[keep])
+        self.values = _freeze(vals[keep])
+
+    @classmethod
+    def _coo(cls, field, dom, cod, rows, cols, vals, reduce=True):
+        """A map from coordinates in any order: sorted, the values at a
+        repeated position summed, then reduced with zeros dropped (``reduce``)."""
+        nrows = _size(cod)
+        key, vals = _sum_runs(cols * nrows + rows, vals)
+        cols, rows = np.divmod(key, nrows)
+        out = cls._make(field, dom, cod, rows, cols, vals)
+        if reduce:
+            out._reduce()
+        return out
+
+    @classmethod
+    def _make(cls, field, dom, cod, rows, cols, vals) -> "LinearMap":
+        """A map from arrays already in canonical form."""
+        out = object.__new__(cls)
+        out._set(field, dom, cod, rows, cols, vals)
+        return out
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def identity(cls, field, dims) -> "LinearMap":
         dims = _as_dims(dims)
-        n = _size(dims)
-        ent = _zeros(n, n)
-        for i in range(n):
-            ent[i, i] = field.one
-        return cls(field, dims, dims, ent)
+        diag = np.arange(_size(dims), dtype=np.int64)
+        return cls._make(field, dims, dims, diag, diag, _ones(field, len(diag)))
 
     @classmethod
     def zero(cls, field, dom, cod) -> "LinearMap":
-        return cls(field, dom, cod, _zeros(_size(_as_dims(cod)), _size(_as_dims(dom))))
+        return cls._make(field, _as_dims(dom), _as_dims(cod), _index([]), _index([]),
+                         np.empty(0, dtype=object))
 
     @classmethod
     def from_rows(cls, field, dom, cod, rows) -> "LinearMap":
@@ -86,12 +166,11 @@ class LinearMap:
     def basis_map(cls, field, images) -> "LinearMap":
         """The map sending basis vector ``e_j`` to ``e_{images[j]}``."""
         n = len(images)
-        ent = _zeros(n, n)
-        for j, i in enumerate(images):
+        for i in images:
             if not 0 <= i < n:
                 raise ShapeError(f"basis image {i} out of range for dimension {n}")
-            ent[i, j] = field.one
-        return cls(field, (n,), (n,), ent)
+        return cls._make(field, (n,), (n,), _index(images), np.arange(n, dtype=np.int64),
+                         _ones(field, n))
 
     @classmethod
     def permutation(cls, field, dims, perm) -> "LinearMap":
@@ -100,11 +179,9 @@ class LinearMap:
         perm = _check_perm(perm, len(dims))
         cod = tuple(dims[p] for p in perm)
         n = _size(dims)
-        ent = _zeros(n, n)
-        for flat, multi in enumerate(np.ndindex(*dims)):
-            target = tuple(multi[p] for p in perm)
-            ent[int(np.ravel_multi_index(target, cod)) if cod else 0, flat] = field.one
-        return cls(field, dims, cod, ent)
+        cols = np.arange(n, dtype=np.int64)
+        rows = _shuffle(cols, dims, perm) if dims else cols
+        return cls._make(field, dims, cod, rows, cols, _ones(field, n))
 
     @classmethod
     def vector(cls, field, dims, coeffs) -> "LinearMap":
@@ -124,26 +201,29 @@ class LinearMap:
 
     @property
     def entries(self):
-        return self._entries
-
-    @property
-    def nrows(self) -> int:
-        return self._entries.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self._entries.shape[1]
+        """The dense (codomain, domain) matrix, read-only; empty cells hold the
+        shared int ``0``."""
+        out = np.full((self.nrows, self.ncols), 0, dtype=object)
+        out[self.rows, self.cols] = self.values
+        return _freeze(out)
 
     def column(self, j: int) -> tuple:
-        return tuple(self._entries[:, j])
+        lo, hi = np.searchsorted(self.cols, (j, j + 1))
+        col = [0] * self.nrows
+        for i, v in zip(self.rows[lo:hi].tolist(), self.values[lo:hi]):
+            col[i] = v
+        return tuple(col)
 
     def is_zero(self) -> bool:
-        return not self._entries.any()
+        return len(self.values) == 0
 
     def is_identity(self) -> bool:
-        if self.dom != self.cod:
-            return False
-        return self == LinearMap.identity(self.field, self.dom)
+        return (
+            self.dom == self.cod
+            and len(self.values) == self.nrows
+            and bool(np.all(self.rows == self.cols))
+            and bool(np.all(self.values == self.field.one))
+        )
 
     def is_invertible(self) -> bool:
         if self.nrows != self.ncols:
@@ -161,7 +241,9 @@ class LinearMap:
             self.field == other.field
             and self.dom == other.dom
             and self.cod == other.cod
-            and bool(np.array_equal(self._entries, other._entries))
+            and np.array_equal(self.cols, other.cols)
+            and np.array_equal(self.rows, other.rows)
+            and bool(np.array_equal(self.values, other.values))
         )
 
     def __repr__(self):
@@ -170,7 +252,11 @@ class LinearMap:
     # -- algebra ------------------------------------------------------
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """``self ∘ other``; defined when ``other.cod == self.dom``."""
+        """``self ∘ other``; defined when ``other.cod == self.dom``.
+
+        Entry ``(k, j)`` of ``other`` meets every entry of column ``k`` of
+        ``self``; the products are built for whole result columns at a time,
+        about ``COMPOSE_BLOCK`` of them, and summed per position."""
         if self.field != other.field:
             raise ShapeError("cannot compose maps over different fields")
         if other.cod != self.dom:
@@ -178,32 +264,38 @@ class LinearMap:
                 f"compose mismatch: inner map has codomain {other.cod}, "
                 f"outer map has domain {self.dom}"
             )
-        ge, fe = self._entries, other._entries
-        rows, cols = ge.shape[0], fe.shape[1]
-        out = _zeros(rows, cols)
-        one = self.field.one
-        # pick the iteration side with the cheaper accumulated vector work
-        nnz_g = int(np.count_nonzero(ge))
-        nnz_f = int(np.count_nonzero(fe))
-        if nnz_g * cols <= nnz_f * rows:
-            for i in range(rows):
-                grow = ge[i]
-                nz = np.nonzero(grow)[0]
-                if len(nz) == 0:
-                    continue
-                acc = None
-                for k in nz:
-                    c = grow[k]
-                    term = fe[k] if c == one else c * fe[k]
-                    acc = term if acc is None else acc + term
-                out[i] = acc
-        else:
-            fk, fj = np.nonzero(fe)
-            for k, j in zip(fk, fj):
-                c = fe[k, j]
-                col = ge[:, k] if c == one else c * ge[:, k]
-                out[:, j] = out[:, j] + col
-        return LinearMap(self.field, other.dom, self.cod, self.field.reduce_array(out))
+        g, f = self, other
+        gcount = np.bincount(g.cols, minlength=g.ncols)
+        gstart = np.cumsum(gcount) - gcount
+        counts = gcount[f.rows]  # products per entry of f
+        # cut f's entries where its column changes and the running product
+        # count enters a new block
+        firsts = _run_starts(f.cols)
+        block = (np.cumsum(counts) - counts)[firsts] // COMPOSE_BLOCK
+        cuts = np.append(firsts[_run_starts(block)], len(counts)).tolist()
+        keys, vals = [], []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            cnt = counts[a:b]
+            total = int(cnt.sum())
+            if total == 0:
+                continue
+            inner = np.repeat(np.arange(a, b), cnt)
+            offset = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            outer = gstart[f.rows[inner]] + offset
+            key, prod = _sum_runs(
+                f.cols[inner] * g.nrows + g.rows[outer], g.values[outer] * f.values[inner]
+            )
+            # reduce each block at once: unreduced sums (Fraction(k, 1), zeros)
+            # would otherwise pile up until the end
+            prod = self.field.reduce_array(prod)
+            keep = prod != 0
+            keys.append(key[keep])
+            vals.append(prod[keep])
+        if not keys:
+            return LinearMap.zero(self.field, other.dom, self.cod)
+        # blocks hold disjoint, increasing columns: the concatenation is sorted
+        cols, rows = np.divmod(np.concatenate(keys), g.nrows)
+        return LinearMap._make(self.field, other.dom, self.cod, rows, cols, np.concatenate(vals))
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -212,23 +304,11 @@ class LinearMap:
         """Kronecker product acting factor-wise: ``(f⊗g)(x⊗y) = f(x)⊗g(y)``."""
         if self.field != other.field:
             raise ShapeError("cannot tensor maps over different fields")
-        fe, ge = self._entries, other._entries
-        rf, cf = fe.shape
-        rg, cg = ge.shape
-        out = _zeros(rf * rg, cf * cg)
-        one = self.field.one
-        for i in range(rf):
-            frow = fe[i]
-            for j in np.nonzero(frow)[0]:
-                c = frow[j]
-                block = ge if c == one else c * ge
-                out[i * rg:(i + 1) * rg, j * cg:(j + 1) * cg] = block
-        return LinearMap(
-            self.field,
-            self.dom + other.dom,
-            self.cod + other.cod,
-            self.field.reduce_array(out),
-        )
+        f, g = self, other
+        rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()
+        cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()
+        vals = np.multiply.outer(f.values, g.values).ravel()
+        return LinearMap._coo(self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals)
 
     def __add__(self, other):
         if not isinstance(other, LinearMap):
@@ -238,9 +318,11 @@ class LinearMap:
                 f"cannot add map {self.dom} -> {self.cod} "
                 f"and map {other.dom} -> {other.cod}"
             )
-        return LinearMap(
+        return LinearMap._coo(
             self.field, self.dom, self.cod,
-            self.field.reduce_array(self._entries + other._entries),
+            np.concatenate((self.rows, other.rows)),
+            np.concatenate((self.cols, other.cols)),
+            np.concatenate((self.values, other.values)),
         )
 
     def __sub__(self, other):
@@ -249,64 +331,90 @@ class LinearMap:
         return self + (-other)
 
     def __neg__(self):
-        return LinearMap(
-            self.field, self.dom, self.cod, self.field.reduce_array(-self._entries)
-        )
+        return self.scaled(-1)
 
     def scaled(self, c) -> "LinearMap":
         c = self.field.normalize(c)
-        return LinearMap(
-            self.field, self.dom, self.cod, self.field.reduce_array(c * self._entries)
+        out = LinearMap._make(
+            self.field, self.dom, self.cod, self.rows, self.cols, self.values * c
         )
+        out._reduce()
+        return out
 
     def inverse(self) -> "LinearMap":
-        """Exact two-sided inverse via Gauss-Jordan elimination."""
-        n = self.nrows
-        if self.ncols != n:
+        """Exact two-sided inverse via Gauss-Jordan elimination, computed once
+        per map; a singular map raises ``NotInvertibleError`` every time."""
+        if self.ncols != self.nrows:
             raise ShapeError(f"cannot invert non-square map {self.dom} -> {self.cod}")
-        field = self.field
-        a = self._entries.copy()
-        inv = LinearMap.identity(field, (n,)).entries.copy()
-        rank = 0
+        if self._inverse is None:
+            self._inverse = self._gauss_jordan()
+        if isinstance(self._inverse, int):
+            raise NotInvertibleError(
+                f"map {self.dom} -> {self.cod} is not invertible", rank=self._inverse
+            )
+        return self._inverse
+
+    def _gauss_jordan(self):
+        """The inverse map, or the rank reached when the map is singular.
+
+        Rows are dicts ``{column: value}``; ``holders[c]`` is the set of rows
+        with a nonzero in column ``c``, so each pivot step touches only the
+        rows it changes."""
+        field, n = self.field, self.nrows
+        a = [{} for _ in range(n)]
+        holders = [set() for _ in range(n)]
+        for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()):
+            a[r][c] = v
+            holders[c].add(r)
+        inv = [{r: field.one} for r in range(n)]
+        free = set(range(n))
+        pivots = []
         for col in range(n):
-            piv = None
-            for r in range(rank, n):
-                if a[r, col]:
-                    piv = r
-                    break
-            if piv is None:
+            candidates = holders[col] & free
+            if not candidates:
                 continue
-            if piv != rank:
-                a[[rank, piv]] = a[[piv, rank]]
-                inv[[rank, piv]] = inv[[piv, rank]]
-            c = a[rank, col]
+            piv = min(candidates)
+            free.discard(piv)
+            pivots.append(piv)
+            c = a[piv][col]
             if c != field.one:
                 cinv = field.inv(c)
-                a[rank] = field.reduce_array(cinv * a[rank])
-                inv[rank] = field.reduce_array(cinv * inv[rank])
-            for r in range(n):
-                if r != rank and a[r, col]:
-                    f = a[r, col]
-                    a[r] = field.reduce_array(a[r] - f * a[rank])
-                    inv[r] = field.reduce_array(inv[r] - f * inv[rank])
-            rank += 1
-        if rank < n:
-            raise NotInvertibleError(
-                f"map {self.dom} -> {self.cod} is not invertible", rank=rank
-            )
-        return LinearMap(field, self.cod, self.dom, inv)
+                a[piv] = {k: field.mul(cinv, v) for k, v in a[piv].items()}
+                inv[piv] = {k: field.mul(cinv, v) for k, v in inv[piv].items()}
+            for r in list(holders[col]):
+                if r != piv:
+                    factor = a[r][col]
+                    _eliminate(field, a[r], factor, a[piv], holders, r)
+                    _eliminate(field, inv[r], factor, inv[piv])
+        if len(pivots) < n:
+            return len(pivots)
+        # the pivot of column c sits in row pivots[c]: that row of the reduced
+        # right-hand side is row c of the inverse
+        rows, cols, vals = [], [], []
+        for c, piv in enumerate(pivots):
+            for j, v in inv[piv].items():
+                rows.append(c)
+                cols.append(j)
+                vals.append(v)
+        vals_arr = np.empty(len(vals), dtype=object)
+        vals_arr[:] = vals
+        return LinearMap._coo(field, self.cod, self.dom, _index(rows), _index(cols), vals_arr)
 
     def power(self, k: int) -> "LinearMap":
-        """Iterated composition ``self^k`` of a square map; negative via inverse."""
+        """``self^k`` of a square map by repeated squaring; negative via inverse."""
         if self.dom != self.cod:
             raise ShapeError(f"power of non-endomorphism {self.dom} -> {self.cod}")
         if k == 0:
             return LinearMap.identity(self.field, self.dom)
         base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out @ base
-        return out
+        out, e = None, abs(k)
+        while True:
+            if e & 1:
+                out = base if out is None else out @ base
+            e >>= 1
+            if not e:
+                return out
+            base = base @ base
 
     # -- factor bookkeeping -------------------------------------------
 
@@ -319,37 +427,46 @@ class LinearMap:
             raise ShapeError(
                 f"cannot regroup map {self.dom} -> {self.cod} as {dom} -> {cod}"
             )
-        return LinearMap(self.field, dom, cod, self._entries)
+        return LinearMap._make(self.field, dom, cod, self.rows, self.cols, self.values)
 
     def permute_codomain(self, perm) -> "LinearMap":
         """Compose with the factor shuffle on the codomain: output factor ``t``
         of the result carries factor ``perm[t]`` of this map's codomain."""
         perm = _check_perm(perm, len(self.cod))
-        if len(perm) <= 1:
+        if perm == tuple(range(len(perm))):
             return self
         new_cod = tuple(self.cod[p] for p in perm)
-        k = len(perm)
-        ent = (
-            self._entries.reshape(self.cod + (self.ncols,))
-            .transpose(perm + (k,))
-            .reshape(self.nrows, self.ncols)
+        rows = _shuffle(self.rows, self.cod, perm)
+        return LinearMap._coo(
+            self.field, self.dom, new_cod, rows, self.cols, self.values, reduce=False
         )
-        return LinearMap(self.field, self.dom, new_cod, ent)
 
     def permute_domain(self, perm) -> "LinearMap":
         """Precompose with the inverse factor shuffle: domain factor ``t`` of the
         result is factor ``perm[t]`` of this map's domain."""
         perm = _check_perm(perm, len(self.dom))
-        if len(perm) <= 1:
+        if perm == tuple(range(len(perm))):
             return self
         new_dom = tuple(self.dom[p] for p in perm)
-        axes = (0,) + tuple(p + 1 for p in perm)
-        ent = (
-            self._entries.reshape((self.nrows,) + self.dom)
-            .transpose(axes)
-            .reshape(self.nrows, self.ncols)
+        cols = _shuffle(self.cols, self.dom, perm)
+        return LinearMap._coo(
+            self.field, new_dom, self.cod, self.rows, cols, self.values, reduce=False
         )
-        return LinearMap(self.field, new_dom, self.cod, ent)
+
+
+def _eliminate(field, row, factor, pivot_row, holders=None, r=None):
+    """``row -= factor * pivot_row`` on dict rows, dropping zeros and keeping
+    the column holders of ``row`` (index ``r``) current when given."""
+    for c, v in pivot_row.items():
+        new = field.sub(row.get(c, field.zero), field.mul(factor, v))
+        if new != 0:
+            row[c] = new
+            if holders is not None:
+                holders[c].add(r)
+        elif c in row:
+            del row[c]
+            if holders is not None:
+                holders[c].discard(r)
 
 
 def _check_perm(perm, k) -> tuple[int, ...]:

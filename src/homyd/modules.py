@@ -68,8 +68,9 @@ def _rank3_to_coaction(field, constants, dim_c) -> LinearMap:
 
 def action_constants(act: LinearMap):
     da, dm = act.dom
+    ent = act.entries
     return [
-        [[act.entries[n, i * dm + m] for n in range(dm)] for m in range(dm)]
+        [[ent[n, i * dm + m] for n in range(dm)] for m in range(dm)]
         for i in range(da)
     ]
 
@@ -77,8 +78,9 @@ def action_constants(act: LinearMap):
 def coaction_constants(coact: LinearMap):
     (dm,) = coact.dom
     dc = coact.cod[0]
+    ent = coact.entries
     return [
-        [[coact.entries[i * dm + n, m] for n in range(dm)] for i in range(dc)]
+        [[ent[i * dm + n, m] for n in range(dm)] for i in range(dc)]
         for m in range(dm)
     ]
 

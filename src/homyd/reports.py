@@ -59,15 +59,28 @@ def compare_maps(law: str, lhs: LinearMap, rhs: LinearMap) -> CheckReport:
             f"{law}: cannot compare map {lhs.dom} -> {lhs.cod} "
             f"with map {rhs.dom} -> {rhs.cod}"
         )
-    a, b = lhs.entries, rhs.entries
-    if np.array_equal(a, b):
+    if lhs == rhs:
         return CheckReport(law)
     failures = []
-    for j in range(lhs.ncols):
-        if not np.array_equal(a[:, j], b[:, j]):
-            index = _unravel(j, lhs.dom)
-            failures.append(Failure(law, index, lhs.column(j), rhs.column(j)))
+    for j in _differing_columns(lhs, rhs):
+        index = _unravel(j, lhs.dom)
+        failures.append(Failure(law, index, lhs.column(j), rhs.column(j)))
     return CheckReport(law, tuple(failures))
+
+
+def _differing_columns(lhs: LinearMap, rhs: LinearMap) -> list[int]:
+    """Domain indices where the two maps differ, read off their sorted
+    coordinates: a position stored in one map only, or stored in both with
+    different values."""
+    ka = lhs.cols * lhs.nrows + lhs.rows
+    kb = rhs.cols * rhs.nrows + rhs.rows
+    _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
+    same = lhs.values[ia] == rhs.values[ib]
+    only_a = np.ones(len(ka), dtype=bool)
+    only_a[ia[same]] = False
+    only_b = np.ones(len(kb), dtype=bool)
+    only_b[ib[same]] = False
+    return np.union1d(lhs.cols[only_a], rhs.cols[only_b]).tolist()
 
 
 def _unravel(flat: int, dims) -> tuple[int, ...]:

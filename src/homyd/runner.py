@@ -123,7 +123,9 @@ class TaskKind:
     slots: tuple
     run: Callable
     result: str | None = None
-    matrices: tuple = ()  # spec keys that must hold matrices
+    # (spec key, facet) of each square matrix argument; it is as large as the
+    # source's ``facet`` (the source itself when None)
+    matrices: tuple = ()
     flavored: bool = False  # takes a "hat"/"tilde" flavor
 
 
@@ -140,14 +142,12 @@ def _classicalize(obj, what):
 
 
 def _matrix_arg(field, raw, dim, what):
-    rows = [[field.parse(x) if isinstance(x, str) else _bad(what) for x in row] for row in raw]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
+    """A matrix argument that ``specfile`` validated as square with field
+    literals; only a construction result's size is unknown before it runs."""
+    if len(raw) != dim:
         raise ShapeError(f"{what} must be a {dim}x{dim} matrix of scalar strings")
+    rows = [[field.parse(x) for x in row] for row in raw]
     return LinearMap.from_rows(field, (dim,), (dim,), rows)
-
-
-def _bad(what):
-    raise ShapeError(f"{what} entries must be scalar strings")
 
 
 def _classical_yd(target):
@@ -212,7 +212,7 @@ def _twist(kind, build):
     def run(spec, source):
         alpha = _matrix_arg(source.field, spec["alpha"], source.dim, "alpha")
         return build(_classicalize(source, "twisting"), alpha)
-    return TaskKind((("source", None, (kind,)),), run, kind, ("alpha",))
+    return TaskKind((("source", None, (kind,)),), run, kind, (("alpha", None),))
 
 
 def _twist_yd_task(spec, source):
@@ -288,7 +288,8 @@ TASKS = {
     ("twist", "coalgebra"): _twist("coalgebra", _twist_coalgebra),
     ("twist", "bialgebra"): _twist("bialgebra", _twist_bialgebra),
     ("twist", "yd"): TaskKind(
-        (("source", None, ("yd_module",)),), _twist_yd_task, "yd_module", ("alpha_h", "alpha_m")
+        (("source", None, ("yd_module",)),), _twist_yd_task, "yd_module",
+        (("alpha_h", "over"), ("alpha_m", None)),
     ),
     ("tensor", "modules"): _binary("module", _tensor_modules, result="module"),
     ("tensor", "comodules"): _binary("comodule", _tensor_comodules, result="comodule"),

@@ -211,7 +211,7 @@ def _alpha_rows(field, raw, dim, path):
 _WHAT = {"r": "R element", "sigma": "sigma form"}
 
 
-def _validate_task(field, index, raw, kinds):
+def _validate_task(field, index, raw, kinds, declared):
     if not isinstance(raw, dict):
         _fail(f"task #{index} must be an object")
     name = raw.get("name", f"task{index}")
@@ -248,9 +248,18 @@ def _validate_task(field, index, raw, kinds):
             need(ref, expected, "structure")
     if entry.flavored and raw.get("flavor", "hat") not in ("hat", "tilde"):
         _fail(f"task {name!r} has bad flavor {raw.get('flavor')!r}")
-    for key in entry.matrices:
-        if not isinstance(raw.get(key), list):
+    for key, facet in entry.matrices:
+        data = raw.get(key)
+        if not isinstance(data, list) or not data:
             _fail(f"task {name!r} needs matrix {key!r}")
+        # a declared source fixes the size; a construction result's size is
+        # known only when it runs
+        source = declared.get(raw["source"])
+        if source is not None:
+            dim = getattr(source, facet).dim if facet else source.dim
+        else:
+            dim = len(data)
+        _parse_matrix(field, data, dim, dim, f"task {name!r} {key}")
     result = raw.get("result")
     if entry.result and result is not None:
         if not isinstance(result, str) or not result:
@@ -290,10 +299,11 @@ def parse_spec(text: str) -> SpecDocument:
     if not isinstance(raw_tasks, list):
         _fail("'tasks' must be a list")
     kinds = {name: kind for name, (kind, _) in resolved.items()}
+    declared = {name: obj for name, (_, obj) in resolved.items()}
     seen_names = set()
     tasks = []
     for index, raw in enumerate(raw_tasks):
-        task = _validate_task(field, index, raw, kinds)
+        task = _validate_task(field, index, raw, kinds, declared)
         if task.name in seen_names:
             _fail(f"duplicate task name {task.name!r}")
         seen_names.add(task.name)
@@ -302,8 +312,7 @@ def parse_spec(text: str) -> SpecDocument:
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         _fail("'meta' must be an object")
-    structures = {name: obj for name, (_, obj) in resolved.items()}
-    return SpecDocument(field, structures, tasks, meta)
+    return SpecDocument(field, declared, tasks, meta)
 
 
 # -- serialization -----------------------------------------------------------
@@ -319,8 +328,7 @@ def _fmt_rank3(field, data):
 def _alpha_json(field, alpha: LinearMap):
     if alpha.is_identity():
         return None
-    d = alpha.dom[0]
-    return _fmt_matrix(field, [[alpha.entries[i, j] for j in range(d)] for i in range(d)])
+    return _fmt_matrix(field, alpha.entries.tolist())
 
 
 def structure_to_json(field, obj, over_name=None):

@@ -77,16 +77,18 @@ def _rank3_to_coproduct(field, constants) -> LinearMap:
 def product_constants(mu: LinearMap):
     """Inverse of :func:`_rank3_to_product` (for serialization)."""
     d = mu.cod[0]
+    ent = mu.entries
     return [
-        [[mu.entries[k, i * d + j] for k in range(d)] for j in range(d)]
+        [[ent[k, i * d + j] for k in range(d)] for j in range(d)]
         for i in range(d)
     ]
 
 
 def coproduct_constants(delta: LinearMap):
     d = delta.dom[0]
+    ent = delta.entries
     return [
-        [[delta.entries[j * d + k, i] for k in range(d)] for j in range(d)]
+        [[ent[j * d + k, i] for k in range(d)] for j in range(d)]
         for i in range(d)
     ]
 

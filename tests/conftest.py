@@ -3,7 +3,14 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests replay the same examples on every run, and a slow example on
+# a loaded machine is not a failure.
+settings.register_profile("homyd", derandomize=True, deadline=None)
+settings.load_profile("homyd")
 
 
 def cyclic_mu(n):

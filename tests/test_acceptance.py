@@ -446,3 +446,16 @@ def test_criterion_11_cli_contract(tmp_path, capsys):
     assert json.loads(first.read_text())["all_passed"] is True
     elapsed = time.perf_counter() - start
     _announce(11, elapsed, "exit codes 0/1/2 and byte-identical machine reports")
+
+
+@pytest.mark.parametrize("n, budget", [(9, 1.0), (16, 2.0)])
+def test_sparse_pentagon_on_cyclic_ladder(n, budget):
+    # n = 16 is the --max-dim default: the pentagon composites are
+    # 65536 x 65536 maps, out of reach for dense storage
+    start = time.perf_counter()
+    a, b = cyclic_graded_yd(n, n - 1, 1, Q), cyclic_graded_yd(n, n - 1, 2, Q)
+    report = check_pentagon(a, b, a, b, "hat")
+    elapsed = time.perf_counter() - start
+    assert report.passed
+    assert elapsed < budget
+    print(f"PENTAGON n={n}: PASS ({elapsed:.2f}s)")

@@ -258,3 +258,20 @@ def test_construction_breaking_its_laws_fails(tmp_path, capsys, make_task, count
     assert task["status"] == "fail"
     assert len(task["failures"]) == count
     assert (task["failures"][0]["law"], task["failures"][0]["index"]) == first
+
+
+@pytest.mark.parametrize("source, bad", [("H3C", "x"), ("H6", None)])
+def test_malformed_twist_matrix_exits_two(tmp_path, capsys, source, bad):
+    # a scalar that is not a literal, or the 3x3 alpha of twist_c3 on the
+    # 6-dimensional H6: both refused before anything runs
+    data = json.loads((SUITES / "standard_rational.json").read_text())
+    task = copy.deepcopy(next(t for t in data["tasks"] if t["name"] == "twist_c3"))
+    task["source"] = source
+    if bad is not None:
+        task["alpha"][0][0] = bad
+    data["tasks"] = [task]
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'twist_c3'" in err

@@ -1,11 +1,18 @@
+import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from homyd import linmap
 from homyd.errors import NotInvertibleError, ShapeError
 from homyd.fields import RATIONALS, PrimeField
 from homyd.linmap import LinearMap, compose, identity, invert, swap_map, tensor_map
+from homyd.reports import Failure, compare_maps
 
 Q = RATIONALS
 
@@ -219,3 +226,251 @@ def test_entries_are_immutable():
     m = identity(Q, (2,))
     with pytest.raises(ValueError):
         m.entries[0, 0] = 5
+
+
+# -- differential properties against dense references ----------------------
+#
+# Each reference below works on ``.entries`` with explicit sums of field
+# operations, independent of the sparse coordinate arithmetic.
+
+FIELDS = st.sampled_from([Q, PrimeField(2), PrimeField(5), PrimeField(7)])
+DIMS = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+
+
+def scalars(field):
+    if field is Q:
+        # Fraction(k, 1) values exercise the reduction to ints
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def maps(draw, field, dom, cod):
+    """A map with any pattern of nonzeros: empty, sparse with empty columns,
+    or dense."""
+    rows, cols = math.prod(cod), math.prod(dom)
+    cells = draw(st.sets(st.integers(0, rows * cols - 1), max_size=rows * cols))
+    dense = np.full((rows, cols), 0, dtype=object)
+    for c in cells:
+        dense[c // cols, c % cols] = draw(scalars(field))
+    return LinearMap(field, dom, cod, dense)
+
+
+def flat(multi, dims):
+    out = 0
+    for i, d in zip(multi, dims):
+        out = out * d + i
+    return out
+
+
+def unflat(index, dims):
+    multi = []
+    for d in reversed(dims):
+        index, i = divmod(index, d)
+        multi.append(i)
+    return tuple(reversed(multi))
+
+
+def multis(dims):
+    return itertools.product(*(range(d) for d in dims))
+
+
+def dense_of(m):
+    return m.entries.tolist()
+
+
+def ref_compose(field, g, f):
+    ge, fe = g.entries, f.entries
+    out = []
+    for i in range(g.nrows):
+        row = []
+        for j in range(f.ncols):
+            total = field.zero
+            for k in range(f.nrows):
+                total = field.add(total, field.mul(ge[i, k], fe[k, j]))
+            row.append(total)
+        out.append(row)
+    return out
+
+
+def ref_tensor(field, f, g):
+    fe, ge = f.entries, g.entries
+    return [
+        [field.mul(fe[i // g.nrows, j // g.ncols], ge[i % g.nrows, j % g.ncols])
+         for j in range(f.ncols * g.ncols)]
+        for i in range(f.nrows * g.nrows)
+    ]
+
+
+def ref_permute_codomain(m, perm):
+    ent, new_cod = m.entries, tuple(m.cod[p] for p in perm)
+    out = [None] * m.nrows
+    for multi in multis(m.cod):
+        out[flat(tuple(multi[p] for p in perm), new_cod)] = list(ent[flat(multi, m.cod)])
+    return out
+
+
+def ref_permute_domain(m, perm):
+    ent, new_dom = m.entries, tuple(m.dom[p] for p in perm)
+    out = [[None] * m.ncols for _ in range(m.nrows)]
+    for multi in multis(m.dom):
+        j = flat(tuple(multi[p] for p in perm), new_dom)
+        for i in range(m.nrows):
+            out[i][j] = ent[i, flat(multi, m.dom)]
+    return out
+
+
+def ref_rank(field, m):
+    rows = [list(r) for r in m.entries.tolist()]
+    rank = 0
+    for col in range(m.ncols):
+        piv = next((r for r in range(rank, m.nrows) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        for r in range(m.nrows):
+            if r != rank and rows[r][col] != 0:
+                c = rows[r][col]
+                rows[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def assert_canonical(m):
+    field = m.field
+    key = m.cols * m.nrows + m.rows
+    assert m.rows.dtype == np.int64 and m.cols.dtype == np.int64
+    assert m.values.dtype == object and len(m.values) == len(key)
+    assert np.all(np.diff(key) > 0)  # sorted by (column, row), no repeats
+    for v in m.values:
+        assert v != 0
+        if field is Q:
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+        else:
+            assert type(v) is int and 0 <= v < field.p
+    ent = m.entries
+    for arr in (m.rows, m.cols, m.values, ent):
+        assert not arr.flags.writeable
+    stored = set(key.tolist())
+    zero = id(0)
+    for i, j in itertools.product(range(m.nrows), range(m.ncols)):
+        assert (j * m.nrows + i in stored) or id(ent[i, j]) == zero
+
+
+@st.composite
+def composable(draw):
+    field = draw(FIELDS)
+    a, b, c = draw(DIMS), draw(DIMS), draw(DIMS)
+    return draw(maps(field, b, c)), draw(maps(field, a, b))
+
+
+@st.composite
+def same_shape(draw):
+    field = draw(FIELDS)
+    dom, cod = draw(DIMS), draw(DIMS)
+    return draw(maps(field, dom, cod)), draw(maps(field, dom, cod))
+
+
+@st.composite
+def one_map(draw):
+    field = draw(FIELDS)
+    return draw(maps(field, draw(DIMS), draw(DIMS)))
+
+
+@given(composable(), st.sampled_from([1, 3, 8, linmap.COMPOSE_BLOCK]))
+def test_compose_matches_dense_sums(pair, block):
+    g, f = pair
+    # small blocks cut the products at many column boundaries
+    with mock.patch.object(linmap, "COMPOSE_BLOCK", block):
+        out = g.compose(f)
+    assert_canonical(out)
+    assert (out.dom, out.cod) == (f.dom, g.cod)
+    assert dense_of(out) == ref_compose(g.field, g, f)
+
+
+@given(FIELDS.flatmap(lambda fd: st.tuples(
+    maps(fd, (2,), (3,)) | maps(fd, (1, 2), (2,)), maps(fd, (3,), (2, 1)))))
+def test_tensor_matches_dense_products(pair):
+    f, g = pair
+    out = f.tensor(g)
+    assert_canonical(out)
+    assert (out.dom, out.cod) == (f.dom + g.dom, f.cod + g.cod)
+    assert dense_of(out) == ref_tensor(f.field, f, g)
+
+
+@given(one_map(), st.data())
+def test_permutes_match_dense_shuffles(m, data):
+    perm = data.draw(st.permutations(range(len(m.cod))))
+    out = m.permute_codomain(perm)
+    assert_canonical(out)
+    assert out.cod == tuple(m.cod[p] for p in perm)
+    assert dense_of(out) == ref_permute_codomain(m, perm)
+    perm = data.draw(st.permutations(range(len(m.dom))))
+    out = m.permute_domain(perm)
+    assert_canonical(out)
+    assert out.dom == tuple(m.dom[p] for p in perm)
+    assert dense_of(out) == ref_permute_domain(m, perm)
+
+
+@given(FIELDS.flatmap(lambda fd: DIMS.flatmap(lambda d: maps(fd, d, d))))
+def test_inverse_matches_dense_rank(m):
+    field, n = m.field, m.nrows
+    rank = ref_rank(field, m)
+    identity_rows = [[field.one if i == j else 0 for j in range(n)] for i in range(n)]
+    if rank == n:
+        inv = m.inverse()
+        assert_canonical(inv)
+        assert (inv.dom, inv.cod) == (m.cod, m.dom)
+        assert ref_compose(field, m, inv) == identity_rows
+        assert ref_compose(field, inv, m) == identity_rows
+        assert m.is_invertible() and m.inverse() is inv
+    else:
+        with pytest.raises(NotInvertibleError) as exc:
+            m.inverse()
+        assert exc.value.rank == rank
+        assert not m.is_invertible()
+
+
+@given(same_shape(), st.data())
+def test_sums_and_scaling_match_dense_cells(pair, data):
+    a, b = pair
+    field = a.field
+    c = data.draw(scalars(field))
+    ae, be = a.entries, b.entries
+    cells = list(itertools.product(range(a.nrows), range(a.ncols)))
+    for out, op in (
+        (a + b, lambda i, j: field.add(ae[i, j], be[i, j])),
+        (a - b, lambda i, j: field.sub(ae[i, j], be[i, j])),
+        (-a, lambda i, j: field.neg(ae[i, j])),
+        (a.scaled(c), lambda i, j: field.mul(field.normalize(c), ae[i, j])),
+    ):
+        assert_canonical(out)
+        ent = out.entries
+        assert all(ent[i, j] == op(i, j) for i, j in cells)
+    assert (a - a).is_zero()
+
+
+@given(one_map())
+def test_with_shapes_keeps_dense_entries(m):
+    flat_map = m.with_shapes((m.ncols,), (m.nrows,))
+    assert_canonical(flat_map)
+    assert dense_of(flat_map) == dense_of(m)
+    assert flat_map.with_shapes(m.dom, m.cod) == m
+
+
+@given(same_shape(), st.data())
+def test_compare_maps_matches_dense_columns(pair, data):
+    a, b = pair
+    if data.draw(st.booleans()):
+        b = a  # equal maps report nothing
+    ae, be = a.entries, b.entries
+    expected = tuple(
+        Failure("law", unflat(j, a.dom), tuple(ae[:, j]), tuple(be[:, j]))
+        for j in range(a.ncols)
+        if list(ae[:, j]) != list(be[:, j])
+    )
+    report = compare_maps("law", a, b)
+    assert report.failures == expected
+    assert report.passed == (a == b)

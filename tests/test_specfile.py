@@ -180,3 +180,32 @@ def test_task_table_names_only_known_kinds():
         for _, count, kinds in entry.slots:
             assert count is None or count >= 1
             assert set(kinds) <= set(STRUCTURE_KINDS)
+
+
+@pytest.mark.parametrize(
+    "alpha, detail",
+    [
+        ([["x", "0"], ["0", "1"]], "'x'"),  # not a field literal
+        ([["1", "0"], ["0", 1]], "strings"),  # not a string
+        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "expected 2 rows"),  # H has dim 2
+        ([["1"]], "expected 2 rows"),
+        ([["1", "0"], ["0"]], "expected 2 columns"),  # not square
+    ],
+)
+def test_twist_matrix_is_refused_at_parse_time(alpha, detail):
+    task = {"name": "tw", "twist": "bialgebra", "source": "H", "alpha": alpha, "result": "H2"}
+    with pytest.raises(SpecFileError, match=detail) as exc:
+        parse_spec(doc_text(tasks=[task]))
+    assert "'tw'" in str(exc.value)
+
+
+def test_twist_matrix_of_a_construction_result_is_checked_for_literals():
+    # the size of a result is known only at run time; its literals are not
+    make = {"name": "make", "twist": "bialgebra", "source": "H",
+            "alpha": [["1", "0"], ["0", "1"]], "result": "H2"}
+    again = {"name": "again", "twist": "bialgebra", "source": "H2",
+             "alpha": [["1", "0"], ["0", "y"]], "result": "H3"}
+    with pytest.raises(SpecFileError, match="'again'.*'y'|'y'.*'again'"):
+        parse_spec(doc_text(tasks=[make, again]))
+    again["alpha"] = [["1"]]
+    assert len(parse_spec(doc_text(tasks=[make, again])).tasks) == 2

@@ -467,3 +467,21 @@ def test_classical_limit_coherence(s3_classical):
     c = braiding_c(hom, hom)
     classical = braiding_B(hom, hom)  # alpha^{-1} = id here
     assert c == classical
+
+
+def test_inverse_is_computed_once_per_map(c5_pair):
+    alpha = c5_pair[0].alpha
+    inverse = alpha.inverse()
+    assert alpha.inverse() is inverse
+    assert alpha.is_invertible() and alpha.inverse() is inverse
+
+
+@pytest.mark.parametrize("k", range(-3, 6))
+def test_power_equals_iterated_compose(c5_pair, k):
+    dense = LinearMap.from_rows(Q, (3,), (3,), [[2, 1, 0], [1, 1, 3], [0, 1, 1]])
+    for alpha in (c5_pair[0].alpha, dense):
+        step = alpha if k >= 0 else alpha.inverse()
+        expected = LinearMap.identity(Q, alpha.dom)
+        for _ in range(abs(k)):
+            expected = expected @ step
+        assert alpha.power(k) == expected
