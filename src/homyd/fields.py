@@ -8,6 +8,7 @@ no operation here is allowed to round.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -83,16 +84,13 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return self.normalize(Fraction(1) / a)
 
-    def reduce_array(self, arr):
-        """A 1-d object array with its values as ``normalize`` leaves them: a
-        ``Fraction`` with denominator 1 becomes an int."""
-        vals = arr.tolist()
-        hits = [k for k, v in enumerate(vals) if type(v) is Fraction and v.denominator == 1]
-        if not hits:
-            return arr
-        out = arr.copy()
-        out[hits] = [int(vals[k]) for k in hits]
-        return out
+    def reduce_array(self, arr, den):
+        """Int numerators ``arr`` (a 1-d object array) over ``den > 0`` in
+        lowest terms: the gcd of the denominator and every numerator is 1."""
+        if den == 1:
+            return arr, 1
+        g = math.gcd(den, *arr.tolist())
+        return (arr, den) if g == 1 else (arr // g, den // g)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -156,8 +154,11 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def reduce_array(self, arr):
-        return arr % self.p
+    def reduce_array(self, arr, den):
+        """Int values ``arr`` over ``den`` as residues over 1."""
+        if den != 1:
+            arr = arr * pow(den, -1, self.p)
+        return arr % self.p, 1
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -3,22 +3,28 @@
 A ``LinearMap`` carries its domain and codomain as tuples of tensor-factor
 dimensions and its nonzero entries in one canonical coordinate form: int64
 ``rows`` (codomain index) and ``cols`` (domain index) sorted by (column,
-row), and an object array of the exact nonzero scalars at those positions.
-No zero is ever stored, so two maps are equal exactly when their three
-arrays are.  Multi-indices flatten row-major with the leftmost factor most
-significant; this one convention is fixed globally and everything else
-(Kronecker products, factor permutations, regrouping) is consistent with
-it.  Every primitive works on the nonzeros only, so the coherence maps of
-the paper, Kronecker products of structure-map powers and factor shuffles
-with almost every cell zero, cost what they store.  The constructor
+row), and an object array ``values`` of the nonzero Python-int numerators
+at those positions over one positive denominator ``den`` that shares no
+factor with all of them (over a prime field ``den`` is 1 and the values are
+residues).  No zero is ever stored, so two maps are equal exactly when their
+three arrays and ``den`` are.  Primitives compute in ints and multiply the
+denominators; ``Field.reduce_array`` brings each result to lowest terms.
+Multi-indices flatten row-major with the leftmost factor most significant;
+this one convention is fixed globally and everything else (Kronecker
+products, factor permutations, regrouping) is consistent with it.  Every
+primitive works on the nonzeros only, so the coherence maps of the paper,
+Kronecker products of structure-map powers and factor shuffles with almost
+every cell zero, cost what they store.  The constructor
 ``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
-dense entry and exit points for structure constants and small maps.  Maps
-are immutable after construction.
+dense entry and exit points for structure constants and small maps; they,
+``column`` and ``inverse`` speak reduced field scalars (``int`` or
+``Fraction``).  Maps are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,6 +58,12 @@ def _index(values) -> np.ndarray:
 
 def _ones(field, n: int) -> np.ndarray:
     return np.full(n, field.one, dtype=object)
+
+
+def _encode(scalars):
+    """Exact scalars as int numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in scalars))
+    return np.array([int(v.numerator) * (den // v.denominator) for v in scalars], dtype=object), den
 
 
 def _freeze(arr):
@@ -89,8 +101,10 @@ class LinearMap:
     """An exact linear map ``⊗ dom -> ⊗ cod`` stored as sorted coordinates."""
 
     # ``rows`` (codomain index) and ``cols`` (domain index) are read-only int64
-    # arrays sorted by (column, row); ``values`` holds the nonzero scalars there
-    __slots__ = ("field", "dom", "cod", "nrows", "ncols", "rows", "cols", "values", "_inverse")
+    # arrays sorted by (column, row); ``values`` holds the nonzero numerators
+    # there, each over the common denominator ``den``
+    __slots__ = ("field", "dom", "cod", "nrows", "ncols", "rows", "cols", "values", "den",
+                 "_inverse")
 
     def __init__(self, field: Field, dom, cod, entries):
         """Build from a dense entry matrix indexed by (codomain, domain) index."""
@@ -103,11 +117,11 @@ class LinearMap:
                 f"for map {dom} -> {cod}"
             )
         cols, rows = np.nonzero(arr.T)
-        self._set(field, dom, cod, _index(rows), _index(cols), arr.T[cols, rows])
+        self._set(field, dom, cod, _index(rows), _index(cols), *_encode(arr.T[cols, rows]))
         self._reduce()
 
-    def _set(self, field, dom, cod, rows, cols, vals):
-        self.field, self.dom, self.cod = field, dom, cod
+    def _set(self, field, dom, cod, rows, cols, vals, den):
+        self.field, self.dom, self.cod, self.den = field, dom, cod, den
         self.nrows, self.ncols = _size(cod), _size(dom)
         if self.nrows * self.ncols >= _MAX_CELLS:
             raise ShapeError(f"map {dom} -> {cod} has too many cells to index")
@@ -116,29 +130,30 @@ class LinearMap:
 
     def _reduce(self):
         """Reduce the values through the field and drop the zeros among them."""
-        vals = self.field.reduce_array(self.values)
+        vals, self.den = self.field.reduce_array(self.values, self.den)
         keep = vals != 0
         if not keep.all():
             self.rows, self.cols = _freeze(self.rows[keep]), _freeze(self.cols[keep])
         self.values = _freeze(vals[keep])
 
     @classmethod
-    def _coo(cls, field, dom, cod, rows, cols, vals, reduce=True):
-        """A map from coordinates in any order: sorted, the values at a
-        repeated position summed, then reduced with zeros dropped (``reduce``)."""
+    def _coo(cls, field, dom, cod, rows, cols, vals, den, reduce=True):
+        """A map from numerators over ``den`` at coordinates in any order:
+        sorted, the values at a repeated position summed, then reduced with
+        zeros dropped (``reduce``)."""
         nrows = _size(cod)
         key, vals = _sum_runs(cols * nrows + rows, vals)
         cols, rows = np.divmod(key, nrows)
-        out = cls._make(field, dom, cod, rows, cols, vals)
+        out = cls._make(field, dom, cod, rows, cols, vals, den)
         if reduce:
             out._reduce()
         return out
 
     @classmethod
-    def _make(cls, field, dom, cod, rows, cols, vals) -> "LinearMap":
+    def _make(cls, field, dom, cod, rows, cols, vals, den=1) -> "LinearMap":
         """A map from arrays already in canonical form."""
         out = object.__new__(cls)
-        out._set(field, dom, cod, rows, cols, vals)
+        out._set(field, dom, cod, rows, cols, vals, den)
         return out
 
     # -- construction -------------------------------------------------
@@ -199,18 +214,25 @@ class LinearMap:
 
     # -- basic queries ------------------------------------------------
 
+    def _scalars(self, nums) -> np.ndarray:
+        """The reduced field scalars of numerators of this map."""
+        if self.den == 1:
+            return nums
+        return np.array([self.field.normalize(Fraction(v, self.den)) for v in nums.tolist()],
+                        dtype=object)
+
     @property
     def entries(self):
-        """The dense (codomain, domain) matrix, read-only; empty cells hold the
-        shared int ``0``."""
+        """The dense (codomain, domain) matrix of field scalars, read-only;
+        empty cells hold the shared int ``0``."""
         out = np.full((self.nrows, self.ncols), 0, dtype=object)
-        out[self.rows, self.cols] = self.values
+        out[self.rows, self.cols] = self._scalars(self.values)
         return _freeze(out)
 
     def column(self, j: int) -> tuple:
         lo, hi = np.searchsorted(self.cols, (j, j + 1))
         col = [0] * self.nrows
-        for i, v in zip(self.rows[lo:hi].tolist(), self.values[lo:hi]):
+        for i, v in zip(self.rows[lo:hi].tolist(), self._scalars(self.values[lo:hi])):
             col[i] = v
         return tuple(col)
 
@@ -220,6 +242,7 @@ class LinearMap:
     def is_identity(self) -> bool:
         return (
             self.dom == self.cod
+            and self.den == 1
             and len(self.values) == self.nrows
             and bool(np.all(self.rows == self.cols))
             and bool(np.all(self.values == self.field.one))
@@ -241,6 +264,7 @@ class LinearMap:
             self.field == other.field
             and self.dom == other.dom
             and self.cod == other.cod
+            and self.den == other.den
             and np.array_equal(self.cols, other.cols)
             and np.array_equal(self.rows, other.rows)
             and bool(np.array_equal(self.values, other.values))
@@ -256,7 +280,8 @@ class LinearMap:
 
         Entry ``(k, j)`` of ``other`` meets every entry of column ``k`` of
         ``self``; the products are built for whole result columns at a time,
-        about ``COMPOSE_BLOCK`` of them, and summed per position."""
+        about ``COMPOSE_BLOCK`` of them, and summed per position over the
+        product of the two denominators."""
         if self.field != other.field:
             raise ShapeError("cannot compose maps over different fields")
         if other.cod != self.dom:
@@ -264,7 +289,8 @@ class LinearMap:
                 f"compose mismatch: inner map has codomain {other.cod}, "
                 f"outer map has domain {self.dom}"
             )
-        g, f = self, other
+        g, f, field = self, other, self.field
+        den = g.den * f.den
         gcount = np.bincount(g.cols, minlength=g.ncols)
         gstart = np.cumsum(gcount) - gcount
         counts = gcount[f.rows]  # products per entry of f
@@ -273,7 +299,7 @@ class LinearMap:
         firsts = _run_starts(f.cols)
         block = (np.cumsum(counts) - counts)[firsts] // COMPOSE_BLOCK
         cuts = np.append(firsts[_run_starts(block)], len(counts)).tolist()
-        keys, vals = [], []
+        blocks = []
         for a, b in zip(cuts[:-1], cuts[1:]):
             cnt = counts[a:b]
             total = int(cnt.sum())
@@ -285,17 +311,19 @@ class LinearMap:
             key, prod = _sum_runs(
                 f.cols[inner] * g.nrows + g.rows[outer], g.values[outer] * f.values[inner]
             )
-            # reduce each block at once: unreduced sums (Fraction(k, 1), zeros)
-            # would otherwise pile up until the end
-            prod = self.field.reduce_array(prod)
+            # reduce each block at once, so that neither zeros nor unreduced
+            # residues pile up until the end
+            prod, d = field.reduce_array(prod, den)
             keep = prod != 0
-            keys.append(key[keep])
-            vals.append(prod[keep])
-        if not keys:
-            return LinearMap.zero(self.field, other.dom, self.cod)
-        # blocks hold disjoint, increasing columns: the concatenation is sorted
-        cols, rows = np.divmod(np.concatenate(keys), g.nrows)
-        return LinearMap._make(self.field, other.dom, self.cod, rows, cols, np.concatenate(vals))
+            blocks.append((key[keep], prod[keep], d))
+        if not blocks:
+            return LinearMap.zero(field, other.dom, self.cod)
+        # blocks hold disjoint, increasing columns: the concatenation is sorted.
+        # Brought to the lcm of their reduced denominators, they stay reduced.
+        den = math.lcm(*(d for _, _, d in blocks))
+        vals = [v if d == den else v * (den // d) for _, v, d in blocks]
+        cols, rows = np.divmod(np.concatenate([k for k, _, _ in blocks]), g.nrows)
+        return LinearMap._make(field, other.dom, self.cod, rows, cols, np.concatenate(vals), den)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -308,7 +336,9 @@ class LinearMap:
         rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()
         cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()
         vals = np.multiply.outer(f.values, g.values).ravel()
-        return LinearMap._coo(self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals)
+        return LinearMap._coo(
+            self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, f.den * g.den
+        )
 
     def __add__(self, other):
         if not isinstance(other, LinearMap):
@@ -318,11 +348,13 @@ class LinearMap:
                 f"cannot add map {self.dom} -> {self.cod} "
                 f"and map {other.dom} -> {other.cod}"
             )
+        den = math.lcm(self.den, other.den)
         return LinearMap._coo(
             self.field, self.dom, self.cod,
             np.concatenate((self.rows, other.rows)),
             np.concatenate((self.cols, other.cols)),
-            np.concatenate((self.values, other.values)),
+            np.concatenate((self.values * (den // self.den), other.values * (den // other.den))),
+            den,
         )
 
     def __sub__(self, other):
@@ -336,7 +368,8 @@ class LinearMap:
     def scaled(self, c) -> "LinearMap":
         c = self.field.normalize(c)
         out = LinearMap._make(
-            self.field, self.dom, self.cod, self.rows, self.cols, self.values * c
+            self.field, self.dom, self.cod, self.rows, self.cols,
+            self.values * c.numerator, self.den * c.denominator,
         )
         out._reduce()
         return out
@@ -357,13 +390,14 @@ class LinearMap:
     def _gauss_jordan(self):
         """The inverse map, or the rank reached when the map is singular.
 
-        Rows are dicts ``{column: value}``; ``holders[c]`` is the set of rows
-        with a nonzero in column ``c``, so each pivot step touches only the
-        rows it changes."""
+        Rows are dicts ``{column: value}`` of field scalars; ``holders[c]`` is
+        the set of rows with a nonzero in column ``c``, so each pivot step
+        touches only the rows it changes."""
         field, n = self.field, self.nrows
         a = [{} for _ in range(n)]
         holders = [set() for _ in range(n)]
-        for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()):
+        scalars = self._scalars(self.values).tolist()
+        for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), scalars):
             a[r][c] = v
             holders[c].add(r)
         inv = [{r: field.one} for r in range(n)]
@@ -396,9 +430,7 @@ class LinearMap:
                 rows.append(c)
                 cols.append(j)
                 vals.append(v)
-        vals_arr = np.empty(len(vals), dtype=object)
-        vals_arr[:] = vals
-        return LinearMap._coo(field, self.cod, self.dom, _index(rows), _index(cols), vals_arr)
+        return LinearMap._coo(field, self.cod, self.dom, _index(rows), _index(cols), *_encode(vals))
 
     def power(self, k: int) -> "LinearMap":
         """``self^k`` of a square map by repeated squaring; negative via inverse."""
@@ -427,7 +459,7 @@ class LinearMap:
             raise ShapeError(
                 f"cannot regroup map {self.dom} -> {self.cod} as {dom} -> {cod}"
             )
-        return LinearMap._make(self.field, dom, cod, self.rows, self.cols, self.values)
+        return LinearMap._make(self.field, dom, cod, self.rows, self.cols, self.values, self.den)
 
     def permute_codomain(self, perm) -> "LinearMap":
         """Compose with the factor shuffle on the codomain: output factor ``t``
@@ -438,7 +470,7 @@ class LinearMap:
         new_cod = tuple(self.cod[p] for p in perm)
         rows = _shuffle(self.rows, self.cod, perm)
         return LinearMap._coo(
-            self.field, self.dom, new_cod, rows, self.cols, self.values, reduce=False
+            self.field, self.dom, new_cod, rows, self.cols, self.values, self.den, reduce=False
         )
 
     def permute_domain(self, perm) -> "LinearMap":
@@ -450,7 +482,7 @@ class LinearMap:
         new_dom = tuple(self.dom[p] for p in perm)
         cols = _shuffle(self.cols, self.dom, perm)
         return LinearMap._coo(
-            self.field, new_dom, self.cod, self.rows, cols, self.values, reduce=False
+            self.field, new_dom, self.cod, self.rows, cols, self.values, self.den, reduce=False
         )
 
 

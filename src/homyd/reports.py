@@ -71,11 +71,14 @@ def compare_maps(law: str, lhs: LinearMap, rhs: LinearMap) -> CheckReport:
 def _differing_columns(lhs: LinearMap, rhs: LinearMap) -> list[int]:
     """Domain indices where the two maps differ, read off their sorted
     coordinates: a position stored in one map only, or stored in both with
-    different values."""
+    different values (numerators cross-multiplied by the other denominator)."""
     ka = lhs.cols * lhs.nrows + lhs.rows
     kb = rhs.cols * rhs.nrows + rhs.rows
     _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-    same = lhs.values[ia] == rhs.values[ib]
+    a, b = lhs.values[ia], rhs.values[ib]
+    if lhs.den != rhs.den:
+        a, b = a * rhs.den, b * lhs.den
+    same = a == b
     only_a = np.ones(len(ka), dtype=bool)
     only_a[ia[same]] = False
     only_b = np.ones(len(kb), dtype=bool)

@@ -133,7 +133,7 @@ def _parse_structure(field, name, raw, resolved):
 
     def over(expected_kinds):
         ref = raw.get("over")
-        if ref not in resolved:
+        if not isinstance(ref, str) or ref not in resolved:
             _fail(f"structure {name!r} references undefined structure {ref!r}")
         base_kind, base = resolved[ref]
         if base_kind not in expected_kinds:
@@ -227,6 +227,13 @@ def _validate_task(field, index, raw, kinds, declared):
     entry = TASKS.get((head, value)) if isinstance(value, str) else None
     if entry is None:
         _fail(f"task {name!r} has unknown {HEADS[head]} {value!r}")
+    allowed = {"name", head, *(key for key, _, _ in entry.slots),
+               *(key for key, _ in entry.matrices)}
+    allowed |= {"flavor"} if entry.flavored else set()
+    allowed |= {"result"} if entry.result else set()
+    extra = set(raw) - allowed
+    if extra:
+        _fail(f"task {name!r} has unexpected keys {sorted(extra)}")
 
     def need(ref, expected, what):
         if not isinstance(ref, str) or ref not in kinds:

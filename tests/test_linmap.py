@@ -239,8 +239,10 @@ DIMS = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
 def scalars(field):
     if field is Q:
-        # Fraction(k, 1) values exercise the reduction to ints
-        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+        # Fraction(k, 1) values exercise the reduction to ints; denominators
+        # with common factors make maps whose common denominators differ and
+        # whose products and sums cancel part of them
+        return st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6]))
     return st.integers(0, field.p - 1)
 
 
@@ -344,13 +346,18 @@ def assert_canonical(m):
     assert m.rows.dtype == np.int64 and m.cols.dtype == np.int64
     assert m.values.dtype == object and len(m.values) == len(key)
     assert np.all(np.diff(key) > 0)  # sorted by (column, row), no repeats
+    # int numerators over one positive denominator, in lowest terms
+    assert type(m.den) is int and m.den > 0
+    assert math.gcd(m.den, *m.values.tolist()) == 1
     for v in m.values:
-        assert v != 0
-        if field is Q:
-            assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
-        else:
-            assert type(v) is int and 0 <= v < field.p
+        assert type(v) is int and v != 0
+        if field is not Q:
+            assert 0 <= v < field.p
+    assert field is Q or m.den == 1
     ent = m.entries
+    # the exit point gives reduced scalars
+    for v in ent.flat:
+        assert type(v) is int or (field is Q and type(v) is Fraction and v.denominator != 1)
     for arr in (m.rows, m.cols, m.values, ent):
         assert not arr.flags.writeable
     stored = set(key.tolist())
@@ -473,4 +480,76 @@ def test_compare_maps_matches_dense_columns(pair, data):
     )
     report = compare_maps("law", a, b)
     assert report.failures == expected
+    assert report.passed == (a == b)
+
+
+@given(one_map())
+def test_dense_round_trip_is_identity(m):
+    assert_canonical(m)
+    again = LinearMap(m.field, m.dom, m.cod, m.entries)
+    assert again == m and again.den == m.den
+    assert [m.column(j) for j in range(m.ncols)] == [tuple(c) for c in m.entries.T.tolist()]
+
+
+def test_common_denominator_is_the_lcm_of_the_reduced_ones():
+    m = LinearMap.from_rows(Q, (3,), (2,), [[Fraction(1, 2), 3, Fraction(-5, 6)],
+                                            [Fraction(2, 4), 0, 7]])
+    assert m.den == 6 and m.values.tolist() == [3, 3, 18, -5, 42]
+    assert m.entries.tolist() == [[Fraction(1, 2), 3, Fraction(-5, 6)], [Fraction(1, 2), 0, 7]]
+    assert m.scaled(6).den == 1 and m.scaled(Fraction(1, 5)).den == 30
+    assert (m - m.scaled(Fraction(1, 2))).den == 12
+    # blocks of one column reduce to denominators 2 and 3 apart; joined,
+    # they come to 6 and stay in lowest terms
+    diag = LinearMap.from_rows(Q, (2,), (2,), [[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
+    with mock.patch.object(linmap, "COMPOSE_BLOCK", 1):
+        out = identity(Q, (2,)).compose(diag)
+    assert out == diag and out.values.tolist() == [3, 4] and out.den == 6
+    assert diag.compose(diag.scaled(6)) == LinearMap.from_rows(Q, (2,), (2,), [[Fraction(3, 2), 0],
+                                                                               [0, Fraction(8, 3)]])
+    assert not identity(Q, (2,)).scaled(Fraction(1, 2)).is_identity()  # numerators 1, den 2
+    assert LinearMap.from_rows(Q, (1,), (1,), [[Fraction(4, 4)]]).is_identity()
+    assert diag.scaled(0).is_zero() and diag.scaled(0).den == 1
+
+
+def test_prime_field_maps_keep_denominator_one():
+    f7 = PrimeField(7)
+    # a Fraction entry means its residue: 1/2 = 4 mod 7
+    m = LinearMap(f7, (2,), (1,), np.array([[Fraction(1, 2), 3]], dtype=object))
+    assert m.den == 1 and m.entries.tolist() == [[4, 3]]
+    assert_canonical(m.scaled(5).tensor(m))
+
+
+@given(FIELDS.flatmap(lambda fd: DIMS.flatmap(lambda d: maps(fd, d, d))), st.integers(-3, 4))
+def test_power_matches_dense_products(m, k):
+    field, n = m.field, m.nrows
+    identity_rows = [[field.one if i == j else 0 for j in range(n)] for i in range(n)]
+    positive = LinearMap.from_rows(field, m.dom, m.cod, identity_rows)
+    for _ in range(abs(k)):
+        positive = LinearMap.from_rows(field, m.dom, m.cod, ref_compose(field, positive, m))
+    if k < 0 and ref_rank(field, m) < n:
+        with pytest.raises(NotInvertibleError):
+            m.power(k)
+        return
+    out = m.power(k)
+    assert_canonical(out)
+    if k >= 0:
+        assert dense_of(out) == dense_of(positive)
+    else:
+        assert ref_compose(field, out, positive) == identity_rows
+        assert ref_compose(field, positive, out) == identity_rows
+
+
+@given(same_shape(), st.data())
+def test_compare_maps_over_different_denominators(pair, data):
+    # scaling one map by a fraction makes its denominator differ from the
+    # other's while cells still agree wherever both are zero
+    a, b = pair
+    c = data.draw(scalars(a.field))
+    if c != 0:
+        b = a.scaled(c)
+    ae, be = a.entries, b.entries
+    expected = [j for j in range(a.ncols) if list(ae[:, j]) != list(be[:, j])]
+    report = compare_maps("law", a, b)
+    assert [flat(f.index, a.dom) for f in report.failures] == expected
+    assert all(f.lhs == tuple(ae[:, flat(f.index, a.dom)]) for f in report.failures)
     assert report.passed == (a == b)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -209,3 +210,53 @@ def test_twist_matrix_of_a_construction_result_is_checked_for_literals():
         parse_spec(doc_text(tasks=[make, again]))
     again["alpha"] = [["1"]]
     assert len(parse_spec(doc_text(tasks=[make, again])).tasks) == 2
+
+
+SUITES = pathlib.Path(__file__).parents[1] / "suites"
+
+
+def _exit_and_error(tmp_path, capsys, data):
+    from homyd.cli import main
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data))
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return code, captured.err
+
+
+@pytest.mark.parametrize("over", [[], {}, ["H"], 7])
+def test_non_string_over_is_refused(tmp_path, capsys, over):
+    # a list or object where the base's name belongs is refused with the
+    # structure's name, not a TypeError from the name lookup
+    data = json.loads((SUITES / "standard_gf7.json").read_text())
+    data["structures"]["M"]["over"] = over
+    code, err = _exit_and_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err.startswith("error: ") and "'M'" in err
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("hexagons_tilde", "flavour", "tilde"),  # misspelled: would run the hat flavor
+        ("c5_yd_a", "flavor", "tilde"),  # yd checks take no flavor
+        ("c5_yd_a", "result", "Y"),  # only constructions register a result
+        ("twist_c3", "alpha_m", [["1"]]),  # a bialgebra twist takes one matrix
+        ("hat_ab", "modules", ["A", "B"]),  # a tensor names its operands
+    ],
+)
+def test_unknown_task_keys_are_refused(tmp_path, capsys, name, key, value):
+    data = json.loads((SUITES / "standard_rational.json").read_text())
+    task = next(t for t in data["tasks"] if t["name"] == name)
+    task[key] = value
+    code, err = _exit_and_error(tmp_path, capsys, data)
+    assert code == 2
+    assert f"'{name}'" in err and f"unexpected keys ['{key}']" in err
+
+
+def test_every_shipped_task_uses_only_known_keys():
+    for path in sorted(SUITES.glob("*.json")):
+        if path.stem != "malformed":
+            assert parse_spec(path.read_text()).tasks
