@@ -4,6 +4,12 @@ Rational scalars are plain Python ints or ``fractions.Fraction`` values
 (arbitrary precision); prime-field scalars are machine ints kept reduced
 into ``[0, p)``.  Every downstream verification is an equality check, so
 no operation here is allowed to round.
+
+A ``LinearMap`` stores its values fraction-free: Python-int numerators over
+one positive common denominator.  Each field's ``reduce_array`` brings
+such an array to the field's canonical form: over Q, lowest terms (the gcd
+of the denominator and every numerator is 1); over GF(p), residues over
+denominator 1.
 """
 
 from __future__ import annotations

@@ -541,8 +541,8 @@ def test_power_matches_dense_products(m, k):
 
 @given(same_shape(), st.data())
 def test_compare_maps_over_different_denominators(pair, data):
-    # scaling one map by a fraction makes its denominator differ from the
-    # other's while cells still agree wherever both are zero
+    # a map scaled by a fraction has another denominator, and equal
+    # numerators may then stand for different values
     a, b = pair
     c = data.draw(scalars(a.field))
     if c != 0:
