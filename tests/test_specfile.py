@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -37,6 +38,76 @@ def test_round_trip_is_identity_on_canonical_form():
     text = doc_text()
     canonical = serialize_spec(parse_spec(text))
     assert serialize_spec(parse_spec(canonical)) == canonical
+
+
+# One structure of every kind with pairwise distinct constants, and carriers
+# (dim 3) of another dimension than their bases (dim 2), so that any
+# transposed or permuted reading of an array changes some entry.
+LAYOUT = {
+    "field": "rational",
+    "structures": {
+        "A": {"kind": "algebra", "dim": 2,
+              "mu": [[["1", "2"], ["3", "4"]], [["5", "6"], ["7", "8"]]],
+              "alpha": [["2", "3"], ["5", "7"]]},
+        "C": {"kind": "coalgebra", "dim": 2,
+              "delta": [[["-1", "-2"], ["-3", "-4"]], [["-5", "-6"], ["-7", "-8"]]]},
+        "H": {"kind": "bialgebra", "dim": 2,
+              "mu": [[["1/2", "2"], ["-3", "4/3"]], [["5", "-6/5"], ["7", "8"]]],
+              "delta": [[["9", "10"], ["11", "12"]], [["13", "14"], ["15", "16"]]],
+              "alpha": [["1", "1/2"], ["-1", "3"]]},
+        "M": {"kind": "module", "over": "A", "dim": 3,
+              "act": [[["11", "12", "13"], ["14", "15", "16"], ["17", "18", "19"]],
+                      [["20", "21", "22"], ["23", "24", "25"], ["26", "27", "28"]]]},
+        "N": {"kind": "comodule", "over": "C", "dim": 3,
+              "coact": [[["31", "32", "33"], ["34", "35", "36"]],
+                        [["37", "38", "39"], ["40", "41", "42"]],
+                        [["43", "44", "45"], ["46", "47", "48"]]]},
+        "Y": {"kind": "yd_module", "over": "H", "dim": 3,
+              "act": [[["51", "52", "53"], ["54", "55", "56"], ["57", "58", "59"]],
+                      [["60", "61", "62"], ["63", "64", "65"], ["66", "67", "68"]]],
+              "coact": [[["71", "72", "73"], ["74", "75", "76"]],
+                        [["77", "78", "79"], ["80", "81", "82"]],
+                        [["83", "84", "85"], ["86", "87", "88"]]],
+              "alpha": [["91", "92", "93"], ["94", "95", "96"], ["97", "98", "99"]]},
+        "R": {"kind": "r_element", "over": "H", "matrix": [["1", "2/3"], ["-4", "5"]]},
+        "S": {"kind": "sigma_form", "over": "H", "matrix": [["6", "-7"], ["8/5", "9"]]},
+    },
+    "tasks": [],
+}
+
+
+def test_file_layout_of_every_kind():
+    text = json.dumps(LAYOUT, indent=2) + "\n"
+    doc = parse_spec(text)
+    assert serialize_spec(doc) == text
+    raw, s, q = LAYOUT["structures"], doc.structures, RATIONALS.parse
+    two, three = range(2), range(3)
+    # e_i e_j = sum_k mu[i][j][k] e_k
+    for name in ("A", "H"):
+        for i, j, k in itertools.product(two, two, two):
+            assert s[name].mu.entries[k, 2 * i + j] == q(raw[name]["mu"][i][j][k])
+    # delta(e_i) = sum_{j,k} delta[i][j][k] e_j⊗e_k
+    for name in ("C", "H"):
+        for i, j, k in itertools.product(two, two, two):
+            assert s[name].delta.entries[2 * j + k, i] == q(raw[name]["delta"][i][j][k])
+    # e_i · f_m = sum_n act[i][m][n] f_n
+    for name in ("M", "Y"):
+        for i, m, n in itertools.product(two, three, three):
+            assert s[name].act.entries[n, 3 * i + m] == q(raw[name]["act"][i][m][n])
+    # coact(f_m) = sum_{i,n} coact[m][i][n] e_i⊗f_n
+    for name in ("N", "Y"):
+        for m, i, n in itertools.product(three, two, three):
+            assert s[name].coact.entries[3 * i + n, m] == q(raw[name]["coact"][m][i][n])
+    # a structure map is stored as rows: column j is the image of e_j
+    for name in ("A", "H", "Y"):
+        rows = [[q(x) for x in row] for row in raw[name]["alpha"]]
+        assert s[name].alpha.entries.tolist() == rows
+    for name in ("C", "M", "N"):
+        assert s[name].alpha.is_identity()
+    # R = sum R[i][j] e_i⊗e_j and sigma(e_i⊗e_j) = matrix[i][j]
+    for i, j in itertools.product(two, two):
+        assert s["R"].element.entries[2 * i + j, 0] == q(raw["R"]["matrix"][i][j])
+        assert s["S"].form.entries[0, 2 * i + j] == q(raw["S"]["matrix"][i][j])
 
 
 def test_round_trip_on_shipped_suites():
@@ -260,3 +331,20 @@ def test_every_shipped_task_uses_only_known_keys():
     for path in sorted(SUITES.glob("*.json")):
         if path.stem != "malformed":
             assert parse_spec(path.read_text()).tasks
+
+
+def test_gen_suites_regenerates_the_shipped_suites(tmp_path, monkeypatch, capsys):
+    import importlib.util
+
+    path = SUITES.parent / "tools" / "gen_suites.py"
+    spec = importlib.util.spec_from_file_location("gen_suites", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "OUT", tmp_path)
+    gen.main()
+    capsys.readouterr()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in SUITES.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (SUITES / name).read_bytes(), name
+
