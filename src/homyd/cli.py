@@ -150,7 +150,7 @@ def _run_file(args, quiet: bool) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -161,8 +161,8 @@ def _run_file(args, quiet: bool) -> int:
         return 2
     if args.json:
         payload = json.dumps(bundle_to_json(bundle, doc.field), indent=2) + "\n"
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        if not _write(args.json, payload):
+            return 2
     if not quiet:
         print(bundle_to_table(bundle))
     return bundle.exit_code()
@@ -183,12 +183,22 @@ def _run_example(args) -> int:
         meta,
     )
     text = serialize_spec(doc)
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.emit:
         sys.stdout.write(text)
+    elif not _write(args.emit, text):
+        return 2
     return 0
+
+
+def _write(path, text) -> bool:
+    """Write ``text`` to ``path``; on failure print the error and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None) -> int:

@@ -31,19 +31,47 @@ class FieldValueError(HomydError, ValueError):
     """A scalar literal or value does not belong to the field."""
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+# With the bases up to 37 only, 318665857834031151167461 would pass as prime.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MAX_MODULUS = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality of ``n`` below about 3.3e24 by deterministic
+    Miller-Rabin; larger ``n`` raise ``FieldValueError``."""
+    if n >= _MAX_MODULUS:
+        raise FieldValueError(f"modulus too large: must be below {_MAX_MODULUS}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _literal(convert, text: str):
+    """``convert(text)`` for a literal that matched its pattern, where the only
+    ``ValueError`` left is Python's limit on int-string conversion."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise FieldValueError(f"scalar literal too long: {len(text)} characters") from None
 
 
 class Rationals:
@@ -68,7 +96,7 @@ class Rationals:
             raise FieldValueError(
                 f"not an exact rational literal (expect 'a' or 'a/b'): {text!r}"
             )
-        return self.normalize(Fraction(text))
+        return self.normalize(_literal(Fraction, text))
 
     def format(self, value: Scalar) -> str:
         return str(value)
@@ -133,7 +161,7 @@ class PrimeField:
     def parse(self, text: str) -> int:
         if not isinstance(text, str) or not _RESIDUE_RE.match(text):
             raise FieldValueError(f"not a residue literal: {text!r}")
-        value = int(text)
+        value = _literal(int, text)
         if value >= self.p:
             raise FieldValueError(
                 f"non-reduced residue {value} (expected 0 <= value < {self.p})"
@@ -189,5 +217,7 @@ def field_from_descriptor(descriptor: str) -> Field:
         tail = descriptor[len("prime:"):]
         if not tail.isdigit():
             raise FieldValueError(f"bad field descriptor: {descriptor!r}")
+        if len(tail) > len(str(_MAX_MODULUS)):
+            raise FieldValueError(f"modulus too large: {len(tail)} digits")
         return PrimeField(int(tail))
     raise FieldValueError(f"bad field descriptor: {descriptor!r}")

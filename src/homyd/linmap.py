@@ -16,9 +16,13 @@ primitive works on the nonzeros only, so the coherence maps of the paper,
 Kronecker products of structure-map powers and factor shuffles with almost
 every cell zero, cost what they store.  The constructor
 ``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
-dense entry and exit points for structure constants and small maps; they,
+dense entry and exit points as (codomain, domain) matrices; they,
 ``column`` and ``inverse`` speak reduced field scalars (``int`` or
-``Fraction``).  Maps are immutable after construction.
+``Fraction``).  Structure constants of every kind (products, coproducts,
+actions, coactions, R elements and sigma forms) go through one codec:
+``from_constants`` reads a nested array indexed by the domain factors
+first, then the codomain factors, and ``constants`` gives it back.  Maps
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -199,18 +203,19 @@ class LinearMap:
         return cls._make(field, dims, cod, rows, cols, _ones(field, n))
 
     @classmethod
-    def vector(cls, field, dims, coeffs) -> "LinearMap":
-        """An element of ``⊗ dims`` as a map from the empty tensor product."""
-        dims = _as_dims(dims)
-        ent = np.array([[field.normalize(x)] for x in coeffs], dtype=object)
-        return cls(field, (), dims, ent)
-
-    @classmethod
-    def covector(cls, field, dims, coeffs) -> "LinearMap":
-        """A functional on ``⊗ dims`` as a map to the empty tensor product."""
-        dims = _as_dims(dims)
-        ent = np.array([[field.normalize(x) for x in coeffs]], dtype=object)
-        return cls(field, dims, (), ent)
+    def from_constants(cls, field, constants, ndom: int) -> "LinearMap":
+        """Build from structure constants: a nested array indexed by the
+        ``ndom`` domain factors first, then the codomain factors, so that
+        ``constants[i_1]..[i_r][k_1]..[k_s]`` is the coefficient of
+        ``e_k_1⊗..⊗e_k_s`` in the image of ``e_i_1⊗..⊗e_i_r``.  Every scalar
+        is normalized through the field; ragged nesting raises ``ShapeError``."""
+        arr = np.array(constants, dtype=object)
+        flat = arr.ravel().tolist()
+        if any(isinstance(x, (list, tuple, np.ndarray)) for x in flat):
+            raise ShapeError(f"structure constants are ragged below shape {arr.shape}")
+        dom, cod = arr.shape[:ndom], arr.shape[ndom:]
+        ent = np.array([field.normalize(x) for x in flat], dtype=object)
+        return cls(field, dom, cod, ent.reshape(_size(dom), _size(cod)).T)
 
     # -- basic queries ------------------------------------------------
 
@@ -220,6 +225,11 @@ class LinearMap:
             return nums
         return np.array([self.field.normalize(Fraction(v, self.den)) for v in nums.tolist()],
                         dtype=object)
+
+    def constants(self) -> list:
+        """The nested structure constants of this map, domain indices first:
+        the inverse of ``from_constants``."""
+        return self.entries.T.reshape(self.dom + self.cod).tolist()
 
     @property
     def entries(self):

@@ -10,8 +10,6 @@ that.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ShapeError
 from .linmap import LinearMap
 from .reports import CheckReport, compare_maps
@@ -31,58 +29,9 @@ from .structures import (
 )
 
 
-def _rank3_to_action(field, constants, dim_a) -> LinearMap:
-    """``constants[i][m][n]``, meaning e_i · f_m = sum_n constants[i][m][n] f_n."""
-    da = len(constants)
-    if da != dim_a:
-        raise ShapeError(f"action constants have {da} algebra rows, base has {dim_a}")
-    dm = len(constants[0]) if da else 0
-    ent = np.full((dm, da * dm), 0, dtype=object)
-    for i in range(da):
-        if len(constants[i]) != dm:
-            raise ShapeError(f"action constants row {i} has length {len(constants[i])}")
-        for m in range(dm):
-            col = constants[i][m]
-            if len(col) != dm:
-                raise ShapeError(f"action constants entry ({i},{m}) has length {len(col)}")
-            for n in range(dm):
-                ent[n, i * dm + m] = field.normalize(col[n])
-    return LinearMap(field, (da, dm), (dm,), ent)
-
-
-def _rank3_to_coaction(field, constants, dim_c) -> LinearMap:
-    """``constants[m][i][n]``, meaning coact(f_m) = sum_{i,n} constants[m][i][n] e_i⊗f_n."""
-    dm = len(constants)
-    ent = np.full((dim_c * dm, dm), 0, dtype=object)
-    for m in range(dm):
-        if len(constants[m]) != dim_c:
-            raise ShapeError(f"coaction constants row {m} has length {len(constants[m])}")
-        for i in range(dim_c):
-            col = constants[m][i]
-            if len(col) != dm:
-                raise ShapeError(f"coaction constants entry ({m},{i}) has length {len(col)}")
-            for n in range(dm):
-                ent[i * dm + n, m] = field.normalize(col[n])
-    return LinearMap(field, (dm,), (dim_c, dm), ent)
-
-
 def action_constants(act: LinearMap):
-    da, dm = act.dom
-    ent = act.entries
-    return [
-        [[ent[n, i * dm + m] for n in range(dm)] for m in range(dm)]
-        for i in range(da)
-    ]
-
-
-def coaction_constants(coact: LinearMap):
-    (dm,) = coact.dom
-    dc = coact.cod[0]
-    ent = coact.entries
-    return [
-        [[ent[i * dm + n, m] for n in range(dm)] for i in range(dc)]
-        for m in range(dm)
-    ]
+    """The action constants of ``act`` in the file layout."""
+    return act.constants()
 
 
 def _check_action_shape(act, dim_a):
@@ -126,8 +75,8 @@ class ModuleStruct:
 
     @classmethod
     def from_constants(cls, over, act_constants, alpha_rows):
-        act = _rank3_to_action(over.field, act_constants, over.dim)
-        d = act.cod[0]
+        act = LinearMap.from_constants(over.field, act_constants, 2)
+        d = _check_action_shape(act, over.dim)
         return cls(over, act, LinearMap.from_rows(over.field, (d,), (d,), alpha_rows))
 
     def __repr__(self):
@@ -157,8 +106,8 @@ class ComoduleStruct:
 
     @classmethod
     def from_constants(cls, over, coact_constants, alpha_rows):
-        coact = _rank3_to_coaction(over.field, coact_constants, over.dim)
-        d = coact.dom[0]
+        coact = LinearMap.from_constants(over.field, coact_constants, 1)
+        d = _check_coaction_shape(coact, over.dim)
         return cls(over, coact, LinearMap.from_rows(over.field, (d,), (d,), alpha_rows))
 
     def __repr__(self):
@@ -409,5 +358,4 @@ __all__ = [
     "tensor_coaction_map",
     "require_same_base",
     "action_constants",
-    "coaction_constants",
 ]

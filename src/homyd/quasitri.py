@@ -42,16 +42,10 @@ class RElement:
 
     @classmethod
     def from_matrix(cls, over: HomBialgebra, matrix):
-        d = over.dim
-        if len(matrix) != d or any(len(row) != d for row in matrix):
-            raise ShapeError(f"R matrix must be {d}x{d}")
-        coeffs = [matrix[i][j] for i in range(d) for j in range(d)]
-        return cls(over, LinearMap.vector(over.field, (d, d), coeffs))
+        return cls(over, LinearMap.from_constants(over.field, matrix, 0))
 
     def matrix(self):
-        d = self.over.dim
-        col = self.element.entries[:, 0]
-        return [[col[i * d + j] for j in range(d)] for i in range(d)]
+        return self.element.constants()
 
     def __repr__(self):
         return f"RElement(over dim={self.over.dim})"
@@ -75,16 +69,10 @@ class SigmaForm:
 
     @classmethod
     def from_matrix(cls, over: HomBialgebra, matrix):
-        d = over.dim
-        if len(matrix) != d or any(len(row) != d for row in matrix):
-            raise ShapeError(f"sigma matrix must be {d}x{d}")
-        coeffs = [matrix[i][j] for i in range(d) for j in range(d)]
-        return cls(over, LinearMap.covector(over.field, (d, d), coeffs))
+        return cls(over, LinearMap.from_constants(over.field, matrix, 2))
 
     def matrix(self):
-        d = self.over.dim
-        row = self.form.entries[0]
-        return [[row[i * d + j] for j in range(d)] for i in range(d)]
+        return self.form.constants()
 
     def __repr__(self):
         return f"SigmaForm(over dim={self.over.dim})"

@@ -5,43 +5,70 @@ Scalars are strings ("3/2", "5") so that exact values never pass through
 floating point.  Parsing validates shapes, name resolution (in document
 order, including names defined by construction tasks) and scalar syntax;
 serialization is canonical and byte-deterministic.
+
+Two tables drive the format.  ``STRUCTURES`` declares every structure kind
+once: its class, the kinds it may sit over and its constants keys with
+their shapes.  Parsing, the allowed-keys check and ``structure_to_json`` all
+read it, and every constants array goes through ``LinearMap.from_constants``
+and ``LinearMap.constants`` (domain indices first, then codomain; only
+``alpha`` is stored as rows).  ``runner.TASKS`` plays the same part for
+tasks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .errors import HomydError, ShapeError, SpecFileError
 from .fields import Field, FieldValueError, field_from_descriptor
 from .linmap import LinearMap
-from .modules import (
-    ComoduleStruct,
-    ModuleStruct,
-    action_constants,
-    coaction_constants,
-)
+from .modules import ComoduleStruct, ModuleStruct
 from .quasitri import RElement, SigmaForm
 from .runner import TASKS
-from .structures import (
-    HomAlgebra,
-    HomBialgebra,
-    HomCoalgebra,
-    coproduct_constants,
-    product_constants,
-)
+from .structures import HomAlgebra, HomBialgebra, HomCoalgebra
 from .yd import YDModule
 
-STRUCTURE_KINDS = (
-    "algebra",
-    "coalgebra",
-    "bialgebra",
-    "module",
-    "comodule",
-    "yd_module",
-    "r_element",
-    "sigma_form",
-)
+
+class StructureKind(NamedTuple):
+    """How one structure kind is written in a file and built.
+
+    ``maps`` lists the constants keys as ``(key, attribute, shape)``: the
+    attribute of the built object holding that map, and its shape
+    ``"<domain>-><codomain>"`` with one letter per tensor factor, ``h`` for
+    the base dimension and ``d`` for the carrier dimension.  A carrier kind
+    also has a ``dim`` and an optional ``alpha`` stored as rows; the object is
+    built as ``cls(base?, *maps, alpha?)``."""
+
+    cls: type
+    over: tuple  # the kinds its base may be; empty when it has no base
+    maps: tuple
+    carrier: bool = True
+
+    def keys(self) -> set:
+        return ({"kind"} | ({"over"} if self.over else set())
+                | ({"dim", "alpha"} if self.carrier else set())
+                | {key for key, _, _ in self.maps})
+
+
+_MU, _DELTA = ("mu", "mu", "dd->d"), ("delta", "delta", "d->dd")
+_ACT, _COACT = ("act", "act", "hd->d"), ("coact", "coact", "d->hd")
+
+STRUCTURES = {
+    "algebra": StructureKind(HomAlgebra, (), (_MU,)),
+    "coalgebra": StructureKind(HomCoalgebra, (), (_DELTA,)),
+    "bialgebra": StructureKind(HomBialgebra, (), (_MU, _DELTA)),
+    "module": StructureKind(ModuleStruct, ("algebra", "bialgebra"), (_ACT,)),
+    "comodule": StructureKind(ComoduleStruct, ("coalgebra", "bialgebra"), (_COACT,)),
+    "yd_module": StructureKind(YDModule, ("bialgebra",), (_ACT, _COACT)),
+    "r_element": StructureKind(RElement, ("bialgebra",), (("matrix", "element", "->hh"),),
+                               carrier=False),
+    "sigma_form": StructureKind(SigmaForm, ("bialgebra",), (("matrix", "form", "hh->"),),
+                                carrier=False),
+}
+
+STRUCTURE_KINDS = tuple(STRUCTURES)
 
 HEADS = {"check": "check", "twist": "twist", "tensor": "tensor", "coincide": "coincidence"}
 
@@ -115,97 +142,45 @@ def _parse_structure(field, name, raw, resolved):
     if not isinstance(raw, dict):
         _fail("structure entries must be objects", name)
     kind = raw.get("kind")
-    if kind not in STRUCTURE_KINDS:
+    entry = STRUCTURES.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         _fail(f"unknown structure kind {kind!r}", name)
-    allowed = {
-        "algebra": {"kind", "dim", "mu", "alpha"},
-        "coalgebra": {"kind", "dim", "delta", "alpha"},
-        "bialgebra": {"kind", "dim", "mu", "delta", "alpha"},
-        "module": {"kind", "over", "dim", "act", "alpha"},
-        "comodule": {"kind", "over", "dim", "coact", "alpha"},
-        "yd_module": {"kind", "over", "dim", "act", "coact", "alpha"},
-        "r_element": {"kind", "over", "matrix"},
-        "sigma_form": {"kind", "over", "matrix"},
-    }[kind]
-    extra = set(raw) - allowed
+    extra = set(raw) - entry.keys()
     if extra:
         _fail(f"unexpected keys {sorted(extra)}", name)
-
-    def over(expected_kinds):
+    args, sizes = [], {}
+    if entry.over:
         ref = raw.get("over")
         if not isinstance(ref, str) or ref not in resolved:
             _fail(f"structure {name!r} references undefined structure {ref!r}")
         base_kind, base = resolved[ref]
-        if base_kind not in expected_kinds:
+        if base_kind not in entry.over:
             _fail(
-                f"structure {name!r} must sit over one of {expected_kinds}, "
+                f"structure {name!r} must sit over one of {entry.over}, "
                 f"but {ref!r} is a {base_kind}"
             )
-        return base
-
+        args.append(base)
+        sizes["h"] = base.dim
+    if entry.carrier:
+        sizes["d"] = _positive_dim(raw.get("dim"), f"{name}.dim")
+    parsed = []
+    for key, _, shape in entry.maps:
+        dom, cod = shape.split("->")
+        dims = [sizes[c] for c in dom + cod]
+        parse = _parse_matrix if len(dims) == 2 else _parse_rank3
+        parsed.append((parse(field, raw.get(key), *dims, f"{name}.{key}"), len(dom)))
+    rows = None
+    if entry.carrier and raw.get("alpha") is not None:
+        rows = _parse_matrix(field, raw["alpha"], sizes["d"], sizes["d"], f"{name}.alpha")
     try:
-        if kind == "algebra":
-            dim = _positive_dim(raw.get("dim"), f"{name}.dim")
-            mu = _parse_rank3(field, raw.get("mu"), dim, dim, dim, f"{name}.mu")
-            return kind, HomAlgebra.from_constants(
-                field, mu, _alpha_rows(field, raw.get("alpha"), dim, f"{name}.alpha")
-            )
-        if kind == "coalgebra":
-            dim = _positive_dim(raw.get("dim"), f"{name}.dim")
-            delta = _parse_rank3(field, raw.get("delta"), dim, dim, dim, f"{name}.delta")
-            return kind, HomCoalgebra.from_constants(
-                field, delta, _alpha_rows(field, raw.get("alpha"), dim, f"{name}.alpha")
-            )
-        if kind == "bialgebra":
-            dim = _positive_dim(raw.get("dim"), f"{name}.dim")
-            mu = _parse_rank3(field, raw.get("mu"), dim, dim, dim, f"{name}.mu")
-            delta = _parse_rank3(field, raw.get("delta"), dim, dim, dim, f"{name}.delta")
-            return kind, HomBialgebra.from_constants(
-                field, mu, delta, _alpha_rows(field, raw.get("alpha"), dim, f"{name}.alpha")
-            )
-        if kind == "module":
-            base = over(("algebra", "bialgebra"))
-            dim = _positive_dim(raw.get("dim"), f"{name}.dim")
-            act = _parse_rank3(field, raw.get("act"), base.dim, dim, dim, f"{name}.act")
-            return kind, ModuleStruct.from_constants(
-                base, act, _alpha_rows(field, raw.get("alpha"), dim, f"{name}.alpha")
-            )
-        if kind == "comodule":
-            base = over(("coalgebra", "bialgebra"))
-            dim = _positive_dim(raw.get("dim"), f"{name}.dim")
-            coact = _parse_rank3(field, raw.get("coact"), dim, base.dim, dim, f"{name}.coact")
-            return kind, ComoduleStruct.from_constants(
-                base, coact, _alpha_rows(field, raw.get("alpha"), dim, f"{name}.alpha")
-            )
-        if kind == "yd_module":
-            base = over(("bialgebra",))
-            dim = _positive_dim(raw.get("dim"), f"{name}.dim")
-            act = _parse_rank3(field, raw.get("act"), base.dim, dim, dim, f"{name}.act")
-            coact = _parse_rank3(field, raw.get("coact"), dim, base.dim, dim, f"{name}.coact")
-            mod = ModuleStruct.from_constants(
-                base, act, _alpha_rows(field, raw.get("alpha"), dim, f"{name}.alpha")
-            )
-            com = ComoduleStruct.from_constants(
-                base, coact, _alpha_rows(field, raw.get("alpha"), dim, f"{name}.alpha")
-            )
-            return kind, YDModule(base, mod.act, com.coact, mod.alpha)
-        if kind == "r_element":
-            base = over(("bialgebra",))
-            matrix = _parse_matrix(field, raw.get("matrix"), base.dim, base.dim, f"{name}.matrix")
-            return kind, RElement.from_matrix(base, matrix)
-        base = over(("bialgebra",))
-        matrix = _parse_matrix(field, raw.get("matrix"), base.dim, base.dim, f"{name}.matrix")
-        return kind, SigmaForm.from_matrix(base, matrix)
-    except (ShapeError, HomydError) as exc:
-        if isinstance(exc, SpecFileError):
-            raise
+        args += [LinearMap.from_constants(field, data, ndom) for data, ndom in parsed]
+        if entry.carrier:
+            d = (sizes["d"],)
+            args.append(LinearMap.identity(field, d) if rows is None
+                        else LinearMap.from_rows(field, d, d, rows))
+        return kind, entry.cls(*args)
+    except HomydError as exc:
         _fail(f"structure {name!r}: {exc}")
-
-
-def _alpha_rows(field, raw, dim, path):
-    if raw is None:
-        return [[field.one if i == j else field.zero for j in range(dim)] for i in range(dim)]
-    return _parse_matrix(field, raw, dim, dim, path)
 
 
 _WHAT = {"r": "R element", "sigma": "sigma form"}
@@ -283,6 +258,8 @@ def parse_spec(text: str) -> SpecDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"malformed JSON: {exc.msg}", exc.lineno, exc.colno)
+    except RecursionError:
+        raise SpecFileError("malformed JSON: nested too deeply") from None
     if not isinstance(data, dict):
         _fail("document must be a JSON object")
     unknown = set(data) - {"field", "structures", "tasks", "meta"}
@@ -324,57 +301,27 @@ def parse_spec(text: str) -> SpecDocument:
 
 # -- serialization -----------------------------------------------------------
 
-def _fmt_matrix(field, rows):
-    return [[field.format(x) for x in row] for row in rows]
-
-
-def _fmt_rank3(field, data):
-    return [[[field.format(x) for x in col] for col in sl] for sl in data]
-
-
-def _alpha_json(field, alpha: LinearMap):
-    if alpha.is_identity():
-        return None
-    return _fmt_matrix(field, alpha.entries.tolist())
+def _fmt(field, data):
+    if isinstance(data, list):
+        return [_fmt(field, x) for x in data]
+    return field.format(data)
 
 
 def structure_to_json(field, obj, over_name=None):
     """Render a typed structure back into its file form."""
-    if isinstance(obj, HomAlgebra):
-        out = {"kind": "algebra", "dim": obj.dim,
-               "mu": _fmt_rank3(field, product_constants(obj.mu))}
-    elif isinstance(obj, HomCoalgebra):
-        out = {"kind": "coalgebra", "dim": obj.dim,
-               "delta": _fmt_rank3(field, coproduct_constants(obj.delta))}
-    elif isinstance(obj, HomBialgebra):
-        out = {"kind": "bialgebra", "dim": obj.dim,
-               "mu": _fmt_rank3(field, product_constants(obj.mu)),
-               "delta": _fmt_rank3(field, coproduct_constants(obj.delta))}
-    elif isinstance(obj, ModuleStruct):
-        out = {"kind": "module", "over": over_name, "dim": obj.dim,
-               "act": _fmt_rank3(field, action_constants(obj.act))}
-    elif isinstance(obj, ComoduleStruct):
-        out = {"kind": "comodule", "over": over_name, "dim": obj.dim,
-               "coact": _fmt_rank3(field, coaction_constants(obj.coact))}
-    elif isinstance(obj, YDModule):
-        out = {"kind": "yd_module", "over": over_name, "dim": obj.dim,
-               "act": _fmt_rank3(field, action_constants(obj.act)),
-               "coact": _fmt_rank3(field, coaction_constants(obj.coact))}
-    elif isinstance(obj, RElement):
-        out = {"kind": "r_element", "over": over_name,
-               "matrix": _fmt_matrix(field, obj.matrix())}
-    elif isinstance(obj, SigmaForm):
-        out = {"kind": "sigma_form", "over": over_name,
-               "matrix": _fmt_matrix(field, obj.matrix())}
-    else:
+    kind = next((k for k, entry in STRUCTURES.items() if isinstance(obj, entry.cls)), None)
+    if kind is None:
         raise ShapeError(f"cannot serialize {type(obj).__name__}")
-    alpha = getattr(obj, "alpha", None)
-    if alpha is not None:
-        rendered = _alpha_json(field, alpha)
-        if rendered is not None:
-            out["alpha"] = rendered
-    if out.get("over") is None:
-        out.pop("over", None)
+    entry = STRUCTURES[kind]
+    out = {"kind": kind}
+    if entry.over and over_name is not None:
+        out["over"] = over_name
+    if entry.carrier:
+        out["dim"] = obj.dim
+    for key, attr, _ in entry.maps:
+        out[key] = _fmt(field, getattr(obj, attr).constants())
+    if entry.carrier and not obj.alpha.is_identity():
+        out["alpha"] = _fmt(field, obj.alpha.entries.tolist())
     return out
 
 

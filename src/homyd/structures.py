@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import CertificationError, PreconditionError, ShapeError
 from .linmap import LinearMap
 from .reports import CheckReport, compare_maps
@@ -42,57 +40,6 @@ def _check_endo_shape(alpha: LinearMap, d: int, what: str):
         )
 
 
-def _rank3_to_product(field, constants) -> LinearMap:
-    """``constants[i][j][k]``, meaning e_i e_j = sum_k constants[i][j][k] e_k."""
-    d = len(constants)
-    ent = np.full((d, d * d), 0, dtype=object)
-    for i in range(d):
-        if len(constants[i]) != d:
-            raise ShapeError(f"product constants row {i} has length {len(constants[i])}")
-        for j in range(d):
-            col = constants[i][j]
-            if len(col) != d:
-                raise ShapeError(f"product constants entry ({i},{j}) has length {len(col)}")
-            for k in range(d):
-                ent[k, i * d + j] = field.normalize(col[k])
-    return LinearMap(field, (d, d), (d,), ent)
-
-
-def _rank3_to_coproduct(field, constants) -> LinearMap:
-    """``constants[i][j][k]``, meaning delta(e_i) = sum_{j,k} constants[i][j][k] e_j⊗e_k."""
-    d = len(constants)
-    ent = np.full((d * d, d), 0, dtype=object)
-    for i in range(d):
-        if len(constants[i]) != d:
-            raise ShapeError(f"coproduct constants row {i} has length {len(constants[i])}")
-        for j in range(d):
-            col = constants[i][j]
-            if len(col) != d:
-                raise ShapeError(f"coproduct constants entry ({i},{j}) has length {len(col)}")
-            for k in range(d):
-                ent[j * d + k, i] = field.normalize(col[k])
-    return LinearMap(field, (d,), (d, d), ent)
-
-
-def product_constants(mu: LinearMap):
-    """Inverse of :func:`_rank3_to_product` (for serialization)."""
-    d = mu.cod[0]
-    ent = mu.entries
-    return [
-        [[ent[k, i * d + j] for k in range(d)] for j in range(d)]
-        for i in range(d)
-    ]
-
-
-def coproduct_constants(delta: LinearMap):
-    d = delta.dom[0]
-    ent = delta.entries
-    return [
-        [[ent[j * d + k, i] for k in range(d)] for j in range(d)]
-        for i in range(d)
-    ]
-
-
 class HomAlgebra:
     """A triple (carrier, mu, alpha) with alpha-twisted associativity."""
 
@@ -110,9 +57,9 @@ class HomAlgebra:
 
     @classmethod
     def from_constants(cls, field, mu_constants, alpha_rows):
-        mu = _rank3_to_product(field, mu_constants)
-        alpha = LinearMap.from_rows(field, (mu.cod[0],), (mu.cod[0],), alpha_rows)
-        return cls(mu, alpha)
+        mu = LinearMap.from_constants(field, mu_constants, 2)
+        d = _check_mu_shape(mu)
+        return cls(mu, LinearMap.from_rows(field, (d,), (d,), alpha_rows))
 
     def __repr__(self):
         return f"HomAlgebra(dim={self.dim}, field={self.field.descriptor})"
@@ -135,9 +82,9 @@ class HomCoalgebra:
 
     @classmethod
     def from_constants(cls, field, delta_constants, alpha_rows):
-        delta = _rank3_to_coproduct(field, delta_constants)
-        alpha = LinearMap.from_rows(field, (delta.dom[0],), (delta.dom[0],), alpha_rows)
-        return cls(delta, alpha)
+        delta = LinearMap.from_constants(field, delta_constants, 1)
+        d = _check_delta_shape(delta)
+        return cls(delta, LinearMap.from_rows(field, (d,), (d,), alpha_rows))
 
     def __repr__(self):
         return f"HomCoalgebra(dim={self.dim}, field={self.field.descriptor})"
@@ -164,11 +111,10 @@ class HomBialgebra:
 
     @classmethod
     def from_constants(cls, field, mu_constants, delta_constants, alpha_rows):
-        mu = _rank3_to_product(field, mu_constants)
-        delta = _rank3_to_coproduct(field, delta_constants)
-        d = mu.cod[0]
-        alpha = LinearMap.from_rows(field, (d,), (d,), alpha_rows)
-        return cls(mu, delta, alpha)
+        mu = LinearMap.from_constants(field, mu_constants, 2)
+        d = _check_mu_shape(mu)
+        delta = LinearMap.from_constants(field, delta_constants, 1)
+        return cls(mu, delta, LinearMap.from_rows(field, (d,), (d,), alpha_rows))
 
     @property
     def algebra(self) -> HomAlgebra:
@@ -194,7 +140,7 @@ class ClassicalAlgebra:
 
     @classmethod
     def from_constants(cls, field, mu_constants):
-        return cls(_rank3_to_product(field, mu_constants))
+        return cls(LinearMap.from_constants(field, mu_constants, 2))
 
     def as_hom(self) -> HomAlgebra:
         return HomAlgebra(self.mu, LinearMap.identity(self.field, (self.dim,)))
@@ -212,7 +158,7 @@ class ClassicalCoalgebra:
 
     @classmethod
     def from_constants(cls, field, delta_constants):
-        return cls(_rank3_to_coproduct(field, delta_constants))
+        return cls(LinearMap.from_constants(field, delta_constants, 1))
 
     def as_hom(self) -> HomCoalgebra:
         return HomCoalgebra(self.delta, LinearMap.identity(self.field, (self.dim,)))
@@ -235,8 +181,8 @@ class ClassicalBialgebra:
     @classmethod
     def from_constants(cls, field, mu_constants, delta_constants):
         return cls(
-            _rank3_to_product(field, mu_constants),
-            _rank3_to_coproduct(field, delta_constants),
+            LinearMap.from_constants(field, mu_constants, 2),
+            LinearMap.from_constants(field, delta_constants, 1),
         )
 
     def as_hom(self) -> HomBialgebra:

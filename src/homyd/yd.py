@@ -220,9 +220,16 @@ def check_hybe(
     alpha_p: LinearMap,
 ) -> CheckReport:
     """(α_P⊗B_MN)∘(B_MP⊗α_N)∘(α_M⊗B_NP) = (B_NP⊗α_M)∘(α_N⊗B_MP)∘(B_MN⊗α_P)."""
-    lhs = alpha_p.tensor(b_mn) @ b_mp.tensor(alpha_n) @ alpha_m.tensor(b_np)
-    rhs = b_np.tensor(alpha_m) @ alpha_n.tensor(b_mp) @ b_mn.tensor(alpha_p)
-    return compare_maps("hybe", lhs, rhs)
+    return _yang_baxter("hybe", b_mn, b_mp, b_np, alpha_m, alpha_n, alpha_p)
+
+
+def _yang_baxter(law, c_mn, c_mp, c_np, x_m, x_n, x_p) -> CheckReport:
+    """(x_P⊗c_MN)∘(c_MP⊗x_N)∘(x_M⊗c_NP) = (c_NP⊗x_M)∘(x_N⊗c_MP)∘(c_MN⊗x_P),
+    scanned as ``law``: the HYBE with the structure maps as ``x``, the braid
+    relation with identities."""
+    lhs = x_p.tensor(c_mn) @ c_mp.tensor(x_n) @ x_m.tensor(c_np)
+    rhs = c_np.tensor(x_m) @ x_n.tensor(c_mp) @ c_mn.tensor(x_p)
+    return compare_maps(law, lhs, rhs)
 
 
 def check_hybe_for(m: YDModule, n: YDModule, p: YDModule) -> CheckReport:
@@ -442,15 +449,9 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
 
 def check_braid_relation(c_mn: LinearMap, c_mp: LinearMap, c_np: LinearMap) -> CheckReport:
     """(id_P⊗c_MN)∘(c_MP⊗id_N)∘(id_M⊗c_NP) = (c_NP⊗id_M)∘(id_N⊗c_MP)∘(c_MN⊗id_P)."""
-    field = c_mn.field
-    (dm, dn) = c_mn.dom
-    dp = c_np.dom[1]
-    ident_m = LinearMap.identity(field, (dm,))
-    ident_n = LinearMap.identity(field, (dn,))
-    ident_p = LinearMap.identity(field, (dp,))
-    lhs = ident_p.tensor(c_mn) @ c_mp.tensor(ident_n) @ ident_m.tensor(c_np)
-    rhs = c_np.tensor(ident_m) @ ident_n.tensor(c_mp) @ c_mn.tensor(ident_p)
-    return compare_maps("braid_relation", lhs, rhs)
+    (dm, dn), dp = c_mn.dom, c_np.dom[1]
+    ident = [LinearMap.identity(c_mn.field, (d,)) for d in (dm, dn, dp)]
+    return _yang_baxter("braid_relation", c_mn, c_mp, c_np, *ident)
 
 
 def check_braid_relation_for(m: YDModule, n: YDModule, p: YDModule) -> CheckReport:

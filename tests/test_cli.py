@@ -282,3 +282,25 @@ def test_malformed_twist_matrix_exits_two(tmp_path, capsys, source, bad):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'twist_c3'" in err
+
+
+@pytest.mark.parametrize(
+    "case", ["not_utf8", "deep_nesting", "unwritable_report", "unwritable_emit"]
+)
+def test_io_faults_exit_two_without_traceback(tmp_path, capsys, case):
+    path = tmp_path / "doc.json"
+    missing = str(tmp_path / "no_such_dir" / "x.json")
+    args = ["check", str(path)]
+    if case == "not_utf8":
+        path.write_bytes(b'{"field": "rational\xff"}')
+    elif case == "deep_nesting":
+        path.write_text("[" * 100_000)
+    elif case == "unwritable_report":
+        path.write_text((SUITES / "standard_gf7.json").read_text())
+        args = ["report", str(path), "--json", missing]
+    else:
+        args = ["example", "cyclic_endo_twist", "4", "2", "--emit", missing]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -48,6 +49,23 @@ def test_prime_field_requires_prime_modulus():
 def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     assert {n for n in range(25) if is_prime(n)} == primes
+
+
+def test_is_prime_matches_trial_division_and_refuses_beyond_its_bound():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(5000))
+    # Mersenne primes, the largest prime below 2^64, a Carmichael number and
+    # the least strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (2**31 - 1, 2**61 - 1, 2**64 - 59):
+        assert is_prime(n)
+    for n in (41041, 3215031751, 3825123056546413051, 318665857834031151167461,
+              (2**31 - 1) ** 2):
+        assert not is_prime(n)
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(FieldValueError, match="too large"):
+            is_prime(n)
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(7), PrimeField(11)])

@@ -207,10 +207,19 @@ def test_power_and_vector_covector():
     assert shift.power(3) == identity(Q, (3,))
     assert shift.power(-1) == invert(shift)
     assert shift.power(0) == identity(Q, (3,))
-    v = LinearMap.vector(Q, (3,), [1, 2, 3])
-    w = LinearMap.covector(Q, (3,), [1, 1, 1])
+    v = LinearMap.from_constants(Q, [1, 2, 3], 0)
+    w = LinearMap.from_constants(Q, [1, 1, 1], 1)
     assert compose(w, v).entries[0, 0] == 6
     assert v.dom == () and w.cod == ()
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [[[1, 2], [3]], [[[1], [2]], [[3], [4, 5]]], [[1, [2]], [3, 4]], [], [[], []]],
+)
+def test_from_constants_refuses_ragged_or_empty_input(constants):
+    with pytest.raises(ShapeError):
+        LinearMap.from_constants(Q, constants, 1)
 
 
 def test_prime_field_entries_stay_reduced():
@@ -488,6 +497,7 @@ def test_dense_round_trip_is_identity(m):
     assert_canonical(m)
     again = LinearMap(m.field, m.dom, m.cod, m.entries)
     assert again == m and again.den == m.den
+    assert LinearMap.from_constants(m.field, m.constants(), len(m.dom)) == m
     assert [m.column(j) for j in range(m.ncols)] == [tuple(c) for c in m.entries.T.tolist()]
 
 

@@ -13,7 +13,6 @@ from homyd.modules import (
     check_comodule_morphism,
     check_module,
     check_module_morphism,
-    coaction_constants,
     induce_comodule,
     induce_module,
     tensor_comodules,
@@ -109,7 +108,7 @@ def test_induced_diagonal_comodule_hand_values():
     alpha = LinearMap.from_rows(Q, (3,), (3,), power_rows(3, 2))
     out = induce_comodule(com, alpha, alpha)
     assert check_comodule(out).passed
-    constants = coaction_constants(out.coact)
+    constants = out.coact.constants()
     assert constants[1][2][2] == 1  # coact(g) = g^2 ⊗ g^2
     assert sum(1 for i in range(3) for n in range(3) if constants[1][i][n]) == 1
 
@@ -156,7 +155,7 @@ def test_tensor_comodules_grouplike_product_rule():
     com = ComoduleStruct.from_constants(base, diagonal_coaction(n), identity_rows(n))
     out = tensor_comodules(com, com)
     assert check_comodule(out).passed
-    constants = coaction_constants(out.coact)
+    constants = out.coact.constants()
     for i in range(n):
         for j in range(n):
             m_idx = i * n + j

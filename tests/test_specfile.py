@@ -348,3 +348,40 @@ def test_gen_suites_regenerates_the_shipped_suites(tmp_path, monkeypatch, capsys
     for name in written:
         assert (tmp_path / name).read_bytes() == (SUITES / name).read_bytes(), name
 
+
+@pytest.mark.parametrize("suite", ["standard_gf7", "standard_rational"])
+def test_overlong_scalar_literal_is_refused(tmp_path, capsys, suite):
+    # longer than Python's int-string limit: refused, not a ValueError
+    data = json.loads((SUITES / f"{suite}.json").read_text())
+    name = next(n for n, s in data["structures"].items() if "mu" in s)
+    data["structures"][name]["mu"][0][0][0] = "1" * 5000
+    code, err = _exit_and_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err.startswith("error: ") and f"{name}.mu[0][0][0]" in err
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [
+        "9" * 5000,  # beyond the int-string limit
+        str(2**89 - 1),  # prime, but beyond the exact primality test
+        str((2**31 - 1) ** 2),  # composite, no factor below 2^31
+    ],
+    ids=["5000_digits", "mersenne_89", "square_of_mersenne_31"],
+)
+def test_unusable_modulus_is_refused_quickly(tmp_path, capsys, modulus):
+    import time
+
+    start = time.perf_counter()
+    code, err = _exit_and_error(tmp_path, capsys, {**MINIMAL, "field": "prime:" + modulus})
+    assert time.perf_counter() - start < 5
+    assert code == 2 and err.startswith("error: ") and "modulus" in err
+
+
+def test_large_prime_modulus_is_accepted_quickly(tmp_path, capsys):
+    import time
+
+    start = time.perf_counter()
+    code, _ = _exit_and_error(tmp_path, capsys, {**MINIMAL, "field": f"prime:{2**61 - 1}"})
+    assert time.perf_counter() - start < 5
+    assert code == 0
