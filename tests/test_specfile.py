@@ -3,6 +3,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homyd.errors import SpecFileError
 from homyd.fields import PrimeField, RATIONALS
@@ -385,3 +386,65 @@ def test_large_prime_modulus_is_accepted_quickly(tmp_path, capsys):
     code, _ = _exit_and_error(tmp_path, capsys, {**MINIMAL, "field": f"prime:{2**61 - 1}"})
     assert time.perf_counter() - start < 5
     assert code == 0
+
+
+_FIELDS = ["rational", "prime:5", "prime:7"]
+
+
+@st.composite
+def documents(draw):
+    """A document with one structure of every kind: random small dims, random
+    constants (fractions over Q, residues over GF(p)) and optional alphas."""
+    field = draw(st.sampled_from(_FIELDS))
+    if field == "rational":
+        scalar = st.builds(lambda n, d: f"{n}/{d}" if d > 1 else str(n),
+                           st.integers(-9, 9), st.integers(1, 4))
+    else:
+        scalar = st.integers(0, int(field[6:]) - 1).map(str)
+
+    def array(*dims):
+        if not dims:
+            return draw(scalar)
+        return [array(*dims[1:]) for _ in range(dims[0])]
+
+    h = draw(st.integers(1, 2))
+
+    def carrier(kind, dim, **maps):
+        out = {"kind": kind, "dim": dim, **maps}
+        if draw(st.booleans()):
+            out["alpha"] = array(dim, dim)
+        return out
+
+    m, n, y = (draw(st.integers(1, 3)) for _ in range(3))
+    structures = {
+        "A": carrier("algebra", h, mu=array(h, h, h)),
+        "C": carrier("coalgebra", h, delta=array(h, h, h)),
+        "H": carrier("bialgebra", h, mu=array(h, h, h), delta=array(h, h, h)),
+        "M": {**carrier("module", m, act=array(h, m, m)),
+              "over": draw(st.sampled_from(["A", "H"]))},
+        "N": {**carrier("comodule", n, coact=array(n, h, n)),
+              "over": draw(st.sampled_from(["C", "H"]))},
+        "Y": {**carrier("yd_module", y, act=array(h, y, y), coact=array(y, h, y)),
+              "over": "H"},
+        "R": {"kind": "r_element", "over": "H", "matrix": array(h, h)},
+        "S": {"kind": "sigma_form", "over": "H", "matrix": array(h, h)},
+    }
+    return {"field": field, "structures": structures, "tasks": []}
+
+
+_MAPS = ("mu", "delta", "act", "coact", "element", "form", "alpha")
+
+
+@settings(max_examples=60)
+@given(documents())
+def test_parse_serialize_parse_is_the_identity(data):
+    first = parse_spec(json.dumps(data))
+    text = serialize_spec(first)
+    second = parse_spec(text)
+    assert serialize_spec(second) == text
+    assert list(second.structures) == list(first.structures)
+    for name, obj in first.structures.items():
+        again = second.structures[name]
+        assert type(again) is type(obj)
+        for attr in _MAPS:
+            assert getattr(again, attr, None) == getattr(obj, attr, None), (name, attr)

@@ -1,11 +1,14 @@
 import itertools
+import math
 
 import pytest
 
 from conftest import cyclic_mu, grouplike_delta, identity_rows, perturbed, power_rows
-from homyd.errors import CertificationError, PreconditionError
+from homyd.errors import CertificationError, PreconditionError, ShapeError
 from homyd.fields import RATIONALS, PrimeField
 from homyd.linmap import LinearMap
+from homyd.modules import ClassicalComodule, ClassicalModule, ComoduleStruct, ModuleStruct
+from homyd.quasitri import RElement, SigmaForm
 from homyd.reports import compare_maps
 from homyd.structures import (
     ClassicalAlgebra,
@@ -23,6 +26,7 @@ from homyd.structures import (
     twist_bialgebra,
     twist_coalgebra,
 )
+from homyd.yd import ClassicalYD, YDModule
 
 Q = RATIONALS
 
@@ -235,3 +239,89 @@ def test_restated_bialgebra_laws_match_direct_scans():
     ]
     ranks = [order.index(f.law) for f in report.failures]
     assert ranks == sorted(ranks)
+
+
+# -- the one validation path of every structure class -------------------
+
+F7 = PrimeField(7)
+H, D = 2, 3  # base and carrier dims differ, so a misread factor is caught
+MU, DELTA = ((H, H), (H,)), ((H,), (H, H))
+ACT, COACT = ((H, D), (D,)), ((D,), (H, D))
+
+# class -> (base class, map shapes in argument order, alpha dim, a base of
+# the wrong class); a class is built as ``cls(base?, *maps, alpha?)``
+SHAPES = {
+    HomAlgebra: (None, (MU,), H, None),
+    HomCoalgebra: (None, (DELTA,), H, None),
+    HomBialgebra: (None, (MU, DELTA), H, None),
+    ClassicalAlgebra: (None, (MU,), None, None),
+    ClassicalCoalgebra: (None, (DELTA,), None, None),
+    ClassicalBialgebra: (None, (MU, DELTA), None, None),
+    ModuleStruct: (HomAlgebra, (ACT,), D, HomCoalgebra),
+    ComoduleStruct: (HomCoalgebra, (COACT,), D, HomAlgebra),
+    ClassicalModule: (ClassicalAlgebra, (ACT,), None, HomAlgebra),
+    ClassicalComodule: (ClassicalCoalgebra, (COACT,), None, HomCoalgebra),
+    YDModule: (HomBialgebra, (ACT, COACT), D, HomAlgebra),
+    ClassicalYD: (ClassicalBialgebra, (ACT, COACT), None, HomBialgebra),
+    RElement: (HomBialgebra, (((), (H, H)),), None, None),
+    SigmaForm: (HomBialgebra, (((H, H), ()),), None, None),
+}
+
+# these classes do not yet check that their data lies over one field
+_FIELDS_UNCHECKED = {ClassicalBialgebra, ClassicalModule, ClassicalComodule}
+
+
+def _map(field, shape):
+    """A map of the given ``(dom, cod)`` shape with distinct entries."""
+    dom, cod = shape
+    nrows, ncols = math.prod(cod), math.prod(dom)
+    rows = [[field.normalize(1 + i + nrows * j) for j in range(ncols)] for i in range(nrows)]
+    return LinearMap.from_rows(field, dom, cod, rows)
+
+
+def _args(cls, field=Q, odd=None):
+    """Valid arguments for ``cls`` over ``field``, but with part number ``odd``
+    (counting the base, the maps and alpha) over another field."""
+    base, shapes, alpha, _ = SHAPES[cls]
+    parts = ([base] if base else []) + list(shapes) + ([((alpha,), (alpha,))] if alpha else [])
+    return [
+        _make(part, f) if isinstance(part, type) else _map(f, part)
+        for i, part in enumerate(parts)
+        for f in [F7 if i == odd else field]
+    ]
+
+
+def _make(cls, field=Q):
+    return cls(*_args(cls, field))
+
+
+def _bumped(shape):
+    """The shape with its last codomain factor, or else its last domain
+    factor, one larger."""
+    dom, cod = shape
+    if cod:
+        return dom, cod[:-1] + (cod[-1] + 1,)
+    return dom[:-1] + (dom[-1] + 1,), cod
+
+
+@pytest.mark.parametrize("cls", list(SHAPES), ids=lambda cls: cls.__name__)
+def test_every_structure_class_refuses_bad_data(cls):
+    base, shapes, alpha, wrong_base = SHAPES[cls]
+    args = _args(cls)
+    cls(*args)
+    first = 1 if base else 0
+    for i, shape in enumerate(shapes):
+        bad = list(args)
+        bad[first + i] = _map(Q, _bumped(shape))
+        with pytest.raises(ShapeError):
+            cls(*bad)
+    if wrong_base:
+        with pytest.raises(ShapeError):
+            cls(_make(wrong_base), *args[1:])
+    if alpha:
+        with pytest.raises(ShapeError):
+            cls(*args[:-1], _map(Q, ((alpha + 1,), (alpha + 1,))))
+    if len(args) > 1 and cls not in _FIELDS_UNCHECKED:
+        for i in range(len(args)):
+            with pytest.raises(ShapeError):
+                cls(*_args(cls, odd=i))
