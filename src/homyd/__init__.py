@@ -2,9 +2,10 @@
 comodules, Yetter-Drinfeld modules, and the braided structure they carry.
 
 Everything is represented over an exact field (rationals or a prime
-field) as dense tensors of structure constants; every axiom,
-compatibility law, braiding identity and coherence law is verified as an
-exact matrix identity, with counterexamples reported per basis tuple.
+field) as sparse linear maps between tensor powers of the carriers, read
+from and written as structure constants; every axiom, compatibility law,
+braiding identity and coherence law is verified as an exact matrix
+identity, with counterexamples reported per basis tuple.
 """
 
 from .errors import (
@@ -17,7 +18,7 @@ from .errors import (
     SpecFileError,
 )
 from .fields import RATIONALS, PrimeField, Rationals, field_from_descriptor
-from .linmap import LinearMap, compose, identity, invert, swap_map, tensor_map
+from .linmap import LinearMap
 from .modules import (
     ClassicalComodule,
     ClassicalModule,

@@ -156,13 +156,12 @@ def _run_file(args, quiet: bool) -> int:
     try:
         doc = parse_spec(text)
         bundle = run_tasks(doc, max_dim=args.max_dim)
+        report = bundle_to_json(bundle, doc.field) if args.json else None
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        payload = json.dumps(bundle_to_json(bundle, doc.field), indent=2) + "\n"
-        if not _write(args.json, payload):
-            return 2
+    if args.json and not _write(args.json, json.dumps(report, indent=2) + "\n"):
+        return 2
     if not quiet:
         print(bundle_to_table(bundle))
     return bundle.exit_code()

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import PreconditionError, ShapeError
 from .fields import RATIONALS, Field, PrimeField, is_prime
 from .linmap import LinearMap
-from .modules import ComoduleStruct, ModuleStruct
 from .quasitri import RElement, SigmaForm
 from .structures import (
     ClassicalBialgebra,
@@ -156,13 +155,7 @@ def crossed_gset(group: GroupPresentation, field: Field = RATIONALS) -> Classica
          for i in range(n)]
         for m in range(n)
     ]
-    mod = ModuleStruct.from_constants(
-        base.as_hom(), act, LinearMap.identity(field, (n,)).entries
-    )
-    com = ComoduleStruct.from_constants(
-        base.as_hom(), coact, LinearMap.identity(field, (n,)).entries
-    )
-    return ClassicalYD(base, mod.act, com.coact)
+    return ClassicalYD.from_constants(base, act, coact)
 
 
 def conjugation_yd(group: GroupPresentation, aut, field: Field = RATIONALS) -> YDModule:
@@ -195,13 +188,7 @@ def cyclic_graded_yd(
          for i in range(n)]
         for m in range(n)
     ]
-    mod = ModuleStruct.from_constants(
-        base.as_hom(), act, LinearMap.identity(field, (n,)).entries
-    )
-    com = ComoduleStruct.from_constants(
-        base.as_hom(), coact, LinearMap.identity(field, (n,)).entries
-    )
-    classical = ClassicalYD(base, mod.act, com.coact)
+    classical = ClassicalYD.from_constants(base, act, coact)
     alpha = LinearMap.basis_map(field, power_endomorphism(n, k))
     return twist_yd(classical, alpha, alpha)
 
@@ -261,7 +248,7 @@ def cyclic_bicharacter_sigma(n: int, p: int, omega: int, k: int):
         [pow(omega, (i * j) % n, p) for j in range(n)]
         for i in range(n)
     ]
-    return base, SigmaForm.from_matrix(base, matrix)
+    return base, SigmaForm.from_constants(base, matrix)
 
 
 def cyclic_r_matrix(n: int, field: Field, omega, k: int):
@@ -288,7 +275,7 @@ def cyclic_r_matrix(n: int, field: Field, omega, k: int):
         [field.mul(inv_n, power_cache[(-i * j) % n]) for j in range(n)]
         for i in range(n)
     ]
-    return base, RElement.from_matrix(base, matrix)
+    return base, RElement.from_constants(base, matrix)
 
 
 def _scalar_power(field: Field, x, e: int):

@@ -516,28 +516,3 @@ def _check_perm(perm, k) -> tuple[int, ...]:
     if sorted(perm) != list(range(k)):
         raise ShapeError(f"{perm} is not a permutation of {k} factors")
     return perm
-
-
-# Operation-style aliases used throughout the package.
-
-def compose(g: LinearMap, f: LinearMap) -> LinearMap:
-    """``g ∘ f``."""
-    return g.compose(f)
-
-
-def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
-    """``f ⊗ g``."""
-    return f.tensor(g)
-
-
-def invert(f: LinearMap) -> LinearMap:
-    return f.inverse()
-
-
-def identity(field, dims) -> LinearMap:
-    return LinearMap.identity(field, dims)
-
-
-def swap_map(field, d1: int, d2: int) -> LinearMap:
-    """The flip ``x⊗y -> y⊗x`` on a pair of factors."""
-    return LinearMap.permutation(field, (d1, d2), (1, 0))

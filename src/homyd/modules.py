@@ -20,6 +20,7 @@ from .structures import (
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
+    Structure,
     certified,
     certify,
     require,
@@ -34,122 +35,40 @@ def action_constants(act: LinearMap):
     return act.constants()
 
 
-def _check_action_shape(act, dim_a):
-    if len(act.dom) != 2 or len(act.cod) != 1 or act.dom != (dim_a, act.cod[0]):
-        raise ShapeError(
-            f"action must map ({dim_a}, d) -> (d,), got {act.dom} -> {act.cod}"
-        )
-    return act.cod[0]
-
-
-def _check_coaction_shape(coact, dim_c):
-    if (
-        len(coact.dom) != 1
-        or len(coact.cod) != 2
-        or coact.cod != (dim_c, coact.dom[0])
-    ):
-        raise ShapeError(
-            f"coaction must map (d,) -> ({dim_c}, d), got {coact.dom} -> {coact.cod}"
-        )
-    return coact.dom[0]
-
-
-class ModuleStruct:
+class ModuleStruct(Structure):
     """Left module over a Hom-(bi)algebra, with its own structure map."""
 
-    __slots__ = ("over", "field", "dim", "act", "alpha")
-
-    def __init__(self, over, act: LinearMap, alpha: LinearMap):
-        if not isinstance(over, (HomAlgebra, HomBialgebra)):
-            raise ShapeError(f"module base must be a Hom-(bi)algebra, got {type(over).__name__}")
-        d = _check_action_shape(act, over.dim)
-        if alpha.dom != (d,) or alpha.cod != (d,):
-            raise ShapeError(f"module structure map must be ({d},) -> ({d},)")
-        if not (over.field == act.field == alpha.field):
-            raise ShapeError("module data lives over different fields")
-        self.over = over
-        self.field = act.field
-        self.dim = d
-        self.act = act
-        self.alpha = alpha
-
-    @classmethod
-    def from_constants(cls, over, act_constants, alpha_rows):
-        act = LinearMap.from_constants(over.field, act_constants, 2)
-        d = _check_action_shape(act, over.dim)
-        return cls(over, act, LinearMap.from_rows(over.field, (d,), (d,), alpha_rows))
-
-    def __repr__(self):
-        return f"ModuleStruct(dim={self.dim} over dim={self.over.dim})"
+    __slots__ = ("over", "dim", "act", "alpha")
+    MAPS = (("act", "act", "hd->d"),)
+    OVER = (HomAlgebra, HomBialgebra)
+    ALPHA = True
 
 
-class ComoduleStruct:
+class ComoduleStruct(Structure):
     """Left comodule over a Hom-(bi/co)algebra, with its own structure map."""
 
-    __slots__ = ("over", "field", "dim", "coact", "alpha")
-
-    def __init__(self, over, coact: LinearMap, alpha: LinearMap):
-        if not isinstance(over, (HomCoalgebra, HomBialgebra)):
-            raise ShapeError(
-                f"comodule base must be a Hom-(bi/co)algebra, got {type(over).__name__}"
-            )
-        d = _check_coaction_shape(coact, over.dim)
-        if alpha.dom != (d,) or alpha.cod != (d,):
-            raise ShapeError(f"comodule structure map must be ({d},) -> ({d},)")
-        if not (over.field == coact.field == alpha.field):
-            raise ShapeError("comodule data lives over different fields")
-        self.over = over
-        self.field = coact.field
-        self.dim = d
-        self.coact = coact
-        self.alpha = alpha
-
-    @classmethod
-    def from_constants(cls, over, coact_constants, alpha_rows):
-        coact = LinearMap.from_constants(over.field, coact_constants, 1)
-        d = _check_coaction_shape(coact, over.dim)
-        return cls(over, coact, LinearMap.from_rows(over.field, (d,), (d,), alpha_rows))
-
-    def __repr__(self):
-        return f"ComoduleStruct(dim={self.dim} over dim={self.over.dim})"
+    __slots__ = ("over", "dim", "coact", "alpha")
+    MAPS = (("coact", "coact", "d->hd"),)
+    OVER = (HomCoalgebra, HomBialgebra)
+    ALPHA = True
 
 
-class ClassicalModule:
+class ClassicalModule(Structure):
     """Module over a strictly associative algebra; no structure maps anywhere."""
 
-    __slots__ = ("over", "field", "dim", "act")
-
-    def __init__(self, over, act: LinearMap):
-        if not isinstance(over, (ClassicalAlgebra, ClassicalBialgebra)):
-            raise ShapeError("classical module base must be classical")
-        self.dim = _check_action_shape(act, over.dim)
-        self.over = over
-        self.field = act.field
-        self.act = act
-
-    def as_hom(self) -> ModuleStruct:
-        return ModuleStruct(
-            self.over.as_hom(), self.act, LinearMap.identity(self.field, (self.dim,))
-        )
+    __slots__ = ("over", "dim", "act")
+    MAPS = ModuleStruct.MAPS
+    OVER = (ClassicalAlgebra, ClassicalBialgebra)
+    HOM = ModuleStruct
 
 
-class ClassicalComodule:
+class ClassicalComodule(Structure):
     """Comodule over a strictly coassociative coalgebra."""
 
-    __slots__ = ("over", "field", "dim", "coact")
-
-    def __init__(self, over, coact: LinearMap):
-        if not isinstance(over, (ClassicalCoalgebra, ClassicalBialgebra)):
-            raise ShapeError("classical comodule base must be classical")
-        self.dim = _check_coaction_shape(coact, over.dim)
-        self.over = over
-        self.field = coact.field
-        self.coact = coact
-
-    def as_hom(self) -> ComoduleStruct:
-        return ComoduleStruct(
-            self.over.as_hom(), self.coact, LinearMap.identity(self.field, (self.dim,))
-        )
+    __slots__ = ("over", "dim", "coact")
+    MAPS = ComoduleStruct.MAPS
+    OVER = (ClassicalCoalgebra, ClassicalBialgebra)
+    HOM = ComoduleStruct
 
 
 # -- checkers ----------------------------------------------------------

@@ -20,62 +20,30 @@ from .modules import (
     require_same_base,
 )
 from .reports import CheckReport, compare_maps
-from .structures import HomBialgebra, certified, tensor_square_product
+from .structures import HomBialgebra, Structure, certified, tensor_square_product
 from .yd import YDModule, _hat_raw, _tilde_raw, yd_suite
 
 
-class RElement:
+class RElement(Structure):
     """R = sum R[i][j] e_i ⊗ e_j in H⊗H."""
 
-    __slots__ = ("over", "field", "element")
-
-    def __init__(self, over: HomBialgebra, element: LinearMap):
-        if element.dom != () or element.cod != (over.dim, over.dim):
-            raise ShapeError(
-                f"R must be an element of H⊗H, got map {element.dom} -> {element.cod}"
-            )
-        if element.field != over.field:
-            raise ShapeError("R lives over a different field than its base")
-        self.over = over
-        self.field = over.field
-        self.element = element
-
-    @classmethod
-    def from_matrix(cls, over: HomBialgebra, matrix):
-        return cls(over, LinearMap.from_constants(over.field, matrix, 0))
+    __slots__ = ("over", "element")
+    MAPS = (("matrix", "element", "->hh"),)
+    OVER = (HomBialgebra,)
 
     def matrix(self):
         return self.element.constants()
 
-    def __repr__(self):
-        return f"RElement(over dim={self.over.dim})"
 
-
-class SigmaForm:
+class SigmaForm(Structure):
     """sigma(e_i ⊗ e_j) = matrix[i][j], a bilinear form H⊗H -> k."""
 
-    __slots__ = ("over", "field", "form")
-
-    def __init__(self, over: HomBialgebra, form: LinearMap):
-        if form.cod != () or form.dom != (over.dim, over.dim):
-            raise ShapeError(
-                f"sigma must be a functional on H⊗H, got map {form.dom} -> {form.cod}"
-            )
-        if form.field != over.field:
-            raise ShapeError("sigma lives over a different field than its base")
-        self.over = over
-        self.field = over.field
-        self.form = form
-
-    @classmethod
-    def from_matrix(cls, over: HomBialgebra, matrix):
-        return cls(over, LinearMap.from_constants(over.field, matrix, 2))
+    __slots__ = ("over", "form")
+    MAPS = (("matrix", "form", "hh->"),)
+    OVER = (HomBialgebra,)
 
     def matrix(self):
         return self.form.constants()
-
-    def __repr__(self):
-        return f"SigmaForm(over dim={self.over.dim})"
 
 
 # -- quasitriangular axioms ------------------------------------------------

@@ -11,6 +11,7 @@ Any other exception is a bug and propagates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -129,16 +130,15 @@ class TaskKind:
     flavored: bool = False  # takes a "hat"/"tilde" flavor
 
 
+_CLASSICAL = {cls.HOM: cls for cls in (ClassicalAlgebra, ClassicalCoalgebra, ClassicalBialgebra)}
+
+
 def _classicalize(obj, what):
     """Interpret a Hom-structure with identity map as a classical one."""
-    alpha = obj.alpha
-    if not alpha.is_identity():
+    if not obj.alpha.is_identity():
         raise InapplicableError(f"{what} requires an identity structure map")
-    if hasattr(obj, "mu") and hasattr(obj, "delta"):
-        return ClassicalBialgebra(obj.mu, obj.delta)
-    if hasattr(obj, "mu"):
-        return ClassicalAlgebra(obj.mu)
-    return ClassicalCoalgebra(obj.delta)
+    cls = _CLASSICAL[type(obj)]
+    return cls(*(getattr(obj, attr) for _, attr, _ in cls.MAPS))
 
 
 def _matrix_arg(field, raw, dim, what):
@@ -359,6 +359,7 @@ def run_tasks(doc: SpecDocument, max_dim: int = 16) -> ReportBundle:
 # -- rendering ---------------------------------------------------------------
 
 def bundle_to_json(bundle: ReportBundle, field) -> dict:
+    """The machine report; a value too long to render raises ``SpecFileError``."""
     tasks = []
     for r in bundle.results:
         entry = {"name": r.name, "kind": r.kind, "status": r.status}
@@ -367,15 +368,21 @@ def bundle_to_json(bundle: ReportBundle, field) -> dict:
         if r.report is not None:
             entry["law"] = r.report.law
             entry["notes"] = list(r.report.notes)
-            entry["failures"] = [
-                {
-                    "law": f.law,
-                    "index": list(f.index),
-                    "lhs": [field.format(x) for x in f.lhs],
-                    "rhs": [field.format(x) for x in f.rhs],
-                }
-                for f in r.report.failures
-            ]
+            try:
+                entry["failures"] = [
+                    {
+                        "law": f.law,
+                        "index": list(f.index),
+                        "lhs": [field.format(x) for x in f.lhs],
+                        "rhs": [field.format(x) for x in f.rhs],
+                    }
+                    for f in r.report.failures
+                ]
+            except ValueError:  # Python's limit on int-string conversion
+                raise SpecFileError(
+                    f"task {r.name!r} computed a value of more than "
+                    f"{sys.get_int_max_str_digits()} digits, too long to render in the report"
+                ) from None
         tasks.append(entry)
     return {
         "field": bundle.field_descriptor,

@@ -6,24 +6,23 @@ floating point.  Parsing validates shapes, name resolution (in document
 order, including names defined by construction tasks) and scalar syntax;
 serialization is canonical and byte-deterministic.
 
-Two tables drive the format.  ``STRUCTURES`` declares every structure kind
-once: its class, the kinds it may sit over and its constants keys with
-their shapes.  Parsing, the allowed-keys check and ``structure_to_json`` all
-read it, and every constants array goes through ``LinearMap.from_constants``
-and ``LinearMap.constants`` (domain indices first, then codomain; only
-``alpha`` is stored as rows).  ``runner.TASKS`` plays the same part for
-tasks.
+Two tables drive the format.  ``STRUCTURES`` maps every structure kind to
+its class, which declares the classes its base may be, whether it has a
+structure map and its constants keys with their shapes (see
+``structures.Structure``).  Parsing, the allowed-keys check and
+``structure_to_json`` all read these declarations, and every constants array
+goes through ``LinearMap.from_constants`` and ``LinearMap.constants``
+(domain indices first, then codomain; only ``alpha`` is stored as rows).
+``runner.TASKS`` plays the same part for tasks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from typing import NamedTuple
 
 from .errors import HomydError, ShapeError, SpecFileError
 from .fields import Field, FieldValueError, field_from_descriptor
-from .linmap import LinearMap
 from .modules import ComoduleStruct, ModuleStruct
 from .quasitri import RElement, SigmaForm
 from .runner import TASKS
@@ -31,42 +30,17 @@ from .structures import HomAlgebra, HomBialgebra, HomCoalgebra
 from .yd import YDModule
 
 
-class StructureKind(NamedTuple):
-    """How one structure kind is written in a file and built.
-
-    ``maps`` lists the constants keys as ``(key, attribute, shape)``: the
-    attribute of the built object holding that map, and its shape
-    ``"<domain>-><codomain>"`` with one letter per tensor factor, ``h`` for
-    the base dimension and ``d`` for the carrier dimension.  A carrier kind
-    also has a ``dim`` and an optional ``alpha`` stored as rows; the object is
-    built as ``cls(base?, *maps, alpha?)``."""
-
-    cls: type
-    over: tuple  # the kinds its base may be; empty when it has no base
-    maps: tuple
-    carrier: bool = True
-
-    def keys(self) -> set:
-        return ({"kind"} | ({"over"} if self.over else set())
-                | ({"dim", "alpha"} if self.carrier else set())
-                | {key for key, _, _ in self.maps})
-
-
-_MU, _DELTA = ("mu", "mu", "dd->d"), ("delta", "delta", "d->dd")
-_ACT, _COACT = ("act", "act", "hd->d"), ("coact", "coact", "d->hd")
-
 STRUCTURES = {
-    "algebra": StructureKind(HomAlgebra, (), (_MU,)),
-    "coalgebra": StructureKind(HomCoalgebra, (), (_DELTA,)),
-    "bialgebra": StructureKind(HomBialgebra, (), (_MU, _DELTA)),
-    "module": StructureKind(ModuleStruct, ("algebra", "bialgebra"), (_ACT,)),
-    "comodule": StructureKind(ComoduleStruct, ("coalgebra", "bialgebra"), (_COACT,)),
-    "yd_module": StructureKind(YDModule, ("bialgebra",), (_ACT, _COACT)),
-    "r_element": StructureKind(RElement, ("bialgebra",), (("matrix", "element", "->hh"),),
-                               carrier=False),
-    "sigma_form": StructureKind(SigmaForm, ("bialgebra",), (("matrix", "form", "hh->"),),
-                                carrier=False),
+    "algebra": HomAlgebra,
+    "coalgebra": HomCoalgebra,
+    "bialgebra": HomBialgebra,
+    "module": ModuleStruct,
+    "comodule": ComoduleStruct,
+    "yd_module": YDModule,
+    "r_element": RElement,
+    "sigma_form": SigmaForm,
 }
+_KIND = {cls: kind for kind, cls in STRUCTURES.items()}
 
 STRUCTURE_KINDS = tuple(STRUCTURES)
 
@@ -138,47 +112,48 @@ def _positive_dim(raw, path):
     return raw
 
 
+def _keys(cls) -> set:
+    """The keys a structure of class ``cls`` may hold in a file."""
+    return ({"kind"} | ({"over"} if cls.OVER else set())
+            | ({"dim", "alpha"} if cls.ALPHA else set())
+            | {key for key, _, _ in cls.MAPS})
+
+
 def _parse_structure(field, name, raw, resolved):
     if not isinstance(raw, dict):
         _fail("structure entries must be objects", name)
     kind = raw.get("kind")
-    entry = STRUCTURES.get(kind) if isinstance(kind, str) else None
-    if entry is None:
+    cls = STRUCTURES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         _fail(f"unknown structure kind {kind!r}", name)
-    extra = set(raw) - entry.keys()
+    extra = set(raw) - _keys(cls)
     if extra:
         _fail(f"unexpected keys {sorted(extra)}", name)
-    args, sizes = [], {}
-    if entry.over:
+    base_or_field, sizes = field, {}
+    if cls.OVER:
         ref = raw.get("over")
         if not isinstance(ref, str) or ref not in resolved:
             _fail(f"structure {name!r} references undefined structure {ref!r}")
-        base_kind, base = resolved[ref]
-        if base_kind not in entry.over:
+        base_kind, base_or_field = resolved[ref]
+        over = tuple(_KIND[c] for c in cls.OVER)
+        if base_kind not in over:
             _fail(
-                f"structure {name!r} must sit over one of {entry.over}, "
+                f"structure {name!r} must sit over one of {over}, "
                 f"but {ref!r} is a {base_kind}"
             )
-        args.append(base)
-        sizes["h"] = base.dim
-    if entry.carrier:
+        sizes["h"] = base_or_field.dim
+    if cls.ALPHA:
         sizes["d"] = _positive_dim(raw.get("dim"), f"{name}.dim")
-    parsed = []
-    for key, _, shape in entry.maps:
-        dom, cod = shape.split("->")
-        dims = [sizes[c] for c in dom + cod]
+    constants = []
+    for key, _, shape in cls.MAPS:
+        dims = [sizes[c] for c in shape.replace("->", "")]
         parse = _parse_matrix if len(dims) == 2 else _parse_rank3
-        parsed.append((parse(field, raw.get(key), *dims, f"{name}.{key}"), len(dom)))
-    rows = None
-    if entry.carrier and raw.get("alpha") is not None:
-        rows = _parse_matrix(field, raw["alpha"], sizes["d"], sizes["d"], f"{name}.alpha")
+        constants.append(parse(field, raw.get(key), *dims, f"{name}.{key}"))
+    if cls.ALPHA and raw.get("alpha") is not None:
+        d = sizes["d"]
+        constants.append(_parse_matrix(field, raw["alpha"], d, d, f"{name}.alpha"))
     try:
-        args += [LinearMap.from_constants(field, data, ndom) for data, ndom in parsed]
-        if entry.carrier:
-            d = (sizes["d"],)
-            args.append(LinearMap.identity(field, d) if rows is None
-                        else LinearMap.from_rows(field, d, d, rows))
-        return kind, entry.cls(*args)
+        return kind, cls.from_constants(base_or_field, *constants)
     except HomydError as exc:
         _fail(f"structure {name!r}: {exc}")
 
@@ -309,18 +284,17 @@ def _fmt(field, data):
 
 def structure_to_json(field, obj, over_name=None):
     """Render a typed structure back into its file form."""
-    kind = next((k for k, entry in STRUCTURES.items() if isinstance(obj, entry.cls)), None)
-    if kind is None:
-        raise ShapeError(f"cannot serialize {type(obj).__name__}")
-    entry = STRUCTURES[kind]
-    out = {"kind": kind}
-    if entry.over and over_name is not None:
+    cls = type(obj)
+    if cls not in _KIND:
+        raise ShapeError(f"cannot serialize {cls.__name__}")
+    out = {"kind": _KIND[cls]}
+    if cls.OVER and over_name is not None:
         out["over"] = over_name
-    if entry.carrier:
+    if cls.ALPHA:
         out["dim"] = obj.dim
-    for key, attr, _ in entry.maps:
+    for key, attr, _ in cls.MAPS:
         out[key] = _fmt(field, getattr(obj, attr).constants())
-    if entry.carrier and not obj.alpha.is_identity():
+    if cls.ALPHA and not obj.alpha.is_identity():
         out["alpha"] = _fmt(field, obj.alpha.entries.tolist())
     return out
 

@@ -17,22 +17,6 @@ from .linmap import LinearMap
 from .reports import CheckReport, compare_maps
 
 
-def _check_mu_shape(mu: LinearMap):
-    d = mu.cod[0] if len(mu.cod) == 1 else None
-    if d is None or mu.dom != (d, d):
-        raise ShapeError(f"product must map (d, d) -> (d,), got {mu.dom} -> {mu.cod}")
-    return d
-
-
-def _check_delta_shape(delta: LinearMap):
-    d = delta.dom[0] if len(delta.dom) == 1 else None
-    if d is None or delta.cod != (d, d):
-        raise ShapeError(
-            f"coproduct must map (d,) -> (d, d), got {delta.dom} -> {delta.cod}"
-        )
-    return d
-
-
 def _check_endo_shape(alpha: LinearMap, d: int, what: str):
     if alpha.dom != (d,) or alpha.cod != (d,):
         raise ShapeError(
@@ -40,81 +24,131 @@ def _check_endo_shape(alpha: LinearMap, d: int, what: str):
         )
 
 
-class HomAlgebra:
+class Structure:
+    """A tuple of structure maps, over an optional base structure and twisted
+    by an optional structure map ``alpha``, built as ``cls(base?, *maps, alpha?)``.
+
+    Each kind declares itself once, and construction, ``from_constants``,
+    parsing and serialization all read the declaration:
+
+    - ``MAPS``: ``(file key, attribute, shape)`` per map, in argument order.
+      A shape reads ``"<domain>-><codomain>"`` with one letter per tensor
+      factor: ``h`` for the base dimension, ``d`` for the carrier dimension
+      (the ``dim`` of the object).
+    - ``OVER``: the classes its base may be; empty when it has no base.
+    - ``ALPHA``: whether it carries a structure map ``alpha: d -> d``.
+    - ``HOM``: for a classical kind, the Hom kind it becomes with alpha = id.
+    """
+
+    __slots__ = ("field",)
+    MAPS: tuple = ()
+    OVER: tuple = ()
+    ALPHA = False
+    HOM = None
+
+    def __init__(self, *args):
+        over = args[:1] if self.OVER else ()
+        maps = args[len(over):len(over) + len(self.MAPS)]
+        alpha = args[len(over) + len(self.MAPS):]
+        name = type(self).__name__
+        if len(maps) != len(self.MAPS) or len(alpha) != self.ALPHA:
+            raise TypeError(f"{name} takes {len(over) + len(self.MAPS) + self.ALPHA} arguments")
+        if over and not isinstance(over[0], self.OVER):
+            allowed = ", ".join(cls.__name__ for cls in self.OVER)
+            raise ShapeError(f"{name} base must be a {allowed}, got {type(over[0]).__name__}")
+        sizes = self._sizes(over, maps)
+        if alpha:
+            _check_endo_shape(alpha[0], sizes["d"], f"{name} structure map")
+        parts = over + maps + alpha
+        if any(part.field != parts[0].field for part in parts):
+            raise ShapeError(f"{name} data lives over different fields")
+        self.field = parts[0].field
+        if over:
+            self.over = over[0]
+        for (_, attr, _), m in zip(self.MAPS, maps):
+            setattr(self, attr, m)
+        if alpha:
+            self.alpha = alpha[0]
+        if "d" in sizes:
+            self.dim = sizes["d"]
+
+    @classmethod
+    def _sizes(cls, over, maps) -> dict:
+        """The dims ``h`` and ``d`` that the base and the maps' factors bind;
+        a map whose factors do not fit its shape raises ``ShapeError``."""
+        sizes = {"h": over[0].dim} if over else {}
+        for (_, attr, shape), m in zip(cls.MAPS, maps):
+            letters, got = shape.replace("->", ""), m.dom + m.cod
+            if len(got) != len(letters) or any(
+                sizes.setdefault(c, n) != n for c, n in zip(letters, got)
+            ):
+                bound = ", ".join(f"{c}={n}" for c, n in sizes.items())
+                raise ShapeError(
+                    f"{cls.__name__}.{attr} must have shape {shape} ({bound}), "
+                    f"got {m.dom} -> {m.cod}"
+                )
+        return sizes
+
+    @classmethod
+    def from_constants(cls, base_or_field, *constants):
+        """Build from the base (or, for a kind without one, the field), then
+        the structure constants of each map in ``MAPS`` order (see
+        ``LinearMap.from_constants``), then for a kind with ``ALPHA`` the rows
+        of alpha, the identity when omitted."""
+        if not len(cls.MAPS) <= len(constants) <= len(cls.MAPS) + cls.ALPHA:
+            raise TypeError(f"{cls.__name__}.from_constants got {len(constants)} arrays")
+        over = (base_or_field,) if cls.OVER else ()
+        field = base_or_field.field if cls.OVER else base_or_field
+        maps = tuple(
+            LinearMap.from_constants(field, data, shape.index("-"))
+            for (_, _, shape), data in zip(cls.MAPS, constants)
+        )
+        alpha = ()
+        if cls.ALPHA:
+            d = (cls._sizes(over, maps)["d"],)
+            rows = constants[len(cls.MAPS):]
+            alpha = (LinearMap.from_rows(field, d, d, *rows) if rows
+                     else LinearMap.identity(field, d),)
+        return cls(*over, *maps, *alpha)
+
+    def as_hom(self):
+        """A classical structure as its ``HOM`` kind, with identity structure
+        maps on the carrier and on the base."""
+        over = (self.over.as_hom(),) if self.OVER else ()
+        maps = (getattr(self, attr) for _, attr, _ in self.MAPS)
+        return self.HOM(*over, *maps, LinearMap.identity(self.field, (self.dim,)))
+
+    def __repr__(self):
+        shown = [f"dim={self.dim}"] if hasattr(self, "dim") else []
+        if self.OVER:
+            shown.append(f"over dim={self.over.dim}")
+        shown.append(f"field={self.field.descriptor}")
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class HomAlgebra(Structure):
     """A triple (carrier, mu, alpha) with alpha-twisted associativity."""
 
-    __slots__ = ("field", "dim", "mu", "alpha")
-
-    def __init__(self, mu: LinearMap, alpha: LinearMap):
-        d = _check_mu_shape(mu)
-        _check_endo_shape(alpha, d, "structure map")
-        if mu.field != alpha.field:
-            raise ShapeError("product and structure map live over different fields")
-        self.field = mu.field
-        self.dim = d
-        self.mu = mu
-        self.alpha = alpha
-
-    @classmethod
-    def from_constants(cls, field, mu_constants, alpha_rows):
-        mu = LinearMap.from_constants(field, mu_constants, 2)
-        d = _check_mu_shape(mu)
-        return cls(mu, LinearMap.from_rows(field, (d,), (d,), alpha_rows))
-
-    def __repr__(self):
-        return f"HomAlgebra(dim={self.dim}, field={self.field.descriptor})"
+    __slots__ = ("dim", "mu", "alpha")
+    MAPS = (("mu", "mu", "dd->d"),)
+    ALPHA = True
 
 
-class HomCoalgebra:
+class HomCoalgebra(Structure):
     """A triple (carrier, delta, alpha) with alpha-twisted coassociativity."""
 
-    __slots__ = ("field", "dim", "delta", "alpha")
-
-    def __init__(self, delta: LinearMap, alpha: LinearMap):
-        d = _check_delta_shape(delta)
-        _check_endo_shape(alpha, d, "structure map")
-        if delta.field != alpha.field:
-            raise ShapeError("coproduct and structure map live over different fields")
-        self.field = delta.field
-        self.dim = d
-        self.delta = delta
-        self.alpha = alpha
-
-    @classmethod
-    def from_constants(cls, field, delta_constants, alpha_rows):
-        delta = LinearMap.from_constants(field, delta_constants, 1)
-        d = _check_delta_shape(delta)
-        return cls(delta, LinearMap.from_rows(field, (d,), (d,), alpha_rows))
-
-    def __repr__(self):
-        return f"HomCoalgebra(dim={self.dim}, field={self.field.descriptor})"
+    __slots__ = ("dim", "delta", "alpha")
+    MAPS = (("delta", "delta", "d->dd"),)
+    ALPHA = True
 
 
-class HomBialgebra:
+class HomBialgebra(Structure):
     """Hom-algebra and Hom-coalgebra on one carrier with a shared structure map,
     such that the coproduct is multiplicative."""
 
-    __slots__ = ("field", "dim", "mu", "delta", "alpha")
-
-    def __init__(self, mu: LinearMap, delta: LinearMap, alpha: LinearMap):
-        d = _check_mu_shape(mu)
-        if _check_delta_shape(delta) != d:
-            raise ShapeError("product and coproduct dimensions differ")
-        _check_endo_shape(alpha, d, "structure map")
-        if not (mu.field == delta.field == alpha.field):
-            raise ShapeError("bialgebra data lives over different fields")
-        self.field = mu.field
-        self.dim = d
-        self.mu = mu
-        self.delta = delta
-        self.alpha = alpha
-
-    @classmethod
-    def from_constants(cls, field, mu_constants, delta_constants, alpha_rows):
-        mu = LinearMap.from_constants(field, mu_constants, 2)
-        d = _check_mu_shape(mu)
-        delta = LinearMap.from_constants(field, delta_constants, 1)
-        return cls(mu, delta, LinearMap.from_rows(field, (d,), (d,), alpha_rows))
+    __slots__ = ("dim", "mu", "delta", "alpha")
+    MAPS = HomAlgebra.MAPS + HomCoalgebra.MAPS
+    ALPHA = True
 
     @property
     def algebra(self) -> HomAlgebra:
@@ -124,71 +158,29 @@ class HomBialgebra:
     def coalgebra(self) -> HomCoalgebra:
         return HomCoalgebra(self.delta, self.alpha)
 
-    def __repr__(self):
-        return f"HomBialgebra(dim={self.dim}, field={self.field.descriptor})"
 
-
-class ClassicalAlgebra:
+class ClassicalAlgebra(Structure):
     """Strictly associative algebra, no structure map."""
 
-    __slots__ = ("field", "dim", "mu")
-
-    def __init__(self, mu: LinearMap):
-        self.dim = _check_mu_shape(mu)
-        self.field = mu.field
-        self.mu = mu
-
-    @classmethod
-    def from_constants(cls, field, mu_constants):
-        return cls(LinearMap.from_constants(field, mu_constants, 2))
-
-    def as_hom(self) -> HomAlgebra:
-        return HomAlgebra(self.mu, LinearMap.identity(self.field, (self.dim,)))
+    __slots__ = ("dim", "mu")
+    MAPS = HomAlgebra.MAPS
+    HOM = HomAlgebra
 
 
-class ClassicalCoalgebra:
+class ClassicalCoalgebra(Structure):
     """Strictly coassociative coalgebra, no structure map."""
 
-    __slots__ = ("field", "dim", "delta")
-
-    def __init__(self, delta: LinearMap):
-        self.dim = _check_delta_shape(delta)
-        self.field = delta.field
-        self.delta = delta
-
-    @classmethod
-    def from_constants(cls, field, delta_constants):
-        return cls(LinearMap.from_constants(field, delta_constants, 1))
-
-    def as_hom(self) -> HomCoalgebra:
-        return HomCoalgebra(self.delta, LinearMap.identity(self.field, (self.dim,)))
+    __slots__ = ("dim", "delta")
+    MAPS = HomCoalgebra.MAPS
+    HOM = HomCoalgebra
 
 
-class ClassicalBialgebra:
+class ClassicalBialgebra(Structure):
     """Strict bialgebra (associative, coassociative, delta multiplicative)."""
 
-    __slots__ = ("field", "dim", "mu", "delta")
-
-    def __init__(self, mu: LinearMap, delta: LinearMap):
-        d = _check_mu_shape(mu)
-        if _check_delta_shape(delta) != d:
-            raise ShapeError("product and coproduct dimensions differ")
-        self.field = mu.field
-        self.dim = d
-        self.mu = mu
-        self.delta = delta
-
-    @classmethod
-    def from_constants(cls, field, mu_constants, delta_constants):
-        return cls(
-            LinearMap.from_constants(field, mu_constants, 2),
-            LinearMap.from_constants(field, delta_constants, 1),
-        )
-
-    def as_hom(self) -> HomBialgebra:
-        return HomBialgebra(
-            self.mu, self.delta, LinearMap.identity(self.field, (self.dim,))
-        )
+    __slots__ = ("dim", "mu", "delta")
+    MAPS = HomBialgebra.MAPS
+    HOM = HomBialgebra
 
 
 # -- law builders ------------------------------------------------------

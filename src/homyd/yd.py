@@ -32,6 +32,7 @@ from .reports import CheckReport, compare_maps
 from .structures import (
     ClassicalBialgebra,
     HomBialgebra,
+    Structure,
     _twist_bialgebra,
     certified,
     certify,
@@ -39,24 +40,13 @@ from .structures import (
 )
 
 
-class YDModule:
+class YDModule(Structure):
     """Module + comodule on one carrier over a shared Hom-bialgebra."""
 
-    __slots__ = ("over", "field", "dim", "act", "coact", "alpha")
-
-    def __init__(self, over: HomBialgebra, act: LinearMap, coact: LinearMap, alpha: LinearMap):
-        if not isinstance(over, HomBialgebra):
-            raise ShapeError("Yetter-Drinfeld base must be a Hom-bialgebra")
-        mod = ModuleStruct(over, act, alpha)
-        com = ComoduleStruct(over, coact, alpha)
-        if mod.dim != com.dim:
-            raise ShapeError("action and coaction carriers have different dimensions")
-        self.over = over
-        self.field = over.field
-        self.dim = mod.dim
-        self.act = act
-        self.coact = coact
-        self.alpha = alpha
+    __slots__ = ("over", "dim", "act", "coact", "alpha")
+    MAPS = ModuleStruct.MAPS + ComoduleStruct.MAPS
+    OVER = (HomBialgebra,)
+    ALPHA = True
 
     @property
     def module(self) -> ModuleStruct:
@@ -66,34 +56,14 @@ class YDModule:
     def comodule(self) -> ComoduleStruct:
         return ComoduleStruct(self.over, self.coact, self.alpha)
 
-    def __repr__(self):
-        return f"YDModule(dim={self.dim} over dim={self.over.dim})"
 
-
-class ClassicalYD:
+class ClassicalYD(Structure):
     """Module + comodule over a strict bialgebra; no structure maps."""
 
-    __slots__ = ("over", "field", "dim", "act", "coact")
-
-    def __init__(self, over: ClassicalBialgebra, act: LinearMap, coact: LinearMap):
-        if not isinstance(over, ClassicalBialgebra):
-            raise ShapeError("classical Yetter-Drinfeld base must be classical")
-        hom = over.as_hom()
-        ident = LinearMap.identity(over.field, (act.cod[0],))
-        probe = YDModule(hom, act, coact, ident)
-        self.over = over
-        self.field = over.field
-        self.dim = probe.dim
-        self.act = act
-        self.coact = coact
-
-    def as_hom(self) -> YDModule:
-        return YDModule(
-            self.over.as_hom(),
-            self.act,
-            self.coact,
-            LinearMap.identity(self.field, (self.dim,)),
-        )
+    __slots__ = ("over", "dim", "act", "coact")
+    MAPS = YDModule.MAPS
+    OVER = (ClassicalBialgebra,)
+    HOM = YDModule
 
 
 # -- the compatibility law ----------------------------------------------
@@ -281,47 +251,52 @@ def _yd_tensor(flavor, m, n):
     require_same_base(m, n)
     if not m.over.alpha.is_invertible():
         raise InapplicableError(f"{flavor} tensor product needs a bijective base structure map")
-    out = (_hat_raw if flavor == "hat" else _tilde_raw)(m, n)
+    raw_tensor, _ = _flavor(flavor)
+    out = raw_tensor(m, n)
     return out, yd_suite(out, gate=False)
+
+
+# each tensor-product structure: its unchecked tensor and the exponent e of
+# its associator (m⊗n)⊗p -> α_M^e(m)⊗(n⊗α_P^{-e}(p))
+_FLAVORS = {"hat": (_hat_raw, -1), "tilde": (_tilde_raw, +1)}
+
+
+def _flavor(name):
+    """The ``(raw tensor, associator exponent)`` pair of a flavor."""
+    if name not in _FLAVORS:
+        raise ShapeError(f"tensor flavor must be 'hat' or 'tilde', got {name!r}")
+    return _FLAVORS[name]
 
 
 # -- associators ----------------------------------------------------------
 
-def _assoc_pieces(field, alpha_m, middle_dims, alpha_p, exponent):
-    """kron(alpha_M^exponent, id_middle, alpha_P^{-exponent}) with explicit
-    factor bookkeeping; ``exponent`` is -1 for the hat flavor, +1 for tilde."""
-    ident = LinearMap.identity(field, tuple(middle_dims))
-    return alpha_m.power(exponent).tensor(ident).tensor(alpha_p.power(-exponent))
+def _associator(e, alpha_m, middle_dims, alpha_p) -> LinearMap:
+    """α_M^e ⊗ id_middle ⊗ α_P^{-e}: the associator of the flavor whose
+    exponent is ``e``, or the inverse of the one whose exponent is ``-e``."""
+    ident = LinearMap.identity(alpha_m.field, tuple(middle_dims))
+    return alpha_m.power(e).tensor(ident).tensor(alpha_p.power(-e))
 
 
 def associator_a(m: YDModule, n: YDModule, p: YDModule) -> LinearMap:
     """(M⊗̂N)⊗̂P -> M⊗̂(N⊗̂P), (m⊗n)⊗p -> α_M^{-1}(m)⊗(n⊗α_P(p)); certified as a
     morphism of modules and comodules between the two towers."""
-    a = _assoc_pieces(m.field, m.alpha, (n.dim,), p.alpha, -1)
-    _certify_assoc(a, m, n, p, _hat_raw)
-    return a
+    return _certified_associator("hat", m, n, p)
 
 
 def associator_frak_a(m: YDModule, n: YDModule, p: YDModule) -> LinearMap:
     """(M⊗̃N)⊗̃P -> M⊗̃(N⊗̃P), (m⊗n)⊗p -> α_M(m)⊗(n⊗α_P^{-1}(p))."""
-    a = _assoc_pieces(m.field, m.alpha, (n.dim,), p.alpha, +1)
-    _certify_assoc(a, m, n, p, _tilde_raw)
-    return a
+    return _certified_associator("tilde", m, n, p)
 
 
-def _certify_assoc(a, m, n, p, raw_tensor):
+def _certified_associator(flavor, m, n, p):
+    raw_tensor, e = _flavor(flavor)
+    a = _associator(e, m.alpha, (n.dim,), p.alpha)
     # raw towers: the inputs are certified already and the morphism scans
     # below are the verification this constructor owes
     left = raw_tensor(raw_tensor(m, n), p)
     right = raw_tensor(m, raw_tensor(n, p))
     certify(_morphism_report("associator_morphism", a, [(left, right)]))
-
-
-def _assoc_matrix(flavor, alpha_m, middle_dims, alpha_p, field, inverse=False):
-    exponent = -1 if flavor == "hat" else +1
-    if inverse:
-        exponent = -exponent
-    return _assoc_pieces(field, alpha_m, middle_dims, alpha_p, exponent)
+    return a
 
 
 # -- the braiding c -------------------------------------------------------
@@ -364,28 +339,23 @@ def check_pentagon(
 ) -> CheckReport:
     """Both pentagon composites agree and equal the diagonal
     α_M^{∓2}⊗α_N^{∓1}⊗α_P^{±1}⊗α_Q^{±2} (upper signs for the hat flavor)."""
-    _check_flavor(flavor)
-    field = m.field
-    dims = (m.dim, n.dim, p.dim, q.dim)
-    ident_q = LinearMap.identity(field, (q.dim,))
-    ident_m = LinearMap.identity(field, (m.dim,))
+    _, e = _flavor(flavor)
+    ident_q = LinearMap.identity(m.field, (q.dim,))
+    ident_m = LinearMap.identity(m.field, (m.dim,))
 
-    a_mnp = _assoc_matrix(flavor, m.alpha, (n.dim,), p.alpha, field)
-    a_m_np_q = _assoc_matrix(flavor, m.alpha, (n.dim, p.dim), q.alpha, field)
-    a_npq = _assoc_matrix(flavor, n.alpha, (p.dim,), q.alpha, field)
-    alpha_mn = m.alpha.tensor(n.alpha)
-    a_mn_p_q = _assoc_matrix(flavor, alpha_mn, (p.dim,), q.alpha, field)
-    alpha_pq = p.alpha.tensor(q.alpha)
-    a_m_n_pq = _assoc_matrix(flavor, m.alpha, (n.dim,), alpha_pq, field)
+    a_mnp = _associator(e, m.alpha, (n.dim,), p.alpha)
+    a_m_np_q = _associator(e, m.alpha, (n.dim, p.dim), q.alpha)
+    a_npq = _associator(e, n.alpha, (p.dim,), q.alpha)
+    a_mn_p_q = _associator(e, m.alpha.tensor(n.alpha), (p.dim,), q.alpha)
+    a_m_n_pq = _associator(e, m.alpha, (n.dim,), p.alpha.tensor(q.alpha))
 
     lhs = ident_m.tensor(a_npq) @ a_m_np_q @ a_mnp.tensor(ident_q)
     rhs = a_m_n_pq @ a_mn_p_q
-    sign = -1 if flavor == "hat" else +1
     diagonal = (
-        m.alpha.power(2 * sign)
-        .tensor(n.alpha.power(sign))
-        .tensor(p.alpha.power(-sign))
-        .tensor(q.alpha.power(-2 * sign))
+        m.alpha.power(2 * e)
+        .tensor(n.alpha.power(e))
+        .tensor(p.alpha.power(-e))
+        .tensor(q.alpha.power(-2 * e))
     )
     return CheckReport.combine(
         f"pentagon_{flavor}",
@@ -398,9 +368,8 @@ def check_pentagon(
 
 def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -> CheckReport:
     """The two hexagon relations tying c to the associator of the given flavor."""
-    _check_flavor(flavor)
+    raw_tensor, e = _flavor(flavor)
     field = m.field
-    raw_tensor = _hat_raw if flavor == "hat" else _tilde_raw
     ident_m = LinearMap.identity(field, (m.dim,))
     ident_n = LinearMap.identity(field, (n.dim,))
     ident_p = LinearMap.identity(field, (p.dim,))
@@ -413,10 +382,10 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
     c_m_np = _braiding_c_matrix(m, np_).with_shapes(
         (m.dim, n.dim, p.dim), (n.dim, p.dim, m.dim)
     )
-    a_mnp = _assoc_matrix(flavor, m.alpha, (n.dim,), p.alpha, field)
-    a_npm = _assoc_matrix(flavor, n.alpha, (p.dim,), m.alpha, field)
+    a_mnp = _associator(e, m.alpha, (n.dim,), p.alpha)
+    a_npm = _associator(e, n.alpha, (p.dim,), m.alpha)
     lhs1 = a_npm @ c_m_np @ a_mnp
-    a_nmp = _assoc_matrix(flavor, n.alpha, (m.dim,), p.alpha, field)
+    a_nmp = _associator(e, n.alpha, (m.dim,), p.alpha)
     rhs1 = (
         ident_n.tensor(_braiding_c_matrix(m, p))
         @ a_nmp
@@ -428,10 +397,10 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
     c_mn_p = _braiding_c_matrix(mn, p).with_shapes(
         (m.dim, n.dim, p.dim), (p.dim, m.dim, n.dim)
     )
-    a_mnp_inv = _assoc_matrix(flavor, m.alpha, (n.dim,), p.alpha, field, inverse=True)
-    a_pmn_inv = _assoc_matrix(flavor, p.alpha, (m.dim,), n.alpha, field, inverse=True)
+    a_mnp_inv = _associator(-e, m.alpha, (n.dim,), p.alpha)
+    a_pmn_inv = _associator(-e, p.alpha, (m.dim,), n.alpha)
     lhs2 = a_pmn_inv @ c_mn_p @ a_mnp_inv
-    a_mpn_inv = _assoc_matrix(flavor, m.alpha, (p.dim,), n.alpha, field, inverse=True)
+    a_mpn_inv = _associator(-e, m.alpha, (p.dim,), n.alpha)
     rhs2 = (
         _braiding_c_matrix(m, p).tensor(ident_n)
         @ a_mpn_inv
@@ -508,11 +477,6 @@ def check_braid_implies_hybe_single(c: LinearMap, alpha: LinearMap) -> CheckRepo
     """The one-space case: c on V⊗V commuting with α⊗α and satisfying the
     braid relation yields B=(α⊗α)∘c solving the HYBE."""
     return check_braid_implies_hybe(c, c, c, alpha, alpha, alpha)
-
-
-def _check_flavor(flavor):
-    if flavor not in ("hat", "tilde"):
-        raise ShapeError(f"tensor flavor must be 'hat' or 'tilde', got {flavor!r}")
 
 
 __all__ = [

@@ -304,3 +304,28 @@ def test_io_faults_exit_two_without_traceback(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_report_value_too_long_to_render_exits_two(tmp_path, capsys):
+    # a 4000-digit literal parses, but the failure vectors of the check hold
+    # its square, which is past Python's int-string limit
+    big = "1" * 4000
+    doc = {
+        "field": "rational",
+        "structures": {"H": {
+            "kind": "bialgebra", "dim": 2,
+            "mu": [[[big, "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+            "delta": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+        }},
+        "tasks": [{"name": "laws", "check": "hom_bialgebra", "target": "H"}],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["report", str(path), "--json", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'laws'" in err
+    assert not report.exists()
+    # the table needs no rendered value
+    assert main(["check", str(path)]) == 1
+    assert "laws" in capsys.readouterr().out

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from homyd import linmap
 from homyd.errors import NotInvertibleError, ShapeError
 from homyd.fields import RATIONALS, PrimeField
-from homyd.linmap import LinearMap, compose, identity, invert, swap_map, tensor_map
+from homyd.linmap import LinearMap
 from homyd.reports import Failure, compare_maps
 
 Q = RATIONALS
@@ -48,13 +48,13 @@ def naive_determinant(field, m):
 def test_compose_with_identity_is_identity_operation():
     rng = random.Random(7)
     f = random_map(Q, 3, 4, rng)
-    assert compose(identity(Q, (4,)), f) == f
-    assert compose(f, identity(Q, (3,))) == f
+    assert LinearMap.identity(Q, (4,)).compose(f) == f
+    assert f.compose(LinearMap.identity(Q, (3,))) == f
 
 
 def test_swap_squared_is_identity_on_2_tensor_2():
     # the two 4x4 permutation matrices multiplied by hand give the identity
-    s = swap_map(Q, 2, 2)
+    s = LinearMap.permutation(Q, (2, 2), (1, 0))
     expected_swap = LinearMap.from_rows(
         Q, (2, 2), (2, 2),
         [[1, 0, 0, 0],
@@ -63,17 +63,18 @@ def test_swap_squared_is_identity_on_2_tensor_2():
          [0, 0, 0, 1]],
     )
     assert s == expected_swap
-    assert compose(s, s) == identity(Q, (2, 2))
+    assert s.compose(s) == LinearMap.identity(Q, (2, 2))
 
 
 def test_tensor_of_identities():
-    assert tensor_map(identity(Q, (2,)), identity(Q, (3,))) == identity(Q, (2, 3))
+    ident = LinearMap.identity
+    assert ident(Q, (2,)).tensor(ident(Q, (3,))) == ident(Q, (2, 3))
 
 
 def test_tensor_of_scalars_multiplies():
     a = LinearMap.from_rows(Q, (1,), (1,), [[Fraction(3, 2)]])
     b = LinearMap.from_rows(Q, (1,), (1,), [[Fraction(4, 3)]])
-    assert tensor_map(a, b).entries[0, 0] == 2
+    assert a.tensor(b).entries[0, 0] == 2
 
 
 def test_tensor_of_basis_swap_with_itself():
@@ -86,29 +87,29 @@ def test_tensor_of_basis_swap_with_itself():
          [0, 1, 0, 0],
          [1, 0, 0, 0]],
     )
-    assert tensor_map(alpha, alpha) == expected
+    assert alpha.tensor(alpha) == expected
 
 
 def test_invert_identity_and_scaled_identity():
-    assert invert(identity(Q, (3,))) == identity(Q, (3,))
-    two_id = identity(Q, (3,)).scaled(2)
-    half_id = identity(Q, (3,)).scaled(Fraction(1, 2))
-    assert invert(two_id) == half_id
+    assert LinearMap.identity(Q, (3,)).inverse() == LinearMap.identity(Q, (3,))
+    two_id = LinearMap.identity(Q, (3,)).scaled(2)
+    half_id = LinearMap.identity(Q, (3,)).scaled(Fraction(1, 2))
+    assert two_id.inverse() == half_id
 
 
 def test_invert_cyclic_shift():
     # shift e_j -> e_{j+1 mod 3}; Gaussian elimination by hand gives shift by -1
     shift = LinearMap.basis_map(Q, [1, 2, 0])
     expected = LinearMap.basis_map(Q, [2, 0, 1])
-    assert invert(shift) == expected
-    assert compose(shift, invert(shift)) == identity(Q, (3,))
-    assert compose(invert(shift), shift) == identity(Q, (3,))
+    assert shift.inverse() == expected
+    assert shift.compose(shift.inverse()) == LinearMap.identity(Q, (3,))
+    assert shift.inverse().compose(shift) == LinearMap.identity(Q, (3,))
 
 
 def test_invert_singular_reports_rank():
     m = LinearMap.from_rows(Q, (3,), (3,), [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     with pytest.raises(NotInvertibleError) as exc:
-        invert(m)
+        m.inverse()
     assert exc.value.rank == 2
     assert not m.is_invertible()
 
@@ -117,7 +118,7 @@ def test_shape_mismatch_names_both_shapes():
     f = LinearMap.zero(Q, (2,), (3,))
     g = LinearMap.zero(Q, (4,), (5,))
     with pytest.raises(ShapeError) as exc:
-        compose(g, f)
+        g.compose(f)
     assert "(3,)" in str(exc.value) and "(4,)" in str(exc.value)
 
 
@@ -128,7 +129,7 @@ def test_compose_is_associative_on_random_maps(field):
         f = random_map(field, 2, 3, rng)
         g = random_map(field, 3, 2, rng)
         h = random_map(field, 2, 4, rng)
-        assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+        assert h.compose(g.compose(f)) == h.compose(g).compose(f)
 
 
 @pytest.mark.parametrize("field", [Q, PrimeField(7)])
@@ -139,8 +140,8 @@ def test_tensor_distributes_over_compose(field):
         fp = random_map(field, 3, 2, rng)
         g = random_map(field, 2, 2, rng)
         gp = random_map(field, 4, 2, rng)
-        lhs = compose(tensor_map(f, g), tensor_map(fp, gp))
-        rhs = tensor_map(compose(f, fp), compose(g, gp))
+        lhs = f.tensor(g).compose(fp.tensor(gp))
+        rhs = f.compose(fp).tensor(g.compose(gp))
         assert lhs == rhs
 
 
@@ -155,7 +156,7 @@ def test_invertible_iff_nonzero_determinant(field):
         seen_singular |= d == field.zero
         seen_invertible |= d != field.zero
         if d != field.zero:
-            assert compose(m, invert(m)) == identity(field, (3,))
+            assert m.compose(m.inverse()) == LinearMap.identity(field, (3,))
     assert seen_invertible  # the sample exercised both branches
     assert seen_singular or field is Q  # singular draws are common mod p
 
@@ -178,7 +179,7 @@ def test_permute_codomain_matches_explicit_permutation_matrix():
         [[rng.randint(-3, 3) for _ in range(5)] for _ in range(12)],
     )
     for perm in [(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)]:
-        explicit = compose(LinearMap.permutation(Q, f.cod, perm), f)
+        explicit = LinearMap.permutation(Q, f.cod, perm).compose(f)
         assert f.permute_codomain(perm) == explicit
 
 
@@ -190,7 +191,7 @@ def test_permute_domain_undone_by_explicit_permutation():
     )
     for perm in [(0, 1, 2), (1, 0, 2), (2, 0, 1)]:
         p = LinearMap.permutation(Q, f.dom, perm)
-        assert compose(f.permute_domain(perm), p) == f
+        assert f.permute_domain(perm).compose(p) == f
 
 
 def test_with_shapes_regroups_without_touching_entries():
@@ -204,12 +205,12 @@ def test_with_shapes_regroups_without_touching_entries():
 
 def test_power_and_vector_covector():
     shift = LinearMap.basis_map(Q, [1, 2, 0])
-    assert shift.power(3) == identity(Q, (3,))
-    assert shift.power(-1) == invert(shift)
-    assert shift.power(0) == identity(Q, (3,))
+    assert shift.power(3) == LinearMap.identity(Q, (3,))
+    assert shift.power(-1) == shift.inverse()
+    assert shift.power(0) == LinearMap.identity(Q, (3,))
     v = LinearMap.from_constants(Q, [1, 2, 3], 0)
     w = LinearMap.from_constants(Q, [1, 1, 1], 1)
-    assert compose(w, v).entries[0, 0] == 6
+    assert w.compose(v).entries[0, 0] == 6
     assert v.dom == () and w.cod == ()
 
 
@@ -225,14 +226,14 @@ def test_from_constants_refuses_ragged_or_empty_input(constants):
 def test_prime_field_entries_stay_reduced():
     f7 = PrimeField(7)
     a = LinearMap.from_rows(f7, (2,), (2,), [[6, 5], [4, 3]])
-    b = compose(a, a)
+    b = a.compose(a)
     assert all(0 <= x < 7 for x in b.entries.flat)
-    t = tensor_map(a, a)
+    t = a.tensor(a)
     assert all(0 <= x < 7 for x in t.entries.flat)
 
 
 def test_entries_are_immutable():
-    m = identity(Q, (2,))
+    m = LinearMap.identity(Q, (2,))
     with pytest.raises(ValueError):
         m.entries[0, 0] = 5
 
@@ -512,11 +513,12 @@ def test_common_denominator_is_the_lcm_of_the_reduced_ones():
     # they come to 6 and stay in lowest terms
     diag = LinearMap.from_rows(Q, (2,), (2,), [[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
     with mock.patch.object(linmap, "COMPOSE_BLOCK", 1):
-        out = identity(Q, (2,)).compose(diag)
+        out = LinearMap.identity(Q, (2,)).compose(diag)
     assert out == diag and out.values.tolist() == [3, 4] and out.den == 6
     assert diag.compose(diag.scaled(6)) == LinearMap.from_rows(Q, (2,), (2,), [[Fraction(3, 2), 0],
                                                                                [0, Fraction(8, 3)]])
-    assert not identity(Q, (2,)).scaled(Fraction(1, 2)).is_identity()  # numerators 1, den 2
+    half = LinearMap.identity(Q, (2,)).scaled(Fraction(1, 2))
+    assert not half.is_identity()  # numerators 1, den 2
     assert LinearMap.from_rows(Q, (1,), (1,), [[Fraction(4, 4)]]).is_identity()
     assert diag.scaled(0).is_zero() and diag.scaled(0).den == 1
 

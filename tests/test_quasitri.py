@@ -83,7 +83,7 @@ def graded_comodule(base, grade=1, power=1):
 
 def test_zero_r_element_passes_everything():
     base = cyclic_endo_twist(3, 1)
-    r = RElement.from_matrix(base, [[0] * 3 for _ in range(3)])
+    r = RElement.from_constants(base, [[0] * 3 for _ in range(3)])
     assert check_qt(r).passed
     assert check_r_invariance(r).passed
 
@@ -124,7 +124,7 @@ def test_r_matrix_rejects_bad_roots():
 
 def test_yd_from_module_with_zero_r():
     base = cyclic_endo_twist(3, 1)
-    r = RElement.from_matrix(base, [[0] * 3 for _ in range(3)])
+    r = RElement.from_constants(base, [[0] * 3 for _ in range(3)])
     mod = regular_module(base)
     out = yd_from_module(mod, r)
     assert out.coact.is_zero()
@@ -149,7 +149,7 @@ def test_yd_from_module_twisted_c5():
 
 def test_yd_from_module_gates_on_broken_axioms():
     base = cyclic_endo_twist(2, 1)
-    bad = RElement.from_matrix(base, [[1, 1], [0, 1]])
+    bad = RElement.from_constants(base, [[1, 1], [0, 1]])
     mod = regular_module(base)
     with pytest.raises(PreconditionError):
         yd_from_module(mod, bad)
@@ -170,7 +170,7 @@ def test_qt_tensor_coincidence_fails_for_perturbed_r():
     base, r = cyclic_r_matrix(2, Q, -1, 1)
     matrix = r.matrix()
     matrix[0][1] = matrix[0][1] + 1
-    bad = RElement.from_matrix(base, matrix)
+    bad = RElement.from_constants(base, matrix)
     mod = regular_module(base)
     report = check_qt_tensor_coincide(mod, mod, bad)
     assert not report.passed
@@ -221,7 +221,7 @@ def test_qt_b_bridge_and_hybe():
 
 def test_zero_sigma_passes():
     base = cyclic_endo_twist(3, 1)
-    s = SigmaForm.from_matrix(base, [[0] * 3 for _ in range(3)])
+    s = SigmaForm.from_constants(base, [[0] * 3 for _ in range(3)])
     assert check_cqt(s).passed
     assert check_sigma_invariance(s).passed
 
@@ -255,7 +255,7 @@ def test_bicharacter_rejects_bad_arithmetic():
 
 def test_yd_from_comodule_zero_sigma():
     base = cyclic_endo_twist(3, 1)
-    s = SigmaForm.from_matrix(base, [[0] * 3 for _ in range(3)])
+    s = SigmaForm.from_constants(base, [[0] * 3 for _ in range(3)])
     com = graded_comodule(base)
     out = yd_from_comodule(com, s)
     assert out.act.is_zero()
@@ -291,7 +291,7 @@ def test_cqt_tensor_coincidence_and_perturbation():
     assert check_cqt_tensor_coincide(m, n, s).passed
     matrix = s.matrix()
     matrix[1][1] = (matrix[1][1] + 1) % 7
-    bad = SigmaForm.from_matrix(base, matrix)
+    bad = SigmaForm.from_constants(base, matrix)
     assert not check_cqt_tensor_coincide(m, n, bad).passed
 
 

@@ -245,11 +245,11 @@ def test_restated_bialgebra_laws_match_direct_scans():
 
 F7 = PrimeField(7)
 H, D = 2, 3  # base and carrier dims differ, so a misread factor is caught
-MU, DELTA = ((H, H), (H,)), ((H,), (H, H))
-ACT, COACT = ((H, D), (D,)), ((D,), (H, D))
+MU, DELTA = ("mu", (H, H), (H,)), ("delta", (H,), (H, H))
+ACT, COACT = ("act", (H, D), (D,)), ("coact", (D,), (H, D))
 
-# class -> (base class, map shapes in argument order, alpha dim, a base of
-# the wrong class); a class is built as ``cls(base?, *maps, alpha?)``
+# class -> (base class, (attribute, dom, cod) of each map in argument order,
+# alpha dim, a base of the wrong class); built as ``cls(base?, *maps, alpha?)``
 SHAPES = {
     HomAlgebra: (None, (MU,), H, None),
     HomCoalgebra: (None, (DELTA,), H, None),
@@ -263,17 +263,13 @@ SHAPES = {
     ClassicalComodule: (ClassicalCoalgebra, (COACT,), None, HomCoalgebra),
     YDModule: (HomBialgebra, (ACT, COACT), D, HomAlgebra),
     ClassicalYD: (ClassicalBialgebra, (ACT, COACT), None, HomBialgebra),
-    RElement: (HomBialgebra, (((), (H, H)),), None, None),
-    SigmaForm: (HomBialgebra, (((H, H), ()),), None, None),
+    RElement: (HomBialgebra, (("element", (), (H, H)),), None, HomAlgebra),
+    SigmaForm: (HomBialgebra, (("form", (H, H), ()),), None, HomAlgebra),
 }
 
-# these classes do not yet check that their data lies over one field
-_FIELDS_UNCHECKED = {ClassicalBialgebra, ClassicalModule, ClassicalComodule}
 
-
-def _map(field, shape):
-    """A map of the given ``(dom, cod)`` shape with distinct entries."""
-    dom, cod = shape
+def _map(field, dom, cod):
+    """A map of the given shape with distinct entries."""
     nrows, ncols = math.prod(cod), math.prod(dom)
     rows = [[field.normalize(1 + i + nrows * j) for j in range(ncols)] for i in range(nrows)]
     return LinearMap.from_rows(field, dom, cod, rows)
@@ -282,10 +278,11 @@ def _map(field, shape):
 def _args(cls, field=Q, odd=None):
     """Valid arguments for ``cls`` over ``field``, but with part number ``odd``
     (counting the base, the maps and alpha) over another field."""
-    base, shapes, alpha, _ = SHAPES[cls]
-    parts = ([base] if base else []) + list(shapes) + ([((alpha,), (alpha,))] if alpha else [])
+    base, maps, alpha, _ = SHAPES[cls]
+    parts = ([base] if base else []) + list(maps)
+    parts += [("alpha", (alpha,), (alpha,))] if alpha else []
     return [
-        _make(part, f) if isinstance(part, type) else _map(f, part)
+        _make(part, f) if isinstance(part, type) else _map(f, *part[1:])
         for i, part in enumerate(parts)
         for f in [F7 if i == odd else field]
     ]
@@ -295,10 +292,9 @@ def _make(cls, field=Q):
     return cls(*_args(cls, field))
 
 
-def _bumped(shape):
+def _bumped(dom, cod):
     """The shape with its last codomain factor, or else its last domain
     factor, one larger."""
-    dom, cod = shape
     if cod:
         return dom, cod[:-1] + (cod[-1] + 1,)
     return dom[:-1] + (dom[-1] + 1,), cod
@@ -306,13 +302,13 @@ def _bumped(shape):
 
 @pytest.mark.parametrize("cls", list(SHAPES), ids=lambda cls: cls.__name__)
 def test_every_structure_class_refuses_bad_data(cls):
-    base, shapes, alpha, wrong_base = SHAPES[cls]
+    base, maps, alpha, wrong_base = SHAPES[cls]
     args = _args(cls)
-    cls(*args)
+    obj = cls(*args)
     first = 1 if base else 0
-    for i, shape in enumerate(shapes):
+    for i, (_, dom, cod) in enumerate(maps):
         bad = list(args)
-        bad[first + i] = _map(Q, _bumped(shape))
+        bad[first + i] = _map(Q, *_bumped(dom, cod))
         with pytest.raises(ShapeError):
             cls(*bad)
     if wrong_base:
@@ -320,8 +316,17 @@ def test_every_structure_class_refuses_bad_data(cls):
             cls(_make(wrong_base), *args[1:])
     if alpha:
         with pytest.raises(ShapeError):
-            cls(*args[:-1], _map(Q, ((alpha + 1,), (alpha + 1,))))
-    if len(args) > 1 and cls not in _FIELDS_UNCHECKED:
+            cls(*args[:-1], _map(Q, (alpha + 1,), (alpha + 1,)))
+    if len(args) > 1:
         for i in range(len(args)):
             with pytest.raises(ShapeError):
                 cls(*_args(cls, odd=i))
+    # from the base (or the field), each map's constants and alpha's rows,
+    # from_constants rebuilds the same object
+    constants = [getattr(obj, attr).constants() for attr, _, _ in maps]
+    rows = [obj.alpha.entries.tolist()] if alpha else []
+    again = cls.from_constants(args[0] if base else Q, *constants, *rows)
+    for attr, _, _ in maps:
+        assert getattr(again, attr) == getattr(obj, attr)
+    assert getattr(again, "over", None) is getattr(obj, "over", None)
+    assert getattr(again, "alpha", None) == getattr(obj, "alpha", None)

@@ -14,7 +14,7 @@ from homyd.fixtures import (
     inner_automorphism,
     symmetric_group,
 )
-from homyd.linmap import LinearMap, swap_map
+from homyd.linmap import LinearMap
 from homyd.modules import (
     check_comodule_morphism,
     check_module_morphism,
@@ -185,7 +185,7 @@ def test_check_yd_gates_on_non_invertible_carrier_map(s3_classical):
 def test_braiding_B_is_flip_on_abelian_identity_fixture():
     fixture = crossed_gset(cyclic_group(3), Q).as_hom()
     b = braiding_B(fixture, fixture)
-    assert b == swap_map(Q, 3, 3)
+    assert b == LinearMap.permutation(Q, (3, 3), (1, 0))
 
 
 def test_braiding_B_matches_oracle(s3_twisted, c5_pair):
@@ -205,7 +205,7 @@ def test_braiding_B_commutation_square(s3_twisted, c5_pair):
 
 
 def test_hybe_for_flips_and_identities():
-    flip = swap_map(Q, 2, 2)
+    flip = LinearMap.permutation(Q, (2, 2), (1, 0))
     ident = LinearMap.identity(Q, (2,))
     assert check_hybe(flip, flip, flip, ident, ident, ident).passed
 
@@ -368,7 +368,7 @@ def test_flip_is_no_braiding_on_noncommutative_coactions(s3_twisted):
     # leg would need m_(-1)n_(-1) = n_(-1)m_(-1)
     from homyd.yd import _hat_raw
 
-    flip = swap_map(Q, 6, 6)
+    flip = LinearMap.permutation(Q, (6, 6), (1, 0))
     left = _hat_raw(s3_twisted, s3_twisted)
     report = check_comodule_morphism(
         flip.with_shapes((36,), (36,)), left.comodule, left.comodule
@@ -393,7 +393,7 @@ def test_hexagon_fails_for_rescaled_braiding(c5_pair):
 
 
 def test_braid_relation_for_flips_and_fixtures(s3_twisted, c5_pair):
-    flip = swap_map(Q, 2, 2)
+    flip = LinearMap.permutation(Q, (2, 2), (1, 0))
     assert check_braid_relation(flip, flip, flip).passed
     m, n = c5_pair
     assert check_braid_relation_for(m, n, m).passed
@@ -409,7 +409,7 @@ def test_braid_relation_fails_for_random_maps():
 
 
 def test_braid_implies_hybe_for_flip():
-    flip = swap_map(Q, 2, 2)
+    flip = LinearMap.permutation(Q, (2, 2), (1, 0))
     ident = LinearMap.identity(Q, (2,))
     report = check_braid_implies_hybe(flip, flip, flip, ident, ident, ident)
     assert report.passed
