@@ -27,14 +27,7 @@ from homyd.fixtures import (
     symmetric_group,
 )
 from homyd.linmap import LinearMap
-from homyd.modules import (
-    ClassicalComodule,
-    ClassicalModule,
-    ComoduleStruct,
-    ModuleStruct,
-    induce_comodule,
-    induce_module,
-)
+from homyd.modules import ClassicalComodule, ClassicalModule, induce_comodule, induce_module
 from homyd.specfile import SpecDocument, Task, serialize_spec
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "suites"
@@ -51,12 +44,7 @@ def regular_module_over_twist(n, k, field, shift=0):
          for j in range(n)]
         for i in range(n)
     ]
-    classical = ClassicalModule(
-        base,
-        ModuleStruct.from_constants(
-            base.as_hom(), act, LinearMap.identity(field, (n,)).entries
-        ).act,
-    )
+    classical = ClassicalModule.from_constants(base, act)
     alpha_a = LinearMap.basis_map(field, power_endomorphism(n, k))
     alpha_m = LinearMap.basis_map(field, tuple((k * j + shift) % n for j in range(n)))
     return induce_module(classical, alpha_a, alpha_m)
@@ -70,12 +58,7 @@ def graded_comodule_over_twist(n, k, field, grade=1):
          for i in range(n)]
         for m in range(n)
     ]
-    classical = ClassicalComodule(
-        base,
-        ComoduleStruct.from_constants(
-            base.as_hom(), coact, LinearMap.identity(field, (n,)).entries
-        ).coact,
-    )
+    classical = ClassicalComodule.from_constants(base, coact)
     alpha = LinearMap.basis_map(field, power_endomorphism(n, k))
     return induce_comodule(classical, alpha, alpha)
 
