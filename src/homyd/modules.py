@@ -147,14 +147,21 @@ def _morphism_report(law, f, pairs, action=True, coaction=True):
 
 # -- induced (twisted) structures ---------------------------------------
 
+def require_twist_compat(alpha_base, alpha_m, act=None, coact=None) -> None:
+    """The hypotheses of twisting a given action or coaction along alpha_M
+    over alpha_base: alpha_M is linear, respectively colinear, over it."""
+    if act is not None:
+        require(compare_maps(
+            "module_twist_compat", alpha_m @ act, act @ alpha_base.tensor(alpha_m)))
+    if coact is not None:
+        require(compare_maps(
+            "comodule_twist_compat", alpha_base.tensor(alpha_m) @ coact, coact @ alpha_m))
+
+
 def induce_module(mod: ClassicalModule, alpha_a: LinearMap, alpha_m: LinearMap) -> ModuleStruct:
     """New action a▷m := alpha_M(a·m) over the twisted base; requires
     alpha_M(a·m) = alpha_A(a)·alpha_M(m) on all basis pairs."""
-    require(
-        compare_maps(
-            "module_twist_compat", alpha_m @ mod.act, mod.act @ alpha_a.tensor(alpha_m)
-        )
-    )
+    require_twist_compat(alpha_a, alpha_m, act=mod.act)
     if isinstance(mod.over, ClassicalBialgebra):
         base = twist_bialgebra(mod.over, alpha_a)
     else:
@@ -169,13 +176,7 @@ def induce_comodule(
 ) -> ComoduleStruct:
     """New coaction m -> alpha_C(m_(-1))⊗alpha_M(m_(0)) over the twisted base;
     requires alpha_M colinear over alpha_C."""
-    require(
-        compare_maps(
-            "comodule_twist_compat",
-            alpha_c.tensor(alpha_m) @ com.coact,
-            com.coact @ alpha_m,
-        )
-    )
+    require_twist_compat(alpha_c, alpha_m, coact=com.coact)
     if isinstance(com.over, ClassicalBialgebra):
         base = twist_bialgebra(com.over, alpha_c)
     else:
@@ -189,16 +190,7 @@ def induce_comodule(
 
 def require_same_base(x, y) -> None:
     """Bases must agree as structure constants, not as object identities."""
-    a, b = x.over, y.over
-    same = (
-        type(a) is type(b)
-        and a.field == b.field
-        and a.dim == b.dim
-        and getattr(a, "mu", None) == getattr(b, "mu", None)
-        and getattr(a, "delta", None) == getattr(b, "delta", None)
-        and a.alpha == b.alpha
-    )
-    if not same:
+    if not x.over.same_as(y.over):
         raise ShapeError("operands live over different base structures")
 
 

@@ -300,26 +300,21 @@ def structure_to_json(field, obj, over_name=None):
 
 
 def document_to_json(doc: SpecDocument) -> dict:
+    """The file form of a document; a structure whose base is not listed
+    before it, as the same object or an equal one, raises ``SpecFileError``."""
     names = {}
     for name, obj in doc.structures.items():
-        base = getattr(obj, "over", None)
         over_name = None
-        if base is not None:
-            over_name = next(
-                (n for n, other in doc.structures.items() if other is base), None
-            )
-            if over_name is None:
-                over_name = next(
-                    (
-                        n
-                        for n, other in doc.structures.items()
-                        if isinstance(other, HomBialgebra)
-                        and other.mu == getattr(base, "mu", None)
-                        and other.delta == getattr(base, "delta", None)
-                        and other.alpha == base.alpha
-                    ),
-                    None,
+        if type(obj).OVER:
+            earlier = [(n, doc.structures[n]) for n in names]
+            matches = ([n for n, other in earlier if other is obj.over]
+                       + [n for n, other in earlier if obj.over.same_as(other)])
+            if not matches:
+                raise SpecFileError(
+                    f"structure {name!r} sits over a {type(obj.over).__name__} "
+                    f"that the document does not list before it"
                 )
+            over_name = matches[0]
         names[name] = structure_to_json(doc.field, obj, over_name)
     out = {"field": doc.field.descriptor, "structures": names,
            "tasks": [t.spec for t in doc.tasks]}

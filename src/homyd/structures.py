@@ -118,6 +118,13 @@ class Structure:
         maps = (getattr(self, attr) for _, attr, _ in self.MAPS)
         return self.HOM(*over, *maps, LinearMap.identity(self.field, (self.dim,)))
 
+    def same_as(self, other) -> bool:
+        """Whether ``other`` is of this kind with equal declared maps and
+        structure map, whatever objects hold them."""
+        attrs = [attr for _, attr, _ in self.MAPS] + (["alpha"] if self.ALPHA else [])
+        return type(other) is type(self) and all(
+            getattr(self, a) == getattr(other, a) for a in attrs)
+
     def __repr__(self):
         shown = [f"dim={self.dim}"] if hasattr(self, "dim") else []
         if self.OVER:

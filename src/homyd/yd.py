@@ -7,6 +7,13 @@ associators, the braidings B and c, and every coherence law (HYBE,
 pentagon, hexagons, braid relation) are realized as exact matrix
 identities between composites of the structure maps.
 
+An associator is built as its Kronecker factors, one per tensor factor, and
+``_kron`` multiplies them out where a law needs the full map.  By the
+mixed-product rule (A⊗B)∘(C⊗D) = (A∘C)⊗(B∘D) the pentagon's sides and
+diagonal are Kronecker products of d × d composites, so equal factors prove
+it; only if some factor differs (a scalar may have moved between factors)
+are the full maps built and compared, for the exact failure list.
+
 The bijectivity gates follow the category definition: ``check_yd``
 refuses non-invertible structure maps with an error rather than a
 failure, while the compatibility equation itself (which only involves
@@ -14,6 +21,8 @@ nonnegative powers of the base map) can be scanned without the gate.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .errors import InapplicableError, PreconditionError, ShapeError
 from .linmap import LinearMap
@@ -25,6 +34,7 @@ from .modules import (
     check_comodule,
     check_module,
     require_same_base,
+    require_twist_compat,
     tensor_action_map,
     tensor_coaction_map,
 )
@@ -74,7 +84,6 @@ def _yd_sides(base: HomBialgebra, act, coact, alpha_h_sq):
     left:  (h_1·m)_(-1) α_H^2(h_2) ⊗ (h_1·m)_(0)
     right: α_H^2(h_1) α_H(m_(-1)) ⊗ α_H(h_2)·m_(0)
     """
-    dh = base.dim
     dm = act.cod[0]
     ident_m = LinearMap.identity(base.field, (dm,))
     spread = base.delta.tensor(ident_m).permute_codomain((0, 2, 1))  # (h1, m, h2)
@@ -102,16 +111,12 @@ def yd_compatibility_report(m: YDModule) -> CheckReport:
 def check_yd(m: YDModule) -> CheckReport:
     """Gate on bijective structure maps, then scan the compatibility law over
     all (algebra basis, carrier basis) pairs."""
-    if not m.over.alpha.is_invertible():
-        raise InapplicableError(
-            "base structure map is not bijective; the Yetter-Drinfeld category "
-            "requires invertible structure maps"
-        )
-    if not m.alpha.is_invertible():
-        raise InapplicableError(
-            "carrier structure map is not bijective; the Yetter-Drinfeld "
-            "category requires invertible structure maps"
-        )
+    for alpha, what in ((m.over.alpha, "base"), (m.alpha, "carrier")):
+        if not alpha.is_invertible():
+            raise InapplicableError(
+                f"{what} structure map is not bijective; the Yetter-Drinfeld "
+                "category requires invertible structure maps"
+            )
     return yd_compatibility_report(m)
 
 
@@ -145,18 +150,7 @@ def twist_yd(m: ClassicalYD, alpha_h: LinearMap, alpha_m: LinearMap) -> YDModule
 
 
 def _twist_yd(m, alpha_h, alpha_m):
-    require(
-        compare_maps(
-            "module_twist_compat", alpha_m @ m.act, m.act @ alpha_h.tensor(alpha_m)
-        )
-    )
-    require(
-        compare_maps(
-            "comodule_twist_compat",
-            alpha_h.tensor(alpha_m) @ m.coact,
-            m.coact @ alpha_m,
-        )
-    )
+    require_twist_compat(alpha_h, alpha_m, m.act, m.coact)
     if not alpha_h.is_invertible():
         raise PreconditionError("alpha_h_invertible", None, "twisting map of the base is not bijective")
     if not alpha_m.is_invertible():
@@ -174,11 +168,14 @@ def braiding_B(m: YDModule, n: YDModule) -> LinearMap:
     require_same_base(m, n)
     if not m.over.alpha.is_invertible():
         raise InapplicableError("braiding needs a bijective base structure map")
-    alpha_inv = m.over.alpha.inverse()
-    ident_n = LinearMap.identity(m.field, (n.dim,))
+    return n.act.tensor(LinearMap.identity(m.field, (m.dim,))) @ _tagged(m, n)
+
+
+def _tagged(m: YDModule, n: YDModule) -> LinearMap:
+    """m⊗n -> α_H^{-1}(m_(-1))⊗n⊗m_(0), the first step of both braidings."""
     ident_m = LinearMap.identity(m.field, (m.dim,))
-    tagged = (alpha_inv.tensor(ident_m) @ m.coact).tensor(ident_n)
-    return n.act.tensor(ident_m) @ tagged.permute_codomain((0, 2, 1))
+    coact = m.over.alpha.inverse().tensor(ident_m) @ m.coact
+    return coact.tensor(LinearMap.identity(m.field, (n.dim,))).permute_codomain((0, 2, 1))
 
 
 def check_hybe(
@@ -270,11 +267,19 @@ def _flavor(name):
 
 # -- associators ----------------------------------------------------------
 
-def _associator(e, alpha_m, middle_dims, alpha_p) -> LinearMap:
-    """α_M^e ⊗ id_middle ⊗ α_P^{-e}: the associator of the flavor whose
-    exponent is ``e``, or the inverse of the one whose exponent is ``-e``."""
-    ident = LinearMap.identity(alpha_m.field, tuple(middle_dims))
-    return alpha_m.power(e).tensor(ident).tensor(alpha_p.power(-e))
+def _associator(e, left, middle_dims, right) -> list:
+    """The factors of α_L^e ⊗ id_middle ⊗ α_R^{-e}, one map per tensor factor:
+    the associator of the flavor whose exponent is ``e``, or the inverse of the
+    one whose exponent is ``-e``.  ``left`` and ``right`` list the structure
+    maps of the outer factors, since (α_M⊗α_N)^e = α_M^e⊗α_N^e."""
+    return ([a.power(e) for a in left]
+            + [LinearMap.identity(left[0].field, (d,)) for d in middle_dims]
+            + [a.power(-e) for a in right])
+
+
+def _kron(factors) -> LinearMap:
+    """The Kronecker product of a factor list, as one map."""
+    return reduce(LinearMap.tensor, factors)
 
 
 def associator_a(m: YDModule, n: YDModule, p: YDModule) -> LinearMap:
@@ -290,7 +295,7 @@ def associator_frak_a(m: YDModule, n: YDModule, p: YDModule) -> LinearMap:
 
 def _certified_associator(flavor, m, n, p):
     raw_tensor, e = _flavor(flavor)
-    a = _associator(e, m.alpha, (n.dim,), p.alpha)
+    a = _kron(_associator(e, [m.alpha], [n.dim], [p.alpha]))
     # raw towers: the inputs are certified already and the morphism scans
     # below are the verification this constructor owes
     left = raw_tensor(raw_tensor(m, n), p)
@@ -302,13 +307,8 @@ def _certified_associator(flavor, m, n, p):
 # -- the braiding c -------------------------------------------------------
 
 def _braiding_c_matrix(m: YDModule, n: YDModule) -> LinearMap:
-    base = m.over
-    alpha_h_inv = base.alpha.inverse()
-    ident_m = LinearMap.identity(m.field, (m.dim,))
-    ident_n = LinearMap.identity(m.field, (n.dim,))
-    tagged = (alpha_h_inv.tensor(ident_m) @ m.coact).tensor(ident_n)
-    first_leg = n.alpha.inverse() @ n.act
-    return first_leg.tensor(m.alpha.inverse()) @ tagged.permute_codomain((0, 2, 1))
+    tagged = _tagged(m, n)
+    return (n.alpha.inverse() @ n.act).tensor(m.alpha.inverse()) @ tagged
 
 
 def braiding_c(m: YDModule, n: YDModule) -> LinearMap:
@@ -338,54 +338,68 @@ def check_pentagon(
     m: YDModule, n: YDModule, p: YDModule, q: YDModule, flavor: str = "hat"
 ) -> CheckReport:
     """Both pentagon composites agree and equal the diagonal
-    α_M^{∓2}⊗α_N^{∓1}⊗α_P^{±1}⊗α_Q^{±2} (upper signs for the hat flavor)."""
+    α_M^{∓2}⊗α_N^{∓1}⊗α_P^{±1}⊗α_Q^{±2} (upper signs for the hat flavor).
+
+    Both laws are compared on the factors on M, N, P and Q, which is exact
+    by the mixed-product rule: equal factors prove equal maps.  Where some
+    factor differs, the two full d⁴ × d⁴ maps are built and compared, since
+    a scalar moved between factors leaves their product unchanged."""
     _, e = _flavor(flavor)
-    ident_q = LinearMap.identity(m.field, (q.dim,))
-    ident_m = LinearMap.identity(m.field, (m.dim,))
-
-    a_mnp = _associator(e, m.alpha, (n.dim,), p.alpha)
-    a_m_np_q = _associator(e, m.alpha, (n.dim, p.dim), q.alpha)
-    a_npq = _associator(e, n.alpha, (p.dim,), q.alpha)
-    a_mn_p_q = _associator(e, m.alpha.tensor(n.alpha), (p.dim,), q.alpha)
-    a_m_n_pq = _associator(e, m.alpha, (n.dim,), p.alpha.tensor(q.alpha))
-
-    lhs = ident_m.tensor(a_npq) @ a_m_np_q @ a_mnp.tensor(ident_q)
-    rhs = a_m_n_pq @ a_mn_p_q
-    diagonal = (
-        m.alpha.power(2 * e)
-        .tensor(n.alpha.power(e))
-        .tensor(p.alpha.power(-e))
-        .tensor(q.alpha.power(-2 * e))
-    )
+    lhs, rhs, diagonal = _pentagon_factors(e, m, n, p, q)
     return CheckReport.combine(
         f"pentagon_{flavor}",
         [
-            compare_maps("pentagon_composites_equal", lhs, rhs),
-            compare_maps("pentagon_equals_diagonal", lhs, diagonal),
+            _compare_factors("pentagon_composites_equal", lhs, rhs),
+            _compare_factors("pentagon_equals_diagonal", lhs, diagonal),
         ],
     )
+
+
+def _pentagon_factors(e, m, n, p, q):
+    """The pentagon's two sides and diagonal as factors on M, N, P and Q."""
+    ident_m = [LinearMap.identity(m.field, (m.dim,))]
+    ident_q = [LinearMap.identity(m.field, (q.dim,))]
+    a_mnp = _associator(e, [m.alpha], [n.dim], [p.alpha])
+    a_m_np_q = _associator(e, [m.alpha], [n.dim, p.dim], [q.alpha])
+    a_npq = _associator(e, [n.alpha], [p.dim], [q.alpha])
+    a_mn_p_q = _associator(e, [m.alpha, n.alpha], [p.dim], [q.alpha])
+    a_m_n_pq = _associator(e, [m.alpha], [n.dim], [p.alpha, q.alpha])
+    # (id_M⊗a_NPQ)∘a_{M,NP,Q}∘(a_MNP⊗id_Q) and a_{M,N,PQ}∘a_{MN,P,Q}
+    lhs = [x @ y @ z for x, y, z in zip(ident_m + a_npq, a_m_np_q, a_mnp + ident_q)]
+    rhs = [x @ y for x, y in zip(a_m_n_pq, a_mn_p_q)]
+    diagonal = [m.alpha.power(2 * e), n.alpha.power(e), p.alpha.power(-e),
+                q.alpha.power(-2 * e)]
+    return lhs, rhs, diagonal
+
+
+def _compare_factors(law, lhs, rhs) -> CheckReport:
+    """``compare_maps`` of the Kronecker products of two factor lists, which
+    are built only when some pair of factors differs."""
+    if len(lhs) == len(rhs) and all(a == b for a, b in zip(lhs, rhs)):
+        return CheckReport(law)
+    return compare_maps(law, _kron(lhs), _kron(rhs))
 
 
 def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -> CheckReport:
     """The two hexagon relations tying c to the associator of the given flavor."""
     raw_tensor, e = _flavor(flavor)
-    field = m.field
-    ident_m = LinearMap.identity(field, (m.dim,))
-    ident_n = LinearMap.identity(field, (n.dim,))
-    ident_p = LinearMap.identity(field, (p.dim,))
+    ident_m, ident_n, ident_p = (LinearMap.identity(m.field, (x.dim,)) for x in (m, n, p))
 
     np_ = raw_tensor(n, p)
     mn = raw_tensor(m, n)
+
+    def assoc(s, x, y, z):
+        return _kron(_associator(s, [x.alpha], [y.dim], [z.alpha]))
 
     # first hexagon: a_{N,P,M} ∘ c_{M,N⊗P} ∘ a_{M,N,P}
     #              = (id_N ⊗ c_{M,P}) ∘ a_{N,M,P} ∘ (c_{M,N} ⊗ id_P)
     c_m_np = _braiding_c_matrix(m, np_).with_shapes(
         (m.dim, n.dim, p.dim), (n.dim, p.dim, m.dim)
     )
-    a_mnp = _associator(e, m.alpha, (n.dim,), p.alpha)
-    a_npm = _associator(e, n.alpha, (p.dim,), m.alpha)
+    a_mnp = assoc(e, m, n, p)
+    a_npm = assoc(e, n, p, m)
     lhs1 = a_npm @ c_m_np @ a_mnp
-    a_nmp = _associator(e, n.alpha, (m.dim,), p.alpha)
+    a_nmp = assoc(e, n, m, p)
     rhs1 = (
         ident_n.tensor(_braiding_c_matrix(m, p))
         @ a_nmp
@@ -397,10 +411,10 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
     c_mn_p = _braiding_c_matrix(mn, p).with_shapes(
         (m.dim, n.dim, p.dim), (p.dim, m.dim, n.dim)
     )
-    a_mnp_inv = _associator(-e, m.alpha, (n.dim,), p.alpha)
-    a_pmn_inv = _associator(-e, p.alpha, (m.dim,), n.alpha)
+    a_mnp_inv = assoc(-e, m, n, p)
+    a_pmn_inv = assoc(-e, p, m, n)
     lhs2 = a_pmn_inv @ c_mn_p @ a_mnp_inv
-    a_mpn_inv = _associator(-e, m.alpha, (p.dim,), n.alpha)
+    a_mpn_inv = assoc(-e, m, p, n)
     rhs2 = (
         _braiding_c_matrix(m, p).tensor(ident_n)
         @ a_mpn_inv
@@ -443,34 +457,23 @@ def check_braid_implies_hybe(
     Hypothesis failures are errors (the construction does not apply), while
     the derived conclusions are reported as laws.
     """
-    hypotheses = [
-        ("c_mn_commutes", alpha_n.tensor(alpha_m) @ c_mn, c_mn @ alpha_m.tensor(alpha_n)),
-        ("c_mp_commutes", alpha_p.tensor(alpha_m) @ c_mp, c_mp @ alpha_m.tensor(alpha_p)),
-        ("c_np_commutes", alpha_p.tensor(alpha_n) @ c_np, c_np @ alpha_n.tensor(alpha_p)),
-    ]
-    for law, lhs, rhs in hypotheses:
-        require(compare_maps(law, lhs, rhs))
+    legs = {"mn": (c_mn, alpha_m, alpha_n), "mp": (c_mp, alpha_m, alpha_p),
+            "np": (c_np, alpha_n, alpha_p)}
+    for key, (c, x, y) in legs.items():
+        require(_commutes(f"c_{key}_commutes", c, x, y))
     braid = check_braid_relation(c_mn, c_mp, c_np)
     if not braid.passed:
-        first = braid.failures[0]
-        raise PreconditionError("braid_relation", first.index)
+        raise PreconditionError("braid_relation", braid.failures[0].index)
 
-    b_mn = b_from_c(c_mn, alpha_m, alpha_n)
-    b_mp = b_from_c(c_mp, alpha_m, alpha_p)
-    b_np = b_from_c(c_np, alpha_n, alpha_p)
-    reports = [
-        compare_maps(
-            "b_mn_commutes", alpha_n.tensor(alpha_m) @ b_mn, b_mn @ alpha_m.tensor(alpha_n)
-        ),
-        compare_maps(
-            "b_mp_commutes", alpha_p.tensor(alpha_m) @ b_mp, b_mp @ alpha_m.tensor(alpha_p)
-        ),
-        compare_maps(
-            "b_np_commutes", alpha_p.tensor(alpha_n) @ b_np, b_np @ alpha_n.tensor(alpha_p)
-        ),
-        check_hybe(b_mn, b_mp, b_np, alpha_m, alpha_n, alpha_p),
-    ]
+    bs = {key: b_from_c(c, x, y) for key, (c, x, y) in legs.items()}
+    reports = [_commutes(f"b_{key}_commutes", bs[key], x, y) for key, (_, x, y) in legs.items()]
+    reports.append(check_hybe(*bs.values(), alpha_m, alpha_n, alpha_p))
     return CheckReport.combine("braid_implies_hybe", reports)
+
+
+def _commutes(law, c, x, y) -> CheckReport:
+    """(y⊗x)∘c = c∘(x⊗y) for c: X⊗Y -> Y⊗X, scanned as ``law``."""
+    return compare_maps(law, y.tensor(x) @ c, c @ x.tensor(y))
 
 
 def check_braid_implies_hybe_single(c: LinearMap, alpha: LinearMap) -> CheckReport:

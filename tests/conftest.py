@@ -48,3 +48,16 @@ def perturbed(constants, index, bump=1):
         target = target[i]
     target[index[-1]] = target[index[-1]] + bump
     return data
+
+
+def carried_yd(yd, q):
+    """The Yetter-Drinfeld module ``yd`` carried along the invertible change
+    of basis ``q`` of its carrier, over the same base: its structure map
+    becomes q∘α∘q^{-1}, dense when ``q`` is."""
+    from homyd.linmap import LinearMap
+    from homyd.yd import YDModule
+
+    qi = q.inverse()
+    ident_h = LinearMap.identity(yd.field, (yd.over.dim,))
+    return YDModule(yd.over, q @ yd.act @ ident_h.tensor(qi),
+                    ident_h.tensor(q) @ yd.coact @ qi, q @ yd.alpha @ qi)

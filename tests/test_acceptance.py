@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from conftest import carried_yd
 from homyd.cli import main as cli_main
 from homyd.fields import RATIONALS, PrimeField
 from homyd.fixtures import (
@@ -459,3 +460,22 @@ def test_sparse_pentagon_on_cyclic_ladder(n, budget):
     assert report.passed
     assert elapsed < budget
     print(f"PENTAGON n={n}: PASS ({elapsed:.2f}s)")
+
+
+def test_dense_pentagon_at_the_dimension_guard():
+    # structure maps dense 16 x 16 over GF(11), the --max-dim default: the
+    # composites would be dense 65536 x 65536 maps, checked factor by factor
+    field = PrimeField(11)
+    rng = random.Random(20261018)
+    q = None
+    while q is None or not q.is_invertible():
+        rows = [[rng.randrange(11) for _ in range(16)] for _ in range(16)]
+        q = LinearMap.from_rows(field, (16,), (16,), rows)
+    a, b = (carried_yd(cyclic_graded_yd(16, 15, g, field), q) for g in (1, 2))
+    assert min(len(a.alpha.values), len(b.alpha.values)) > 0.8 * 256
+    start = time.perf_counter()
+    reports = [check_pentagon(a, b, a, b, flavor) for flavor in ("hat", "tilde")]
+    elapsed = time.perf_counter() - start
+    assert all(report.passed for report in reports)
+    assert elapsed < 1.0
+    print(f"DENSE PENTAGON dim=16: PASS ({elapsed:.2f}s)")

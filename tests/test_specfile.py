@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from homyd.errors import SpecFileError
 from homyd.fields import PrimeField, RATIONALS
-from homyd.specfile import parse_spec, serialize_spec
+from homyd.fixtures import cyclic_graded_yd
+from homyd.specfile import SpecDocument, parse_spec, serialize_spec
+from homyd.structures import HomAlgebra
 
 MINIMAL = {
     "field": "rational",
@@ -118,6 +120,40 @@ def test_round_trip_on_shipped_suites():
         path = pathlib.Path(__file__).parents[1] / "suites" / name
         canonical = serialize_spec(parse_spec(path.read_text()))
         assert serialize_spec(parse_spec(canonical)) == canonical
+
+
+def test_a_structure_without_its_base_is_not_serialized():
+    y = cyclic_graded_yd(3, 2, 1, RATIONALS)
+    with pytest.raises(SpecFileError, match="structure 'Y' sits over a HomBialgebra"):
+        serialize_spec(SpecDocument(RATIONALS, {"Y": y}, []))
+    # a base listed after the structure would be an undefined reference
+    with pytest.raises(SpecFileError, match="structure 'Y'"):
+        serialize_spec(SpecDocument(RATIONALS, {"Y": y, "H": y.over}, []))
+
+
+def test_a_structure_round_trips_with_its_base_listed():
+    y = cyclic_graded_yd(3, 2, 1, RATIONALS)
+    text = serialize_spec(SpecDocument(RATIONALS, {"H": y.over, "Y": y}, []))
+    assert json.loads(text)["structures"]["Y"]["over"] == "H"
+    doc = parse_spec(text)
+    again = doc.structures["Y"]
+    assert again.over is doc.structures["H"]
+    assert (again.act, again.coact, again.alpha) == (y.act, y.coact, y.alpha)
+    assert serialize_spec(doc) == text
+
+
+def test_a_base_is_matched_by_equal_maps_for_every_kind():
+    # the module's algebra is not in the document, an equal copy is
+    doc = parse_spec(json.dumps(LAYOUT))
+    module, algebra = doc.structures["M"], doc.structures["A"]
+    copy = HomAlgebra(algebra.mu, algebra.alpha)
+    text = serialize_spec(SpecDocument(RATIONALS, {"B": copy, "M": module}, []))
+    assert json.loads(text)["structures"]["M"]["over"] == "B"
+    assert parse_spec(text).structures["M"].act == module.act
+    # an algebra with another structure map is no match
+    other = HomAlgebra(algebra.mu, algebra.alpha.power(2))
+    with pytest.raises(SpecFileError, match="structure 'M' sits over a HomAlgebra"):
+        serialize_spec(SpecDocument(RATIONALS, {"B": other, "M": module}, []))
 
 
 def test_undefined_reference_names_the_missing_structure():

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from conftest import identity_rows
+from conftest import carried_yd, identity_rows
 from homyd.errors import InapplicableError, PreconditionError
 from homyd.fields import RATIONALS, PrimeField
 from homyd.fixtures import (
@@ -21,9 +23,16 @@ from homyd.modules import (
     tensor_comodules,
     tensor_modules,
 )
+from homyd.reports import CheckReport, compare_maps
+from homyd.runner import execute_task
+from homyd.specfile import Task
 from homyd.yd import (
+    _FLAVORS,
     ClassicalYD,
     YDModule,
+    _compare_factors,
+    _kron,
+    _pentagon_factors,
     associator_a,
     associator_frak_a,
     b_from_c,
@@ -351,6 +360,105 @@ def test_pentagon_twisted_fixture_both_flavors():
     for flavor in ("hat", "tilde"):
         report = check_pentagon(m, m, m, m, flavor)
         assert report.passed, flavor
+
+
+def _materialised_pentagon(e, m, n, p, q):
+    """Both pentagon composites and the diagonal, built in full."""
+    def assoc(x, middle, z):
+        return x.power(e).tensor(LinearMap.identity(x.field, middle)).tensor(z.power(-e))
+
+    ident_m = LinearMap.identity(m.field, (m.dim,))
+    ident_q = LinearMap.identity(m.field, (q.dim,))
+    lhs = (
+        ident_m.tensor(assoc(n.alpha, (p.dim,), q.alpha))
+        @ assoc(m.alpha, (n.dim, p.dim), q.alpha)
+        @ assoc(m.alpha, (n.dim,), p.alpha).tensor(ident_q)
+    )
+    rhs = (
+        assoc(m.alpha, (n.dim,), p.alpha.tensor(q.alpha))
+        @ assoc(m.alpha.tensor(n.alpha), (p.dim,), q.alpha)
+    )
+    diagonal = (
+        m.alpha.power(2 * e).tensor(n.alpha.power(e))
+        .tensor(p.alpha.power(-e)).tensor(q.alpha.power(-2 * e))
+    )
+    return lhs, rhs, diagonal
+
+
+# dense and invertible over Q with a non-integral inverse
+DENSE_Q3 = LinearMap.from_rows(Q, (3,), (3,), [[2, 2, 1], [1, 2, 1], [1, 2, 0]])
+
+
+def _pentagon_quads():
+    """``id -> (m, n, p, q)``: cyclic_graded_yd pairs at n <= 5, four
+    carriers of distinct dimensions and a pair carried along a dense change
+    of basis."""
+    quads = {}
+    for n, k in ((2, 1), (3, 2), (4, 3), (5, 2), (5, 4)):
+        a, b = cyclic_graded_yd(n, k, 1, Q), cyclic_graded_yd(n, k, 2, Q)
+        quads[f"cyclic_{n}_{k}"] = (a, b, a, b)
+    quads["dims_2345"] = tuple(cyclic_graded_yd(n, n - 1, 1, Q) for n in (2, 3, 4, 5))
+    a, b = (carried_yd(cyclic_graded_yd(3, 2, g, Q), DENSE_Q3) for g in (1, 2))
+    assert len(a.alpha.values) == 9  # every entry of the structure map is nonzero
+    quads["dense_q3"] = (a, b, a, b)
+    return quads
+
+
+PENTAGON_QUADS = _pentagon_quads()
+
+
+@pytest.mark.parametrize("flavor", ["hat", "tilde"])
+@pytest.mark.parametrize("quad", PENTAGON_QUADS.values(), ids=PENTAGON_QUADS.keys())
+def test_factored_pentagon_matches_the_materialised_composites(quad, flavor):
+    e = _FLAVORS[flavor][1]
+    factors = _pentagon_factors(e, *quad)
+    full = _materialised_pentagon(e, *quad)
+    for got, want in zip(factors, full):
+        assert len(got) == 4
+        assert _kron(got) == want
+    lhs, rhs, diagonal = full
+    assert check_pentagon(*quad, flavor) == CheckReport.combine(
+        f"pentagon_{flavor}",
+        [
+            compare_maps("pentagon_composites_equal", lhs, rhs),
+            compare_maps("pentagon_equals_diagonal", lhs, diagonal),
+        ],
+    )
+
+
+def test_factor_scan_passes_a_scalar_moved_between_factors():
+    x = carried_yd(cyclic_graded_yd(3, 2, 1, Q), DENSE_Q3).alpha
+    y = LinearMap.identity(Q, (2,))
+    lhs, rhs = [x.scaled(2), y, x], [x, y.scaled(Fraction(2, 3)), x.scaled(3)]
+    assert all(a != b for a, b in zip(lhs, rhs))
+    assert _compare_factors("moved_scalar", lhs, rhs) == CheckReport("moved_scalar")
+
+
+def test_factor_scan_reports_what_compare_maps_reports():
+    x = carried_yd(cyclic_graded_yd(3, 2, 1, Q), DENSE_Q3).alpha
+    y = cyclic_graded_yd(2, 1, 1, Q).alpha
+    lhs, rhs = [x, y, x], [x, y, x.power(2)]
+    report = _compare_factors("differs", lhs, rhs)
+    assert not report.passed
+    assert report == compare_maps("differs", _kron(lhs), _kron(rhs))
+
+
+def _with_alpha(yd, rows):
+    return YDModule(yd.over, yd.act, yd.coact, LinearMap.from_rows(Q, (yd.dim,), (yd.dim,), rows))
+
+
+@pytest.mark.parametrize("flavor, slot", [("hat", 0), ("tilde", 2)])
+def test_pentagon_on_a_singular_structure_map_is_inapplicable(flavor, slot):
+    # the hat associators invert the structure maps of M and N, the tilde ones
+    # those of P and Q; both slots are singular and the first is reported
+    three, two = cyclic_graded_yd(3, 2, 1, Q), cyclic_graded_yd(2, 1, 1, Q)
+    quad = [three, two, three, two]
+    quad[slot] = _with_alpha(three, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    quad[slot + 1] = _with_alpha(two, [[1, 0], [0, 0]])
+    task = Task("pentagon", {"check": "pentagon", "modules": list("MNPQ"), "flavor": flavor})
+    result, _ = execute_task(task, dict(zip("MNPQ", quad)))
+    assert result.status == "inapplicable"
+    assert result.reason == "inapplicable: map (3,) -> (3,) is not invertible (rank 2)"
 
 
 def test_hexagons_classical_and_twisted(s3_classical, c5_pair):
