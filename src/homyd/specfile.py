@@ -283,12 +283,13 @@ def _fmt(field, data):
 
 
 def structure_to_json(field, obj, over_name=None):
-    """Render a typed structure back into its file form."""
+    """Render a typed structure back into its file form; ``over_name`` names
+    the base of a kind that has one."""
     cls = type(obj)
     if cls not in _KIND:
         raise ShapeError(f"cannot serialize {cls.__name__}")
     out = {"kind": _KIND[cls]}
-    if cls.OVER and over_name is not None:
+    if cls.OVER:
         out["over"] = over_name
     if cls.ALPHA:
         out["dim"] = obj.dim

@@ -451,10 +451,10 @@ def _with_alpha(yd, rows):
 def test_pentagon_on_a_singular_structure_map_is_inapplicable(flavor, slot):
     # the hat associators invert the structure maps of M and N, the tilde ones
     # those of P and Q; both slots are singular and the first is reported
-    three, two = cyclic_graded_yd(3, 2, 1, Q), cyclic_graded_yd(2, 1, 1, Q)
-    quad = [three, two, three, two]
-    quad[slot] = _with_alpha(three, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    quad[slot + 1] = _with_alpha(two, [[1, 0], [0, 0]])
+    a, b = cyclic_graded_yd(3, 2, 1, Q), cyclic_graded_yd(3, 2, 2, Q)
+    quad = [a, b, a, b]
+    quad[slot] = _with_alpha(a, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    quad[slot + 1] = _with_alpha(b, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     task = Task("pentagon", {"check": "pentagon", "modules": list("MNPQ"), "flavor": flavor})
     result, _ = execute_task(task, dict(zip("MNPQ", quad)))
     assert result.status == "inapplicable"
