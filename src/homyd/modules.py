@@ -24,6 +24,7 @@ from .structures import (
     certified,
     certify,
     require,
+    require_same_base,
     twist_algebra,
     twist_bialgebra,
     twist_coalgebra,
@@ -109,12 +110,14 @@ def check_comodule(com: ComoduleStruct) -> CheckReport:
 
 def check_module_morphism(f: LinearMap, src: ModuleStruct, dst: ModuleStruct) -> CheckReport:
     """f intertwines the structure maps and the actions."""
+    require_same_base(src, dst)
     return _morphism_report("module_morphism", f, [(src, dst)], coaction=False)
 
 
 def check_comodule_morphism(
     g: LinearMap, src: ComoduleStruct, dst: ComoduleStruct
 ) -> CheckReport:
+    require_same_base(src, dst)
     return _morphism_report("comodule_morphism", g, [(src, dst)], action=False)
 
 
@@ -187,12 +190,6 @@ def induce_comodule(
 
 
 # -- tensor products -----------------------------------------------------
-
-def require_same_base(x, y) -> None:
-    """Bases must agree as structure constants, not as object identities."""
-    if not x.over.same_as(y.over):
-        raise ShapeError("operands live over different base structures")
-
 
 def tensor_action_map(base: HomBialgebra, m: ModuleStruct, n: ModuleStruct) -> LinearMap:
     """h·(m⊗n) = h_1·m ⊗ h_2·n, flattened to the product carrier."""

@@ -10,17 +10,24 @@ being returned.
 
 from __future__ import annotations
 
-from .errors import PreconditionError, ShapeError
+from .errors import ShapeError
 from .linmap import LinearMap
 from .modules import (
     ComoduleStruct,
     ModuleStruct,
     _tensor_comodule_raw,
     _tensor_module_raw,
-    require_same_base,
 )
 from .reports import CheckReport, compare_maps
-from .structures import HomBialgebra, Structure, certified, tensor_square_product
+from .structures import (
+    HomBialgebra,
+    Structure,
+    certified,
+    require,
+    require_bijective,
+    require_same_base,
+    tensor_square_product,
+)
 from .yd import YDModule, _hat_raw, _tilde_raw, yd_suite
 
 
@@ -82,16 +89,6 @@ def check_r_invariance(r: RElement) -> CheckReport:
     return compare_maps("r_invariance", lhs, r.element)
 
 
-def _require_axioms(what, reports) -> None:
-    for report in reports:
-        if not report.passed:
-            first = report.failures[0]
-            raise PreconditionError(
-                first.law, first.index,
-                f"{what} does not satisfy {first.law} at {first.index}",
-            )
-
-
 def _r_coaction(mod: ModuleStruct, r: RElement) -> LinearMap:
     h = mod.over
     ident_m = LinearMap.identity(mod.field, (mod.dim,))
@@ -108,7 +105,8 @@ def _yd_from_module(mod, r):
     if not isinstance(mod.over, HomBialgebra):
         raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
     require_same_base(mod, r)
-    _require_axioms("R", (check_qt(r), check_r_invariance(r)))
+    require(check_qt(r))
+    require(check_r_invariance(r))
     out = YDModule(mod.over, mod.act, _r_coaction(mod, r), mod.alpha)
     return out, yd_suite(out, gate=False)
 
@@ -119,13 +117,9 @@ def check_qt_tensor_coincide(m: ModuleStruct, n: ModuleStruct, r: RElement) -> C
 
     No gate on the quasitriangular axioms: a perturbed R shows up as a
     coincidence failure, which is the point of the scan."""
-    require_same_base(m, n)
-    require_same_base(m, r)
+    require_same_base(m, n, r)
     h = m.over
-    if not h.alpha.is_invertible():
-        raise PreconditionError(
-            "alpha_invertible", None, "coincidence check needs a bijective base map"
-        )
+    require_bijective("coincidence check", base=h.alpha)
     lhs = _r_coaction(_tensor_module_raw(m, n), r)
     hat = _hat_raw(
         YDModule(h, m.act, _r_coaction(m, r), m.alpha),
@@ -139,8 +133,7 @@ def check_qt_tensor_coincide(m: ModuleStruct, n: ModuleStruct, r: RElement) -> C
 
 def qt_braiding(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
     """c(m⊗n) = alpha_N^{-1}(R2·n) ⊗ alpha_M^{-1}(R1·m)."""
-    require_same_base(m, n)
-    require_same_base(m, r)
+    require_same_base(m, n, r)
     first = n.alpha.inverse() @ n.act
     second = m.alpha.inverse() @ m.act
     return _r_paired(first, second, m, n, r)
@@ -148,8 +141,7 @@ def qt_braiding(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
 
 def qt_B(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
     """B(m⊗n) = R2·n ⊗ R1·m; no bijectivity needed."""
-    require_same_base(m, n)
-    require_same_base(m, r)
+    require_same_base(m, n, r)
     return _r_paired(n.act, m.act, m, n, r)
 
 
@@ -218,7 +210,8 @@ def _yd_from_comodule(com, s):
     if not isinstance(com.over, HomBialgebra):
         raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
     require_same_base(com, s)
-    _require_axioms("sigma", (check_cqt(s), check_sigma_invariance(s)))
+    require(check_cqt(s))
+    require(check_sigma_invariance(s))
     out = YDModule(com.over, _sigma_action(com, s), com.coact, com.alpha)
     return out, yd_suite(out, gate=False)
 
@@ -229,13 +222,9 @@ def check_cqt_tensor_coincide(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm
 
     As with the quasitriangular side, the scan is not gated on the sigma
     axioms, so a perturbed sigma is reported as a coincidence failure."""
-    require_same_base(m, n)
-    require_same_base(m, s)
+    require_same_base(m, n, s)
     h = m.over
-    if not h.alpha.is_invertible():
-        raise PreconditionError(
-            "alpha_invertible", None, "coincidence check needs a bijective base map"
-        )
+    require_bijective("coincidence check", base=h.alpha)
     lhs = _sigma_action(_tensor_comodule_raw(m, n), s)
     tilde = _tilde_raw(
         YDModule(h, _sigma_action(m, s), m.coact, m.alpha),
@@ -249,15 +238,13 @@ def check_cqt_tensor_coincide(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm
 
 def cqt_braiding(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> LinearMap:
     """c(m⊗n) = sigma(n_(-1)⊗m_(-1)) alpha_N^{-1}(n_(0)) ⊗ alpha_M^{-1}(m_(0))."""
-    require_same_base(m, n)
-    require_same_base(m, s)
+    require_same_base(m, n, s)
     return _sigma_paired(n.alpha.inverse(), m.alpha.inverse(), m, n, s)
 
 
 def cqt_B(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> LinearMap:
     """B(m⊗n) = sigma(n_(-1)⊗m_(-1)) n_(0) ⊗ m_(0)."""
-    require_same_base(m, n)
-    require_same_base(m, s)
+    require_same_base(m, n, s)
     ident_n = LinearMap.identity(m.field, (n.dim,))
     ident_m = LinearMap.identity(m.field, (m.dim,))
     return _sigma_paired(ident_n, ident_m, m, n, s)

@@ -55,6 +55,7 @@ from .structures import (
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
+    require_identity,
 )
 from .yd import (
     ClassicalYD,
@@ -133,10 +134,8 @@ class TaskKind:
 _CLASSICAL = {cls.HOM: cls for cls in (ClassicalAlgebra, ClassicalCoalgebra, ClassicalBialgebra)}
 
 
-def _classicalize(obj, what):
-    """Interpret a Hom-structure with identity map as a classical one."""
-    if not obj.alpha.is_identity():
-        raise InapplicableError(f"{what} requires an identity structure map")
+def _classicalize(obj):
+    """A Hom-structure with identity structure map as the classical one."""
     cls = _CLASSICAL[type(obj)]
     return cls(*(getattr(obj, attr) for _, attr, _ in cls.MAPS))
 
@@ -150,13 +149,14 @@ def _matrix_arg(field, raw, dim, what):
     return LinearMap.from_rows(field, (dim,), (dim,), rows)
 
 
+def _classical_pair(yd, what):
+    """A Yetter-Drinfeld module with identity structure maps as the classical one."""
+    require_identity(what, base=yd.over.alpha, carrier=yd.alpha)
+    return ClassicalYD(_classicalize(yd.over), yd.act, yd.coact)
+
+
 def _classical_yd(target):
-    classical_base = _classicalize(target.over, "classical Yetter-Drinfeld check")
-    if not target.alpha.is_identity():
-        raise InapplicableError(
-            "classical Yetter-Drinfeld check requires an identity carrier map"
-        )
-    return check_classical_yd(ClassicalYD(classical_base, target.act, target.coact))
+    return check_classical_yd(_classical_pair(target, "classical Yetter-Drinfeld check"))
 
 
 def _bridge(m, n):
@@ -211,7 +211,8 @@ def _braiding_matches(route, braiding, braiding_b, induce):
 def _twist(kind, build):
     def run(spec, source):
         alpha = _matrix_arg(source.field, spec["alpha"], source.dim, "alpha")
-        return build(_classicalize(source, "twisting"), alpha)
+        require_identity("twisting", source=source.alpha)
+        return build(_classicalize(source), alpha)
     return TaskKind((("source", None, (kind,)),), run, kind, (("alpha", None),))
 
 
@@ -219,10 +220,7 @@ def _twist_yd_task(spec, source):
     field = source.field
     alpha_h = _matrix_arg(field, spec["alpha_h"], source.over.dim, "alpha_h")
     alpha_m = _matrix_arg(field, spec["alpha_m"], source.dim, "alpha_m")
-    base = _classicalize(source.over, "Yetter-Drinfeld twisting")
-    if not source.alpha.is_identity():
-        raise InapplicableError("Yetter-Drinfeld twisting starts from a classical pair")
-    return _twist_yd(ClassicalYD(base, source.act, source.coact), alpha_h, alpha_m)
+    return _twist_yd(_classical_pair(source, "Yetter-Drinfeld twisting"), alpha_h, alpha_m)
 
 
 def _unary(kinds, check, facet=None):

@@ -6,13 +6,16 @@ Structures are carried entirely by structure-constant tensors: a product
 return the full list of failing basis tuples; twisting constructors
 verify their endomorphism hypotheses eagerly and re-check their output
 before returning it.
+
+Operands are refused by one helper per contract: ``require`` (a hypothesis
+holds), ``require_same_base``, ``require_bijective`` and ``require_identity``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import CertificationError, PreconditionError, ShapeError
+from .errors import CertificationError, InapplicableError, PreconditionError, ShapeError
 from .linmap import LinearMap
 from .reports import CheckReport, compare_maps
 
@@ -314,6 +317,26 @@ def require(report: CheckReport) -> None:
     if not report.passed:
         first = report.failures[0]
         raise PreconditionError(first.law, first.index)
+
+
+def require_same_base(x, *others) -> None:
+    """All operands live over one base, compared by its maps, not by identity."""
+    if not all(x.over.same_as(y.over) for y in others):
+        raise ShapeError("operands live over different base structures")
+
+
+def require_bijective(what, **maps) -> None:
+    """Refuse ``what`` at the first named structure map that is not bijective."""
+    for name, alpha in maps.items():
+        if not alpha.is_invertible():
+            raise InapplicableError(f"{what} needs a bijective {name} structure map")
+
+
+def require_identity(what, **maps) -> None:
+    """Refuse ``what`` at the first named structure map that is not the identity."""
+    for name, alpha in maps.items():
+        if not alpha.is_identity():
+            raise InapplicableError(f"{what} needs an identity {name} structure map")
 
 
 # -- twisting (composition method) -------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .errors import InapplicableError, PreconditionError, ShapeError
+from .errors import ShapeError
 from .linmap import LinearMap
 from .modules import (
     ComoduleStruct,
@@ -33,7 +33,6 @@ from .modules import (
     _tensor_alpha,
     check_comodule,
     check_module,
-    require_same_base,
     require_twist_compat,
     tensor_action_map,
     tensor_coaction_map,
@@ -47,6 +46,8 @@ from .structures import (
     certified,
     certify,
     require,
+    require_bijective,
+    require_same_base,
 )
 
 
@@ -111,12 +112,7 @@ def yd_compatibility_report(m: YDModule) -> CheckReport:
 def check_yd(m: YDModule) -> CheckReport:
     """Gate on bijective structure maps, then scan the compatibility law over
     all (algebra basis, carrier basis) pairs."""
-    for alpha, what in ((m.over.alpha, "base"), (m.alpha, "carrier")):
-        if not alpha.is_invertible():
-            raise InapplicableError(
-                f"{what} structure map is not bijective; the Yetter-Drinfeld "
-                "category requires invertible structure maps"
-            )
+    require_bijective("the Yetter-Drinfeld category", base=m.over.alpha, carrier=m.alpha)
     return yd_compatibility_report(m)
 
 
@@ -151,10 +147,7 @@ def twist_yd(m: ClassicalYD, alpha_h: LinearMap, alpha_m: LinearMap) -> YDModule
 
 def _twist_yd(m, alpha_h, alpha_m):
     require_twist_compat(alpha_h, alpha_m, m.act, m.coact)
-    if not alpha_h.is_invertible():
-        raise PreconditionError("alpha_h_invertible", None, "twisting map of the base is not bijective")
-    if not alpha_m.is_invertible():
-        raise PreconditionError("alpha_m_invertible", None, "carrier twisting map is not bijective")
+    require_bijective("Yetter-Drinfeld twisting", base=alpha_h, carrier=alpha_m)
     base, base_report = _twist_bialgebra(m.over, alpha_h)
     out = YDModule(base, alpha_m @ m.act, alpha_h.tensor(alpha_m) @ m.coact, alpha_m)
     # a base that breaks its laws leads the report; a sound base adds nothing
@@ -166,8 +159,7 @@ def _twist_yd(m, alpha_h, alpha_m):
 def braiding_B(m: YDModule, n: YDModule) -> LinearMap:
     """B(m⊗n) = α_H^{-1}(m_(-1))·n ⊗ m_(0), as a matrix M⊗N -> N⊗M."""
     require_same_base(m, n)
-    if not m.over.alpha.is_invertible():
-        raise InapplicableError("braiding needs a bijective base structure map")
+    require_bijective("braiding", base=m.over.alpha)
     return n.act.tensor(LinearMap.identity(m.field, (m.dim,))) @ _tagged(m, n)
 
 
@@ -246,8 +238,7 @@ def tilde_tensor(m: YDModule, n: YDModule) -> YDModule:
 
 def _yd_tensor(flavor, m, n):
     require_same_base(m, n)
-    if not m.over.alpha.is_invertible():
-        raise InapplicableError(f"{flavor} tensor product needs a bijective base structure map")
+    require_bijective(f"{flavor} tensor product", base=m.over.alpha)
     raw_tensor, _ = _flavor(flavor)
     out = raw_tensor(m, n)
     return out, yd_suite(out, gate=False)
@@ -294,6 +285,7 @@ def associator_frak_a(m: YDModule, n: YDModule, p: YDModule) -> LinearMap:
 
 
 def _certified_associator(flavor, m, n, p):
+    require_same_base(m, n, p)
     raw_tensor, e = _flavor(flavor)
     a = _kron(_associator(e, [m.alpha], [n.dim], [p.alpha]))
     # raw towers: the inputs are certified already and the morphism scans
@@ -319,9 +311,7 @@ def braiding_c(m: YDModule, n: YDModule) -> LinearMap:
 
 def _braiding_c(m, n):
     require_same_base(m, n)
-    for alpha, what in ((m.over.alpha, "base"), (m.alpha, "first"), (n.alpha, "second")):
-        if not alpha.is_invertible():
-            raise InapplicableError(f"braiding needs a bijective {what} structure map")
+    require_bijective("braiding", base=m.over.alpha, first=m.alpha, second=n.alpha)
     c = _braiding_c_matrix(m, n)
     pairs = [(raw(m, n), raw(n, m)) for raw in (_hat_raw, _tilde_raw)]
     return c, _morphism_report("braiding_morphism", c, pairs)
@@ -344,6 +334,7 @@ def check_pentagon(
     by the mixed-product rule: equal factors prove equal maps.  Where some
     factor differs, the two full d⁴ × d⁴ maps are built and compared, since
     a scalar moved between factors leaves their product unchanged."""
+    require_same_base(m, n, p, q)
     _, e = _flavor(flavor)
     lhs, rhs, diagonal = _pentagon_factors(e, m, n, p, q)
     return CheckReport.combine(
@@ -382,6 +373,7 @@ def _compare_factors(law, lhs, rhs) -> CheckReport:
 
 def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -> CheckReport:
     """The two hexagon relations tying c to the associator of the given flavor."""
+    require_same_base(m, n, p)
     raw_tensor, e = _flavor(flavor)
     ident_m, ident_n, ident_p = (LinearMap.identity(m.field, (x.dim,)) for x in (m, n, p))
 
@@ -438,6 +430,7 @@ def check_braid_relation(c_mn: LinearMap, c_mp: LinearMap, c_np: LinearMap) -> C
 
 
 def check_braid_relation_for(m: YDModule, n: YDModule, p: YDModule) -> CheckReport:
+    require_same_base(m, n, p)
     return check_braid_relation(
         _braiding_c_matrix(m, n), _braiding_c_matrix(m, p), _braiding_c_matrix(n, p)
     )
@@ -461,9 +454,7 @@ def check_braid_implies_hybe(
             "np": (c_np, alpha_n, alpha_p)}
     for key, (c, x, y) in legs.items():
         require(_commutes(f"c_{key}_commutes", c, x, y))
-    braid = check_braid_relation(c_mn, c_mp, c_np)
-    if not braid.passed:
-        raise PreconditionError("braid_relation", braid.failures[0].index)
+    require(check_braid_relation(c_mn, c_mp, c_np))
 
     bs = {key: b_from_c(c, x, y) for key, (c, x, y) in legs.items()}
     reports = [_commutes(f"b_{key}_commutes", bs[key], x, y) for key, (_, x, y) in legs.items()]

@@ -329,3 +329,79 @@ def test_report_value_too_long_to_render_exits_two(tmp_path, capsys):
     # the table needs no rendered value
     assert main(["check", str(path)]) == 1
     assert "laws" in capsys.readouterr().out
+
+
+def _every_kind_document():
+    """A GF(7) document with one task of every kind in ``runner.TASKS``: the
+    Hom-structures live over k[C3] twisted along g -> g^2, the twist sources
+    are classical (identity structure maps)."""
+    from homyd.fields import PrimeField
+    from homyd.fixtures import (
+        crossed_gset, cyclic_bicharacter_sigma, cyclic_graded_yd, cyclic_group,
+        cyclic_r_matrix, group_bialgebra,
+    )
+    from homyd.modules import ComoduleStruct, ModuleStruct
+    from homyd.specfile import SpecDocument, Task
+
+    field = PrimeField(7)
+    h, r = cyclic_r_matrix(3, field, 2, 2)
+    classical = group_bialgebra(cyclic_group(3), field).as_hom()
+    structures = {
+        "H": h, "R": r, "S": cyclic_bicharacter_sigma(3, 7, 2, 2)[1],
+        "M": ModuleStruct(h, h.mu, h.alpha), "CM": ComoduleStruct(h, h.delta, h.alpha),
+        "A": cyclic_graded_yd(3, 2, 1, field), "B": cyclic_graded_yd(3, 2, 2, field),
+        "ALG": h.algebra, "COALG": h.coalgebra,
+        "HC": classical, "ALGC": classical.algebra, "COALGC": classical.coalgebra,
+        "YC": crossed_gset(cyclic_group(3), field).as_hom(),
+    }
+    square = [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]]
+    specs = [
+        {"check": "hom_algebra", "target": "ALG"},
+        {"check": "hom_coalgebra", "target": "COALG"},
+        {"check": "hom_bialgebra", "target": "H"},
+        {"check": "module", "target": "M"},
+        {"check": "comodule", "target": "CM"},
+        {"check": "yd", "target": "A"},
+        {"check": "classical_yd", "target": "YC"},
+        {"check": "qt", "target": "R"},
+        {"check": "r_invariance", "target": "R"},
+        {"check": "cqt", "target": "S"},
+        {"check": "sigma_invariance", "target": "S"},
+        {"check": "hybe", "modules": ["A", "A", "B"]},
+        {"check": "braid_relation", "modules": ["A", "B", "A"]},
+        {"check": "hexagons", "modules": ["A", "B", "A"], "flavor": "tilde"},
+        {"check": "pentagon", "modules": ["A", "B", "A", "B"], "flavor": "hat"},
+        {"check": "bridge", "modules": ["A", "B"]},
+        {"check": "braid_implies_hybe", "modules": ["A", "B", "A"]},
+        {"check": "qt_hybe", "modules": ["M", "M", "M"], "r": "R"},
+        {"check": "qt_braiding_matches", "modules": ["M", "M"], "r": "R"},
+        {"check": "cqt_hybe", "comodules": ["CM", "CM", "CM"], "sigma": "S"},
+        {"check": "cqt_braiding_matches", "comodules": ["CM", "CM"], "sigma": "S"},
+        {"twist": "algebra", "source": "ALGC", "alpha": square},
+        {"twist": "coalgebra", "source": "COALGC", "alpha": square},
+        {"twist": "bialgebra", "source": "HC", "alpha": square},
+        {"twist": "yd", "source": "YC", "alpha_h": square, "alpha_m": square, "result": "YT"},
+        {"tensor": "modules", "operands": ["M", "M"]},
+        {"tensor": "comodules", "operands": ["CM", "CM"]},
+        {"tensor": "hat", "operands": ["A", "B"]},
+        {"tensor": "tilde", "operands": ["B", "YT"]},
+        {"coincide": "qt", "operands": ["M", "M"], "r": "R"},
+        {"coincide": "cqt", "operands": ["CM", "CM"], "sigma": "S"},
+    ]
+    tasks = [Task(f"task_{i}", dict(name=f"task_{i}", **spec)) for i, spec in enumerate(specs)]
+    return SpecDocument(field, structures, tasks)
+
+
+def test_every_task_kind_runs_through_the_cli(tmp_path, capsys):
+    from homyd.runner import TASKS
+    from homyd.specfile import serialize_spec
+
+    path = tmp_path / "every_kind.json"
+    path.write_text(serialize_spec(_every_kind_document()))
+    out = tmp_path / "report.json"
+    assert main(["report", str(path), "--json", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    tasks = json.loads(out.read_text())["tasks"]
+    assert {tuple(t["kind"].split(":")) for t in tasks} == set(TASKS)
+    assert len(tasks) == len(TASKS)
+    assert [t["status"] for t in tasks] == ["pass"] * len(TASKS)

@@ -18,7 +18,7 @@ from homyd.modules import (
     tensor_comodules,
     tensor_modules,
 )
-from homyd.structures import ClassicalBialgebra
+from homyd.structures import ClassicalBialgebra, twist_bialgebra
 
 Q = RATIONALS
 
@@ -202,6 +202,25 @@ def test_comodule_morphism_checks():
     assert check_comodule_morphism(com.alpha, com, com).passed
     skew = LinearMap.basis_map(Q, [1, 0, 2])
     assert not check_comodule_morphism(skew, com, com).passed
+
+
+def test_morphism_checks_refuse_carriers_over_different_bases():
+    # the trivial action with identity carrier map is a lawful module over k[C3]
+    # twisted along g -> g^2 and over k[C3] itself, so only the base contract
+    # tells that the identity is no morphism between them
+    classical = cyclic_bialgebra(3)
+    twisted = twist_bialgebra(classical, LinearMap.from_rows(Q, (3,), (3,), power_rows(3, 2)))
+    trivial = [[[1 if p == m else 0 for p in range(3)] for m in range(3)] for _ in range(3)]
+    m, n = (ModuleStruct.from_constants(b, trivial, identity_rows(3))
+            for b in (twisted, classical.as_hom()))
+    assert check_module(m).passed and check_module(n).passed
+    ident = LinearMap.identity(Q, (3,))
+    with pytest.raises(ShapeError, match="^operands live over different base structures$"):
+        check_module_morphism(ident, m, n)
+    c, d = (ComoduleStruct.from_constants(b, diagonal_coaction(3), identity_rows(3))
+            for b in (twisted, classical.as_hom()))
+    with pytest.raises(ShapeError, match="^operands live over different base structures$"):
+        check_comodule_morphism(ident, c, d)
 
 
 def test_alpha_m_self_morphism_where_the_laws_allow_it():

@@ -1,0 +1,183 @@
+"""Every operand contract is refused by its one helper, with one message form:
+``require_same_base``, ``require_bijective``, ``require_identity`` and
+``require`` from ``homyd.structures``."""
+
+import pytest
+
+from homyd.errors import InapplicableError, PreconditionError, ShapeError
+from homyd.fields import RATIONALS
+from homyd.fixtures import (
+    crossed_gset,
+    cyclic_endo_twist,
+    cyclic_graded_yd,
+    cyclic_group,
+    group_bialgebra,
+    power_endomorphism,
+)
+from homyd.linmap import LinearMap
+from homyd.modules import ComoduleStruct, ModuleStruct
+from homyd.quasitri import (
+    RElement,
+    SigmaForm,
+    check_cqt_tensor_coincide,
+    check_qt_tensor_coincide,
+    yd_from_comodule,
+    yd_from_module,
+)
+from homyd.runner import TASKS, execute_task
+from homyd.specfile import Task
+from homyd.yd import (
+    ClassicalYD,
+    YDModule,
+    braiding_B,
+    braiding_c,
+    check_yd,
+    hat_tensor,
+    tilde_tensor,
+    twist_yd,
+)
+
+Q = RATIONALS
+
+# k[C4] twisted along g -> g^2: a Hom-bialgebra whose structure map is singular
+SINGULAR_BASE = cyclic_endo_twist(4, 2)
+# k[C2] with identity structure map, a bijective base
+C2 = cyclic_endo_twist(2, 1)
+
+
+def _graded_c4():
+    """The trivial-action graded module over k[C4] as a classical pair."""
+    y = cyclic_graded_yd(4, 1, 1, Q)  # twisted along the identity
+    return ClassicalYD(group_bialgebra(cyclic_group(4), Q), y.act, y.coact)
+
+
+def _over_singular_base():
+    """A Yetter-Drinfeld candidate with identity carrier map over SINGULAR_BASE."""
+    y = _graded_c4()
+    return YDModule(SINGULAR_BASE, y.act, y.coact, LinearMap.identity(Q, (4,)))
+
+
+C3_HOM = crossed_gset(cyclic_group(3), Q).as_hom()
+C3_SQUASHED = YDModule(C3_HOM.over, C3_HOM.act, C3_HOM.coact, LinearMap.zero(Q, (3,), (3,)))
+SQUARE_C4 = LinearMap.basis_map(Q, power_endomorphism(4, 2))
+SQUARE_C3 = [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]]
+IDENTITY_C3 = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+
+
+def _run(key, spec, *operands):
+    """A task kind's run, so that the exception it raises stays visible."""
+    return TASKS[key].run(spec, *operands)
+
+
+def _coincide(check, struct, form):
+    """A coincidence check of two regular (co)modules over SINGULAR_BASE."""
+    base = SINGULAR_BASE
+    maps = base.mu if struct is ModuleStruct else base.delta
+    x = struct(base, maps, LinearMap.identity(Q, (4,)))
+    return check(x, x, form.from_constants(base, [[0] * 4] * 4))
+
+
+def _bad_axioms(induce, struct, form):
+    """A regular (co)module over k[C2] with an R element or sigma form that
+    breaks its first axiom."""
+    maps = C2.mu if struct is ModuleStruct else C2.delta
+    return induce(struct(C2, maps, C2.alpha), form.from_constants(C2, [[1, 1], [0, 1]]))
+
+
+def _needs(what, adjective, name):
+    return InapplicableError, f"{what} needs {adjective} {name} structure map"
+
+
+REFUSALS = {
+    "check_yd_base": (
+        lambda: check_yd(_over_singular_base()),
+        _needs("the Yetter-Drinfeld category", "a bijective", "base")),
+    "check_yd_carrier": (
+        lambda: check_yd(C3_SQUASHED),
+        _needs("the Yetter-Drinfeld category", "a bijective", "carrier")),
+    "twist_yd_base": (
+        lambda: twist_yd(_graded_c4(), SQUARE_C4, SQUARE_C4),
+        _needs("Yetter-Drinfeld twisting", "a bijective", "base")),
+    "twist_yd_carrier": (
+        lambda: twist_yd(_graded_c4(), LinearMap.identity(Q, (4,)),
+                         LinearMap.from_rows(Q, (4,), (4,), [[1, 0, 0, 0]] + [[0] * 4] * 3)),
+        _needs("Yetter-Drinfeld twisting", "a bijective", "carrier")),
+    "braiding_B_base": (
+        lambda: braiding_B(_over_singular_base(), _over_singular_base()),
+        _needs("braiding", "a bijective", "base")),
+    "hat_tensor_base": (
+        lambda: hat_tensor(_over_singular_base(), _over_singular_base()),
+        _needs("hat tensor product", "a bijective", "base")),
+    "tilde_tensor_base": (
+        lambda: tilde_tensor(_over_singular_base(), _over_singular_base()),
+        _needs("tilde tensor product", "a bijective", "base")),
+    "braiding_c_base": (
+        lambda: braiding_c(_over_singular_base(), _over_singular_base()),
+        _needs("braiding", "a bijective", "base")),
+    "braiding_c_first": (
+        lambda: braiding_c(C3_SQUASHED, C3_HOM),
+        _needs("braiding", "a bijective", "first")),
+    "braiding_c_second": (
+        lambda: braiding_c(C3_HOM, C3_SQUASHED),
+        _needs("braiding", "a bijective", "second")),
+    "qt_coincidence_base": (
+        lambda: _coincide(check_qt_tensor_coincide, ModuleStruct, RElement),
+        _needs("coincidence check", "a bijective", "base")),
+    "cqt_coincidence_base": (
+        lambda: _coincide(check_cqt_tensor_coincide, ComoduleStruct, SigmaForm),
+        _needs("coincidence check", "a bijective", "base")),
+    "classical_yd_task_base": (
+        lambda: _run(("check", "classical_yd"), {}, cyclic_graded_yd(3, 2, 1, Q)),
+        _needs("classical Yetter-Drinfeld check", "an identity", "base")),
+    "classical_yd_task_carrier": (
+        lambda: _run(("check", "classical_yd"), {}, C3_SQUASHED),
+        _needs("classical Yetter-Drinfeld check", "an identity", "carrier")),
+    "twist_bialgebra_task_source": (
+        lambda: _run(("twist", "bialgebra"), {"alpha": SQUARE_C3}, cyclic_endo_twist(3, 2)),
+        _needs("twisting", "an identity", "source")),
+    "twist_yd_task_base": (
+        lambda: _run(("twist", "yd"), {"alpha_h": SQUARE_C3, "alpha_m": SQUARE_C3},
+                     cyclic_graded_yd(3, 2, 1, Q)),
+        _needs("Yetter-Drinfeld twisting", "an identity", "base")),
+    "twist_yd_task_carrier": (
+        lambda: _run(("twist", "yd"), {"alpha_h": SQUARE_C3, "alpha_m": SQUARE_C3},
+                     C3_SQUASHED),
+        _needs("Yetter-Drinfeld twisting", "an identity", "carrier")),
+    # a constructed source (here a hat tensor, 9-dimensional) is sized only at
+    # run time, so a 3x3 alpha_m reaches the runner
+    "twist_yd_task_matrix_size": (
+        lambda: _run(("twist", "yd"), {"alpha_h": IDENTITY_C3, "alpha_m": IDENTITY_C3},
+                     hat_tensor(C3_HOM, C3_HOM)),
+        (ShapeError, "alpha_m must be a 9x9 matrix of scalar strings")),
+    "r_axioms": (
+        lambda: _bad_axioms(yd_from_module, ModuleStruct, RElement),
+        (PreconditionError,
+         "precondition 'qt_coproduct_first_leg' fails at basis index ()")),
+    "sigma_axioms": (
+        lambda: _bad_axioms(yd_from_comodule, ComoduleStruct, SigmaForm),
+        (PreconditionError,
+         "precondition 'cqt_product_first_slot' fails at basis index (1, 1, 0)")),
+}
+
+
+@pytest.mark.parametrize("call, expected", REFUSALS.values(), ids=REFUSALS.keys())
+def test_each_refusal_has_its_helper_type_and_message(call, expected):
+    exc_type, message = expected
+    with pytest.raises(exc_type) as exc:
+        call()
+    assert type(exc.value) is exc_type
+    assert str(exc.value) == message
+
+
+def test_hat_tensor_of_singular_carriers_is_noted_outside_the_category():
+    # zero action and coaction satisfy every law whatever the carrier map, so
+    # the tensor certifies and only its note tells that the map is singular
+    zero = YDModule(C2, LinearMap.zero(Q, (2, 2), (2,)), LinearMap.zero(Q, (2,), (2, 2)),
+                    LinearMap.zero(Q, (2,), (2,)))
+    task = Task("hat", {"tensor": "hat", "operands": ["Z", "Z"]})
+    result, _ = execute_task(task, {"Z": zero})
+    assert result.status == "pass"
+    assert result.report.notes == (
+        "structure maps are not all bijective: compatibility verified directly, "
+        "object lies outside the bijective-structure category",
+    )

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import carried_yd, identity_rows
-from homyd.errors import InapplicableError, PreconditionError
+from homyd.errors import InapplicableError, PreconditionError, ShapeError
 from homyd.fields import RATIONALS, PrimeField
 from homyd.fixtures import (
     crossed_gset,
@@ -390,14 +392,15 @@ DENSE_Q3 = LinearMap.from_rows(Q, (3,), (3,), [[2, 2, 1], [1, 2, 1], [1, 2, 0]])
 
 
 def _pentagon_quads():
-    """``id -> (m, n, p, q)``: cyclic_graded_yd pairs at n <= 5, four
-    carriers of distinct dimensions and a pair carried along a dense change
-    of basis."""
+    """``id -> (m, n, p, q)``: cyclic_graded_yd pairs at n <= 5, carriers of
+    two dimensions over one base and a pair carried along a dense change of
+    basis."""
     quads = {}
     for n, k in ((2, 1), (3, 2), (4, 3), (5, 2), (5, 4)):
         a, b = cyclic_graded_yd(n, k, 1, Q), cyclic_graded_yd(n, k, 2, Q)
         quads[f"cyclic_{n}_{k}"] = (a, b, a, b)
-    quads["dims_2345"] = tuple(cyclic_graded_yd(n, n - 1, 1, Q) for n in (2, 3, 4, 5))
+    a, b = cyclic_graded_yd(3, 2, 1, Q), cyclic_graded_yd(3, 2, 2, Q)
+    quads["dims_3939"] = (a, hat_tensor(a, b), b, tilde_tensor(b, a))
     a, b = (carried_yd(cyclic_graded_yd(3, 2, g, Q), DENSE_Q3) for g in (1, 2))
     assert len(a.alpha.values) == 9  # every entry of the structure map is nonzero
     quads["dense_q3"] = (a, b, a, b)
@@ -459,6 +462,66 @@ def test_pentagon_on_a_singular_structure_map_is_inapplicable(flavor, slot):
     result, _ = execute_task(task, dict(zip("MNPQ", quad)))
     assert result.status == "inapplicable"
     assert result.reason == "inapplicable: map (3,) -> (3,) is not invertible (rank 2)"
+
+
+# -- one base for every operand ---------------------------------------------
+
+# equal dimensions, but the bases k[C3] carry the structure maps g -> g^2 and
+# the identity
+MIXED = (cyclic_graded_yd(3, 2, 1, Q), cyclic_graded_yd(3, 1, 1, Q))
+BASE_REFUSAL = "operands live over different base structures"
+
+
+@pytest.mark.parametrize("slot", [0, -1])
+@pytest.mark.parametrize(
+    "check, arity",
+    [pytest.param(check, arity, id=check.__name__) for check, arity in (
+        (check_pentagon, 4), (check_hexagons, 3), (check_braid_relation_for, 3),
+        (associator_a, 3), (associator_frak_a, 3),
+    )],
+)
+def test_coherence_laws_refuse_operands_over_different_bases(check, arity, slot):
+    operands = [MIXED[0]] * arity
+    operands[slot] = MIXED[1]
+    with pytest.raises(ShapeError) as exc:
+        check(*operands)
+    assert str(exc.value) == BASE_REFUSAL
+
+
+@pytest.mark.parametrize("kind, arity", [("pentagon", 4), ("hexagons", 3), ("braid_relation", 3)])
+def test_coherence_tasks_over_different_bases_are_inapplicable(kind, arity):
+    task = Task(kind, {"check": kind, "modules": ["M"] * (arity - 1) + ["N"]})
+    result, _ = execute_task(task, dict(zip("MN", MIXED)))
+    assert result.status == "inapplicable"
+    assert result.reason == f"inapplicable: {BASE_REFUSAL}"
+
+
+# cyclic_graded_yd(n, k, grade, field) for n in {2, 3}, k prime to n, grade in
+# {1, 2} and field in {Q, GF(7)}: two modules over each of six bases
+GRADED_FAMILY = [
+    cyclic_graded_yd(n, k, grade, field)
+    for n, k in ((2, 1), (3, 1), (3, 2)) for grade in (1, 2) for field in (Q, PrimeField(7))
+]
+# (arity, check) of every law and construction of several modules
+MULTI_OPERAND = [
+    (3, check_hybe_for), (3, check_braid_relation_for),
+    (3, partial(check_hexagons, flavor="hat")), (3, partial(check_hexagons, flavor="tilde")),
+    (4, partial(check_pentagon, flavor="hat")), (4, partial(check_pentagon, flavor="tilde")),
+    (3, associator_a), (3, associator_frak_a), (2, hat_tensor), (2, tilde_tensor),
+    (2, braiding_B), (2, braiding_c),
+]
+
+
+@given(st.lists(st.sampled_from(GRADED_FAMILY), min_size=2, max_size=4))
+def test_multi_operand_checks_run_exactly_over_one_base(drawn):
+    for arity, check in MULTI_OPERAND:
+        operands = [drawn[i % len(drawn)] for i in range(arity)]
+        if all(operands[0].over.same_as(x.over) for x in operands):
+            out = check(*operands)  # a construction certifies itself
+            assert not isinstance(out, CheckReport) or out.passed
+        else:
+            with pytest.raises(ShapeError, match=f"^{BASE_REFUSAL}$"):
+                check(*operands)
 
 
 def test_hexagons_classical_and_twisted(s3_classical, c5_pair):
