@@ -20,8 +20,6 @@ from .errors import (
 from .fields import RATIONALS, PrimeField, Rationals, field_from_descriptor
 from .linmap import LinearMap
 from .modules import (
-    ClassicalComodule,
-    ClassicalModule,
     ComoduleStruct,
     ModuleStruct,
     check_comodule,
@@ -51,9 +49,6 @@ from .quasitri import (
 )
 from .reports import CheckReport, Failure, compare_maps
 from .structures import (
-    ClassicalAlgebra,
-    ClassicalBialgebra,
-    ClassicalCoalgebra,
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
@@ -67,7 +62,6 @@ from .structures import (
     twist_coalgebra,
 )
 from .yd import (
-    ClassicalYD,
     YDModule,
     associator_a,
     associator_frak_a,

@@ -1,7 +1,7 @@
 """Batch front end.
 
-    homyd check <file> [--json PATH] [--parallel N] [--max-dim D]
-    homyd report <file> --json PATH [--parallel N] [--max-dim D]
+    homyd check <file> [--json PATH] [--max-dim D]
+    homyd report <file> --json PATH [--max-dim D]
     homyd example <name> <params...> [--emit PATH]
 
 Exit status: 0 when every task passes, 1 when any task fails or is
@@ -129,9 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", help="structure file to run")
         p.add_argument("--json", metavar="PATH", help="write the machine report here")
-        p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="accepted for compatibility and ignored: tasks always "
-                       "run one at a time in document order")
         p.add_argument("--max-dim", type=int, default=16, metavar="D",
                        help="guard on declared structure dimensions (default 16)")
 

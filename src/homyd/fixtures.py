@@ -2,9 +2,10 @@
 
 Group algebras are the canonical source: the diagonal coproduct makes
 every coalgebra-side law exactly computable, and twisting along a group
-endomorphism produces Hom-structures of every kind.  Identity-map
-variants of each fixture anchor the classical-limit tests.  All
-generators are pure functions of their integer parameters.
+endomorphism produces Hom-structures of every kind.  The classical
+fixtures are Hom-structures with identity structure maps, and anchor the
+classical-limit tests.  All generators are pure functions of their
+integer parameters.
 """
 
 from __future__ import annotations
@@ -13,17 +14,11 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ShapeError
-from .fields import RATIONALS, Field, PrimeField, is_prime
+from .fields import RATIONALS, Field, PrimeField
 from .linmap import LinearMap
 from .quasitri import RElement, SigmaForm
-from .structures import (
-    ClassicalBialgebra,
-    HomBialgebra,
-    certify,
-    check_classical_bialgebra,
-    twist_bialgebra,
-)
-from .yd import ClassicalYD, YDModule, twist_yd
+from .structures import HomBialgebra, certify, check_classical_bialgebra, twist_bialgebra
+from .yd import YDModule, twist_yd
 
 
 @dataclass(frozen=True)
@@ -114,8 +109,9 @@ def power_endomorphism(n: int, k: int) -> tuple[int, ...]:
     return tuple((k * j) % n for j in range(n))
 
 
-def group_bialgebra(group: GroupPresentation, field: Field = RATIONALS) -> ClassicalBialgebra:
-    """Group algebra with basis the group elements and diagonal coproduct."""
+def group_bialgebra(group: GroupPresentation, field: Field = RATIONALS) -> HomBialgebra:
+    """Group algebra with basis the group elements and diagonal coproduct,
+    under the identity structure map."""
     n = group.order
     mu = [
         [[field.one if k == group.cayley[i][j] else field.zero for k in range(n)]
@@ -126,7 +122,7 @@ def group_bialgebra(group: GroupPresentation, field: Field = RATIONALS) -> Class
         [[field.one if i == j == k else field.zero for k in range(n)] for j in range(n)]
         for i in range(n)
     ]
-    out = ClassicalBialgebra.from_constants(field, mu, delta)
+    out = HomBialgebra.from_constants(field, mu, delta)
     certify(check_classical_bialgebra(out))
     return out
 
@@ -138,9 +134,10 @@ def cyclic_endo_twist(n: int, k: int, field: Field = RATIONALS) -> HomBialgebra:
     return twist_bialgebra(base, alpha)
 
 
-def crossed_gset(group: GroupPresentation, field: Field = RATIONALS) -> ClassicalYD:
+def crossed_gset(group: GroupPresentation, field: Field = RATIONALS) -> YDModule:
     """Carrier k[G] with conjugation action h·m = h m h^{-1} and diagonal
-    coaction m -> m ⊗ m: the classical crossed G-set."""
+    coaction m -> m ⊗ m: the classical crossed G-set, under identity
+    structure maps."""
     n = group.order
     base = group_bialgebra(group, field)
     act = [
@@ -155,7 +152,7 @@ def crossed_gset(group: GroupPresentation, field: Field = RATIONALS) -> Classica
          for i in range(n)]
         for m in range(n)
     ]
-    return ClassicalYD.from_constants(base, act, coact)
+    return YDModule.from_constants(base, act, coact)
 
 
 def conjugation_yd(group: GroupPresentation, aut, field: Field = RATIONALS) -> YDModule:
@@ -188,31 +185,9 @@ def cyclic_graded_yd(
          for i in range(n)]
         for m in range(n)
     ]
-    classical = ClassicalYD.from_constants(base, act, coact)
+    classical = YDModule.from_constants(base, act, coact)
     alpha = LinearMap.basis_map(field, power_endomorphism(n, k))
     return twist_yd(classical, alpha, alpha)
-
-
-def multiplicative_order(x: int, p: int) -> int:
-    value = x % p
-    if value == 0:
-        raise PreconditionError("nonzero_element", None, "0 has no multiplicative order")
-    order, acc = 1, value
-    while acc != 1:
-        acc = (acc * value) % p
-        order += 1
-        if order > p:
-            raise AssertionError("order computation overran the group")
-    return order
-
-
-def smallest_modulus(n: int) -> int:
-    """The smallest prime p >= 5 with n | p-1 (so exact n-th roots exist)."""
-    p = 5
-    while True:
-        if is_prime(p) and (p - 1) % n == 0:
-            return p
-        p += 1
 
 
 def _scalar_order(field: Field, omega) -> int:

@@ -5,7 +5,8 @@ An action is stored as a map ``act: A⊗M -> M`` and a coaction as
 and binary operations match bases by value equality of structure
 constants, never by object identity.  Structure maps of modules are not
 required to be bijective here; only the Yetter-Drinfeld layer imposes
-that.
+that.  A classical (co)module is one whose structure maps, its own and its
+base's, are identities; inducing a twisted one requires exactly that.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from .errors import ShapeError
 from .linmap import LinearMap
 from .reports import CheckReport, compare_maps
 from .structures import (
-    ClassicalAlgebra,
-    ClassicalBialgebra,
-    ClassicalCoalgebra,
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
@@ -24,6 +22,7 @@ from .structures import (
     certified,
     certify,
     require,
+    require_identity,
     require_same_base,
     twist_algebra,
     twist_bialgebra,
@@ -52,24 +51,6 @@ class ComoduleStruct(Structure):
     MAPS = (("coact", "coact", "d->hd"),)
     OVER = (HomCoalgebra, HomBialgebra)
     ALPHA = True
-
-
-class ClassicalModule(Structure):
-    """Module over a strictly associative algebra; no structure maps anywhere."""
-
-    __slots__ = ("over", "dim", "act")
-    MAPS = ModuleStruct.MAPS
-    OVER = (ClassicalAlgebra, ClassicalBialgebra)
-    HOM = ModuleStruct
-
-
-class ClassicalComodule(Structure):
-    """Comodule over a strictly coassociative coalgebra."""
-
-    __slots__ = ("over", "dim", "coact")
-    MAPS = ComoduleStruct.MAPS
-    OVER = (ClassicalCoalgebra, ClassicalBialgebra)
-    HOM = ComoduleStruct
 
 
 # -- checkers ----------------------------------------------------------
@@ -161,11 +142,12 @@ def require_twist_compat(alpha_base, alpha_m, act=None, coact=None) -> None:
             "comodule_twist_compat", alpha_base.tensor(alpha_m) @ coact, coact @ alpha_m))
 
 
-def induce_module(mod: ClassicalModule, alpha_a: LinearMap, alpha_m: LinearMap) -> ModuleStruct:
-    """New action a▷m := alpha_M(a·m) over the twisted base; requires
-    alpha_M(a·m) = alpha_A(a)·alpha_M(m) on all basis pairs."""
+def induce_module(mod: ModuleStruct, alpha_a: LinearMap, alpha_m: LinearMap) -> ModuleStruct:
+    """New action a▷m := alpha_M(a·m) of a classical module over the twisted
+    base; requires alpha_M(a·m) = alpha_A(a)·alpha_M(m) on all basis pairs."""
+    require_identity("module induction", base=mod.over.alpha, carrier=mod.alpha)
     require_twist_compat(alpha_a, alpha_m, act=mod.act)
-    if isinstance(mod.over, ClassicalBialgebra):
+    if isinstance(mod.over, HomBialgebra):
         base = twist_bialgebra(mod.over, alpha_a)
     else:
         base = twist_algebra(mod.over, alpha_a)
@@ -175,12 +157,13 @@ def induce_module(mod: ClassicalModule, alpha_a: LinearMap, alpha_m: LinearMap) 
 
 
 def induce_comodule(
-    com: ClassicalComodule, alpha_c: LinearMap, alpha_m: LinearMap
+    com: ComoduleStruct, alpha_c: LinearMap, alpha_m: LinearMap
 ) -> ComoduleStruct:
-    """New coaction m -> alpha_C(m_(-1))⊗alpha_M(m_(0)) over the twisted base;
-    requires alpha_M colinear over alpha_C."""
+    """New coaction m -> alpha_C(m_(-1))⊗alpha_M(m_(0)) of a classical comodule
+    over the twisted base; requires alpha_M colinear over alpha_C."""
+    require_identity("comodule induction", base=com.over.alpha, carrier=com.alpha)
     require_twist_compat(alpha_c, alpha_m, coact=com.coact)
-    if isinstance(com.over, ClassicalBialgebra):
+    if isinstance(com.over, HomBialgebra):
         base = twist_bialgebra(com.over, alpha_c)
     else:
         base = twist_coalgebra(com.over, alpha_c)
@@ -252,8 +235,6 @@ def _tensor_comodule_raw(m: ComoduleStruct, n: ComoduleStruct) -> ComoduleStruct
 __all__ = [
     "ModuleStruct",
     "ComoduleStruct",
-    "ClassicalModule",
-    "ClassicalComodule",
     "check_module",
     "check_comodule",
     "check_module_morphism",

@@ -46,19 +46,14 @@ from .quasitri import (
 )
 from .reports import CheckReport, compare_maps
 from .structures import (
-    ClassicalAlgebra,
-    ClassicalBialgebra,
-    ClassicalCoalgebra,
     _twist_algebra,
     _twist_bialgebra,
     _twist_coalgebra,
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
-    require_identity,
 )
 from .yd import (
-    ClassicalYD,
     _braiding_c,
     _twist_yd,
     _yd_tensor,
@@ -131,15 +126,6 @@ class TaskKind:
     flavored: bool = False  # takes a "hat"/"tilde" flavor
 
 
-_CLASSICAL = {cls.HOM: cls for cls in (ClassicalAlgebra, ClassicalCoalgebra, ClassicalBialgebra)}
-
-
-def _classicalize(obj):
-    """A Hom-structure with identity structure map as the classical one."""
-    cls = _CLASSICAL[type(obj)]
-    return cls(*(getattr(obj, attr) for _, attr, _ in cls.MAPS))
-
-
 def _matrix_arg(field, raw, dim, what):
     """A matrix argument that ``specfile`` validated as square with field
     literals; only a construction result's size is unknown before it runs."""
@@ -147,16 +133,6 @@ def _matrix_arg(field, raw, dim, what):
         raise ShapeError(f"{what} must be a {dim}x{dim} matrix of scalar strings")
     rows = [[field.parse(x) for x in row] for row in raw]
     return LinearMap.from_rows(field, (dim,), (dim,), rows)
-
-
-def _classical_pair(yd, what):
-    """A Yetter-Drinfeld module with identity structure maps as the classical one."""
-    require_identity(what, base=yd.over.alpha, carrier=yd.alpha)
-    return ClassicalYD(_classicalize(yd.over), yd.act, yd.coact)
-
-
-def _classical_yd(target):
-    return check_classical_yd(_classical_pair(target, "classical Yetter-Drinfeld check"))
 
 
 def _bridge(m, n):
@@ -210,9 +186,7 @@ def _braiding_matches(route, braiding, braiding_b, induce):
 
 def _twist(kind, build):
     def run(spec, source):
-        alpha = _matrix_arg(source.field, spec["alpha"], source.dim, "alpha")
-        require_identity("twisting", source=source.alpha)
-        return build(_classicalize(source), alpha)
+        return build(source, _matrix_arg(source.field, spec["alpha"], source.dim, "alpha"))
     return TaskKind((("source", None, (kind,)),), run, kind, (("alpha", None),))
 
 
@@ -220,7 +194,7 @@ def _twist_yd_task(spec, source):
     field = source.field
     alpha_h = _matrix_arg(field, spec["alpha_h"], source.over.dim, "alpha_h")
     alpha_m = _matrix_arg(field, spec["alpha_m"], source.dim, "alpha_m")
-    return _twist_yd(_classical_pair(source, "Yetter-Drinfeld twisting"), alpha_h, alpha_m)
+    return _twist_yd(source, alpha_h, alpha_m)
 
 
 def _unary(kinds, check, facet=None):
@@ -263,7 +237,7 @@ TASKS = {
     ("check", "module"): _unary(("module", "yd_module"), check_module, "module"),
     ("check", "comodule"): _unary(("comodule", "yd_module"), check_comodule, "comodule"),
     ("check", "yd"): _unary(("yd_module",), yd_suite),
-    ("check", "classical_yd"): _unary(("yd_module",), _classical_yd),
+    ("check", "classical_yd"): _unary(("yd_module",), check_classical_yd),
     ("check", "qt"): _unary(("r_element",), check_qt),
     ("check", "r_invariance"): _unary(("r_element",), check_r_invariance),
     ("check", "cqt"): _unary(("sigma_form",), check_cqt),

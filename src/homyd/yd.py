@@ -17,7 +17,11 @@ are the full maps built and compared, for the exact failure list.
 The bijectivity gates follow the category definition: ``check_yd``
 refuses non-invertible structure maps with an error rather than a
 failure, while the compatibility equation itself (which only involves
-nonnegative powers of the base map) can be scanned without the gate.
+nonnegative powers of the base map) can be scanned without the gate.  Every
+braiding, associator and coherence law refuses, by name, each structure
+map it inverts that is not bijective.  A classical Yetter-Drinfeld module
+is one whose structure maps, its own and its base's, are identities; the
+classical check and twisting refuse any other.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .modules import (
 )
 from .reports import CheckReport, compare_maps
 from .structures import (
-    ClassicalBialgebra,
     HomBialgebra,
     Structure,
     _twist_bialgebra,
@@ -47,6 +50,7 @@ from .structures import (
     certify,
     require,
     require_bijective,
+    require_identity,
     require_same_base,
 )
 
@@ -66,15 +70,6 @@ class YDModule(Structure):
     @property
     def comodule(self) -> ComoduleStruct:
         return ComoduleStruct(self.over, self.coact, self.alpha)
-
-
-class ClassicalYD(Structure):
-    """Module + comodule over a strict bialgebra; no structure maps."""
-
-    __slots__ = ("over", "dim", "act", "coact")
-    MAPS = YDModule.MAPS
-    OVER = (ClassicalBialgebra,)
-    HOM = YDModule
 
 
 # -- the compatibility law ----------------------------------------------
@@ -116,11 +111,11 @@ def check_yd(m: YDModule) -> CheckReport:
     return yd_compatibility_report(m)
 
 
-def check_classical_yd(m: ClassicalYD) -> CheckReport:
-    """(h_1·m)_(-1) h_2 ⊗ (h_1·m)_(0) = h_1 m_(-1) ⊗ h_2·m_(0), no gates."""
-    base = m.over.as_hom()
-    ident_h = LinearMap.identity(m.field, (m.over.dim,))
-    lhs, rhs = _yd_sides(base, m.act, m.coact, ident_h)
+def check_classical_yd(m: YDModule) -> CheckReport:
+    """(h_1·m)_(-1) h_2 ⊗ (h_1·m)_(0) = h_1 m_(-1) ⊗ h_2·m_(0): the
+    compatibility law at the identity structure maps that the check requires."""
+    require_identity("classical Yetter-Drinfeld check", base=m.over.alpha, carrier=m.alpha)
+    lhs, rhs = _yd_sides(m.over, m.act, m.coact, m.over.alpha)
     return compare_maps("classical_yd_compatibility", lhs, rhs)
 
 
@@ -139,13 +134,14 @@ def yd_suite(m: YDModule, gate: bool = True) -> CheckReport:
     return CheckReport.combine("yd_module", reports)
 
 
-def twist_yd(m: ClassicalYD, alpha_h: LinearMap, alpha_m: LinearMap) -> YDModule:
+def twist_yd(m: YDModule, alpha_h: LinearMap, alpha_m: LinearMap) -> YDModule:
     """Carry a classical Yetter-Drinfeld module to one over the twisted base,
     with action alpha_M∘act and coaction (alpha_H⊗alpha_M)∘coact."""
     return certified(_twist_yd(m, alpha_h, alpha_m))
 
 
 def _twist_yd(m, alpha_h, alpha_m):
+    require_identity("Yetter-Drinfeld twisting", base=m.over.alpha, carrier=m.alpha)
     require_twist_compat(alpha_h, alpha_m, m.act, m.coact)
     require_bijective("Yetter-Drinfeld twisting", base=alpha_h, carrier=alpha_m)
     base, base_report = _twist_bialgebra(m.over, alpha_h)
@@ -287,6 +283,8 @@ def associator_frak_a(m: YDModule, n: YDModule, p: YDModule) -> LinearMap:
 def _certified_associator(flavor, m, n, p):
     require_same_base(m, n, p)
     raw_tensor, e = _flavor(flavor)
+    inverted = {"first": m.alpha} if e < 0 else {"third": p.alpha}
+    require_bijective(f"{flavor} associator", base=m.over.alpha, **inverted)
     a = _kron(_associator(e, [m.alpha], [n.dim], [p.alpha]))
     # raw towers: the inputs are certified already and the morphism scans
     # below are the verification this constructor owes
@@ -336,6 +334,10 @@ def check_pentagon(
     a scalar moved between factors leaves their product unchanged."""
     require_same_base(m, n, p, q)
     _, e = _flavor(flavor)
+    # the associators of exponent e invert the outer factors of sign e
+    inverted = ({"first": m.alpha, "second": n.alpha} if e < 0
+                else {"third": p.alpha, "fourth": q.alpha})
+    require_bijective(f"{flavor} pentagon", **inverted)
     lhs, rhs, diagonal = _pentagon_factors(e, m, n, p, q)
     return CheckReport.combine(
         f"pentagon_{flavor}",
@@ -375,6 +377,8 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
     """The two hexagon relations tying c to the associator of the given flavor."""
     require_same_base(m, n, p)
     raw_tensor, e = _flavor(flavor)
+    require_bijective(f"{flavor} hexagons", base=m.over.alpha,
+                      first=m.alpha, second=n.alpha, third=p.alpha)
     ident_m, ident_n, ident_p = (LinearMap.identity(m.field, (x.dim,)) for x in (m, n, p))
 
     np_ = raw_tensor(n, p)
@@ -392,8 +396,9 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
     a_npm = assoc(e, n, p, m)
     lhs1 = a_npm @ c_m_np @ a_mnp
     a_nmp = assoc(e, n, m, p)
+    c_mp = _braiding_c_matrix(m, p)
     rhs1 = (
-        ident_n.tensor(_braiding_c_matrix(m, p))
+        ident_n.tensor(c_mp)
         @ a_nmp
         @ _braiding_c_matrix(m, n).tensor(ident_p)
     )
@@ -408,7 +413,7 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
     lhs2 = a_pmn_inv @ c_mn_p @ a_mnp_inv
     a_mpn_inv = assoc(-e, m, p, n)
     rhs2 = (
-        _braiding_c_matrix(m, p).tensor(ident_n)
+        c_mp.tensor(ident_n)
         @ a_mpn_inv
         @ ident_m.tensor(_braiding_c_matrix(n, p))
     )
@@ -431,6 +436,8 @@ def check_braid_relation(c_mn: LinearMap, c_mp: LinearMap, c_np: LinearMap) -> C
 
 def check_braid_relation_for(m: YDModule, n: YDModule, p: YDModule) -> CheckReport:
     require_same_base(m, n, p)
+    require_bijective("braid relation", base=m.over.alpha,
+                      first=m.alpha, second=n.alpha, third=p.alpha)
     return check_braid_relation(
         _braiding_c_matrix(m, n), _braiding_c_matrix(m, p), _braiding_c_matrix(n, p)
     )
@@ -475,7 +482,6 @@ def check_braid_implies_hybe_single(c: LinearMap, alpha: LinearMap) -> CheckRepo
 
 __all__ = [
     "YDModule",
-    "ClassicalYD",
     "check_yd",
     "check_classical_yd",
     "yd_compatibility_report",

@@ -32,8 +32,6 @@ from homyd.fixtures import (
 )
 from homyd.linmap import LinearMap
 from homyd.modules import (
-    ClassicalComodule,
-    ClassicalModule,
     ComoduleStruct,
     ModuleStruct,
     check_comodule,
@@ -59,13 +57,11 @@ from homyd.quasitri import (
 )
 from homyd.reports import CheckReport
 from homyd.structures import (
-    ClassicalBialgebra,
     HomBialgebra,
     check_classical_bialgebra,
     check_hom_bialgebra,
 )
 from homyd.yd import (
-    ClassicalYD,
     YDModule,
     associator_a,
     associator_frak_a,
@@ -197,12 +193,7 @@ def _regular_module(base, field, n, k, shift=0):
          for j in range(n)]
         for i in range(n)
     ]
-    classical = ClassicalModule(
-        classical_base,
-        ModuleStruct.from_constants(
-            classical_base.as_hom(), act, LinearMap.identity(field, (n,)).entries
-        ).act,
-    )
+    classical = ModuleStruct.from_constants(classical_base, act)
     alpha_a = LinearMap.basis_map(field, tuple((k * j) % n for j in range(n)))
     alpha_m = LinearMap.basis_map(field, tuple((k * j + shift) % n for j in range(n)))
     out = induce_module(classical, alpha_a, alpha_m)
@@ -217,12 +208,7 @@ def _graded_comodule(base, field, n, k, grade=1):
          for i in range(n)]
         for m in range(n)
     ]
-    classical = ClassicalComodule(
-        classical_base,
-        ComoduleStruct.from_constants(
-            classical_base.as_hom(), coact, LinearMap.identity(field, (n,)).entries
-        ).coact,
-    )
+    classical = ComoduleStruct.from_constants(classical_base, coact)
     alpha = LinearMap.basis_map(field, tuple((k * j) % n for j in range(n)))
     out = induce_comodule(classical, alpha, alpha)
     return ComoduleStruct(base, out.coact, out.alpha)
@@ -295,26 +281,22 @@ def test_criterion_09_classical_limit_regression():
         [[Q.one if p == m else Q.zero for p in range(n)] for m in range(n)]
         for _ in range(n)
     ]
-    mod = ModuleStruct.from_constants(
-        base.as_hom(), trivial_act, LinearMap.identity(Q, (n,)).entries
-    )
-    failing = ClassicalYD(base, mod.act, fixtures[1].coact)
+    mod = ModuleStruct.from_constants(base, trivial_act)
+    failing = YDModule(base, mod.act, fixtures[1].coact, mod.alpha)
     for fixture in fixtures + [failing]:
-        hom = fixture.as_hom()
-        gated = check_yd(hom)
+        gated = check_yd(fixture)
         classical = check_classical_yd(fixture)
         assert gated.passed == classical.passed
         assert [f.index for f in gated.failures] == [f.index for f in classical.failures]
         assert [f.lhs for f in gated.failures] == [f.lhs for f in classical.failures]
 
-    good = [f.as_hom() for f in fixtures]
-    for m, n_ in itertools.product(good[:2], repeat=2):
+    for m, n_ in itertools.product(fixtures, repeat=2):
         if m.over.mu != n_.over.mu:
             continue
         hat = hat_tensor(m, n_)
         tilde = tilde_tensor(m, n_)
         assert hat.act == tilde.act and hat.coact == tilde.coact
-    for hom in good:
+    for hom in fixtures:
         assert associator_a(hom, hom, hom) == LinearMap.identity(Q, (hom.dim,) * 3)
         assert associator_frak_a(hom, hom, hom) == LinearMap.identity(Q, (hom.dim,) * 3)
         # classical braiding m_(-1)·n ⊗ m_(0), built without any inverses
@@ -353,7 +335,7 @@ def _mutation_fixtures():
         return (
             {"mu": h.mu, "delta": h.delta},
             lambda maps: check_classical_bialgebra(
-                ClassicalBialgebra(maps["mu"], maps["delta"])
+                HomBialgebra(maps["mu"], maps["delta"], h.alpha)
             ),
         )
 

@@ -72,16 +72,18 @@ def _twist_then_check(tmp_path):
 
 
 def test_parallel_runs_produce_identical_reports(tmp_path, capsys):
-    # --parallel is accepted for compatibility; every run is sequential
+    # every run is sequential: two runs give the same bytes, and the removed
+    # --parallel option is a usage error
     for path, code in [(SUITES / "standard_gf7.json", 0), (_twist_then_check(tmp_path), 1)]:
-        seq = tmp_path / "seq.json"
-        par = tmp_path / "par.json"
-        assert main(["check", str(path), "--json", str(seq)]) == code
-        assert main(["check", str(path), "--json", str(par), "--parallel", "4"]) == code
+        first = tmp_path / "first.json"
+        second = tmp_path / "second.json"
+        assert main(["check", str(path), "--json", str(first)]) == code
+        assert main(["check", str(path), "--json", str(second)]) == code
+        assert main(["check", str(path), "--parallel", "4"]) == 2
         capsys.readouterr()
-        assert seq.read_bytes() == par.read_bytes()
+        assert first.read_bytes() == second.read_bytes()
     # the report of the last input, whose construction was inapplicable
-    tasks = json.loads(seq.read_text())["tasks"]
+    tasks = json.loads(first.read_text())["tasks"]
     assert [t["status"] for t in tasks] == ["inapplicable", "inapplicable"]
     assert tasks[1]["reason"] == "inapplicable: missing dependency 'H6T'"
 
@@ -182,10 +184,6 @@ def test_reports_match_golden_bytes(tmp_path, capsys, suite, code):
     assert main(["report", str(source), "--json", str(out)]) == code
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == (GOLDEN / f"{suite}.json").read_bytes()
-
-
-def _bump(value):
-    return str(Fraction(value) + 1)
 
 
 def _bumped(suite, name, copy_name, key, i, j, k):
@@ -345,14 +343,14 @@ def _every_kind_document():
 
     field = PrimeField(7)
     h, r = cyclic_r_matrix(3, field, 2, 2)
-    classical = group_bialgebra(cyclic_group(3), field).as_hom()
+    classical = group_bialgebra(cyclic_group(3), field)
     structures = {
         "H": h, "R": r, "S": cyclic_bicharacter_sigma(3, 7, 2, 2)[1],
         "M": ModuleStruct(h, h.mu, h.alpha), "CM": ComoduleStruct(h, h.delta, h.alpha),
         "A": cyclic_graded_yd(3, 2, 1, field), "B": cyclic_graded_yd(3, 2, 2, field),
         "ALG": h.algebra, "COALG": h.coalgebra,
         "HC": classical, "ALGC": classical.algebra, "COALGC": classical.coalgebra,
-        "YC": crossed_gset(cyclic_group(3), field).as_hom(),
+        "YC": crossed_gset(cyclic_group(3), field),
     }
     square = [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]]
     specs = [

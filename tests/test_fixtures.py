@@ -16,9 +16,7 @@ from homyd.fixtures import (
     group_by_name,
     inner_automorphism,
     is_group_automorphism,
-    multiplicative_order,
     power_endomorphism,
-    smallest_modulus,
     symmetric_group,
 )
 from homyd.structures import check_classical_bialgebra, check_hom_bialgebra
@@ -115,16 +113,6 @@ def test_generators_are_deterministic():
     s1 = cyclic_bicharacter_sigma(3, 7, 2, 1)[1]
     s2 = cyclic_bicharacter_sigma(3, 7, 2, 1)[1]
     assert s1.form == s2.form
-
-
-def test_helper_arithmetic():
-    assert multiplicative_order(3, 11) == 5
-    assert multiplicative_order(2, 7) == 3
-    assert smallest_modulus(2) == 5
-    assert smallest_modulus(3) == 7
-    assert smallest_modulus(4) == 5
-    assert smallest_modulus(5) == 11
-    assert smallest_modulus(7) == 29
 
 
 def test_group_by_name():

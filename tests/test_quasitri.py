@@ -62,7 +62,7 @@ def graded_comodule(base, grade=1, power=1):
     f_j -> g^{power*grade*j} ⊗ f_{power*j} over the power-twisted base."""
     from homyd.fixtures import cyclic_group, group_bialgebra
     from homyd.linmap import LinearMap as LM
-    from homyd.modules import ClassicalComodule, induce_comodule
+    from homyd.modules import induce_comodule
 
     n = base.dim
     classical = group_bialgebra(cyclic_group(n), base.field)
@@ -71,12 +71,7 @@ def graded_comodule(base, grade=1, power=1):
          for i in range(n)]
         for m in range(n)
     ]
-    com = ClassicalComodule(
-        classical,
-        ComoduleStruct.from_constants(
-            classical.as_hom(), coact, identity_rows(n)
-        ).coact,
-    )
+    com = ComoduleStruct.from_constants(classical, coact)
     alpha = LM.basis_map(base.field, power_endomorphism(n, power))
     return induce_comodule(com, alpha, alpha)
 

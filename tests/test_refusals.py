@@ -11,7 +11,6 @@ from homyd.fixtures import (
     cyclic_endo_twist,
     cyclic_graded_yd,
     cyclic_group,
-    group_bialgebra,
     power_endomorphism,
 )
 from homyd.linmap import LinearMap
@@ -27,10 +26,14 @@ from homyd.quasitri import (
 from homyd.runner import TASKS, execute_task
 from homyd.specfile import Task
 from homyd.yd import (
-    ClassicalYD,
     YDModule,
+    associator_a,
+    associator_frak_a,
     braiding_B,
     braiding_c,
+    check_braid_relation_for,
+    check_hexagons,
+    check_pentagon,
     check_yd,
     hat_tensor,
     tilde_tensor,
@@ -46,9 +49,8 @@ C2 = cyclic_endo_twist(2, 1)
 
 
 def _graded_c4():
-    """The trivial-action graded module over k[C4] as a classical pair."""
-    y = cyclic_graded_yd(4, 1, 1, Q)  # twisted along the identity
-    return ClassicalYD(group_bialgebra(cyclic_group(4), Q), y.act, y.coact)
+    """The trivial-action graded module over k[C4], with identity structure maps."""
+    return cyclic_graded_yd(4, 1, 1, Q)  # twisted along the identity
 
 
 def _over_singular_base():
@@ -57,7 +59,7 @@ def _over_singular_base():
     return YDModule(SINGULAR_BASE, y.act, y.coact, LinearMap.identity(Q, (4,)))
 
 
-C3_HOM = crossed_gset(cyclic_group(3), Q).as_hom()
+C3_HOM = crossed_gset(cyclic_group(3), Q)
 C3_SQUASHED = YDModule(C3_HOM.over, C3_HOM.act, C3_HOM.coact, LinearMap.zero(Q, (3,), (3,)))
 SQUARE_C4 = LinearMap.basis_map(Q, power_endomorphism(4, 2))
 SQUARE_C3 = [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]]
@@ -120,6 +122,33 @@ REFUSALS = {
     "braiding_c_second": (
         lambda: braiding_c(C3_HOM, C3_SQUASHED),
         _needs("braiding", "a bijective", "second")),
+    "associator_a_base": (
+        lambda: associator_a(*[_over_singular_base()] * 3),
+        _needs("hat associator", "a bijective", "base")),
+    "associator_a_first": (
+        lambda: associator_a(C3_SQUASHED, C3_HOM, C3_HOM),
+        _needs("hat associator", "a bijective", "first")),
+    "associator_frak_a_third": (
+        lambda: associator_frak_a(C3_HOM, C3_HOM, C3_SQUASHED),
+        _needs("tilde associator", "a bijective", "third")),
+    "pentagon_hat_second": (
+        lambda: check_pentagon(C3_HOM, C3_SQUASHED, C3_HOM, C3_HOM, "hat"),
+        _needs("hat pentagon", "a bijective", "second")),
+    "pentagon_tilde_fourth": (
+        lambda: check_pentagon(C3_HOM, C3_HOM, C3_HOM, C3_SQUASHED, "tilde"),
+        _needs("tilde pentagon", "a bijective", "fourth")),
+    "hexagons_base": (
+        lambda: check_hexagons(*[_over_singular_base()] * 3),
+        _needs("hat hexagons", "a bijective", "base")),
+    "hexagons_third": (
+        lambda: check_hexagons(C3_HOM, C3_HOM, C3_SQUASHED, "tilde"),
+        _needs("tilde hexagons", "a bijective", "third")),
+    "braid_relation_base": (
+        lambda: check_braid_relation_for(*[_over_singular_base()] * 3),
+        _needs("braid relation", "a bijective", "base")),
+    "braid_relation_second": (
+        lambda: check_braid_relation_for(C3_HOM, C3_SQUASHED, C3_HOM),
+        _needs("braid relation", "a bijective", "second")),
     "qt_coincidence_base": (
         lambda: _coincide(check_qt_tensor_coincide, ModuleStruct, RElement),
         _needs("coincidence check", "a bijective", "base")),

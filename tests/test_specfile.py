@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,6 +385,21 @@ def test_gen_suites_regenerates_the_shipped_suites(tmp_path, monkeypatch, capsys
     assert written == sorted(p.name for p in SUITES.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (SUITES / name).read_bytes(), name
+
+
+def test_gen_inputs_regenerates_the_golden_dense_input(tmp_path, monkeypatch):
+    # the benchmark's input generator builds its files through the public
+    # fixture API; seed 1 must still give the golden dense_q3 input
+    import importlib.util
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # generate() prepends src/
+    path = SUITES.parent / "perfbench" / "gen_inputs.py"
+    spec = importlib.util.spec_from_file_location("gen_inputs", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.generate("dense_transport", 1, tmp_path)
+    golden = SUITES.parent / "tests" / "golden" / "inputs" / "dense_q3.json"
+    assert (tmp_path / "dense_q3.json").read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("suite", ["standard_gf7", "standard_rational"])

@@ -1,19 +1,18 @@
+import inspect
 import itertools
 import math
 
 import pytest
 
 from conftest import cyclic_mu, grouplike_delta, identity_rows, perturbed, power_rows
-from homyd.errors import CertificationError, PreconditionError, ShapeError
+from homyd.errors import CertificationError, InapplicableError, PreconditionError, ShapeError
 from homyd.fields import RATIONALS, PrimeField
+from homyd.fixtures import crossed_gset, cyclic_group
 from homyd.linmap import LinearMap
-from homyd.modules import ClassicalComodule, ClassicalModule, ComoduleStruct, ModuleStruct
+from homyd.modules import ComoduleStruct, ModuleStruct, induce_comodule, induce_module
 from homyd.quasitri import RElement, SigmaForm
 from homyd.reports import compare_maps
 from homyd.structures import (
-    ClassicalAlgebra,
-    ClassicalBialgebra,
-    ClassicalCoalgebra,
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
@@ -26,13 +25,13 @@ from homyd.structures import (
     twist_bialgebra,
     twist_coalgebra,
 )
-from homyd.yd import ClassicalYD, YDModule
+from homyd.yd import YDModule, check_classical_yd, twist_yd
 
 Q = RATIONALS
 
 
 def cyclic_classical_bialgebra(n, field=Q):
-    return ClassicalBialgebra.from_constants(field, cyclic_mu(n), grouplike_delta(n))
+    return HomBialgebra.from_constants(field, cyclic_mu(n), grouplike_delta(n))
 
 
 def oracle_is_associative(field, mu_constants):
@@ -75,7 +74,7 @@ def test_untwisted_product_with_nontrivial_alpha_fails_hom_associativity():
 
 
 def test_twist_algebra_identity_is_noop():
-    alg = ClassicalAlgebra.from_constants(Q, cyclic_mu(3))
+    alg = HomAlgebra.from_constants(Q, cyclic_mu(3))
     out = twist_algebra(alg, LinearMap.identity(Q, (3,)))
     assert out.mu == alg.mu
     assert out.alpha.is_identity()
@@ -84,20 +83,20 @@ def test_twist_algebra_identity_is_noop():
 def test_twist_algebra_hand_values():
     # k[C3], alpha(g)=g^2: g*g = alpha(g^2) = g^4 = g
     out = twist_algebra(
-        ClassicalAlgebra.from_constants(Q, cyclic_mu(3)),
+        HomAlgebra.from_constants(Q, cyclic_mu(3)),
         LinearMap.from_rows(Q, (3,), (3,), power_rows(3, 2)),
     )
     assert out.mu.constants()[1][1] == [0, 1, 0]
     # k[C4], alpha(g)=g^2: g*g = alpha(g^2) = g^4 = 1
     out4 = twist_algebra(
-        ClassicalAlgebra.from_constants(Q, cyclic_mu(4)),
+        HomAlgebra.from_constants(Q, cyclic_mu(4)),
         LinearMap.from_rows(Q, (4,), (4,), power_rows(4, 2)),
     )
     assert out4.mu.constants()[1][1] == [1, 0, 0, 0]
 
 
 def test_twist_algebra_rejects_non_endomorphism():
-    alg = ClassicalAlgebra.from_constants(Q, cyclic_mu(3))
+    alg = HomAlgebra.from_constants(Q, cyclic_mu(3))
     bad = LinearMap.from_rows(Q, (3,), (3,), [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
     with pytest.raises(PreconditionError) as exc:
         twist_algebra(alg, bad)
@@ -120,7 +119,7 @@ def test_grouplike_coalgebra_twisted_by_basis_permutation_passes():
     # on grouplikes, twisting the diagonal coproduct along any basis
     # permutation makes both twisted-coassociativity legs alpha^2(e) thrice
     perm = LinearMap.basis_map(Q, [2, 0, 3, 1])
-    out = twist_coalgebra(ClassicalCoalgebra.from_constants(Q, grouplike_delta(4)), perm)
+    out = twist_coalgebra(HomCoalgebra.from_constants(Q, grouplike_delta(4)), perm)
     assert check_hom_coalgebra(out).passed
     # whereas the untwisted diagonal with a nontrivial permutation has
     # mismatched outer legs e⊗e⊗alpha(e) vs alpha(e)⊗e⊗e
@@ -145,7 +144,7 @@ def test_perturbed_delta_entry_fails_at_that_index():
 def test_check_hom_bialgebra_on_classical_and_twisted():
     bia = cyclic_classical_bialgebra(6)
     assert check_classical_bialgebra(bia).passed
-    assert check_hom_bialgebra(bia.as_hom()).passed
+    assert check_hom_bialgebra(bia).passed
     twisted = twist_bialgebra(bia, LinearMap.from_rows(Q, (6,), (6,), power_rows(6, 5)))
     assert check_hom_bialgebra(twisted).passed
 
@@ -180,7 +179,7 @@ def test_checker_soundness_single_entry_perturbations():
 def test_tensor_with_zero_product_algebra_kills_products():
     zero = HomAlgebra.from_constants(Q, [[[0]]], [[1]])
     alg = twist_algebra(
-        ClassicalAlgebra.from_constants(Q, cyclic_mu(2)),
+        HomAlgebra.from_constants(Q, cyclic_mu(2)),
         LinearMap.identity(Q, (2,)),
     )
     out = tensor_algebra(alg, zero)
@@ -190,7 +189,7 @@ def test_tensor_with_zero_product_algebra_kills_products():
 
 def test_tensor_algebra_of_twisted_c2_passes_checks():
     alpha = LinearMap.from_rows(Q, (2,), (2,), power_rows(2, 1))
-    a = twist_algebra(ClassicalAlgebra.from_constants(Q, cyclic_mu(2)), alpha)
+    a = twist_algebra(HomAlgebra.from_constants(Q, cyclic_mu(2)), alpha)
     out = tensor_algebra(a, a)
     assert out.dim == 4
     assert check_hom_algebra(out).passed
@@ -254,15 +253,9 @@ SHAPES = {
     HomAlgebra: (None, (MU,), H, None),
     HomCoalgebra: (None, (DELTA,), H, None),
     HomBialgebra: (None, (MU, DELTA), H, None),
-    ClassicalAlgebra: (None, (MU,), None, None),
-    ClassicalCoalgebra: (None, (DELTA,), None, None),
-    ClassicalBialgebra: (None, (MU, DELTA), None, None),
     ModuleStruct: (HomAlgebra, (ACT,), D, HomCoalgebra),
     ComoduleStruct: (HomCoalgebra, (COACT,), D, HomAlgebra),
-    ClassicalModule: (ClassicalAlgebra, (ACT,), None, HomAlgebra),
-    ClassicalComodule: (ClassicalCoalgebra, (COACT,), None, HomCoalgebra),
     YDModule: (HomBialgebra, (ACT, COACT), D, HomAlgebra),
-    ClassicalYD: (ClassicalBialgebra, (ACT, COACT), None, HomBialgebra),
     RElement: (HomBialgebra, (("element", (), (H, H)),), None, HomAlgebra),
     SigmaForm: (HomBialgebra, (("form", (H, H), ()),), None, HomAlgebra),
 }
@@ -330,3 +323,54 @@ def test_every_structure_class_refuses_bad_data(cls):
         assert getattr(again, attr) == getattr(obj, attr)
     assert getattr(again, "over", None) is getattr(obj, "over", None)
     assert getattr(again, "alpha", None) == getattr(obj, "alpha", None)
+
+
+# -- a classical structure is a Hom structure with identity maps ------------
+
+G2 = LinearMap.basis_map(Q, [0, 2, 1])  # g -> g^2, an automorphism of k[C3]
+ID3 = LinearMap.identity(Q, (3,))
+
+
+def _crossed_c3(base=ID3, carrier=ID3):
+    """The crossed C3-set with the given base and carrier structure maps."""
+    y = crossed_gset(cyclic_group(3), Q)
+    return YDModule(HomBialgebra(y.over.mu, y.over.delta, base), y.act, y.coact, carrier)
+
+
+# entry point -> (what it refuses, its call on the crossed C3-set's structures
+# with the named structure maps, the identity when omitted)
+CLASSICAL_ENTRY_POINTS = {
+    "twist_algebra": (
+        "twisting", lambda source=ID3: twist_algebra(_crossed_c3(source).over.algebra, G2)),
+    "twist_coalgebra": (
+        "twisting", lambda source=ID3: twist_coalgebra(_crossed_c3(source).over.coalgebra, G2)),
+    "twist_bialgebra": (
+        "twisting", lambda source=ID3: twist_bialgebra(_crossed_c3(source).over, G2)),
+    "check_classical_bialgebra": (
+        "classical bialgebra check",
+        lambda carrier=ID3: check_classical_bialgebra(_crossed_c3(carrier).over)),
+    "induce_module": (
+        "module induction",
+        lambda base=ID3, carrier=ID3: induce_module(_crossed_c3(base, carrier).module, G2, G2)),
+    "induce_comodule": (
+        "comodule induction",
+        lambda base=ID3, carrier=ID3: induce_comodule(
+            _crossed_c3(base, carrier).comodule, G2, G2)),
+    "twist_yd": (
+        "Yetter-Drinfeld twisting",
+        lambda base=ID3, carrier=ID3: twist_yd(_crossed_c3(base, carrier), G2, G2)),
+    "check_classical_yd": (
+        "classical Yetter-Drinfeld check",
+        lambda base=ID3, carrier=ID3: check_classical_yd(_crossed_c3(base, carrier))),
+}
+
+
+@pytest.mark.parametrize("entry", list(CLASSICAL_ENTRY_POINTS))
+def test_every_classical_entry_point_refuses_a_non_identity_structure_map(entry):
+    what, call = CLASSICAL_ENTRY_POINTS[entry]
+    out = call()  # identity structure maps are classical
+    assert out.passed if hasattr(out, "passed") else out.alpha == G2
+    for name in inspect.signature(call).parameters:
+        with pytest.raises(InapplicableError) as exc:
+            call(**{name: G2})
+        assert str(exc.value) == f"{what} needs an identity {name} structure map"

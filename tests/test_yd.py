@@ -30,7 +30,6 @@ from homyd.runner import execute_task
 from homyd.specfile import Task
 from homyd.yd import (
     _FLAVORS,
-    ClassicalYD,
     YDModule,
     _compare_factors,
     _kron,
@@ -103,18 +102,18 @@ def test_classical_yd_on_nonabelian_group_mutations(s3_classical):
     from homyd.modules import ComoduleStruct, ModuleStruct
 
     com = ComoduleStruct.from_constants(
-        s3_classical.over.as_hom(), unit_coact, identity_rows(n)
+        s3_classical.over, unit_coact, identity_rows(n)
     )
-    still_fine = ClassicalYD(s3_classical.over, s3_classical.act, com.coact)
+    still_fine = YDModule(s3_classical.over, s3_classical.act, com.coact, s3_classical.alpha)
     assert check_classical_yd(still_fine).passed
 
     trivial_act = [
         [[1 if p == m else 0 for p in range(n)] for m in range(n)] for _ in range(n)
     ]
     mod = ModuleStruct.from_constants(
-        s3_classical.over.as_hom(), trivial_act, identity_rows(n)
+        s3_classical.over, trivial_act, identity_rows(n)
     )
-    bad = ClassicalYD(s3_classical.over, mod.act, s3_classical.coact)
+    bad = YDModule(s3_classical.over, mod.act, s3_classical.coact, s3_classical.alpha)
     report = check_classical_yd(bad)
     assert not report.passed
     first = report.failures[0]
@@ -122,8 +121,7 @@ def test_classical_yd_on_nonabelian_group_mutations(s3_classical):
 
 
 def test_check_yd_agrees_with_classical_on_identity_fixture(s3_classical):
-    hom = s3_classical.as_hom()
-    gated = check_yd(hom)
+    gated = check_yd(s3_classical)
     classical = check_classical_yd(s3_classical)
     assert gated.passed == classical.passed
     assert [f.index for f in gated.failures] == [f.index for f in classical.failures]
@@ -184,7 +182,7 @@ def test_check_yd_gates_on_non_invertible_base():
 def test_check_yd_gates_on_non_invertible_carrier_map(s3_classical):
     squash = LinearMap.from_rows(Q, (6,), (6,), [[0] * 6] * 6)
     candidate = YDModule(
-        s3_classical.over.as_hom(), s3_classical.act, s3_classical.coact, squash
+        s3_classical.over, s3_classical.act, s3_classical.coact, squash
     )
     with pytest.raises(InapplicableError):
         check_yd(candidate)
@@ -194,7 +192,7 @@ def test_check_yd_gates_on_non_invertible_carrier_map(s3_classical):
 
 
 def test_braiding_B_is_flip_on_abelian_identity_fixture():
-    fixture = crossed_gset(cyclic_group(3), Q).as_hom()
+    fixture = crossed_gset(cyclic_group(3), Q)
     b = braiding_B(fixture, fixture)
     assert b == LinearMap.permutation(Q, (3, 3), (1, 0))
 
@@ -243,7 +241,7 @@ def test_hybe_passes_on_yd_triples(s3_twisted, c5_pair):
 
 
 def test_hat_tensor_classical_limit_is_plain_tensor(s3_classical):
-    hom = s3_classical.as_hom()
+    hom = s3_classical
     hat = hat_tensor(hom, hom)
     assert hat.act == tensor_modules(hom.module, hom.module).act
     assert hat.coact == tensor_comodules(hom.comodule, hom.comodule).coact
@@ -265,7 +263,7 @@ def test_hat_coaction_differs_from_plain_by_alpha_square(c5_pair):
 
 
 def test_tilde_tensor_classical_limit_equals_hat(s3_classical):
-    hom = s3_classical.as_hom()
+    hom = s3_classical
     assert tilde_tensor(hom, hom).act == hat_tensor(hom, hom).act
     assert tilde_tensor(hom, hom).coact == hat_tensor(hom, hom).coact
 
@@ -285,7 +283,7 @@ def test_tilde_action_is_plain_action_with_twisted_algebra_leg(c5_pair):
 
 
 def test_associators_collapse_to_identity_for_identity_maps(s3_classical):
-    hom = s3_classical.as_hom()
+    hom = s3_classical
     a = associator_a(hom, hom, hom)
     assert a == LinearMap.identity(Q, (6, 6, 6))
     fa = associator_frak_a(hom, hom, hom)
@@ -321,7 +319,7 @@ def test_frak_associator_is_certified_for_tilde_towers(c5_pair):
 
 
 def test_braiding_c_classical_limit_is_braiding_B(s3_classical):
-    hom = s3_classical.as_hom()
+    hom = s3_classical
     assert braiding_c(hom, hom) == braiding_B(hom, hom)
 
 
@@ -342,7 +340,7 @@ def test_bridge_identity_b_equals_alpha_pair_after_c(s3_twisted, c5_pair):
 def test_braiding_c_needs_invertible_maps(s3_classical):
     squash = LinearMap.from_rows(Q, (6,), (6,), [[0] * 6] * 6)
     candidate = YDModule(
-        s3_classical.over.as_hom(), s3_classical.act, s3_classical.coact, squash
+        s3_classical.over, s3_classical.act, s3_classical.coact, squash
     )
     with pytest.raises(InapplicableError):
         braiding_c(candidate, candidate)
@@ -352,7 +350,7 @@ def test_braiding_c_needs_invertible_maps(s3_classical):
 
 
 def test_pentagon_identity_case(s3_classical):
-    hom = s3_classical.as_hom()
+    hom = s3_classical
     report = check_pentagon(hom, hom, hom, hom, "hat")
     assert report.passed
 
@@ -461,7 +459,13 @@ def test_pentagon_on_a_singular_structure_map_is_inapplicable(flavor, slot):
     task = Task("pentagon", {"check": "pentagon", "modules": list("MNPQ"), "flavor": flavor})
     result, _ = execute_task(task, dict(zip("MNPQ", quad)))
     assert result.status == "inapplicable"
-    assert result.reason == "inapplicable: map (3,) -> (3,) is not invertible (rank 2)"
+    name = "first" if flavor == "hat" else "third"
+    assert result.reason == f"inapplicable: {flavor} pentagon needs a bijective {name} structure map"
+    # the other flavor inverts the other two slots, and runs
+    other = {"hat": "tilde", "tilde": "hat"}[flavor]
+    task = Task("pentagon", {"check": "pentagon", "modules": list("MNPQ"), "flavor": other})
+    result, _ = execute_task(task, dict(zip("MNPQ", quad)))
+    assert result.status in ("pass", "fail")
 
 
 # -- one base for every operand ---------------------------------------------
@@ -525,7 +529,7 @@ def test_multi_operand_checks_run_exactly_over_one_base(drawn):
 
 
 def test_hexagons_classical_and_twisted(s3_classical, c5_pair):
-    hom = s3_classical.as_hom()
+    hom = s3_classical
     assert check_hexagons(hom, hom, hom, "hat").passed
     m, n = c5_pair
     for flavor in ("hat", "tilde"):
@@ -629,7 +633,7 @@ def test_single_space_corollary_on_c3_fixture():
 def test_classical_limit_coherence(s3_classical):
     # with identity structure maps the two flavors and both associators agree,
     # and c is the classical braiding m_(-1)·n ⊗ m_(0)
-    hom = s3_classical.as_hom()
+    hom = s3_classical
     assert check_pentagon(hom, hom, hom, hom, "hat").passed
     assert check_pentagon(hom, hom, hom, hom, "tilde").passed
     a = associator_a(hom, hom, hom)

@@ -27,7 +27,7 @@ from homyd.fixtures import (
     symmetric_group,
 )
 from homyd.linmap import LinearMap
-from homyd.modules import ClassicalComodule, ClassicalModule, induce_comodule, induce_module
+from homyd.modules import ComoduleStruct, ModuleStruct, induce_comodule, induce_module
 from homyd.specfile import SpecDocument, Task, serialize_spec
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "suites"
@@ -44,7 +44,7 @@ def regular_module_over_twist(n, k, field, shift=0):
          for j in range(n)]
         for i in range(n)
     ]
-    classical = ClassicalModule.from_constants(base, act)
+    classical = ModuleStruct.from_constants(base, act)
     alpha_a = LinearMap.basis_map(field, power_endomorphism(n, k))
     alpha_m = LinearMap.basis_map(field, tuple((k * j + shift) % n for j in range(n)))
     return induce_module(classical, alpha_a, alpha_m)
@@ -58,7 +58,7 @@ def graded_comodule_over_twist(n, k, field, grade=1):
          for i in range(n)]
         for m in range(n)
     ]
-    classical = ClassicalComodule.from_constants(base, coact)
+    classical = ComoduleStruct.from_constants(base, coact)
     alpha = LinearMap.basis_map(field, power_endomorphism(n, k))
     return induce_comodule(classical, alpha, alpha)
 
@@ -76,7 +76,7 @@ def rational_suite():
     h2, r2 = cyclic_r_matrix(2, field, -1, 1)
     m2 = regular_module_over_twist(2, 1, field)
     h3_classical = group_bialgebra(cyclic_group(3), field)
-    ys3_classical = crossed_gset(s3, field).as_hom()
+    ys3_classical = crossed_gset(s3, field)
 
     structures = {
         "H6": h6,
@@ -88,7 +88,7 @@ def rational_suite():
         "H2": h2,
         "R2": r2,
         "M2": m2,
-        "H3C": h3_classical.as_hom(),
+        "H3C": h3_classical,
         "HS3C": ys3_classical.over,
         "YS3C": ys3_classical,
     }
