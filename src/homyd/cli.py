@@ -26,7 +26,7 @@ from .fixtures import (
     group_by_name,
     inner_automorphism,
 )
-from .runner import bundle_to_json, bundle_to_table, run_tasks
+from .runner import MAX_DIM, bundle_to_json, bundle_to_table, run_tasks
 from .specfile import SpecDocument, Task, parse_spec, serialize_spec
 
 
@@ -38,8 +38,17 @@ def _field_param(token: str):
     raise SpecFileError(f"field parameter must be 'rational' or a prime, got {token!r}")
 
 
+def _order_param(token: str) -> int:
+    """The parameter n, the group order and so the dimension of what a
+    generator builds, refused above the default guard before anything is built."""
+    n = int(token)
+    if n > MAX_DIM:
+        raise SpecFileError(f"n = {n} exceeds the --max-dim default {MAX_DIM}")
+    return n
+
+
 def _example_cyclic_endo_twist(params):
-    n, k = int(params[0]), int(params[1])
+    n, k = _order_param(params[0]), int(params[1])
     field = _field_param(params[2]) if len(params) > 2 else RATIONALS
     h = cyclic_endo_twist(n, k, field)
     note = "invertible" if h.alpha.is_invertible() else "not invertible"
@@ -65,7 +74,7 @@ def _example_conjugation_yd(params):
 
 
 def _example_cyclic_graded_yd(params):
-    n, k, grade = int(params[0]), int(params[1]), int(params[2])
+    n, k, grade = _order_param(params[0]), int(params[1]), int(params[2])
     field = _field_param(params[3]) if len(params) > 3 else RATIONALS
     yd = cyclic_graded_yd(n, k, grade, field)
     return (
@@ -77,7 +86,7 @@ def _example_cyclic_graded_yd(params):
 
 
 def _example_cyclic_r_matrix(params):
-    n = int(params[0])
+    n = _order_param(params[0])
     field = _field_param(params[1])
     omega = field.parse(params[2])
     k = int(params[3])
@@ -94,7 +103,7 @@ def _example_cyclic_r_matrix(params):
 
 
 def _example_cyclic_bicharacter_sigma(params):
-    n, p = int(params[0]), int(params[1])
+    n, p = _order_param(params[0]), int(params[1])
     omega, k = int(params[2]), int(params[3])
     base, s = cyclic_bicharacter_sigma(n, p, omega, k)
     field = base.field
@@ -129,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", help="structure file to run")
         p.add_argument("--json", metavar="PATH", help="write the machine report here")
-        p.add_argument("--max-dim", type=int, default=16, metavar="D",
-                       help="guard on declared structure dimensions (default 16)")
+        p.add_argument("--max-dim", type=int, default=MAX_DIM, metavar="D",
+                       help=f"guard on declared structure dimensions (default {MAX_DIM})")
 
     common(sub.add_parser("check", help="run all tasks and print a table"))
     report = sub.add_parser("report", help="run all tasks, machine report only")

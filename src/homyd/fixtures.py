@@ -11,13 +11,15 @@ integer parameters.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ShapeError
 from .fields import RATIONALS, Field, PrimeField
 from .linmap import LinearMap
 from .quasitri import RElement, SigmaForm
-from .structures import HomBialgebra, certify, check_classical_bialgebra, twist_bialgebra
+from .runner import MAX_DIM
+from .structures import HomBialgebra, check_classical_bialgebra, constructor, twist_bialgebra
 from .yd import YDModule, twist_yd
 
 
@@ -109,7 +111,8 @@ def power_endomorphism(n: int, k: int) -> tuple[int, ...]:
     return tuple((k * j) % n for j in range(n))
 
 
-def group_bialgebra(group: GroupPresentation, field: Field = RATIONALS) -> HomBialgebra:
+@constructor
+def group_bialgebra(group: GroupPresentation, field: Field = RATIONALS):
     """Group algebra with basis the group elements and diagonal coproduct,
     under the identity structure map."""
     n = group.order
@@ -123,8 +126,7 @@ def group_bialgebra(group: GroupPresentation, field: Field = RATIONALS) -> HomBi
         for i in range(n)
     ]
     out = HomBialgebra.from_constants(field, mu, delta)
-    certify(check_classical_bialgebra(out))
-    return out
+    return out, check_classical_bialgebra(out)
 
 
 def cyclic_endo_twist(n: int, k: int, field: Field = RATIONALS) -> HomBialgebra:
@@ -190,18 +192,26 @@ def cyclic_graded_yd(
     return twist_yd(classical, alpha, alpha)
 
 
-def _scalar_order(field: Field, omega) -> int:
-    acc = omega
-    order = 1
-    bound = field.characteristic if field.characteristic else 3
-    while acc != field.one:
-        acc = field.mul(acc, omega)
-        order += 1
-        if order > bound:
-            raise PreconditionError(
-                "root_of_unity", None, f"{omega!r} is not a root of unity in the field"
-            )
-    return order
+def _root_powers(field: Field, omega, n: int, modulus: str = "") -> list:
+    """ω^0, …, ω^(n-1) for an ω of multiplicative order exactly n, which n
+    products decide: ω^n = 1 and ω^d ≠ 1 for 0 < d < n.  Any other ω is
+    refused by a message that ends in ``modulus``."""
+    if n < 1:
+        raise PreconditionError("group_order", None, f"n must be at least 1, got {n}")
+    if isinstance(field, PrimeField) and (field.p - 1) % n != 0:
+        raise PreconditionError(
+            "modulus_supports_roots", None, f"{n} does not divide {field.p}-1"
+        )
+    omega = field.normalize(omega)
+    powers = [field.one]
+    for _ in range(n):
+        powers.append(field.mul(powers[-1], omega))
+    if powers[n] != field.one or field.one in powers[1:n]:
+        raise PreconditionError(
+            "root_order", None,
+            f"{field.format(omega)} does not have multiplicative order {n}{modulus}",
+        )
+    return powers[:n]
 
 
 def cyclic_bicharacter_sigma(n: int, p: int, omega: int, k: int):
@@ -209,20 +219,9 @@ def cyclic_bicharacter_sigma(n: int, p: int, omega: int, k: int):
     g -> g^k.  The invariance sigma∘(alpha⊗alpha) = sigma holds exactly when
     k^2 = 1 mod n, which the checkers report rather than enforce."""
     field = PrimeField(p)
-    if n < 1:
-        raise PreconditionError("group_order", None, f"n must be at least 1, got {n}")
-    if (p - 1) % n != 0:
-        raise PreconditionError("modulus_supports_roots", None, f"{n} does not divide {p}-1")
-    omega = field.normalize(omega)
-    if _scalar_order(field, omega) != n:
-        raise PreconditionError(
-            "root_order", None, f"{omega} does not have multiplicative order {n} mod {p}"
-        )
+    power = _root_powers(field, omega, n, f" mod {p}")
     base = cyclic_endo_twist(n, k, field)
-    matrix = [
-        [pow(omega, (i * j) % n, p) for j in range(n)]
-        for i in range(n)
-    ]
+    matrix = [[power[(i * j) % n] for j in range(n)] for i in range(n)]
     return base, SigmaForm.from_constants(base, matrix)
 
 
@@ -231,41 +230,31 @@ def cyclic_r_matrix(n: int, field: Field, omega, k: int):
 
     Over a prime field this needs n | p-1 and omega of order n; over the
     rationals only omega = ±1 (n = 1 or 2) qualifies."""
-    if n < 1:
-        raise PreconditionError("group_order", None, f"n must be at least 1, got {n}")
-    if isinstance(field, PrimeField) and (field.p - 1) % n != 0:
-        raise PreconditionError(
-            "modulus_supports_roots", None, f"{n} does not divide {field.p}-1"
-        )
-    omega = field.normalize(omega)
-    if _scalar_order(field, omega) != n:
-        raise PreconditionError(
-            "root_order", None,
-            f"{field.format(omega)} does not have multiplicative order {n}",
-        )
+    power = _root_powers(field, omega, n)
     inv_n = field.inv(field.normalize(n) if field.characteristic else n)
     base = cyclic_endo_twist(n, k, field)
-    power_cache = {e: _scalar_power(field, omega, e) for e in range(n)}
     matrix = [
-        [field.mul(inv_n, power_cache[(-i * j) % n]) for j in range(n)]
+        [field.mul(inv_n, power[(-i * j) % n]) for j in range(n)]
         for i in range(n)
     ]
     return base, RElement.from_constants(base, matrix)
 
 
-def _scalar_power(field: Field, x, e: int):
-    acc = field.one
-    for _ in range(e):
-        acc = field.mul(acc, x)
-    return acc
-
-
-_GROUPS = {"c": cyclic_group, "s": symmetric_group}
+# each family of named groups: its generator and its order at parameter n
+_GROUPS = {"c": (cyclic_group, lambda n: n), "s": (symmetric_group, math.factorial)}
 
 
 def group_by_name(name: str) -> GroupPresentation:
-    """Resolve names like "c6" or "s3"."""
+    """Resolve names like "c6" or "s3"; a group of more elements than the
+    dimension guard ``MAX_DIM`` is refused before it is built."""
     name = name.lower()
     if len(name) >= 2 and name[0] in _GROUPS and name[1:].isdigit():
-        return _GROUPS[name[0]](int(name[1:]))
+        build, order = _GROUPS[name[0]]
+        n = int(name[1:])
+        # each order is at least n, so n! is computed only for small n
+        if n > MAX_DIM or order(n) > MAX_DIM:
+            raise ShapeError(
+                f"group {name} has more elements than the --max-dim default {MAX_DIM}"
+            )
+        return build(n)
     raise ShapeError(f"unknown group name {name!r} (expected c<n> or s<n>)")

@@ -7,6 +7,10 @@ constants, never by object identity.  Structure maps of modules are not
 required to be bijective here; only the Yetter-Drinfeld layer imposes
 that.  A classical (co)module is one whose structure maps, its own and its
 base's, are identities; inducing a twisted one requires exactly that.
+
+``induction`` writes the induction once, for modules, comodules and
+Yetter-Drinfeld modules alike: it twists every map of the carrier by
+``twisted_maps`` and the base by ``twist``.
 """
 
 from __future__ import annotations
@@ -19,14 +23,12 @@ from .structures import (
     HomBialgebra,
     HomCoalgebra,
     Structure,
-    certified,
-    certify,
-    require,
+    constructor,
+    require_bijective,
     require_identity,
     require_same_base,
-    twist_algebra,
-    twist_bialgebra,
-    twist_coalgebra,
+    twist,
+    twisted_maps,
 )
 
 
@@ -43,6 +45,9 @@ class ModuleStruct(Structure):
     OVER = (HomAlgebra, HomBialgebra)
     ALPHA = True
 
+    def check(self) -> CheckReport:
+        return check_module(self)
+
 
 class ComoduleStruct(Structure):
     """Left comodule over a Hom-(bi/co)algebra, with its own structure map."""
@@ -51,6 +56,9 @@ class ComoduleStruct(Structure):
     MAPS = (("coact", "coact", "d->hd"),)
     OVER = (HomCoalgebra, HomBialgebra)
     ALPHA = True
+
+    def check(self) -> CheckReport:
+        return check_comodule(self)
 
 
 # -- checkers ----------------------------------------------------------
@@ -131,45 +139,32 @@ def _morphism_report(law, f, pairs, action=True, coaction=True):
 
 # -- induced (twisted) structures ---------------------------------------
 
-def require_twist_compat(alpha_base, alpha_m, act=None, coact=None) -> None:
-    """The hypotheses of twisting a given action or coaction along alpha_M
-    over alpha_base: alpha_M is linear, respectively colinear, over it."""
-    if act is not None:
-        require(compare_maps(
-            "module_twist_compat", alpha_m @ act, act @ alpha_base.tensor(alpha_m)))
-    if coact is not None:
-        require(compare_maps(
-            "comodule_twist_compat", alpha_base.tensor(alpha_m) @ coact, coact @ alpha_m))
+def induction(what: str, bijective: bool = False):
+    """The certifying constructor ``what``: ``(carrier, alpha_base, alpha)``
+    carries a classical module, comodule or Yetter-Drinfeld module to one of
+    the same kind over its base twisted along alpha_base.  The action becomes
+    a▷m := alpha(a·m), which must equal alpha_base(a)·alpha(m), and the coaction
+    (alpha_base⊗alpha)∘coact, which must equal coact∘alpha.  With
+    ``bijective``, singular maps are refused after those hypotheses."""
+    @constructor
+    def induce(carrier, alpha_base: LinearMap, alpha: LinearMap):
+        """The classical ``carrier`` over its base twisted along alpha_base,
+        with structure map alpha."""
+        require_identity(what, base=carrier.over.alpha, carrier=carrier.alpha)
+        maps = twisted_maps(carrier, {"h": alpha_base, "d": alpha})
+        if bijective:
+            require_bijective(what, base=alpha_base, carrier=alpha)
+        base, base_report = twist.build(carrier.over, alpha_base)
+        out = type(carrier)(base, *maps, alpha)
+        report = out.check()
+        # a base that breaks its laws leads the report; a sound base adds nothing
+        return out, CheckReport.combine(report.law, [base_report, report])
+
+    return induce
 
 
-def induce_module(mod: ModuleStruct, alpha_a: LinearMap, alpha_m: LinearMap) -> ModuleStruct:
-    """New action a▷m := alpha_M(a·m) of a classical module over the twisted
-    base; requires alpha_M(a·m) = alpha_A(a)·alpha_M(m) on all basis pairs."""
-    require_identity("module induction", base=mod.over.alpha, carrier=mod.alpha)
-    require_twist_compat(alpha_a, alpha_m, act=mod.act)
-    if isinstance(mod.over, HomBialgebra):
-        base = twist_bialgebra(mod.over, alpha_a)
-    else:
-        base = twist_algebra(mod.over, alpha_a)
-    out = ModuleStruct(base, alpha_m @ mod.act, alpha_m)
-    certify(check_module(out))
-    return out
-
-
-def induce_comodule(
-    com: ComoduleStruct, alpha_c: LinearMap, alpha_m: LinearMap
-) -> ComoduleStruct:
-    """New coaction m -> alpha_C(m_(-1))⊗alpha_M(m_(0)) of a classical comodule
-    over the twisted base; requires alpha_M colinear over alpha_C."""
-    require_identity("comodule induction", base=com.over.alpha, carrier=com.alpha)
-    require_twist_compat(alpha_c, alpha_m, coact=com.coact)
-    if isinstance(com.over, HomBialgebra):
-        base = twist_bialgebra(com.over, alpha_c)
-    else:
-        base = twist_coalgebra(com.over, alpha_c)
-    out = ComoduleStruct(base, alpha_c.tensor(alpha_m) @ com.coact, alpha_m)
-    certify(check_comodule(out))
-    return out
+induce_module = induction("module induction")
+induce_comodule = induction("comodule induction")
 
 
 # -- tensor products -----------------------------------------------------
@@ -192,12 +187,9 @@ def tensor_coaction_map(
     return (base.mu.tensor(ident) @ paired).with_shapes((dm * dn,), (dh, dm * dn))
 
 
-def tensor_modules(m: ModuleStruct, n: ModuleStruct) -> ModuleStruct:
+@constructor
+def tensor_modules(m: ModuleStruct, n: ModuleStruct):
     """Module structure on M⊗N via the coproduct of the shared Hom-bialgebra."""
-    return certified(_tensor_modules(m, n))
-
-
-def _tensor_modules(m, n):
     if not isinstance(m.over, HomBialgebra):
         raise ShapeError("tensor of modules needs a Hom-bialgebra base")
     require_same_base(m, n)
@@ -205,11 +197,9 @@ def _tensor_modules(m, n):
     return out, check_module(out)
 
 
-def tensor_comodules(m: ComoduleStruct, n: ComoduleStruct) -> ComoduleStruct:
-    return certified(_tensor_comodules(m, n))
-
-
-def _tensor_comodules(m, n):
+@constructor
+def tensor_comodules(m: ComoduleStruct, n: ComoduleStruct):
+    """Comodule structure on M⊗N via the product of the shared Hom-bialgebra."""
     if not isinstance(m.over, HomBialgebra):
         raise ShapeError("tensor of comodules needs a Hom-bialgebra base")
     require_same_base(m, n)

@@ -4,8 +4,8 @@ An element R in H⊗H (respectively a form sigma: H⊗H -> k) is a plain
 dim x dim matrix in the chosen basis; no normalization beyond the three
 defining axioms is imposed, matching the unit-free setting.  Both induce
 Yetter-Drinfeld structures on modules (respectively comodules) and
-braidings on their categories; the induced objects are re-checked before
-being returned.
+braidings on their categories; ``yd_from_module`` and ``yd_from_comodule``
+are certifying constructors (see ``structures.constructor``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .reports import CheckReport, compare_maps
 from .structures import (
     HomBialgebra,
     Structure,
-    certified,
+    constructor,
     require,
     require_bijective,
     require_same_base,
@@ -96,12 +96,9 @@ def _r_coaction(mod: ModuleStruct, r: RElement) -> LinearMap:
     return h.alpha.tensor(mod.act) @ spread
 
 
-def yd_from_module(mod: ModuleStruct, r: RElement) -> YDModule:
+@constructor
+def yd_from_module(mod: ModuleStruct, r: RElement):
     """Coaction m -> alpha(R2) ⊗ R1·m on a module over a quasitriangular base."""
-    return certified(_yd_from_module(mod, r))
-
-
-def _yd_from_module(mod, r):
     if not isinstance(mod.over, HomBialgebra):
         raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
     require_same_base(mod, r)
@@ -200,13 +197,10 @@ def _sigma_action(com: ComoduleStruct, s: SigmaForm) -> LinearMap:
     return s.form.tensor(ident_m) @ spread
 
 
-def yd_from_comodule(com: ComoduleStruct, s: SigmaForm) -> YDModule:
+@constructor
+def yd_from_comodule(com: ComoduleStruct, s: SigmaForm):
     """Action h·m = sigma(m_(-1) ⊗ alpha(h)) m_(0) on a comodule over a
     coquasitriangular base."""
-    return certified(_yd_from_comodule(com, s))
-
-
-def _yd_from_comodule(com, s):
     if not isinstance(com.over, HomBialgebra):
         raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
     require_same_base(com, s)

@@ -3,7 +3,10 @@
 Every task kind is one entry of ``TASKS``; ``specfile`` validates tasks
 against the same table that dispatches them here.  Tasks run one at a
 time in document order, and constructions register their results for
-later tasks.  A task whose preconditions fail (bad hypotheses,
+later tasks.  A construction task calls the ``.build`` of a certifying
+constructor (see ``structures.constructor``) and reports the
+certification that it returns; this module uses only the public names of
+the other layers.  A task whose preconditions fail (bad hypotheses,
 non-bijective structure maps, a construction result that was never
 registered) is reported as "inapplicable", which counts as non-passing.
 Any other exception is a bug and propagates.
@@ -24,15 +27,8 @@ from .errors import (
     SpecFileError,
 )
 from .linmap import LinearMap
-from .modules import (
-    _tensor_comodules,
-    _tensor_modules,
-    check_comodule,
-    check_module,
-)
+from .modules import check_comodule, check_module, tensor_comodules, tensor_modules
 from .quasitri import (
-    _yd_from_comodule,
-    _yd_from_module,
     check_cqt,
     check_cqt_tensor_coincide,
     check_qt,
@@ -43,22 +39,15 @@ from .quasitri import (
     cqt_braiding,
     qt_B,
     qt_braiding,
+    yd_from_comodule,
+    yd_from_module,
 )
 from .reports import CheckReport, compare_maps
-from .structures import (
-    _twist_algebra,
-    _twist_bialgebra,
-    _twist_coalgebra,
-    check_hom_algebra,
-    check_hom_bialgebra,
-    check_hom_coalgebra,
-)
+from .structures import check_hom_algebra, check_hom_bialgebra, check_hom_coalgebra, twist
 from .yd import (
-    _braiding_c,
-    _twist_yd,
-    _yd_tensor,
     b_from_c,
     braiding_B,
+    braiding_c,
     check_braid_implies_hybe,
     check_braid_relation_for,
     check_classical_yd,
@@ -66,11 +55,17 @@ from .yd import (
     check_hybe,
     check_hybe_for,
     check_pentagon,
+    twist_yd,
     yd_suite,
+    yd_tensor,
 )
 
 if TYPE_CHECKING:
     from .specfile import SpecDocument, Task
+
+# the default guard on the dimension of a structure that a file declares or
+# a generator builds
+MAX_DIM = 16
 
 INAPPLICABLE_ERRORS = (
     InapplicableError,
@@ -136,7 +131,7 @@ def _matrix_arg(field, raw, dim, what):
 
 
 def _bridge(m, n):
-    c, certification = _braiding_c(m, n)
+    c, certification = braiding_c.build(m, n)
     report = compare_maps(
         "bridge_b_equals_alpha_pair_after_c", braiding_B(m, n), b_from_c(c, m.alpha, n.alpha)
     )
@@ -147,7 +142,7 @@ def _bridge(m, n):
 def _braid_implies_hybe(m, n, p):
     # the commutation gates presume morphisms: a braiding that fails its
     # certification is reported as such, not as an unmet hypothesis
-    built = [_braiding_c(m, n), _braiding_c(m, p), _braiding_c(n, p)]
+    built = [braiding_c.build(m, n), braiding_c.build(m, p), braiding_c.build(n, p)]
     if not all(report.passed for _, report in built):
         return CheckReport.combine("braid_implies_hybe", [report for _, report in built])
     return check_braid_implies_hybe(*(c for c, _ in built), m.alpha, n.alpha, p.alpha)
@@ -172,7 +167,7 @@ def _braiding_matches(route, braiding, braiding_b, induce):
         m, n = carriers
         c = braiding(m, n, x)
         (ym, m_report), (yn, n_report) = induce(m, x), induce(n, x)
-        induced_c, c_report = _braiding_c(ym, yn)
+        induced_c, c_report = braiding_c.build(ym, yn)
         reports = [
             m_report,
             n_report,
@@ -184,17 +179,15 @@ def _braiding_matches(route, braiding, braiding_b, induce):
     return run
 
 
-def _twist(kind, build):
+def _twist_task(kind, build, matrices=(("alpha", None),)):
+    """Twisting a ``kind`` source along the square matrices under the keys of
+    ``matrices``, each as large as the source's facet (the source when None)."""
     def run(spec, source):
-        return build(source, _matrix_arg(source.field, spec["alpha"], source.dim, "alpha"))
-    return TaskKind((("source", None, (kind,)),), run, kind, (("alpha", None),))
-
-
-def _twist_yd_task(spec, source):
-    field = source.field
-    alpha_h = _matrix_arg(field, spec["alpha_h"], source.over.dim, "alpha_h")
-    alpha_m = _matrix_arg(field, spec["alpha_m"], source.dim, "alpha_m")
-    return _twist_yd(source, alpha_h, alpha_m)
+        return build(source, *(
+            _matrix_arg(source.field, spec[key],
+                        (getattr(source, facet) if facet else source).dim, key)
+            for key, facet in matrices))
+    return TaskKind((("source", None, (kind,)),), run, kind, matrices)
 
 
 def _unary(kinds, check, facet=None):
@@ -250,23 +243,25 @@ TASKS = {
     ("check", "braid_implies_hybe"): _on_yd(3, _braid_implies_hybe),
     ("check", "qt_hybe"): _induced("modules", 3, R, _induced_hybe(qt_B)),
     ("check", "qt_braiding_matches"): _induced(
-        "modules", 2, R, _braiding_matches("qt", qt_braiding, qt_B, _yd_from_module)
+        "modules", 2, R, _braiding_matches("qt", qt_braiding, qt_B, yd_from_module.build)
     ),
     ("check", "cqt_hybe"): _induced("comodules", 3, SIGMA, _induced_hybe(cqt_B)),
     ("check", "cqt_braiding_matches"): _induced(
-        "comodules", 2, SIGMA, _braiding_matches("cqt", cqt_braiding, cqt_B, _yd_from_comodule)
+        "comodules", 2, SIGMA,
+        _braiding_matches("cqt", cqt_braiding, cqt_B, yd_from_comodule.build),
     ),
-    ("twist", "algebra"): _twist("algebra", _twist_algebra),
-    ("twist", "coalgebra"): _twist("coalgebra", _twist_coalgebra),
-    ("twist", "bialgebra"): _twist("bialgebra", _twist_bialgebra),
-    ("twist", "yd"): TaskKind(
-        (("source", None, ("yd_module",)),), _twist_yd_task, "yd_module",
-        (("alpha_h", "over"), ("alpha_m", None)),
+    ("twist", "algebra"): _twist_task("algebra", twist.build),
+    ("twist", "coalgebra"): _twist_task("coalgebra", twist.build),
+    ("twist", "bialgebra"): _twist_task("bialgebra", twist.build),
+    ("twist", "yd"): _twist_task(
+        "yd_module", twist_yd.build, (("alpha_h", "over"), ("alpha_m", None))
     ),
-    ("tensor", "modules"): _binary("module", _tensor_modules, result="module"),
-    ("tensor", "comodules"): _binary("comodule", _tensor_comodules, result="comodule"),
-    ("tensor", "hat"): _binary("yd_module", partial(_yd_tensor, "hat"), result="yd_module"),
-    ("tensor", "tilde"): _binary("yd_module", partial(_yd_tensor, "tilde"), result="yd_module"),
+    ("tensor", "modules"): _binary("module", tensor_modules.build, result="module"),
+    ("tensor", "comodules"): _binary("comodule", tensor_comodules.build, result="comodule"),
+    ("tensor", "hat"): _binary("yd_module", partial(yd_tensor.build, "hat"), result="yd_module"),
+    ("tensor", "tilde"): _binary(
+        "yd_module", partial(yd_tensor.build, "tilde"), result="yd_module"
+    ),
     ("coincide", "qt"): _binary("module", check_qt_tensor_coincide, (R,)),
     ("coincide", "cqt"): _binary("comodule", check_cqt_tensor_coincide, (SIGMA,)),
 }
@@ -307,7 +302,7 @@ def execute_task(task: Task, ns: dict) -> tuple[TaskResult, dict]:
     return TaskResult(task.name, task.kind, status, report), registrations
 
 
-def run_tasks(doc: SpecDocument, max_dim: int = 16) -> ReportBundle:
+def run_tasks(doc: SpecDocument, max_dim: int = MAX_DIM) -> ReportBundle:
     """Execute every task in document order; constructions register their
     results for later tasks.  ``max_dim`` guards declared structure sizes."""
     for name, obj in doc.structures.items():

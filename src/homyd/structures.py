@@ -4,9 +4,13 @@ Structures are carried entirely by structure-constant tensors: a product
 ``mu: H⊗H -> H``, a coproduct ``delta: H -> H⊗H`` and a structure map
 ``alpha: H -> H``.  Nothing is assumed unital or counital.  A classical
 structure is the Hom kind whose structure maps, its own and its base's, are
-identities.  Checkers return the full list of failing basis tuples;
-twisting constructors verify their endomorphism hypotheses eagerly and
-re-check their output before returning it.
+identities.  Checkers return the full list of failing basis tuples.
+
+Every construction is one builder that returns ``(object, report)``, made a
+certifying constructor by ``constructor``: the public function refuses a
+failed report, and tasks call ``.build`` to report it.  ``twisted_maps``
+twists the maps of every kind at once, so ``twist`` serves algebras,
+coalgebras and bialgebras alike.
 
 Operands are refused by one helper per contract: ``require`` (a hypothesis
 holds), ``require_same_base``, ``require_bijective`` and ``require_identity``,
@@ -16,6 +20,7 @@ which every classical entry point calls on its source.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import reduce, wraps
 
 from .errors import CertificationError, InapplicableError, PreconditionError, ShapeError
 from .linmap import LinearMap
@@ -136,6 +141,9 @@ class HomAlgebra(Structure):
     MAPS = (("mu", "mu", "dd->d"),)
     ALPHA = True
 
+    def check(self) -> CheckReport:
+        return check_hom_algebra(self)
+
 
 class HomCoalgebra(Structure):
     """A triple (carrier, delta, alpha) with alpha-twisted coassociativity."""
@@ -143,6 +151,9 @@ class HomCoalgebra(Structure):
     __slots__ = ("dim", "delta", "alpha")
     MAPS = (("delta", "delta", "d->dd"),)
     ALPHA = True
+
+    def check(self) -> CheckReport:
+        return check_hom_coalgebra(self)
 
 
 class HomBialgebra(Structure):
@@ -152,6 +163,9 @@ class HomBialgebra(Structure):
     __slots__ = ("dim", "mu", "delta", "alpha")
     MAPS = HomAlgebra.MAPS + HomCoalgebra.MAPS
     ALPHA = True
+
+    def check(self) -> CheckReport:
+        return check_hom_bialgebra(self)
 
     @property
     def algebra(self) -> HomAlgebra:
@@ -268,11 +282,18 @@ def certify(report: CheckReport) -> None:
         raise CertificationError(report)
 
 
-def certified(built):
-    """The object of a builder's ``(object, report)`` pair, once the report passes."""
-    obj, report = built
-    certify(report)
-    return obj
+def constructor(build):
+    """The certifying constructor of ``build``, a builder that returns
+    ``(object, report)``: it returns the object once the report passes.  The
+    builder stays as ``.build`` for tasks, which report what it checked."""
+    @wraps(build)
+    def construct(*args, **kwargs):
+        obj, report = build(*args, **kwargs)
+        certify(report)
+        return obj
+
+    construct.build = build
+    return construct
 
 
 def require(report: CheckReport) -> None:
@@ -304,50 +325,45 @@ def require_identity(what, **maps) -> None:
 
 # -- twisting (composition method) -------------------------------------
 
-def twist_algebra(alg: HomAlgebra, alpha: LinearMap) -> HomAlgebra:
-    """Replace the product of a classical algebra by alpha∘mu; requires alpha
-    to be an algebra endomorphism, verified on every basis pair."""
-    return certified(_twist_algebra(alg, alpha))
+# the hypothesis that twisting each kind of map needs, by its attribute
+_TWIST_LAWS = {"mu": "algebra_endomorphism", "delta": "coalgebra_endomorphism",
+               "act": "module_twist_compat", "coact": "comodule_twist_compat"}
 
 
-def _twist_algebra(alg, alpha):
-    require_identity("twisting", source=alg.alpha)
-    _check_endo_shape(alpha, alg.dim, "twisting map")
-    require(_restated(_multiplicativity(alg.mu, alpha), "algebra_endomorphism"))
-    out = HomAlgebra(alpha @ alg.mu, alpha)
-    return out, check_hom_algebra(out)
+def twisted_maps(source, alphas: dict) -> list:
+    """Each map f of ``source``, in ``MAPS`` order, as (α on its codomain)∘f,
+    where ``alphas`` gives α per shape letter.  That same map is the left side
+    of the hypothesis scan against f∘(α on its domain), which must hold on
+    every basis tuple."""
+    def on(letters):
+        return reduce(LinearMap.tensor, [alphas[c] for c in letters])
+
+    out = []
+    for _, attr, shape in source.MAPS:
+        f = getattr(source, attr)
+        dom, cod = shape.split("->")
+        out.append(on(cod) @ f)
+        require(compare_maps(_TWIST_LAWS[attr], out[-1], f @ on(dom)))
+    return out
 
 
-def twist_coalgebra(coalg: HomCoalgebra, alpha: LinearMap) -> HomCoalgebra:
-    """Replace the coproduct of a classical coalgebra by delta∘alpha; alpha
-    must be a coalgebra endomorphism."""
-    return certified(_twist_coalgebra(coalg, alpha))
+@constructor
+def twist(source, alpha: LinearMap):
+    """Twist a classical algebra, coalgebra or bialgebra along an
+    endomorphism alpha: the product becomes alpha∘mu and the coproduct
+    (alpha⊗alpha)∘delta, which the hypotheses equate with mu∘(alpha⊗alpha) and
+    delta∘alpha.  The result has the kind of the source."""
+    require_identity("twisting", source=source.alpha)
+    _check_endo_shape(alpha, source.dim, "twisting map")
+    out = type(source)(*twisted_maps(source, {"d": alpha}), alpha)
+    return out, out.check()
 
 
-def _twist_coalgebra(coalg, alpha):
-    require_identity("twisting", source=coalg.alpha)
-    _check_endo_shape(alpha, coalg.dim, "twisting map")
-    require(_restated(_comultiplicativity(coalg.delta, alpha), "coalgebra_endomorphism"))
-    out = HomCoalgebra(coalg.delta @ alpha, alpha)
-    return out, check_hom_coalgebra(out)
+twist_algebra = twist_coalgebra = twist_bialgebra = twist
 
 
-def twist_bialgebra(bia: HomBialgebra, alpha: LinearMap) -> HomBialgebra:
-    """Twist the product and coproduct of a classical bialgebra simultaneously
-    by a bialgebra endomorphism."""
-    return certified(_twist_bialgebra(bia, alpha))
-
-
-def _twist_bialgebra(bia, alpha):
-    require_identity("twisting", source=bia.alpha)
-    _check_endo_shape(alpha, bia.dim, "twisting map")
-    require(_restated(_multiplicativity(bia.mu, alpha), "algebra_endomorphism"))
-    require(_restated(_comultiplicativity(bia.delta, alpha), "coalgebra_endomorphism"))
-    out = HomBialgebra(alpha @ bia.mu, bia.delta @ alpha, alpha)
-    return out, check_hom_bialgebra(out)
-
-
-def tensor_algebra(a: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
+@constructor
+def tensor_algebra(a: HomAlgebra, b: HomAlgebra):
     """Componentwise product (x⊗y)(x'⊗y') = xx'⊗yy' with structure map
     alpha_A⊗alpha_B."""
     if a.field != b.field:
@@ -357,5 +373,4 @@ def tensor_algebra(a: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
         (a.dim * b.dim, a.dim * b.dim), (a.dim * b.dim,)
     )
     out = HomAlgebra(mu, a.alpha.tensor(b.alpha).with_shapes((a.dim * b.dim,), (a.dim * b.dim,)))
-    certify(check_hom_algebra(out))
-    return out
+    return out, check_hom_algebra(out)

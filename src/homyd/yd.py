@@ -21,7 +21,8 @@ nonnegative powers of the base map) can be scanned without the gate.  Every
 braiding, associator and coherence law refuses, by name, each structure
 map it inverts that is not bijective.  A classical Yetter-Drinfeld module
 is one whose structure maps, its own and its base's, are identities; the
-classical check and twisting refuse any other.
+classical check and twisting refuse any other.  Twisting is the module and
+comodule induction on one carrier, with the category's bijectivity gate.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .modules import (
     _tensor_alpha,
     check_comodule,
     check_module,
-    require_twist_compat,
+    induction,
     tensor_action_map,
     tensor_coaction_map,
 )
@@ -45,9 +46,7 @@ from .reports import CheckReport, compare_maps
 from .structures import (
     HomBialgebra,
     Structure,
-    _twist_bialgebra,
-    certified,
-    certify,
+    constructor,
     require,
     require_bijective,
     require_identity,
@@ -70,6 +69,9 @@ class YDModule(Structure):
     @property
     def comodule(self) -> ComoduleStruct:
         return ComoduleStruct(self.over, self.coact, self.alpha)
+
+    def check(self) -> CheckReport:
+        return yd_suite(self)
 
 
 # -- the compatibility law ----------------------------------------------
@@ -134,20 +136,9 @@ def yd_suite(m: YDModule, gate: bool = True) -> CheckReport:
     return CheckReport.combine("yd_module", reports)
 
 
-def twist_yd(m: YDModule, alpha_h: LinearMap, alpha_m: LinearMap) -> YDModule:
-    """Carry a classical Yetter-Drinfeld module to one over the twisted base,
-    with action alpha_M∘act and coaction (alpha_H⊗alpha_M)∘coact."""
-    return certified(_twist_yd(m, alpha_h, alpha_m))
-
-
-def _twist_yd(m, alpha_h, alpha_m):
-    require_identity("Yetter-Drinfeld twisting", base=m.over.alpha, carrier=m.alpha)
-    require_twist_compat(alpha_h, alpha_m, m.act, m.coact)
-    require_bijective("Yetter-Drinfeld twisting", base=alpha_h, carrier=alpha_m)
-    base, base_report = _twist_bialgebra(m.over, alpha_h)
-    out = YDModule(base, alpha_m @ m.act, alpha_h.tensor(alpha_m) @ m.coact, alpha_m)
-    # a base that breaks its laws leads the report; a sound base adds nothing
-    return out, CheckReport.combine("yd_module", [base_report, yd_suite(out)])
+# carry a classical Yetter-Drinfeld module to one over the twisted base,
+# with action alpha_M∘act and coaction (alpha_H⊗alpha_M)∘coact
+twist_yd = induction("Yetter-Drinfeld twisting", bijective=True)
 
 
 # -- the braiding B and the Hom-Yang-Baxter equation ----------------------
@@ -224,15 +215,18 @@ def _tilde_raw(m: YDModule, n: YDModule) -> YDModule:
 
 def hat_tensor(m: YDModule, n: YDModule) -> YDModule:
     """M ⊗̂ N: componentwise action, coaction α_H^{-2}(m_(-1)n_(-1)) ⊗ (m_(0)⊗n_(0))."""
-    return certified(_yd_tensor("hat", m, n))
+    return yd_tensor("hat", m, n)
 
 
 def tilde_tensor(m: YDModule, n: YDModule) -> YDModule:
     """M ⊗̃ N: action α_H^{-2}(h_1)·m ⊗ α_H^{-2}(h_2)·n, componentwise coaction."""
-    return certified(_yd_tensor("tilde", m, n))
+    return yd_tensor("tilde", m, n)
 
 
-def _yd_tensor(flavor, m, n):
+@constructor
+def yd_tensor(flavor: str, m: YDModule, n: YDModule):
+    """The ``"hat"`` or ``"tilde"`` tensor product, certified by the module,
+    comodule and compatibility laws."""
     require_same_base(m, n)
     require_bijective(f"{flavor} tensor product", base=m.over.alpha)
     raw_tensor, _ = _flavor(flavor)
@@ -270,17 +264,19 @@ def _kron(factors) -> LinearMap:
 
 
 def associator_a(m: YDModule, n: YDModule, p: YDModule) -> LinearMap:
-    """(M⊗̂N)⊗̂P -> M⊗̂(N⊗̂P), (m⊗n)⊗p -> α_M^{-1}(m)⊗(n⊗α_P(p)); certified as a
-    morphism of modules and comodules between the two towers."""
-    return _certified_associator("hat", m, n, p)
+    """(M⊗̂N)⊗̂P -> M⊗̂(N⊗̂P), (m⊗n)⊗p -> α_M^{-1}(m)⊗(n⊗α_P(p))."""
+    return yd_associator("hat", m, n, p)
 
 
 def associator_frak_a(m: YDModule, n: YDModule, p: YDModule) -> LinearMap:
     """(M⊗̃N)⊗̃P -> M⊗̃(N⊗̃P), (m⊗n)⊗p -> α_M(m)⊗(n⊗α_P^{-1}(p))."""
-    return _certified_associator("tilde", m, n, p)
+    return yd_associator("tilde", m, n, p)
 
 
-def _certified_associator(flavor, m, n, p):
+@constructor
+def yd_associator(flavor: str, m: YDModule, n: YDModule, p: YDModule):
+    """The associator of the ``"hat"`` or ``"tilde"`` tensor product, certified
+    as a morphism of modules and comodules between the two towers."""
     require_same_base(m, n, p)
     raw_tensor, e = _flavor(flavor)
     inverted = {"first": m.alpha} if e < 0 else {"third": p.alpha}
@@ -290,8 +286,7 @@ def _certified_associator(flavor, m, n, p):
     # below are the verification this constructor owes
     left = raw_tensor(raw_tensor(m, n), p)
     right = raw_tensor(m, raw_tensor(n, p))
-    certify(_morphism_report("associator_morphism", a, [(left, right)]))
-    return a
+    return a, _morphism_report("associator_morphism", a, [(left, right)])
 
 
 # -- the braiding c -------------------------------------------------------
@@ -301,13 +296,10 @@ def _braiding_c_matrix(m: YDModule, n: YDModule) -> LinearMap:
     return (n.alpha.inverse() @ n.act).tensor(m.alpha.inverse()) @ tagged
 
 
-def braiding_c(m: YDModule, n: YDModule) -> LinearMap:
+@constructor
+def braiding_c(m: YDModule, n: YDModule):
     """c(m⊗n) = α_N^{-1}(α_H^{-1}(m_(-1))·n) ⊗ α_M^{-1}(m_(0)); certified as a
     morphism for both tensor-product structures."""
-    return certified(_braiding_c(m, n))
-
-
-def _braiding_c(m, n):
     require_same_base(m, n)
     require_bijective("braiding", base=m.over.alpha, first=m.alpha, second=n.alpha)
     c = _braiding_c_matrix(m, n)
@@ -490,8 +482,10 @@ __all__ = [
     "braiding_B",
     "check_hybe",
     "check_hybe_for",
+    "yd_tensor",
     "hat_tensor",
     "tilde_tensor",
+    "yd_associator",
     "associator_a",
     "associator_frak_a",
     "braiding_c",

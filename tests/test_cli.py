@@ -1,6 +1,8 @@
 import copy
 import json
 import pathlib
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -130,6 +132,64 @@ def test_example_bad_parameters_exit_two(capsys):
     assert main(["example", "cyclic_endo_twist"]) == 2
     assert main(["example", "cyclic_bicharacter_sigma", "0", "7", "1", "1"]) == 2
     assert main(["example", "cyclic_r_matrix", "0", "7", "1", "1"]) == 2
+    capsys.readouterr()
+
+
+def _timed_example(params):
+    """The exit code and wall time of ``homyd example`` on ``params``; a run
+    past 5 s is stopped, so a hang fails instead of stalling the suite."""
+    def stop(signum, frame):
+        raise TimeoutError(f"example {params} ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        code = main(["example", *params])
+        return code, time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+BIG_PRIME = "2305843009213693951"  # 2^61 - 1
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        # the order of omega is decided in n products, not searched up to p
+        (["cyclic_r_matrix", "2", BIG_PRIME, "3", "1"],
+         "3 does not have multiplicative order 2"),
+        (["cyclic_bicharacter_sigma", "2", BIG_PRIME, "3", "1"],
+         f"3 does not have multiplicative order 2 mod {BIG_PRIME}"),
+        (["cyclic_r_matrix", "2", "rational", "2", "1"],
+         "2 does not have multiplicative order 2"),
+        # sizes above the --max-dim default are refused before anything is built
+        (["conjugation_yd", "s5", "1"],
+         "group s5 has more elements than the --max-dim default 16"),
+        (["conjugation_yd", "s4", "1"],
+         "group s4 has more elements than the --max-dim default 16"),
+        (["conjugation_yd", "s99999999999", "1"],
+         "group s99999999999 has more elements than the --max-dim default 16"),
+        (["cyclic_endo_twist", "17", "1"], "n = 17 exceeds the --max-dim default 16"),
+        (["cyclic_graded_yd", "80", "1", "1"], "n = 80 exceeds the --max-dim default 16"),
+        (["cyclic_r_matrix", "17", BIG_PRIME, "3", "1"],
+         "n = 17 exceeds the --max-dim default 16"),
+        (["cyclic_bicharacter_sigma", "17", "103", "2", "1"],
+         "n = 17 exceeds the --max-dim default 16"),
+    ],
+)
+def test_unrooted_or_oversized_examples_are_refused_within_a_second(capsys, params, message):
+    code, elapsed = _timed_example(params)
+    assert code == 2
+    assert elapsed < 1
+    assert capsys.readouterr().err == f"error: {params[0]}: {message}\n"
+
+
+def test_example_at_the_dimension_guard_still_runs(capsys):
+    code, _ = _timed_example(["cyclic_endo_twist", "16", "1"])
+    assert code == 0
     capsys.readouterr()
 
 
