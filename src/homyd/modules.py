@@ -229,6 +229,7 @@ __all__ = [
     "check_comodule",
     "check_module_morphism",
     "check_comodule_morphism",
+    "induction",
     "induce_module",
     "induce_comodule",
     "tensor_modules",

@@ -165,6 +165,11 @@ BIG_PRIME = "2305843009213693951"  # 2^61 - 1
          f"3 does not have multiplicative order 2 mod {BIG_PRIME}"),
         (["cyclic_r_matrix", "2", "rational", "2", "1"],
          "2 does not have multiplicative order 2"),
+        # omega^n = 1 at a smaller order is refused as well
+        (["cyclic_r_matrix", "2", "rational", "1", "1"],
+         "1 does not have multiplicative order 2"),
+        (["cyclic_bicharacter_sigma", "4", "5", "4", "1"],
+         "4 does not have multiplicative order 4 mod 5"),
         # sizes above the --max-dim default are refused before anything is built
         (["conjugation_yd", "s5", "1"],
          "group s5 has more elements than the --max-dim default 16"),
