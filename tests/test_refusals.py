@@ -14,7 +14,7 @@ from homyd.fixtures import (
     power_endomorphism,
 )
 from homyd.linmap import LinearMap
-from homyd.modules import ComoduleStruct, ModuleStruct
+from homyd.modules import ComoduleStruct, ModuleStruct, tensor_comodules, tensor_modules
 from homyd.quasitri import (
     RElement,
     SigmaForm,
@@ -38,6 +38,7 @@ from homyd.yd import (
     hat_tensor,
     tilde_tensor,
     twist_yd,
+    yd_tensor,
 )
 
 Q = RATIONALS
@@ -113,6 +114,18 @@ REFUSALS = {
     "tilde_tensor_base": (
         lambda: tilde_tensor(_over_singular_base(), _over_singular_base()),
         _needs("tilde tensor product", "a bijective", "base")),
+    "tensor_modules_base": (
+        lambda: tensor_modules(*[ModuleStruct(C2.algebra, C2.mu, C2.alpha)] * 2),
+        (ShapeError, "tensor of modules needs a Hom-bialgebra base")),
+    "tensor_comodules_base": (
+        lambda: tensor_comodules(*[ComoduleStruct(C2.coalgebra, C2.delta, C2.alpha)] * 2),
+        (ShapeError, "tensor of comodules needs a Hom-bialgebra base")),
+    "tensor_flavor": (
+        lambda: yd_tensor("sideways", C3_HOM, C3_HOM),
+        (ShapeError, "tensor flavor must be 'hat' or 'tilde', got 'sideways'")),
+    "pentagon_flavor": (
+        lambda: check_pentagon(*[C3_HOM] * 4, "sideways"),
+        (ShapeError, "tensor flavor must be 'hat' or 'tilde', got 'sideways'")),
     "braiding_c_base": (
         lambda: braiding_c(_over_singular_base(), _over_singular_base()),
         _needs("braiding", "a bijective", "base")),
