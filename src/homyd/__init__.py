@@ -28,6 +28,7 @@ from .modules import (
     check_module_morphism,
     induce_comodule,
     induce_module,
+    tensor,
     tensor_comodules,
     tensor_modules,
 )
@@ -40,6 +41,7 @@ from .quasitri import (
     check_qt_tensor_coincide,
     check_r_invariance,
     check_sigma_invariance,
+    check_tensor_coincide,
     cqt_B,
     cqt_braiding,
     qt_B,
@@ -82,6 +84,7 @@ from .yd import (
     tilde_tensor,
     twist_yd,
     yd_suite,
+    yd_tensor,
 )
 
 __version__ = "0.1.0"

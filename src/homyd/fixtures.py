@@ -99,7 +99,11 @@ def is_group_automorphism(group: GroupPresentation, images) -> bool:
 
 
 def inner_automorphism(group: GroupPresentation, t: int) -> tuple[int, ...]:
-    """Conjugation x -> t x t^{-1} as an index map."""
+    """Conjugation x -> t x t^{-1} as an index map; t must index an element."""
+    if not 0 <= t < group.order:
+        raise ShapeError(
+            f"t = {t} is not an element of {group.name}, which has order {group.order}"
+        )
     tinv = group.inverse(t)
     return tuple(
         group.cayley[group.cayley[t][x]][tinv] for x in range(group.order)

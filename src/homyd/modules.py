@@ -10,10 +10,16 @@ base's, are identities; inducing a twisted one requires exactly that.
 
 ``induction`` writes the induction once, for modules, comodules and
 Yetter-Drinfeld modules alike: it twists every map of the carrier by
-``twisted_maps`` and the base by ``twist``.
+``twisted_maps`` and the base by ``twist``.  ``tensor`` writes the tensor
+product once for the same three kinds: ``tensor_maps`` reads the carrier's
+``MAPS``, and of the two flavours "hat" applies α_H^{-2} to the coaction and
+"tilde" to the action.  Modules therefore sit inside the hat tensor product
+and comodules inside the tilde one, untwisted.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import ShapeError
 from .linmap import LinearMap
@@ -169,57 +175,74 @@ induce_comodule = induction("comodule induction")
 
 # -- tensor products -----------------------------------------------------
 
-def tensor_action_map(base: HomBialgebra, m: ModuleStruct, n: ModuleStruct) -> LinearMap:
-    """h·(m⊗n) = h_1·m ⊗ h_2·n, flattened to the product carrier."""
-    dh, dm, dn = base.dim, m.dim, n.dim
-    ident = LinearMap.identity(base.field, (dm, dn))
-    spread = base.delta.tensor(ident).permute_codomain((0, 2, 1, 3))
-    return (m.act.tensor(n.act) @ spread).with_shapes((dh, dm * dn), (dm * dn,))
+# the map that each tensor flavour twists by α_H^{-2} on its base factor
+FLAVORS = {"hat": "coact", "tilde": "act"}
 
 
-def tensor_coaction_map(
-    base: HomBialgebra, m: ComoduleStruct, n: ComoduleStruct
-) -> LinearMap:
-    """m⊗n -> m_(-1)n_(-1) ⊗ (m_(0)⊗n_(0)), flattened to the product carrier."""
-    dh, dm, dn = base.dim, m.dim, n.dim
-    paired = m.coact.tensor(n.coact).permute_codomain((0, 2, 1, 3))
-    ident = LinearMap.identity(base.field, (dm, dn))
-    return (base.mu.tensor(ident) @ paired).with_shapes((dm * dn,), (dh, dm * dn))
+def _flavor(name) -> str:
+    """The map that the tensor flavour ``name`` twists."""
+    if name not in FLAVORS:
+        raise ShapeError(f"tensor flavor must be 'hat' or 'tilde', got {name!r}")
+    return FLAVORS[name]
+
+
+def tensor_maps(flavor: str, m, n) -> list:
+    """Each map of M⊗N, in ``MAPS`` order, flattened to the product carrier.
+    An action spreads h through the coproduct, h·(m⊗n) = h_1·m ⊗ h_2·n; a
+    coaction gathers through the product, m⊗n -> m_(-1)n_(-1) ⊗ (m_(0)⊗n_(0)).
+    The map that ``flavor`` twists takes α_H^{-2} on h: the hat coaction is
+    α_H^{-2}(m_(-1)n_(-1)) ⊗ (m_(0)⊗n_(0)), the tilde action
+    α_H^{-2}(h_1)·m ⊗ α_H^{-2}(h_2)·n."""
+    twisted = _flavor(flavor)
+    base = m.over
+    dh, d = base.dim, m.dim * n.dim
+    ident = LinearMap.identity(base.field, (m.dim, n.dim))
+    out = []
+    for _, attr, _ in m.MAPS:
+        if attr == "act":
+            delta = base.delta
+            if twisted == "act":
+                alpha_inv2 = base.alpha.power(-2)
+                delta = alpha_inv2.tensor(alpha_inv2) @ delta
+            spread = delta.tensor(ident).permute_codomain((0, 2, 1, 3))
+            out.append((m.act.tensor(n.act) @ spread).with_shapes((dh, d), (d,)))
+        else:
+            paired = m.coact.tensor(n.coact).permute_codomain((0, 2, 1, 3))
+            coact = (base.mu.tensor(ident) @ paired).with_shapes((d,), (dh, d))
+            if twisted == "coact":
+                twist_h = base.alpha.power(-2).tensor(LinearMap.identity(base.field, (d,)))
+                coact = twist_h @ coact
+            out.append(coact)
+    return out
+
+
+def tensor_raw(flavor: str, m, n):
+    """M⊗N of the kind of m, with structure map alpha_M⊗alpha_N, unchecked."""
+    d = m.dim * n.dim
+    return type(m)(m.over, *tensor_maps(flavor, m, n),
+                   m.alpha.tensor(n.alpha).with_shapes((d,), (d,)))
 
 
 @constructor
-def tensor_modules(m: ModuleStruct, n: ModuleStruct):
-    """Module structure on M⊗N via the coproduct of the shared Hom-bialgebra."""
+def tensor(flavor: str, m, n):
+    """The ``"hat"`` or ``"tilde"`` tensor product of two modules, comodules or
+    Yetter-Drinfeld modules over one Hom-bialgebra, certified by the laws of
+    their kind.  The flavour that twists a map of the kind needs a bijective
+    base structure map."""
     if not isinstance(m.over, HomBialgebra):
-        raise ShapeError("tensor of modules needs a Hom-bialgebra base")
+        kind = "modules" if isinstance(m, ModuleStruct) else "comodules"
+        raise ShapeError(f"tensor of {kind} needs a Hom-bialgebra base")
     require_same_base(m, n)
-    out = _tensor_module_raw(m, n)
-    return out, check_module(out)
+    if _flavor(flavor) in (attr for _, attr, _ in m.MAPS):
+        require_bijective(f"{flavor} tensor product", base=m.over.alpha)
+    out = tensor_raw(flavor, m, n)
+    return out, out.check()
 
 
-@constructor
-def tensor_comodules(m: ComoduleStruct, n: ComoduleStruct):
-    """Comodule structure on M⊗N via the product of the shared Hom-bialgebra."""
-    if not isinstance(m.over, HomBialgebra):
-        raise ShapeError("tensor of comodules needs a Hom-bialgebra base")
-    require_same_base(m, n)
-    out = _tensor_comodule_raw(m, n)
-    return out, check_comodule(out)
-
-
-def _tensor_alpha(m, n) -> LinearMap:
-    """alpha_M⊗alpha_N on the flattened product carrier."""
-    return m.alpha.tensor(n.alpha).with_shapes((m.dim * n.dim,), (m.dim * n.dim,))
-
-
-def _tensor_module_raw(m: ModuleStruct, n: ModuleStruct) -> ModuleStruct:
-    """The tensor module M⊗N, unchecked."""
-    return ModuleStruct(m.over, tensor_action_map(m.over, m, n), _tensor_alpha(m, n))
-
-
-def _tensor_comodule_raw(m: ComoduleStruct, n: ComoduleStruct) -> ComoduleStruct:
-    """The tensor comodule M⊗N, unchecked."""
-    return ComoduleStruct(m.over, tensor_coaction_map(m.over, m, n), _tensor_alpha(m, n))
+# a module sits inside the hat tensor product and a comodule inside the tilde
+# one: each of those flavours leaves the map of its kind untwisted
+tensor_modules = partial(tensor, "hat")
+tensor_comodules = partial(tensor, "tilde")
 
 
 __all__ = [
@@ -232,10 +255,12 @@ __all__ = [
     "induction",
     "induce_module",
     "induce_comodule",
+    "FLAVORS",
+    "tensor_maps",
+    "tensor_raw",
+    "tensor",
     "tensor_modules",
     "tensor_comodules",
-    "tensor_action_map",
-    "tensor_coaction_map",
     "require_same_base",
     "action_constants",
 ]

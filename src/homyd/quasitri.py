@@ -5,19 +5,17 @@ dim x dim matrix in the chosen basis; no normalization beyond the three
 defining axioms is imposed, matching the unit-free setting.  Both induce
 Yetter-Drinfeld structures on modules (respectively comodules) and
 braidings on their categories; ``yd_from_module`` and ``yd_from_comodule``
-are certifying constructors (see ``structures.constructor``).
+are certifying constructors (see ``structures.constructor``).  Modules sit
+inside the hat tensor product and comodules inside the tilde one, so one
+check, ``check_tensor_coincide``, compares the map that R or sigma induces
+on a tensor product with that of the tensor of the induced modules.
 """
 
 from __future__ import annotations
 
 from .errors import ShapeError
 from .linmap import LinearMap
-from .modules import (
-    ComoduleStruct,
-    ModuleStruct,
-    _tensor_comodule_raw,
-    _tensor_module_raw,
-)
+from .modules import ComoduleStruct, ModuleStruct, tensor_raw
 from .reports import CheckReport, compare_maps
 from .structures import (
     HomBialgebra,
@@ -28,7 +26,7 @@ from .structures import (
     require_same_base,
     tensor_square_product,
 )
-from .yd import YDModule, _hat_raw, _tilde_raw, yd_suite
+from .yd import YDModule, yd_suite
 
 
 class RElement(Structure):
@@ -89,11 +87,16 @@ def check_r_invariance(r: RElement) -> CheckReport:
     return compare_maps("r_invariance", lhs, r.element)
 
 
-def _r_coaction(mod: ModuleStruct, r: RElement) -> LinearMap:
-    h = mod.over
-    ident_m = LinearMap.identity(mod.field, (mod.dim,))
-    spread = r.element.tensor(ident_m).permute_codomain((1, 0, 2))  # (R2, R1, m)
-    return h.alpha.tensor(mod.act) @ spread
+def _induce(carrier, x) -> YDModule:
+    """The Yetter-Drinfeld module, unchecked, that an R element induces on a
+    module, with coaction m -> alpha(R2) ⊗ R1·m, or a sigma form on a
+    comodule, with action h·m = sigma(m_(-1) ⊗ alpha(h)) m_(0)."""
+    h, ident_m = carrier.over, LinearMap.identity(carrier.field, (carrier.dim,))
+    if isinstance(x, RElement):
+        spread = x.element.tensor(ident_m).permute_codomain((1, 0, 2))  # (R2, R1, m)
+        return YDModule(h, carrier.act, h.alpha.tensor(carrier.act) @ spread, carrier.alpha)
+    spread = h.alpha.tensor(carrier.coact).permute_codomain((1, 0, 2))  # (m-1, alpha h, m0)
+    return YDModule(h, x.form.tensor(ident_m) @ spread, carrier.coact, carrier.alpha)
 
 
 @constructor
@@ -104,33 +107,14 @@ def yd_from_module(mod: ModuleStruct, r: RElement):
     require_same_base(mod, r)
     require(check_qt(r))
     require(check_r_invariance(r))
-    out = YDModule(mod.over, mod.act, _r_coaction(mod, r), mod.alpha)
-    return out, yd_suite(out, gate=False)
-
-
-def check_qt_tensor_coincide(m: ModuleStruct, n: ModuleStruct, r: RElement) -> CheckReport:
-    """The R-induced coaction on the standard tensor module M⊗N equals the
-    hat-tensor coaction of the two R-induced Yetter-Drinfeld modules.
-
-    No gate on the quasitriangular axioms: a perturbed R shows up as a
-    coincidence failure, which is the point of the scan."""
-    require_same_base(m, n, r)
-    h = m.over
-    require_bijective("coincidence check", base=h.alpha)
-    lhs = _r_coaction(_tensor_module_raw(m, n), r)
-    hat = _hat_raw(
-        YDModule(h, m.act, _r_coaction(m, r), m.alpha),
-        YDModule(h, n.act, _r_coaction(n, r), n.alpha),
-    )
-    return CheckReport.combine(
-        "qt_tensor_coincidence",
-        [compare_maps("induced_coaction_equals_hat_coaction", lhs, hat.coact)],
-    )
+    out = _induce(mod, r)
+    return out, yd_suite(out)
 
 
 def qt_braiding(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
     """c(m⊗n) = alpha_N^{-1}(R2·n) ⊗ alpha_M^{-1}(R1·m)."""
     require_same_base(m, n, r)
+    require_bijective("braiding", first=m.alpha, second=n.alpha)
     first = n.alpha.inverse() @ n.act
     second = m.alpha.inverse() @ m.act
     return _r_paired(first, second, m, n, r)
@@ -190,13 +174,6 @@ def check_sigma_invariance(s: SigmaForm) -> CheckReport:
     return compare_maps("sigma_invariance", s.form, rhs)
 
 
-def _sigma_action(com: ComoduleStruct, s: SigmaForm) -> LinearMap:
-    h = com.over
-    ident_m = LinearMap.identity(com.field, (com.dim,))
-    spread = h.alpha.tensor(com.coact).permute_codomain((1, 0, 2))  # (m-1, alpha h, m0)
-    return s.form.tensor(ident_m) @ spread
-
-
 @constructor
 def yd_from_comodule(com: ComoduleStruct, s: SigmaForm):
     """Action h·m = sigma(m_(-1) ⊗ alpha(h)) m_(0) on a comodule over a
@@ -206,33 +183,14 @@ def yd_from_comodule(com: ComoduleStruct, s: SigmaForm):
     require_same_base(com, s)
     require(check_cqt(s))
     require(check_sigma_invariance(s))
-    out = YDModule(com.over, _sigma_action(com, s), com.coact, com.alpha)
-    return out, yd_suite(out, gate=False)
-
-
-def check_cqt_tensor_coincide(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> CheckReport:
-    """The sigma-induced action on the standard tensor comodule M⊗N equals
-    the tilde-tensor action of the two sigma-induced Yetter-Drinfeld modules.
-
-    As with the quasitriangular side, the scan is not gated on the sigma
-    axioms, so a perturbed sigma is reported as a coincidence failure."""
-    require_same_base(m, n, s)
-    h = m.over
-    require_bijective("coincidence check", base=h.alpha)
-    lhs = _sigma_action(_tensor_comodule_raw(m, n), s)
-    tilde = _tilde_raw(
-        YDModule(h, _sigma_action(m, s), m.coact, m.alpha),
-        YDModule(h, _sigma_action(n, s), n.coact, n.alpha),
-    )
-    return CheckReport.combine(
-        "cqt_tensor_coincidence",
-        [compare_maps("induced_action_equals_tilde_action", lhs, tilde.act)],
-    )
+    out = _induce(com, s)
+    return out, yd_suite(out)
 
 
 def cqt_braiding(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> LinearMap:
     """c(m⊗n) = sigma(n_(-1)⊗m_(-1)) alpha_N^{-1}(n_(0)) ⊗ alpha_M^{-1}(m_(0))."""
     require_same_base(m, n, s)
+    require_bijective("braiding", first=m.alpha, second=n.alpha)
     return _sigma_paired(n.alpha.inverse(), m.alpha.inverse(), m, n, s)
 
 
@@ -249,12 +207,42 @@ def _sigma_paired(first_leg, second_leg, m, n, s):
     return s.form.tensor(first_leg).tensor(second_leg) @ paired
 
 
+# -- the induced tensor structures ------------------------------------------
+
+# per inducing structure: its route, the tensor flavour its carriers sit in,
+# the map it induces and the law that compares it
+_ROUTES = {
+    RElement: ("qt", "hat", "coact", "induced_coaction_equals_hat_coaction"),
+    SigmaForm: ("cqt", "tilde", "act", "induced_action_equals_tilde_action"),
+}
+
+
+def check_tensor_coincide(m, n, x) -> CheckReport:
+    """The map that R (on modules) or sigma (on comodules) induces on their
+    tensor product equals that map of the tensor product of the two induced
+    Yetter-Drinfeld modules, in the flavour the carriers sit in: the hat
+    coaction for R, the tilde action for sigma.
+
+    No gate on the axioms of R or sigma: a perturbed one shows up as a
+    coincidence failure, which is the point of the scan."""
+    require_same_base(m, n, x)
+    require_bijective("coincidence check", base=m.over.alpha)
+    route, flavor, attr, law = _ROUTES[type(x)]
+    lhs = getattr(_induce(tensor_raw(flavor, m, n), x), attr)
+    rhs = getattr(tensor_raw(flavor, _induce(m, x), _induce(n, x)), attr)
+    return CheckReport.combine(f"{route}_tensor_coincidence", [compare_maps(law, lhs, rhs)])
+
+
+check_qt_tensor_coincide = check_cqt_tensor_coincide = check_tensor_coincide
+
+
 __all__ = [
     "RElement",
     "SigmaForm",
     "check_qt",
     "check_r_invariance",
     "yd_from_module",
+    "check_tensor_coincide",
     "check_qt_tensor_coincide",
     "qt_braiding",
     "qt_B",

@@ -27,14 +27,13 @@ from .errors import (
     SpecFileError,
 )
 from .linmap import LinearMap
-from .modules import check_comodule, check_module, tensor_comodules, tensor_modules
+from .modules import check_comodule, check_module, tensor
 from .quasitri import (
     check_cqt,
-    check_cqt_tensor_coincide,
     check_qt,
-    check_qt_tensor_coincide,
     check_r_invariance,
     check_sigma_invariance,
+    check_tensor_coincide,
     cqt_B,
     cqt_braiding,
     qt_B,
@@ -43,7 +42,13 @@ from .quasitri import (
     yd_from_module,
 )
 from .reports import CheckReport, compare_maps
-from .structures import check_hom_algebra, check_hom_bialgebra, check_hom_coalgebra, twist
+from .structures import (
+    check_hom_algebra,
+    check_hom_bialgebra,
+    check_hom_coalgebra,
+    require_bijective,
+    twist,
+)
 from .yd import (
     b_from_c,
     braiding_B,
@@ -57,7 +62,6 @@ from .yd import (
     check_pentagon,
     twist_yd,
     yd_suite,
-    yd_tensor,
 )
 
 if TYPE_CHECKING:
@@ -128,6 +132,13 @@ def _matrix_arg(field, raw, dim, what):
         raise ShapeError(f"{what} must be a {dim}x{dim} matrix of scalar strings")
     rows = [[field.parse(x) for x in row] for row in raw]
     return LinearMap.from_rows(field, (dim,), (dim,), rows)
+
+
+def _check_yd(m):
+    """The suite of a module in the Yetter-Drinfeld category, whose structure
+    maps must be bijective."""
+    require_bijective("the Yetter-Drinfeld category", base=m.over.alpha, carrier=m.alpha)
+    return yd_suite(m)
 
 
 def _bridge(m, n):
@@ -218,6 +229,11 @@ def _binary(kind, build, x=(), result=None):
     )
 
 
+def _tensor_task(kind, flavor):
+    """Two operands of one kind tensored in ``flavor``, registered as that kind."""
+    return _binary(kind, partial(tensor.build, flavor), result=kind)
+
+
 R = ("r", None, ("r_element",))
 SIGMA = ("sigma", None, ("sigma_form",))
 
@@ -229,7 +245,7 @@ TASKS = {
     ("check", "hom_bialgebra"): _unary(("bialgebra",), check_hom_bialgebra),
     ("check", "module"): _unary(("module", "yd_module"), check_module, "module"),
     ("check", "comodule"): _unary(("comodule", "yd_module"), check_comodule, "comodule"),
-    ("check", "yd"): _unary(("yd_module",), yd_suite),
+    ("check", "yd"): _unary(("yd_module",), _check_yd),
     ("check", "classical_yd"): _unary(("yd_module",), check_classical_yd),
     ("check", "qt"): _unary(("r_element",), check_qt),
     ("check", "r_invariance"): _unary(("r_element",), check_r_invariance),
@@ -256,14 +272,12 @@ TASKS = {
     ("twist", "yd"): _twist_task(
         "yd_module", twist_yd.build, (("alpha_h", "over"), ("alpha_m", None))
     ),
-    ("tensor", "modules"): _binary("module", tensor_modules.build, result="module"),
-    ("tensor", "comodules"): _binary("comodule", tensor_comodules.build, result="comodule"),
-    ("tensor", "hat"): _binary("yd_module", partial(yd_tensor.build, "hat"), result="yd_module"),
-    ("tensor", "tilde"): _binary(
-        "yd_module", partial(yd_tensor.build, "tilde"), result="yd_module"
-    ),
-    ("coincide", "qt"): _binary("module", check_qt_tensor_coincide, (R,)),
-    ("coincide", "cqt"): _binary("comodule", check_cqt_tensor_coincide, (SIGMA,)),
+    ("tensor", "modules"): _tensor_task("module", "hat"),
+    ("tensor", "comodules"): _tensor_task("comodule", "tilde"),
+    ("tensor", "hat"): _tensor_task("yd_module", "hat"),
+    ("tensor", "tilde"): _tensor_task("yd_module", "tilde"),
+    ("coincide", "qt"): _binary("module", check_tensor_coincide, (R,)),
+    ("coincide", "cqt"): _binary("comodule", check_tensor_coincide, (SIGMA,)),
 }
 
 

@@ -2,10 +2,12 @@
 
 A Yetter-Drinfeld candidate is a carrier that is simultaneously a module
 and a comodule over one Hom-bialgebra, with a single carrier structure
-map.  The compatibility law, the two tensor-product structures, both
-associators, the braidings B and c, and every coherence law (HYBE,
-pentagon, hexagons, braid relation) are realized as exact matrix
-identities between composites of the structure maps.
+map.  The compatibility law, both associators, the braidings B and c, and
+every coherence law (HYBE, pentagon, hexagons, braid relation) are realized
+as exact matrix identities between composites of the structure maps.  The
+two tensor-product structures are ``modules.tensor`` in its hat and tilde
+flavours, kept here under the names ``yd_tensor``, ``hat_tensor`` and
+``tilde_tensor``.
 
 An associator is built as its Kronecker factors, one per tensor factor, and
 ``_kron`` multiplies them out where a law needs the full map.  By the
@@ -17,7 +19,8 @@ are the full maps built and compared, for the exact failure list.
 The bijectivity gates follow the category definition: ``check_yd``
 refuses non-invertible structure maps with an error rather than a
 failure, while the compatibility equation itself (which only involves
-nonnegative powers of the base map) can be scanned without the gate.  Every
+nonnegative powers of the base map) can be scanned without the gate, as
+``yd_suite`` does, noting an object outside the category.  Every
 braiding, associator and coherence law refuses, by name, each structure
 map it inverts that is not bijective.  A classical Yetter-Drinfeld module
 is one whose structure maps, its own and its base's, are identities; the
@@ -27,20 +30,20 @@ comodule induction on one carrier, with the category's bijectivity gate.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 
-from .errors import ShapeError
 from .linmap import LinearMap
 from .modules import (
+    FLAVORS,
     ComoduleStruct,
     ModuleStruct,
+    _flavor,
     _morphism_report,
-    _tensor_alpha,
     check_comodule,
     check_module,
     induction,
-    tensor_action_map,
-    tensor_coaction_map,
+    tensor,
+    tensor_raw,
 )
 from .reports import CheckReport, compare_maps
 from .structures import (
@@ -121,18 +124,15 @@ def check_classical_yd(m: YDModule) -> CheckReport:
     return compare_maps("classical_yd_compatibility", lhs, rhs)
 
 
-def yd_suite(m: YDModule, gate: bool = True) -> CheckReport:
-    """Module laws, comodule laws and the compatibility law, aggregated."""
-    reports = [check_module(m.module), check_comodule(m.comodule)]
-    if gate:
-        reports.append(check_yd(m))
-    else:
-        reports.append(yd_compatibility_report(m))
-        if not (m.over.alpha.is_invertible() and m.alpha.is_invertible()):
-            reports[-1] = reports[-1].with_notes(
-                "structure maps are not all bijective: compatibility verified "
-                "directly, object lies outside the bijective-structure category"
-            )
+def yd_suite(m: YDModule) -> CheckReport:
+    """Module laws, comodule laws and the compatibility law, aggregated; an
+    object with a singular structure map is noted as outside the category."""
+    reports = [check_module(m.module), check_comodule(m.comodule), yd_compatibility_report(m)]
+    if not (m.over.alpha.is_invertible() and m.alpha.is_invertible()):
+        reports[-1] = reports[-1].with_notes(
+            "structure maps are not all bijective: compatibility verified "
+            "directly, object lies outside the bijective-structure category"
+        )
     return CheckReport.combine("yd_module", reports)
 
 
@@ -188,62 +188,17 @@ def check_hybe_for(m: YDModule, n: YDModule, p: YDModule) -> CheckReport:
 
 # -- the two tensor-product structures ------------------------------------
 
-def _hat_raw(m: YDModule, n: YDModule) -> YDModule:
-    base = m.over
-    act = tensor_action_map(base, m, n)
-    coact = tensor_coaction_map(base, m, n)
-    twisted_first = base.alpha.power(-2).tensor(
-        LinearMap.identity(base.field, (m.dim * n.dim,))
-    )
-    return YDModule(base, act, twisted_first @ coact, _tensor_alpha(m, n))
+# M ⊗̂ N: componentwise action, coaction α_H^{-2}(m_(-1)n_(-1)) ⊗ (m_(0)⊗n_(0));
+# M ⊗̃ N: action α_H^{-2}(h_1)·m ⊗ α_H^{-2}(h_2)·n, componentwise coaction
+yd_tensor = tensor
+hat_tensor = partial(tensor, "hat")
+tilde_tensor = partial(tensor, "tilde")
 
 
-def _tilde_raw(m: YDModule, n: YDModule) -> YDModule:
-    base = m.over
-    dh = base.dim
-    alpha_inv2 = base.alpha.power(-2)
-    ident = LinearMap.identity(base.field, (m.dim, n.dim))
-    spread = (
-        (alpha_inv2.tensor(alpha_inv2) @ base.delta)
-        .tensor(ident)
-        .permute_codomain((0, 2, 1, 3))
-    )
-    act = (m.act.tensor(n.act) @ spread).with_shapes((dh, m.dim * n.dim), (m.dim * n.dim,))
-    coact = tensor_coaction_map(base, m, n)
-    return YDModule(base, act, coact, _tensor_alpha(m, n))
-
-
-def hat_tensor(m: YDModule, n: YDModule) -> YDModule:
-    """M ⊗̂ N: componentwise action, coaction α_H^{-2}(m_(-1)n_(-1)) ⊗ (m_(0)⊗n_(0))."""
-    return yd_tensor("hat", m, n)
-
-
-def tilde_tensor(m: YDModule, n: YDModule) -> YDModule:
-    """M ⊗̃ N: action α_H^{-2}(h_1)·m ⊗ α_H^{-2}(h_2)·n, componentwise coaction."""
-    return yd_tensor("tilde", m, n)
-
-
-@constructor
-def yd_tensor(flavor: str, m: YDModule, n: YDModule):
-    """The ``"hat"`` or ``"tilde"`` tensor product, certified by the module,
-    comodule and compatibility laws."""
-    require_same_base(m, n)
-    require_bijective(f"{flavor} tensor product", base=m.over.alpha)
-    raw_tensor, _ = _flavor(flavor)
-    out = raw_tensor(m, n)
-    return out, yd_suite(out, gate=False)
-
-
-# each tensor-product structure: its unchecked tensor and the exponent e of
-# its associator (m⊗n)⊗p -> α_M^e(m)⊗(n⊗α_P^{-e}(p))
-_FLAVORS = {"hat": (_hat_raw, -1), "tilde": (_tilde_raw, +1)}
-
-
-def _flavor(name):
-    """The ``(raw tensor, associator exponent)`` pair of a flavor."""
-    if name not in _FLAVORS:
-        raise ShapeError(f"tensor flavor must be 'hat' or 'tilde', got {name!r}")
-    return _FLAVORS[name]
+def _exponent(flavor) -> int:
+    """The exponent e of the flavour's associator (m⊗n)⊗p -> α_M^e(m)⊗(n⊗α_P^{-e}(p)):
+    -1 for hat, which twists the coaction, +1 for tilde, which twists the action."""
+    return -1 if _flavor(flavor) == "coact" else 1
 
 
 # -- associators ----------------------------------------------------------
@@ -278,14 +233,14 @@ def yd_associator(flavor: str, m: YDModule, n: YDModule, p: YDModule):
     """The associator of the ``"hat"`` or ``"tilde"`` tensor product, certified
     as a morphism of modules and comodules between the two towers."""
     require_same_base(m, n, p)
-    raw_tensor, e = _flavor(flavor)
+    e = _exponent(flavor)
     inverted = {"first": m.alpha} if e < 0 else {"third": p.alpha}
     require_bijective(f"{flavor} associator", base=m.over.alpha, **inverted)
     a = _kron(_associator(e, [m.alpha], [n.dim], [p.alpha]))
     # raw towers: the inputs are certified already and the morphism scans
     # below are the verification this constructor owes
-    left = raw_tensor(raw_tensor(m, n), p)
-    right = raw_tensor(m, raw_tensor(n, p))
+    left = tensor_raw(flavor, tensor_raw(flavor, m, n), p)
+    right = tensor_raw(flavor, m, tensor_raw(flavor, n, p))
     return a, _morphism_report("associator_morphism", a, [(left, right)])
 
 
@@ -303,7 +258,7 @@ def braiding_c(m: YDModule, n: YDModule):
     require_same_base(m, n)
     require_bijective("braiding", base=m.over.alpha, first=m.alpha, second=n.alpha)
     c = _braiding_c_matrix(m, n)
-    pairs = [(raw(m, n), raw(n, m)) for raw in (_hat_raw, _tilde_raw)]
+    pairs = [(tensor_raw(flavor, m, n), tensor_raw(flavor, n, m)) for flavor in FLAVORS]
     return c, _morphism_report("braiding_morphism", c, pairs)
 
 
@@ -325,7 +280,7 @@ def check_pentagon(
     factor differs, the two full d⁴ × d⁴ maps are built and compared, since
     a scalar moved between factors leaves their product unchanged."""
     require_same_base(m, n, p, q)
-    _, e = _flavor(flavor)
+    e = _exponent(flavor)
     # the associators of exponent e invert the outer factors of sign e
     inverted = ({"first": m.alpha, "second": n.alpha} if e < 0
                 else {"third": p.alpha, "fourth": q.alpha})
@@ -368,13 +323,13 @@ def _compare_factors(law, lhs, rhs) -> CheckReport:
 def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -> CheckReport:
     """The two hexagon relations tying c to the associator of the given flavor."""
     require_same_base(m, n, p)
-    raw_tensor, e = _flavor(flavor)
+    e = _exponent(flavor)
     require_bijective(f"{flavor} hexagons", base=m.over.alpha,
                       first=m.alpha, second=n.alpha, third=p.alpha)
     ident_m, ident_n, ident_p = (LinearMap.identity(m.field, (x.dim,)) for x in (m, n, p))
 
-    np_ = raw_tensor(n, p)
-    mn = raw_tensor(m, n)
+    np_ = tensor_raw(flavor, n, p)
+    mn = tensor_raw(flavor, m, n)
 
     def assoc(s, x, y, z):
         return _kron(_associator(s, [x.alpha], [y.dim], [z.alpha]))

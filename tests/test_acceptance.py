@@ -344,7 +344,7 @@ def _mutation_fixtures():
         return (
             {"act": yd.act, "coact": yd.coact, "alpha": yd.alpha},
             lambda maps, over=yd.over: yd_suite(
-                YDModule(over, maps["act"], maps["coact"], maps["alpha"]), gate=False
+                YDModule(over, maps["act"], maps["coact"], maps["alpha"])
             ),
         )
 

@@ -183,6 +183,9 @@ BIG_PRIME = "2305843009213693951"  # 2^61 - 1
          "n = 17 exceeds the --max-dim default 16"),
         (["cyclic_bicharacter_sigma", "17", "103", "2", "1"],
          "n = 17 exceeds the --max-dim default 16"),
+        # t must index a group element, 0..order-1
+        (["conjugation_yd", "s3", "-1"], "t = -1 is not an element of s3, which has order 6"),
+        (["conjugation_yd", "s3", "99"], "t = 99 is not an element of s3, which has order 6"),
     ],
 )
 def test_unrooted_or_oversized_examples_are_refused_within_a_second(capsys, params, message):

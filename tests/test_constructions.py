@@ -1,7 +1,7 @@
 """Every construction is one builder that returns ``(object, report)``, made a
-certifying constructor by ``structures.constructor``; twisting is written once
-for algebras, coalgebras, bialgebras, modules, comodules and Yetter-Drinfeld
-modules."""
+certifying constructor by ``structures.constructor``; twisting and the tensor
+product are each written once, for modules, comodules and Yetter-Drinfeld
+modules alike (twisting for algebras, coalgebras and bialgebras too)."""
 
 import ast
 import importlib
@@ -9,11 +9,13 @@ import pathlib
 
 import pytest
 
+from conftest import carried_yd
 from homyd.errors import CertificationError, PreconditionError
 from homyd.fields import RATIONALS, PrimeField
 from homyd.fixtures import (
     crossed_gset,
     cyclic_bicharacter_sigma,
+    conjugation_yd,
     cyclic_group,
     cyclic_r_matrix,
     group_bialgebra,
@@ -26,6 +28,7 @@ from homyd.modules import (
     ModuleStruct,
     induce_comodule,
     induce_module,
+    tensor,
     tensor_comodules,
     tensor_modules,
 )
@@ -41,7 +44,7 @@ from homyd.structures import (
     twist_bialgebra,
     twist_coalgebra,
 )
-from homyd.yd import braiding_c, twist_yd, yd_associator, yd_tensor
+from homyd.yd import braiding_c, hat_tensor, tilde_tensor, twist_yd, yd_associator, yd_tensor
 
 Q = RATIONALS
 F7 = PrimeField(7)
@@ -141,6 +144,40 @@ def test_a_broken_hypothesis_names_its_law_and_basis_index(field, case):
     assert (exc.value.law, exc.value.index) == (law, index)
 
 
+# -- one tensor product ---------------------------------------------------
+
+def test_the_tensor_names_are_one_constructor():
+    assert yd_tensor is tensor
+    for alias, flavor in ((tensor_modules, "hat"), (tensor_comodules, "tilde"),
+                          (hat_tensor, "hat"), (tilde_tensor, "tilde")):
+        assert (alias.func, alias.args) == (tensor, (flavor,))
+
+
+def _tensor_pairs(field):
+    """The crossed S3-set twisted along conjugation by a 3-cycle, whose α_H^{-2}
+    is not the identity, twice, and carried along two dense changes of basis."""
+    cube = next(t for t in range(6) if S3.cayley[t][t] != S3.identity
+                and S3.cayley[S3.cayley[t][t]][t] == S3.identity)
+    y = conjugation_yd(S3, inner_automorphism(S3, cube), field)
+    # I + J and I + 2J, of determinants 7 and 13 over Q, with no zero entry
+    dense = [LinearMap.from_rows(field, (6,), (6,),
+                                 [[c + (i == j) for j in range(6)] for i in range(6)])
+             for c in (1, 2)]
+    return {"fixture": [y, y], "dense": [carried_yd(y, q) for q in dense]}
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(11)], ids=lambda f: f.descriptor)
+@pytest.mark.parametrize("pair", ["fixture", "dense"])
+def test_modules_sit_inside_hat_and_comodules_inside_tilde(field, pair):
+    m, n = _tensor_pairs(field)[pair]
+    hat, tilde = hat_tensor(m, n), tilde_tensor(m, n)
+    assert tensor_modules(m.module, n.module).act == hat.act
+    assert tensor_comodules(m.comodule, n.comodule).coact == tilde.coact
+    # the other flavour twists the map, so the statement is not vacuous
+    assert tensor_modules(m.module, n.module).act != tilde.act
+    assert tensor_comodules(m.comodule, n.comodule).coact != hat.coact
+
+
 # -- one certifying-constructor protocol ----------------------------------
 
 FORCED = CheckReport("forced", (Failure("forced", (0,), (1,), (0,)),))
@@ -161,11 +198,11 @@ def _constructor_calls():
         "induce_comodule": (induce_comodule, ("modules", "check_comodule"),
                             (y.comodule, g2, g2)),
         "twist_yd": (twist_yd, ("yd", "yd_suite"), (y, g2, g2)),
-        "tensor_modules": (tensor_modules, ("modules", "check_module"), (y.module, y.module)),
-        "tensor_comodules": (tensor_comodules, ("modules", "check_comodule"),
-                             (y.comodule, y.comodule)),
-        "yd_tensor_hat": (yd_tensor, ("yd", "yd_suite"), ("hat", y, y)),
-        "yd_tensor_tilde": (yd_tensor, ("yd", "yd_suite"), ("tilde", y, y)),
+        "tensor_modules": (tensor, ("modules", "check_module"), ("hat", y.module, y.module)),
+        "tensor_comodules": (tensor, ("modules", "check_comodule"),
+                             ("tilde", y.comodule, y.comodule)),
+        "yd_tensor_hat": (tensor, ("yd", "yd_suite"), ("hat", y, y)),
+        "yd_tensor_tilde": (tensor, ("yd", "yd_suite"), ("tilde", y, y)),
         "associator_hat": (yd_associator, ("yd", "_morphism_report"), ("hat", y, y, y)),
         "associator_tilde": (yd_associator, ("yd", "_morphism_report"), ("tilde", y, y, y)),
         "braiding_c": (braiding_c, ("yd", "_morphism_report"), (y, y)),

@@ -5,12 +5,14 @@
 import pytest
 
 from homyd.errors import InapplicableError, PreconditionError, ShapeError
-from homyd.fields import RATIONALS
+from homyd.fields import RATIONALS, PrimeField
 from homyd.fixtures import (
     crossed_gset,
+    cyclic_bicharacter_sigma,
     cyclic_endo_twist,
     cyclic_graded_yd,
     cyclic_group,
+    cyclic_r_matrix,
     power_endomorphism,
 )
 from homyd.linmap import LinearMap
@@ -85,6 +87,17 @@ def _bad_axioms(induce, struct, form):
     breaks its first axiom."""
     maps = C2.mu if struct is ModuleStruct else C2.delta
     return induce(struct(C2, maps, C2.alpha), form.from_constants(C2, [[1, 1], [0, 1]]))
+
+
+def _squashed_braiding(key, struct, position):
+    """The ``key`` task on two regular (co)modules over k[C2] over GF(5), the
+    one at ``position`` with a zero structure map."""
+    base, x = (cyclic_r_matrix(2, PrimeField(5), 4, 1) if struct is ModuleStruct
+               else cyclic_bicharacter_sigma(2, 5, 4, 1))
+    maps = base.mu if struct is ModuleStruct else base.delta
+    carriers = [struct(base, maps, base.alpha)] * 2
+    carriers[position] = struct(base, maps, LinearMap.zero(base.field, (2,), (2,)))
+    return _run(key, {}, carriers, x)
 
 
 def _needs(what, adjective, name):
@@ -168,6 +181,12 @@ REFUSALS = {
     "cqt_coincidence_base": (
         lambda: _coincide(check_cqt_tensor_coincide, ComoduleStruct, SigmaForm),
         _needs("coincidence check", "a bijective", "base")),
+    "qt_braiding_task_first": (
+        lambda: _squashed_braiding(("check", "qt_braiding_matches"), ModuleStruct, 0),
+        _needs("braiding", "a bijective", "first")),
+    "cqt_braiding_task_second": (
+        lambda: _squashed_braiding(("check", "cqt_braiding_matches"), ComoduleStruct, 1),
+        _needs("braiding", "a bijective", "second")),
     "classical_yd_task_base": (
         lambda: _run(("check", "classical_yd"), {}, cyclic_graded_yd(3, 2, 1, Q)),
         _needs("classical Yetter-Drinfeld check", "an identity", "base")),

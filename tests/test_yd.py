@@ -24,14 +24,15 @@ from homyd.modules import (
     check_module_morphism,
     tensor_comodules,
     tensor_modules,
+    tensor_raw,
 )
 from homyd.reports import CheckReport, compare_maps
 from homyd.runner import execute_task
 from homyd.specfile import Task
 from homyd.yd import (
-    _FLAVORS,
     YDModule,
     _compare_factors,
+    _exponent,
     _kron,
     _pentagon_factors,
     associator_a,
@@ -411,7 +412,7 @@ PENTAGON_QUADS = _pentagon_quads()
 @pytest.mark.parametrize("flavor", ["hat", "tilde"])
 @pytest.mark.parametrize("quad", PENTAGON_QUADS.values(), ids=PENTAGON_QUADS.keys())
 def test_factored_pentagon_matches_the_materialised_composites(quad, flavor):
-    e = _FLAVORS[flavor][1]
+    e = _exponent(flavor)
     factors = _pentagon_factors(e, *quad)
     full = _materialised_pentagon(e, *quad)
     for got, want in zip(factors, full):
@@ -541,10 +542,8 @@ def test_flip_is_no_braiding_on_noncommutative_coactions(s3_twisted):
     # (both sides reduce to the same alpha-weighted shuffle), but it is not a
     # comodule morphism between the twisted tensor towers: the first output
     # leg would need m_(-1)n_(-1) = n_(-1)m_(-1)
-    from homyd.yd import _hat_raw
-
     flip = LinearMap.permutation(Q, (6, 6), (1, 0))
-    left = _hat_raw(s3_twisted, s3_twisted)
+    left = tensor_raw("hat", s3_twisted, s3_twisted)
     report = check_comodule_morphism(
         flip.with_shapes((36,), (36,)), left.comodule, left.comodule
     )
