@@ -37,6 +37,8 @@ from .quasitri import (
     SigmaForm,
     check_cqt,
     check_cqt_tensor_coincide,
+    check_induced_braidings,
+    check_induced_hybe,
     check_qt,
     check_qt_tensor_coincide,
     check_r_invariance,
@@ -46,6 +48,7 @@ from .quasitri import (
     cqt_braiding,
     qt_B,
     qt_braiding,
+    yd_from,
     yd_from_comodule,
     yd_from_module,
 )

@@ -350,31 +350,6 @@ class LinearMap:
             self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, f.den * g.den
         )
 
-    def __add__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        if self.field != other.field or self.dom != other.dom or self.cod != other.cod:
-            raise ShapeError(
-                f"cannot add map {self.dom} -> {self.cod} "
-                f"and map {other.dom} -> {other.cod}"
-            )
-        den = math.lcm(self.den, other.den)
-        return LinearMap._coo(
-            self.field, self.dom, self.cod,
-            np.concatenate((self.rows, other.rows)),
-            np.concatenate((self.cols, other.cols)),
-            np.concatenate((self.values * (den // self.den), other.values * (den // other.den))),
-            den,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
     def scaled(self, c) -> "LinearMap":
         c = self.field.normalize(c)
         out = LinearMap._make(

@@ -2,16 +2,19 @@
 
 An element R in H⊗H (respectively a form sigma: H⊗H -> k) is a plain
 dim x dim matrix in the chosen basis; no normalization beyond the three
-defining axioms is imposed, matching the unit-free setting.  Both induce
-Yetter-Drinfeld structures on modules (respectively comodules) and
-braidings on their categories; ``yd_from_module`` and ``yd_from_comodule``
-are certifying constructors (see ``structures.constructor``).  Modules sit
-inside the hat tensor product and comodules inside the tilde one, so one
-check, ``check_tensor_coincide``, compares the map that R or sigma induces
-on a tensor product with that of the tensor of the induced modules.
+defining axioms is imposed, matching the unit-free setting.  R makes
+modules, and sigma comodules, Yetter-Drinfeld modules with braidings c and
+B.  ``_ROUTES`` holds all that tells the two routes apart, and every
+function that takes R or sigma with carriers reads it through ``_route``,
+which refuses a carrier of the other kind.  So the certifying constructor
+``yd_from`` (also named ``yd_from_module`` and ``yd_from_comodule``),
+``check_tensor_coincide``, ``check_induced_hybe`` and
+``check_induced_braidings`` each serve both routes.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .errors import ShapeError
 from .linmap import LinearMap
@@ -26,7 +29,7 @@ from .structures import (
     require_same_base,
     tensor_square_product,
 )
-from .yd import YDModule, yd_suite
+from .yd import YDModule, braiding_B, braiding_c, check_hybe, yd_suite
 
 
 class RElement(Structure):
@@ -87,33 +90,9 @@ def check_r_invariance(r: RElement) -> CheckReport:
     return compare_maps("r_invariance", lhs, r.element)
 
 
-def _induce(carrier, x) -> YDModule:
-    """The Yetter-Drinfeld module, unchecked, that an R element induces on a
-    module, with coaction m -> alpha(R2) ⊗ R1·m, or a sigma form on a
-    comodule, with action h·m = sigma(m_(-1) ⊗ alpha(h)) m_(0)."""
-    h, ident_m = carrier.over, LinearMap.identity(carrier.field, (carrier.dim,))
-    if isinstance(x, RElement):
-        spread = x.element.tensor(ident_m).permute_codomain((1, 0, 2))  # (R2, R1, m)
-        return YDModule(h, carrier.act, h.alpha.tensor(carrier.act) @ spread, carrier.alpha)
-    spread = h.alpha.tensor(carrier.coact).permute_codomain((1, 0, 2))  # (m-1, alpha h, m0)
-    return YDModule(h, x.form.tensor(ident_m) @ spread, carrier.coact, carrier.alpha)
-
-
-@constructor
-def yd_from_module(mod: ModuleStruct, r: RElement):
-    """Coaction m -> alpha(R2) ⊗ R1·m on a module over a quasitriangular base."""
-    if not isinstance(mod.over, HomBialgebra):
-        raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
-    require_same_base(mod, r)
-    require(check_qt(r))
-    require(check_r_invariance(r))
-    out = _induce(mod, r)
-    return out, yd_suite(out)
-
-
 def qt_braiding(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
     """c(m⊗n) = alpha_N^{-1}(R2·n) ⊗ alpha_M^{-1}(R1·m)."""
-    require_same_base(m, n, r)
+    _route(r, m, n)
     require_bijective("braiding", first=m.alpha, second=n.alpha)
     first = n.alpha.inverse() @ n.act
     second = m.alpha.inverse() @ m.act
@@ -122,7 +101,7 @@ def qt_braiding(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
 
 def qt_B(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
     """B(m⊗n) = R2·n ⊗ R1·m; no bijectivity needed."""
-    require_same_base(m, n, r)
+    _route(r, m, n)
     return _r_paired(n.act, m.act, m, n, r)
 
 
@@ -174,29 +153,16 @@ def check_sigma_invariance(s: SigmaForm) -> CheckReport:
     return compare_maps("sigma_invariance", s.form, rhs)
 
 
-@constructor
-def yd_from_comodule(com: ComoduleStruct, s: SigmaForm):
-    """Action h·m = sigma(m_(-1) ⊗ alpha(h)) m_(0) on a comodule over a
-    coquasitriangular base."""
-    if not isinstance(com.over, HomBialgebra):
-        raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
-    require_same_base(com, s)
-    require(check_cqt(s))
-    require(check_sigma_invariance(s))
-    out = _induce(com, s)
-    return out, yd_suite(out)
-
-
 def cqt_braiding(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> LinearMap:
     """c(m⊗n) = sigma(n_(-1)⊗m_(-1)) alpha_N^{-1}(n_(0)) ⊗ alpha_M^{-1}(m_(0))."""
-    require_same_base(m, n, s)
+    _route(s, m, n)
     require_bijective("braiding", first=m.alpha, second=n.alpha)
     return _sigma_paired(n.alpha.inverse(), m.alpha.inverse(), m, n, s)
 
 
 def cqt_B(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> LinearMap:
     """B(m⊗n) = sigma(n_(-1)⊗m_(-1)) n_(0) ⊗ m_(0)."""
-    require_same_base(m, n, s)
+    _route(s, m, n)
     ident_n = LinearMap.identity(m.field, (n.dim,))
     ident_m = LinearMap.identity(m.field, (m.dim,))
     return _sigma_paired(ident_n, ident_m, m, n, s)
@@ -207,14 +173,57 @@ def _sigma_paired(first_leg, second_leg, m, n, s):
     return s.form.tensor(first_leg).tensor(second_leg) @ paired
 
 
-# -- the induced tensor structures ------------------------------------------
+# -- the two routes --------------------------------------------------------
 
-# per inducing structure: its route, the tensor flavour its carriers sit in,
-# the map it induces and the law that compares it
+# per inducing structure: its route, the carrier kind it induces on, its
+# axioms, the tensor flavour its carriers sit in, the map it induces there
+# and the law that compares it, and its braidings c and B
+_Route = namedtuple("_Route", "name carrier axioms flavor induced law braiding braiding_b")
 _ROUTES = {
-    RElement: ("qt", "hat", "coact", "induced_coaction_equals_hat_coaction"),
-    SigmaForm: ("cqt", "tilde", "act", "induced_action_equals_tilde_action"),
+    RElement: _Route("qt", ModuleStruct, (check_qt, check_r_invariance), "hat", "coact",
+                     "induced_coaction_equals_hat_coaction", qt_braiding, qt_B),
+    SigmaForm: _Route("cqt", ComoduleStruct, (check_cqt, check_sigma_invariance), "tilde", "act",
+                      "induced_action_equals_tilde_action", cqt_braiding, cqt_B),
 }
+
+
+def _route(x, *carriers) -> _Route:
+    """The route of R or sigma, once every carrier is of the kind it induces
+    on and lives over its base."""
+    route = _ROUTES[type(x)]
+    wrong = next((c for c in carriers if not isinstance(c, route.carrier)), None)
+    if wrong is not None:
+        raise ShapeError(f"{type(x).__name__} induces on {route.carrier.__name__}, "
+                         f"not on {type(wrong).__name__}")
+    require_same_base(*carriers, x)
+    return route
+
+
+def _induce(carrier, x) -> YDModule:
+    """The Yetter-Drinfeld module, unchecked, that an R element induces on a
+    module, with coaction m -> alpha(R2) ⊗ R1·m, or a sigma form on a
+    comodule, with action h·m = sigma(m_(-1) ⊗ alpha(h)) m_(0)."""
+    h, ident_m = carrier.over, LinearMap.identity(carrier.field, (carrier.dim,))
+    if isinstance(x, RElement):
+        spread = x.element.tensor(ident_m).permute_codomain((1, 0, 2))  # (R2, R1, m)
+        return YDModule(h, carrier.act, h.alpha.tensor(carrier.act) @ spread, carrier.alpha)
+    spread = h.alpha.tensor(carrier.coact).permute_codomain((1, 0, 2))  # (m-1, alpha h, m0)
+    return YDModule(h, x.form.tensor(ident_m) @ spread, carrier.coact, carrier.alpha)
+
+
+@constructor
+def yd_from(carrier, x):
+    """The Yetter-Drinfeld module that R induces on a module over a
+    quasitriangular base, or sigma on a comodule over a coquasitriangular one."""
+    if not isinstance(carrier.over, HomBialgebra):
+        raise ShapeError("induced Yetter-Drinfeld structure needs a Hom-bialgebra base")
+    for axioms in _route(x, carrier).axioms:
+        require(axioms(x))
+    out = _induce(carrier, x)
+    return out, yd_suite(out)
+
+
+yd_from_module = yd_from_comodule = yd_from
 
 
 def check_tensor_coincide(m, n, x) -> CheckReport:
@@ -225,15 +234,43 @@ def check_tensor_coincide(m, n, x) -> CheckReport:
 
     No gate on the axioms of R or sigma: a perturbed one shows up as a
     coincidence failure, which is the point of the scan."""
-    require_same_base(m, n, x)
+    route = _route(x, m, n)
     require_bijective("coincidence check", base=m.over.alpha)
-    route, flavor, attr, law = _ROUTES[type(x)]
-    lhs = getattr(_induce(tensor_raw(flavor, m, n), x), attr)
-    rhs = getattr(tensor_raw(flavor, _induce(m, x), _induce(n, x)), attr)
-    return CheckReport.combine(f"{route}_tensor_coincidence", [compare_maps(law, lhs, rhs)])
+    lhs = getattr(_induce(tensor_raw(route.flavor, m, n), x), route.induced)
+    rhs = getattr(tensor_raw(route.flavor, _induce(m, x), _induce(n, x)), route.induced)
+    return CheckReport.combine(
+        f"{route.name}_tensor_coincidence", [compare_maps(route.law, lhs, rhs)]
+    )
 
 
 check_qt_tensor_coincide = check_cqt_tensor_coincide = check_tensor_coincide
+
+
+def check_induced_hybe(m, n, p, x) -> CheckReport:
+    """HYBE for the braidings B that R or sigma induces on three carriers."""
+    braiding = _route(x, m, n, p).braiding_b
+    return check_hybe(
+        braiding(m, n, x), braiding(m, p, x), braiding(n, p, x), m.alpha, n.alpha, p.alpha
+    )
+
+
+def check_induced_braidings(m, n, x) -> CheckReport:
+    """The braidings c and B that R or sigma induces equal those of the
+    induced Yetter-Drinfeld modules; each carrier is induced once, and the
+    certifications of the induced modules and of their c come first."""
+    route = _route(x, m, n)
+    c = route.braiding(m, n, x)
+    (ym, m_report), (yn, n_report) = yd_from.build(m, x), yd_from.build(n, x)
+    induced_c, c_report = braiding_c.build(ym, yn)
+    reports = [
+        m_report,
+        n_report,
+        c_report,
+        compare_maps(f"{route.name}_braiding_equals_induced_c", c, induced_c),
+        compare_maps(f"{route.name}_b_equals_induced_b",
+                     route.braiding_b(m, n, x), braiding_B(ym, yn)),
+    ]
+    return CheckReport.combine(f"{route.name}_braiding_matches", reports)
 
 
 __all__ = [
@@ -241,15 +278,18 @@ __all__ = [
     "SigmaForm",
     "check_qt",
     "check_r_invariance",
-    "yd_from_module",
-    "check_tensor_coincide",
-    "check_qt_tensor_coincide",
     "qt_braiding",
     "qt_B",
     "check_cqt",
     "check_sigma_invariance",
-    "yd_from_comodule",
-    "check_cqt_tensor_coincide",
     "cqt_braiding",
     "cqt_B",
+    "yd_from",
+    "yd_from_module",
+    "yd_from_comodule",
+    "check_tensor_coincide",
+    "check_qt_tensor_coincide",
+    "check_cqt_tensor_coincide",
+    "check_induced_hybe",
+    "check_induced_braidings",
 ]

@@ -6,10 +6,12 @@ time in document order, and constructions register their results for
 later tasks.  A construction task calls the ``.build`` of a certifying
 constructor (see ``structures.constructor``) and reports the
 certification that it returns; this module uses only the public names of
-the other layers.  A task whose preconditions fail (bad hypotheses,
-non-bijective structure maps, a construction result that was never
-registered) is reported as "inapplicable", which counts as non-passing.
-Any other exception is a bug and propagates.
+the other layers.  A task over an R element or a sigma form passes it to
+one ``quasitri`` check that serves both routes, so no task here names a
+route's braiding or constructor.  A task whose preconditions fail (bad
+hypotheses, non-bijective structure maps, a construction result that was
+never registered) is reported as "inapplicable", which counts as
+non-passing.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -30,16 +32,12 @@ from .linmap import LinearMap
 from .modules import check_comodule, check_module, tensor
 from .quasitri import (
     check_cqt,
+    check_induced_braidings,
+    check_induced_hybe,
     check_qt,
     check_r_invariance,
     check_sigma_invariance,
     check_tensor_coincide,
-    cqt_B,
-    cqt_braiding,
-    qt_B,
-    qt_braiding,
-    yd_from_comodule,
-    yd_from_module,
 )
 from .reports import CheckReport, compare_maps
 from .structures import (
@@ -57,7 +55,6 @@ from .yd import (
     check_braid_relation_for,
     check_classical_yd,
     check_hexagons,
-    check_hybe,
     check_hybe_for,
     check_pentagon,
     twist_yd,
@@ -159,37 +156,6 @@ def _braid_implies_hybe(m, n, p):
     return check_braid_implies_hybe(*(c for c, _ in built), m.alpha, n.alpha, p.alpha)
 
 
-def _induced_hybe(braiding):
-    """HYBE for the braidings B that R or sigma induces on three carriers."""
-    def run(spec, carriers, x):
-        m, n, p = carriers
-        return check_hybe(
-            braiding(m, n, x), braiding(m, p, x), braiding(n, p, x),
-            m.alpha, n.alpha, p.alpha,
-        )
-    return run
-
-
-def _braiding_matches(route, braiding, braiding_b, induce):
-    """The braidings c and B that R or sigma induces equal those of the
-    induced Yetter-Drinfeld modules; each carrier is induced once, and the
-    certifications of the induced modules and of their c come first."""
-    def run(spec, carriers, x):
-        m, n = carriers
-        c = braiding(m, n, x)
-        (ym, m_report), (yn, n_report) = induce(m, x), induce(n, x)
-        induced_c, c_report = braiding_c.build(ym, yn)
-        reports = [
-            m_report,
-            n_report,
-            c_report,
-            compare_maps(f"{route}_braiding_equals_induced_c", c, induced_c),
-            compare_maps(f"{route}_b_equals_induced_b", braiding_b(m, n, x), braiding_B(ym, yn)),
-        ]
-        return CheckReport.combine(f"{route}_braiding_matches", reports)
-    return run
-
-
 def _twist_task(kind, build, matrices=(("alpha", None),)):
     """Twisting a ``kind`` source along the square matrices under the keys of
     ``matrices``, each as large as the source's facet (the source when None)."""
@@ -216,10 +182,11 @@ def _on_yd(count, check, flavored=False):
     return TaskKind((("modules", count, ("yd_module",)),), run, flavored=flavored)
 
 
-def _induced(key, count, x, run):
+def _induced(key, count, x, check):
     """A check over the (co)modules under ``key``, which an R element or a sigma
     form makes Yetter-Drinfeld; ``key`` is the plural of their kind."""
-    return TaskKind(((key, count, (key[:-1],)), x), run)
+    return TaskKind(((key, count, (key[:-1],)), x),
+                    lambda spec, carriers, inducing: check(*carriers, inducing))
 
 
 def _binary(kind, build, x=(), result=None):
@@ -257,15 +224,10 @@ TASKS = {
     ("check", "pentagon"): _on_yd(4, check_pentagon, flavored=True),
     ("check", "bridge"): _on_yd(2, _bridge),
     ("check", "braid_implies_hybe"): _on_yd(3, _braid_implies_hybe),
-    ("check", "qt_hybe"): _induced("modules", 3, R, _induced_hybe(qt_B)),
-    ("check", "qt_braiding_matches"): _induced(
-        "modules", 2, R, _braiding_matches("qt", qt_braiding, qt_B, yd_from_module.build)
-    ),
-    ("check", "cqt_hybe"): _induced("comodules", 3, SIGMA, _induced_hybe(cqt_B)),
-    ("check", "cqt_braiding_matches"): _induced(
-        "comodules", 2, SIGMA,
-        _braiding_matches("cqt", cqt_braiding, cqt_B, yd_from_comodule.build),
-    ),
+    ("check", "qt_hybe"): _induced("modules", 3, R, check_induced_hybe),
+    ("check", "qt_braiding_matches"): _induced("modules", 2, R, check_induced_braidings),
+    ("check", "cqt_hybe"): _induced("comodules", 3, SIGMA, check_induced_hybe),
+    ("check", "cqt_braiding_matches"): _induced("comodules", 2, SIGMA, check_induced_braidings),
     ("twist", "algebra"): _twist_task("algebra", twist.build),
     ("twist", "coalgebra"): _twist_task("coalgebra", twist.build),
     ("twist", "bialgebra"): _twist_task("bialgebra", twist.build),

@@ -32,7 +32,7 @@ from homyd.modules import (
     tensor_comodules,
     tensor_modules,
 )
-from homyd.quasitri import yd_from_comodule, yd_from_module
+from homyd.quasitri import yd_from, yd_from_comodule, yd_from_module
 from homyd.reports import CheckReport, Failure
 from homyd.structures import (
     HomAlgebra,
@@ -151,6 +151,10 @@ def test_the_tensor_names_are_one_constructor():
     for alias, flavor in ((tensor_modules, "hat"), (tensor_comodules, "tilde"),
                           (hat_tensor, "hat"), (tilde_tensor, "tilde")):
         assert (alias.func, alias.args) == (tensor, (flavor,))
+
+
+def test_the_induced_names_are_one_constructor():
+    assert yd_from_module is yd_from_comodule is yd_from
 
 
 def _tensor_pairs(field):

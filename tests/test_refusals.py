@@ -21,7 +21,10 @@ from homyd.quasitri import (
     RElement,
     SigmaForm,
     check_cqt_tensor_coincide,
+    check_induced_hybe,
     check_qt_tensor_coincide,
+    check_tensor_coincide,
+    yd_from,
     yd_from_comodule,
     yd_from_module,
 )
@@ -89,14 +92,29 @@ def _bad_axioms(induce, struct, form):
     return induce(struct(C2, maps, C2.alpha), form.from_constants(C2, [[1, 1], [0, 1]]))
 
 
+def _regular(struct, form):
+    """The regular module or comodule over the base of an R element or a sigma
+    form (``form`` names the class) over k[C2] over GF(5), and that R or sigma."""
+    base, x = (cyclic_r_matrix(2, PrimeField(5), 4, 1) if form is RElement
+               else cyclic_bicharacter_sigma(2, 5, 4, 1))
+    maps = base.mu if struct is ModuleStruct else base.delta
+    return struct(base, maps, base.alpha), x
+
+
+def _wrong_kind(check, struct, form, count):
+    """``check`` on ``count`` regular ``struct`` carriers and an R element or
+    sigma form that induces on the other kind."""
+    carrier, x = _regular(struct, form)
+    return check(*[carrier] * count, x)
+
+
 def _squashed_braiding(key, struct, position):
     """The ``key`` task on two regular (co)modules over k[C2] over GF(5), the
     one at ``position`` with a zero structure map."""
-    base, x = (cyclic_r_matrix(2, PrimeField(5), 4, 1) if struct is ModuleStruct
-               else cyclic_bicharacter_sigma(2, 5, 4, 1))
-    maps = base.mu if struct is ModuleStruct else base.delta
-    carriers = [struct(base, maps, base.alpha)] * 2
-    carriers[position] = struct(base, maps, LinearMap.zero(base.field, (2,), (2,)))
+    carrier, x = _regular(struct, RElement if struct is ModuleStruct else SigmaForm)
+    carriers = [carrier] * 2
+    carriers[position] = struct(carrier.over, getattr(carrier, struct.MAPS[0][1]),
+                                LinearMap.zero(carrier.field, (2,), (2,)))
     return _run(key, {}, carriers, x)
 
 
@@ -210,6 +228,22 @@ REFUSALS = {
         lambda: _run(("twist", "yd"), {"alpha_h": IDENTITY_C3, "alpha_m": IDENTITY_C3},
                      hat_tensor(C3_HOM, C3_HOM)),
         (ShapeError, "alpha_m must be a 9x9 matrix of scalar strings")),
+    "yd_from_comodule_with_r": (
+        lambda: _wrong_kind(yd_from, ComoduleStruct, RElement, 1),
+        (ShapeError, "RElement induces on ModuleStruct, not on ComoduleStruct")),
+    "yd_from_module_with_sigma": (
+        lambda: _wrong_kind(yd_from, ModuleStruct, SigmaForm, 1),
+        (ShapeError, "SigmaForm induces on ComoduleStruct, not on ModuleStruct")),
+    "coincidence_comodules_with_r": (
+        lambda: _wrong_kind(check_tensor_coincide, ComoduleStruct, RElement, 2),
+        (ShapeError, "RElement induces on ModuleStruct, not on ComoduleStruct")),
+    "induced_hybe_modules_with_sigma": (
+        lambda: _wrong_kind(check_induced_hybe, ModuleStruct, SigmaForm, 3),
+        (ShapeError, "SigmaForm induces on ComoduleStruct, not on ModuleStruct")),
+    "yd_from_algebra_base": (
+        lambda: yd_from(ModuleStruct(C2.algebra, C2.mu, C2.alpha),
+                        RElement.from_constants(C2, [[0, 0], [0, 0]])),
+        (ShapeError, "induced Yetter-Drinfeld structure needs a Hom-bialgebra base")),
     "r_axioms": (
         lambda: _bad_axioms(yd_from_module, ModuleStruct, RElement),
         (PreconditionError,
