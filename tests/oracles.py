@@ -2,9 +2,13 @@
 
 Everything here works by explicit summation over raw structure-constant
 entries plus index arithmetic on permutation matrices, deliberately
-avoiding the package's compose/tensor/inverse machinery.  Structure maps
-must be basis permutations (true for every fixture in the suite).
+avoiding the package's compose/tensor/inverse machinery.  The braiding,
+tensor and compatibility evaluators need structure maps that are basis
+permutations (true for every fixture in the suite); the per-map law
+evaluators at the end take any maps.
 """
+
+import itertools
 
 import numpy as np
 
@@ -178,3 +182,101 @@ def oracle_yd_sides(m):
                                             field, rhs[row, col] + d0 * cc * cmu * cact
                                         )
     return lhs, rhs
+
+
+# -- per-map laws, by explicit summation over structure constants ----------
+#
+# A vector on a tensor product is a dict {basis multi-index: coefficient}.
+# Each side of a law is a list of steps ``(pos, nin, constants)``: apply the
+# map with those constants (domain indices first, as ``LinearMap.constants``
+# gives them) to the ``nin`` tensor factors starting at ``pos``.  Nothing
+# here calls compose, tensor or permute.
+
+
+def _codomain_entries(image):
+    """(codomain multi-index, coefficient) pairs of a nested constants slice."""
+    if not isinstance(image, list):
+        yield (), image
+        return
+    for i, sub in enumerate(image):
+        for tail, v in _codomain_entries(sub):
+            yield (i,) + tail, v
+
+
+def _apply(vec, pos, nin, constants):
+    out = {}
+    for key, c in vec.items():
+        image = constants
+        for i in key[pos:pos + nin]:
+            image = image[i]
+        for tail, v in _codomain_entries(image):
+            if v:
+                k = key[:pos] + tail + key[pos + nin:]
+                out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def _column(field, vec, cod):
+    """The flat row-major column of ``vec`` over the codomain dims ``cod``."""
+    col = [0] * int(np.prod(cod, dtype=np.int64))
+    for key, v in vec.items():
+        col[int(np.ravel_multi_index(key, cod))] += v
+    return tuple(_reduce(field, v) for v in col)
+
+
+def oracle_law(field, law, dom, cod, lhs_steps, rhs_steps):
+    """Failures ``(law, index, lhs, rhs)`` of a law over every basis
+    multi-index of ``dom``, in row-major order."""
+    failures = []
+    for index in itertools.product(*(range(d) for d in dom)):
+        sides = []
+        for steps in (lhs_steps, rhs_steps):
+            vec = {index: 1}
+            for pos, nin, constants in steps:
+                vec = _apply(vec, pos, nin, constants)
+            sides.append(_column(field, vec, cod))
+        if sides[0] != sides[1]:
+            failures.append((law, index, *sides))
+    return failures
+
+
+def oracle_product_laws(f, alpha_x, mu_x, alpha, names):
+    """For a product or an action f: X⊗M -> M, the failures of
+    α(x·m) = α_X(x)·α(m) and α_X(x)·(y·m) = (xy)·α(m), named by ``names``."""
+    dx, dm = f.dom
+    F, A, AX, MU = (m.constants() for m in (f, alpha, alpha_x, mu_x))
+    return (
+        oracle_law(f.field, names[0], (dx, dm), (dm,),
+                   [(0, 2, F), (0, 1, A)], [(0, 1, AX), (1, 1, A), (0, 2, F)])
+        + oracle_law(f.field, names[1], (dx, dx, dm), (dm,),
+                     [(1, 2, F), (0, 1, AX), (0, 2, F)], [(0, 2, MU), (1, 1, A), (0, 2, F)])
+    )
+
+
+def oracle_coproduct_laws(f, alpha_x, delta_x, alpha, names):
+    """For a coproduct or a coaction f: M -> X⊗M, the failures of
+    (α_X⊗α)∘f = f∘α and (Δ_X⊗α)∘f = (α_X⊗f)∘f, named by ``names``."""
+    dx, dm = f.cod
+    F, A, AX, DX = (m.constants() for m in (f, alpha, alpha_x, delta_x))
+    return (
+        oracle_law(f.field, names[0], (dm,), (dx, dm),
+                   [(0, 1, F), (0, 1, AX), (1, 1, A)], [(0, 1, A), (0, 1, F)])
+        + oracle_law(f.field, names[1], (dm,), (dx, dx, dm),
+                     [(0, 1, F), (0, 1, DX), (2, 1, A)], [(0, 1, F), (1, 1, F), (0, 1, AX)])
+    )
+
+
+def oracle_morphism_laws(f, src, dst, attr):
+    """The failures of f: src -> dst as a morphism of modules (``attr`` is
+    ``"act"``) or comodules (``"coact"``): α_dst∘f = f∘α_src, then
+    f(h·m) = h·f(m) or (id⊗f)∘ρ_src = ρ_dst∘f."""
+    dh = src.over.dim
+    F, AS, AD = f.constants(), src.alpha.constants(), dst.alpha.constants()
+    S, D = getattr(src, attr).constants(), getattr(dst, attr).constants()
+    out = oracle_law(f.field, "morphism_alpha_compat", (src.dim,), (dst.dim,),
+                     [(0, 1, F), (0, 1, AD)], [(0, 1, AS), (0, 1, F)])
+    if attr == "act":
+        return out + oracle_law(f.field, "morphism_action_compat", (dh, src.dim), (dst.dim,),
+                                [(0, 2, S), (0, 1, F)], [(1, 1, F), (0, 2, D)])
+    return out + oracle_law(f.field, "morphism_coaction_compat", (src.dim,), (dh, dst.dim),
+                            [(0, 1, S), (1, 1, F)], [(0, 1, F), (0, 1, D)])
