@@ -25,11 +25,14 @@ from .errors import ShapeError
 from .linmap import LinearMap
 from .reports import CheckReport, compare_maps
 from .structures import (
+    MAP_LAWS,
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
     Structure,
+    commuting_sides,
     constructor,
+    map_laws,
     require_bijective,
     require_identity,
     require_same_base,
@@ -72,54 +75,31 @@ class ComoduleStruct(Structure):
 def check_module(mod: ModuleStruct) -> CheckReport:
     """Scan alpha_M(a·m)=alpha_A(a)·alpha_M(m) and
     alpha_A(a)·(a'·m)=(aa')·alpha_M(m) over all basis tuples."""
-    act, alpha_a, alpha_m = mod.act, mod.over.alpha, mod.alpha
-    return CheckReport.combine(
-        "module",
-        [
-            compare_maps("action_alpha_compat", alpha_m @ act, act @ alpha_a.tensor(alpha_m)),
-            compare_maps(
-                "action_hom_associativity",
-                act @ alpha_a.tensor(act),
-                act @ mod.over.mu.tensor(alpha_m),
-            ),
-        ],
-    )
+    return CheckReport.combine("module", map_laws(mod))
 
 
 def check_comodule(com: ComoduleStruct) -> CheckReport:
-    coact, alpha_c, alpha_m = com.coact, com.over.alpha, com.alpha
-    return CheckReport.combine(
-        "comodule",
-        [
-            compare_maps(
-                "coaction_alpha_compat", alpha_c.tensor(alpha_m) @ coact, coact @ alpha_m
-            ),
-            compare_maps(
-                "coaction_hom_coassociativity",
-                com.over.delta.tensor(alpha_m) @ coact,
-                alpha_c.tensor(coact) @ coact,
-            ),
-        ],
-    )
+    return CheckReport.combine("comodule", map_laws(com))
 
 
 def check_module_morphism(f: LinearMap, src: ModuleStruct, dst: ModuleStruct) -> CheckReport:
     """f intertwines the structure maps and the actions."""
     require_same_base(src, dst)
-    return _morphism_report("module_morphism", f, [(src, dst)], coaction=False)
+    return _morphism_report("module_morphism", f, [(src, dst)])
 
 
 def check_comodule_morphism(
     g: LinearMap, src: ComoduleStruct, dst: ComoduleStruct
 ) -> CheckReport:
     require_same_base(src, dst)
-    return _morphism_report("comodule_morphism", g, [(src, dst)], action=False)
+    return _morphism_report("comodule_morphism", g, [(src, dst)])
 
 
-def _morphism_report(law, f, pairs, action=True, coaction=True):
+def _morphism_report(law, f, pairs):
     """f as a morphism src -> dst for every ``(src, dst)`` pair.  The pairs
     share their structure maps, so that compatibility is scanned once; then
-    come the actions and the coactions of each pair."""
+    come the maps of each pair in ``MAPS`` order, each square read with
+    h -> id and d -> f."""
     src, dst = pairs[0]
     if f.ncols != src.dim or f.nrows != dst.dim:
         raise ShapeError(
@@ -127,19 +107,13 @@ def _morphism_report(law, f, pairs, action=True, coaction=True):
             f"carriers have dims {src.dim} -> {dst.dim}"
         )
     f = f.with_shapes((src.dim,), (dst.dim,))
-    ident = LinearMap.identity(src.field, (src.over.dim,))
-    reports = [compare_maps("morphism_alpha_compat", dst.alpha @ f, f @ src.alpha)]
+    maps = {"h": LinearMap.identity(src.field, (src.over.dim,)), "d": f}
+    reports = [compare_maps("morphism_alpha_compat",
+                            *commuting_sides(f, "s->t", {"s": src.alpha, "t": dst.alpha}))]
     for src, dst in pairs:
-        if action:
-            reports.append(
-                compare_maps("morphism_action_compat", f @ src.act, dst.act @ ident.tensor(f))
-            )
-        if coaction:
-            reports.append(
-                compare_maps(
-                    "morphism_coaction_compat", ident.tensor(f) @ src.coact, dst.coact @ f
-                )
-            )
+        for _, attr, shape in src.MAPS:
+            sides = commuting_sides(getattr(src, attr), shape, maps, getattr(dst, attr))
+            reports.append(compare_maps(MAP_LAWS[attr].morphism, *sides))
     return CheckReport.combine(law, reports)
 
 

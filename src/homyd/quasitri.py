@@ -23,6 +23,7 @@ from .reports import CheckReport, compare_maps
 from .structures import (
     HomBialgebra,
     Structure,
+    commuting_sides,
     constructor,
     require,
     require_bijective,
@@ -85,9 +86,7 @@ def check_qt(r: RElement) -> CheckReport:
 
 def check_r_invariance(r: RElement) -> CheckReport:
     """(alpha⊗alpha)(R) = R."""
-    h = r.over
-    lhs = h.alpha.tensor(h.alpha) @ r.element
-    return compare_maps("r_invariance", lhs, r.element)
+    return compare_maps("r_invariance", *commuting_sides(r.element, "->hh", {"h": r.over.alpha}))
 
 
 def qt_braiding(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
@@ -148,9 +147,7 @@ def check_cqt(s: SigmaForm) -> CheckReport:
 
 def check_sigma_invariance(s: SigmaForm) -> CheckReport:
     """sigma = sigma∘(alpha⊗alpha)."""
-    h = s.over
-    rhs = s.form @ h.alpha.tensor(h.alpha)
-    return compare_maps("sigma_invariance", s.form, rhs)
+    return compare_maps("sigma_invariance", *commuting_sides(s.form, "hh->", {"h": s.over.alpha}))
 
 
 def cqt_braiding(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> LinearMap:

@@ -19,6 +19,7 @@ which every classical entry point calls on its source.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import replace
 from functools import reduce, wraps
 
@@ -176,25 +177,61 @@ class HomBialgebra(Structure):
         return HomCoalgebra(self.delta, self.alpha)
 
 
-# -- law builders ------------------------------------------------------
+# -- the per-map laws ----------------------------------------------------
 
-def _multiplicativity(mu, alpha):
-    return compare_maps("multiplicativity", alpha @ mu, mu @ alpha.tensor(alpha))
-
-
-def _hom_associativity(mu, alpha):
-    # alpha(a)(a'a'') = (aa')alpha(a'') on all basis triples
-    return compare_maps("hom_associativity", mu @ alpha.tensor(mu), mu @ mu.tensor(alpha))
-
-
-def _comultiplicativity(delta, alpha):
-    return compare_maps("comultiplicativity", alpha.tensor(alpha) @ delta, delta @ alpha)
+def commuting_sides(f: LinearMap, shape: str, maps: dict, g: LinearMap = None):
+    """Both sides of the square (⊗ maps over the codomain letters)∘f =
+    g∘(⊗ maps over the domain letters), with g = f unless given; ``maps``
+    gives one map per letter of ``shape`` and an empty side is no compose."""
+    dom, cod = ([maps[c] for c in letters] for letters in shape.split("->"))
+    lhs = reduce(LinearMap.tensor, cod) @ f if cod else f
+    g = f if g is None else g
+    return lhs, (g @ reduce(LinearMap.tensor, dom) if dom else g)
 
 
-def _hom_coassociativity(delta, alpha):
-    return compare_maps(
-        "hom_coassociativity", delta.tensor(alpha) @ delta, alpha.tensor(delta) @ delta
-    )
+# per map kind, by attribute: its structure-map law, its Hom-(co)associativity,
+# the hypothesis that twisting it needs and its morphism law
+MapLaws = namedtuple("MapLaws", "alpha assoc twist morphism")
+MAP_LAWS = {
+    "mu": MapLaws("multiplicativity", "hom_associativity", "algebra_endomorphism",
+                  "morphism_product_compat"),
+    "delta": MapLaws("comultiplicativity", "hom_coassociativity", "coalgebra_endomorphism",
+                     "morphism_coproduct_compat"),
+    "act": MapLaws("action_alpha_compat", "action_hom_associativity", "module_twist_compat",
+                   "morphism_action_compat"),
+    "coact": MapLaws("coaction_alpha_compat", "coaction_hom_coassociativity",
+                     "comodule_twist_compat", "morphism_coaction_compat"),
+}
+
+
+def associativity_sides(s, attr: str):
+    """Both sides of the Hom-(co)associativity of the map ``attr`` of ``s``,
+    whose factor x is the carrier (letter d) or the base (h):
+    f∘(α_x⊗f) = f∘(μ_x⊗α) for a product or an action x⊗m -> m, and
+    (Δ_x⊗α)∘f = (α_x⊗f)∘f for a coproduct or a coaction m -> x⊗m."""
+    shape = next(shape for _, a, shape in s.MAPS if a == attr)
+    f = getattr(s, attr)
+    dom, cod = shape.split("->")
+    if cod == "d":
+        x = s if dom[0] == "d" else s.over
+        return f @ x.alpha.tensor(f), f @ x.mu.tensor(s.alpha)
+    x = s if cod[0] == "d" else s.over
+    return x.delta.tensor(s.alpha) @ f, x.alpha.tensor(f) @ f
+
+
+def map_laws(s) -> list:
+    """Two reports per map of ``s``, in ``MAPS`` order: its structure-map law,
+    the square with h -> the base's α and d -> α, then its
+    Hom-(co)associativity."""
+    alphas = {"d": s.alpha}
+    if s.OVER:
+        alphas["h"] = s.over.alpha
+    reports = []
+    for _, attr, shape in s.MAPS:
+        laws = MAP_LAWS[attr]
+        reports.append(compare_maps(laws.alpha, *commuting_sides(getattr(s, attr), shape, alphas)))
+        reports.append(compare_maps(laws.assoc, *associativity_sides(s, attr)))
+    return reports
 
 
 def tensor_square_product(mu: LinearMap) -> LinearMap:
@@ -213,20 +250,11 @@ def _delta_multiplicative(mu, delta):
 
 def check_hom_algebra(alg: HomAlgebra) -> CheckReport:
     """Scan multiplicativity of alpha and alpha-twisted associativity exhaustively."""
-    return CheckReport.combine(
-        "hom_algebra",
-        [_multiplicativity(alg.mu, alg.alpha), _hom_associativity(alg.mu, alg.alpha)],
-    )
+    return CheckReport.combine("hom_algebra", map_laws(alg))
 
 
 def check_hom_coalgebra(coalg: HomCoalgebra) -> CheckReport:
-    return CheckReport.combine(
-        "hom_coalgebra",
-        [
-            _comultiplicativity(coalg.delta, coalg.alpha),
-            _hom_coassociativity(coalg.delta, coalg.alpha),
-        ],
-    )
+    return CheckReport.combine("hom_coalgebra", map_laws(coalg))
 
 
 def check_hom_bialgebra(bia: HomBialgebra) -> CheckReport:
@@ -238,16 +266,11 @@ def check_hom_bialgebra(bia: HomBialgebra) -> CheckReport:
     its sides swapped; both are read off those two scans and reported under
     their own names.
     """
-    mu, delta, alpha = bia.mu, bia.delta, bia.alpha
-    comultiplicativity = _comultiplicativity(delta, alpha)
-    coassociativity = _hom_coassociativity(delta, alpha)
-    reports = [
-        _multiplicativity(mu, alpha),
-        _hom_associativity(mu, alpha),
-        comultiplicativity,
-        coassociativity,
+    reports = map_laws(bia)
+    comultiplicativity, coassociativity = reports[2:]
+    reports += [
         _restated(coassociativity, "delta_alpha_exchange"),
-        _delta_multiplicative(mu, delta),
+        _delta_multiplicative(bia.mu, bia.delta),
         _restated(comultiplicativity, "delta_of_alpha", swap=True),
     ]
     return CheckReport.combine("hom_bialgebra", reports)
@@ -269,8 +292,8 @@ def check_classical_bialgebra(bia: HomBialgebra) -> CheckReport:
     return CheckReport.combine(
         "classical_bialgebra",
         [
-            _restated(_hom_associativity(bia.mu, bia.alpha), "associativity"),
-            _restated(_hom_coassociativity(bia.delta, bia.alpha), "coassociativity"),
+            compare_maps("associativity", *associativity_sides(bia, "mu")),
+            compare_maps("coassociativity", *associativity_sides(bia, "delta")),
             _delta_multiplicative(bia.mu, bia.delta),
         ],
     )
@@ -325,25 +348,16 @@ def require_identity(what, **maps) -> None:
 
 # -- twisting (composition method) -------------------------------------
 
-# the hypothesis that twisting each kind of map needs, by its attribute
-_TWIST_LAWS = {"mu": "algebra_endomorphism", "delta": "coalgebra_endomorphism",
-               "act": "module_twist_compat", "coact": "comodule_twist_compat"}
-
-
 def twisted_maps(source, alphas: dict) -> list:
     """Each map f of ``source``, in ``MAPS`` order, as (α on its codomain)∘f,
     where ``alphas`` gives α per shape letter.  That same map is the left side
     of the hypothesis scan against f∘(α on its domain), which must hold on
     every basis tuple."""
-    def on(letters):
-        return reduce(LinearMap.tensor, [alphas[c] for c in letters])
-
     out = []
     for _, attr, shape in source.MAPS:
-        f = getattr(source, attr)
-        dom, cod = shape.split("->")
-        out.append(on(cod) @ f)
-        require(compare_maps(_TWIST_LAWS[attr], out[-1], f @ on(dom)))
+        twisted, rhs = commuting_sides(getattr(source, attr), shape, alphas)
+        require(compare_maps(MAP_LAWS[attr].twist, twisted, rhs))
+        out.append(twisted)
     return out
 
 

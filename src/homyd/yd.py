@@ -39,8 +39,6 @@ from .modules import (
     ModuleStruct,
     _flavor,
     _morphism_report,
-    check_comodule,
-    check_module,
     induction,
     tensor,
     tensor_raw,
@@ -49,7 +47,9 @@ from .reports import CheckReport, compare_maps
 from .structures import (
     HomBialgebra,
     Structure,
+    commuting_sides,
     constructor,
+    map_laws,
     require,
     require_bijective,
     require_identity,
@@ -127,7 +127,7 @@ def check_classical_yd(m: YDModule) -> CheckReport:
 def yd_suite(m: YDModule) -> CheckReport:
     """Module laws, comodule laws and the compatibility law, aggregated; an
     object with a singular structure map is noted as outside the category."""
-    reports = [check_module(m.module), check_comodule(m.comodule), yd_compatibility_report(m)]
+    reports = [*map_laws(m), yd_compatibility_report(m)]
     if not (m.over.alpha.is_invertible() and m.alpha.is_invertible()):
         reports[-1] = reports[-1].with_notes(
             "structure maps are not all bijective: compatibility verified "
@@ -418,7 +418,7 @@ def check_braid_implies_hybe(
 
 def _commutes(law, c, x, y) -> CheckReport:
     """(y⊗x)∘c = c∘(x⊗y) for c: X⊗Y -> Y⊗X, scanned as ``law``."""
-    return compare_maps(law, y.tensor(x) @ c, c @ x.tensor(y))
+    return compare_maps(law, *commuting_sides(c, "xy->yx", {"x": x, "y": y}))
 
 
 def check_braid_implies_hybe_single(c: LinearMap, alpha: LinearMap) -> CheckReport:
