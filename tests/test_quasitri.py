@@ -331,3 +331,31 @@ def test_braid_relation_for_anyonic_braiding():
     com = graded_comodule(base)
     c = cqt_braiding(com, com, s)
     assert check_braid_relation(c, c, c).passed
+
+
+@pytest.mark.parametrize("route", ["qt", "cqt"])
+def test_induced_braidings_scan_the_axioms_once(route, monkeypatch):
+    # the first induction gates on the axioms of R or sigma; the second
+    # carrier is induced without scanning them again
+    from homyd import quasitri
+
+    if route == "qt":
+        base, x = cyclic_r_matrix(5, PrimeField(11), 3, 4)
+        m, n = regular_module(base, 0, 4), regular_module(base, 1, 4)
+        axioms = ["qt_coproduct_first_leg", "qt_coproduct_second_leg",
+                  "qt_opposite_coproduct_intertwines", "r_invariance"]
+    else:
+        base, x = cyclic_bicharacter_sigma(5, 11, 3, 4)
+        m, n = graded_comodule(base, 1, 4), graded_comodule(base, 2, 4)
+        axioms = ["cqt_product_first_slot", "cqt_product_second_slot",
+                  "cqt_intertwines_products", "sigma_invariance"]
+    scanned = []
+    compare = quasitri.compare_maps
+
+    def recording(law, lhs, rhs):
+        scanned.append(law)
+        return compare(law, lhs, rhs)
+
+    monkeypatch.setattr(quasitri, "compare_maps", recording)
+    assert quasitri.check_induced_braidings(m, n, x).passed
+    assert [law for law in scanned if law in axioms] == axioms
