@@ -24,11 +24,11 @@ from .structures import (
     HomBialgebra,
     Structure,
     commuting_sides,
+    componentwise_product,
     constructor,
     require,
     require_bijective,
     require_same_base,
-    tensor_square_product,
 )
 from .yd import YDModule, braiding_B, braiding_c, check_hybe, yd_suite
 
@@ -71,7 +71,7 @@ def check_qt(r: RElement) -> CheckReport:
     rhs2 = mu.tensor(alpha).tensor(alpha) @ rr.permute_codomain((0, 2, 3, 1))
 
     delta_cop = delta.permute_codomain((1, 0))
-    mu2 = tensor_square_product(mu)
+    mu2 = componentwise_product(mu, mu)
     lhs3 = mu2 @ delta_cop.tensor(r.element)
     rhs3 = mu2 @ r.element.tensor(delta)
     return CheckReport.combine(

@@ -234,9 +234,9 @@ def map_laws(s) -> list:
     return reports
 
 
-def tensor_square_product(mu: LinearMap) -> LinearMap:
-    """The componentwise product on H⊗H: (x⊗y)(x'⊗y') = xx'⊗yy'."""
-    return mu.tensor(mu).permute_domain((0, 2, 1, 3))
+def componentwise_product(mu_a: LinearMap, mu_b: LinearMap) -> LinearMap:
+    """The componentwise product on A⊗B: (x⊗y)(x'⊗y') = xx'⊗yy'."""
+    return mu_a.tensor(mu_b).permute_domain((0, 2, 1, 3))
 
 
 def _delta_multiplicative(mu, delta):
@@ -382,9 +382,7 @@ def tensor_algebra(a: HomAlgebra, b: HomAlgebra):
     alpha_A⊗alpha_B."""
     if a.field != b.field:
         raise ShapeError("cannot tensor algebras over different fields")
-    perm = LinearMap.permutation(a.field, (a.dim, b.dim, a.dim, b.dim), (0, 2, 1, 3))
-    mu = (a.mu.tensor(b.mu) @ perm).with_shapes(
-        (a.dim * b.dim, a.dim * b.dim), (a.dim * b.dim,)
-    )
-    out = HomAlgebra(mu, a.alpha.tensor(b.alpha).with_shapes((a.dim * b.dim,), (a.dim * b.dim,)))
+    d = a.dim * b.dim
+    mu = componentwise_product(a.mu, b.mu).with_shapes((d, d), (d,))
+    out = HomAlgebra(mu, a.alpha.tensor(b.alpha).with_shapes((d,), (d,)))
     return out, check_hom_algebra(out)

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from homyd.structures import (
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
+    componentwise_product,
     tensor_algebra,
     twist_algebra,
     twist_bialgebra,
@@ -193,6 +195,19 @@ def test_tensor_algebra_of_twisted_c2_passes_checks():
     out = tensor_algebra(a, a)
     assert out.dim == 4
     assert check_hom_algebra(out).passed
+
+
+def test_componentwise_product_is_the_shuffled_tensor_of_products():
+    # (x⊗y)(x'⊗y') = xx'⊗yy' on basis tuples, against the factor shuffle as a
+    # permutation matrix, for products of different dims with fractions; the
+    # first is not associative, so tensor_algebra is read through .build
+    a = HomAlgebra.from_constants(
+        Q, [[[1, Fraction(1, 2)], [0, 3]], [[Fraction(-2, 3), 0], [1, 1]]])
+    b = HomAlgebra.from_constants(Q, cyclic_mu(3))
+    perm = LinearMap.permutation(Q, (2, 3, 2, 3), (0, 2, 1, 3))
+    prod = componentwise_product(a.mu, b.mu)
+    assert prod == a.mu.tensor(b.mu) @ perm
+    assert tensor_algebra.build(a, b)[0].mu == prod.with_shapes((6, 6), (6,))
 
 
 def test_twist_works_over_prime_fields():
