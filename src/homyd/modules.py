@@ -6,7 +6,9 @@ and binary operations match bases by value equality of structure
 constants, never by object identity.  Structure maps of modules are not
 required to be bijective here; only the Yetter-Drinfeld layer imposes
 that.  A classical (co)module is one whose structure maps, its own and its
-base's, are identities; inducing a twisted one requires exactly that.
+base's, are identities; inducing a twisted one requires exactly that.  The
+checkers read ``structures.map_laws``, and a morphism f is scanned on the
+squares of the structure maps, then of each map with h -> id and d -> f.
 
 ``induction`` writes the induction once, for modules, comodules and
 Yetter-Drinfeld modules alike: it twists every map of the carrier by

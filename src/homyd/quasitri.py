@@ -254,13 +254,11 @@ def check_induced_hybe(m, n, p, x) -> CheckReport:
 def check_induced_braidings(m, n, x) -> CheckReport:
     """The braidings c and B that R or sigma induces equal those of the
     induced Yetter-Drinfeld modules; each carrier is induced once, and the
-    certifications of the induced modules and of their c come first.  The
-    first induction gates on the axioms of R or sigma, so the second only
-    scans its module."""
+    certifications of the induced modules and of their c come first.  Only
+    the first induction scans the axioms of R or sigma."""
     route = _route(x, m, n)
     c = route.braiding(m, n, x)
-    ym, m_report = yd_from.build(m, x)
-    yn = _induce(n, x)
+    (ym, m_report), yn = yd_from.build(m, x), _induce(n, x)
     n_report = yd_suite(yn)
     induced_c, c_report = braiding_c.build(ym, yn)
     reports = [

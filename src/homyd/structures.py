@@ -4,13 +4,17 @@ Structures are carried entirely by structure-constant tensors: a product
 ``mu: H⊗H -> H``, a coproduct ``delta: H -> H⊗H`` and a structure map
 ``alpha: H -> H``.  Nothing is assumed unital or counital.  A classical
 structure is the Hom kind whose structure maps, its own and its base's, are
-identities.  Checkers return the full list of failing basis tuples.
+identities.  Checkers return the full list of failing basis tuples.  Each
+per-map law is written once: ``commuting_sides`` builds both sides of a map
+commuting with maps given per shape letter, ``MAP_LAWS`` names each map
+kind's laws, and ``map_laws`` scans them for every map of a structure.
 
 Every construction is one builder that returns ``(object, report)``, made a
 certifying constructor by ``constructor``: the public function refuses a
 failed report, and tasks call ``.build`` to report it.  ``twisted_maps``
-twists the maps of every kind at once, so ``twist`` serves algebras,
-coalgebras and bialgebras alike.
+twists the maps of every kind at once, each against the square of its
+twisting hypothesis, so ``twist`` serves algebras, coalgebras and
+bialgebras alike.
 
 Operands are refused by one helper per contract: ``require`` (a hypothesis
 holds), ``require_same_base``, ``require_bijective`` and ``require_identity``,

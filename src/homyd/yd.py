@@ -2,7 +2,8 @@
 
 A Yetter-Drinfeld candidate is a carrier that is simultaneously a module
 and a comodule over one Hom-bialgebra, with a single carrier structure
-map.  The compatibility law, both associators, the braidings B and c, and
+map, whose module and comodule laws are ``structures.map_laws``.  The
+compatibility law, both associators, the braidings B and c, and
 every coherence law (HYBE, pentagon, hexagons, braid relation) are realized
 as exact matrix identities between composites of the structure maps.  The
 two tensor-product structures are ``modules.tensor`` in its hat and tilde
