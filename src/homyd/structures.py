@@ -208,7 +208,7 @@ MAP_LAWS = {
 }
 
 
-def associativity_sides(s, attr: str):
+def _associativity_sides(s, attr: str):
     """Both sides of the Hom-(co)associativity of the map ``attr`` of ``s``,
     whose factor x is the carrier (letter d) or the base (h):
     f∘(α_x⊗f) = f∘(μ_x⊗α) for a product or an action x⊗m -> m, and
@@ -234,7 +234,7 @@ def map_laws(s) -> list:
     for _, attr, shape in s.MAPS:
         laws = MAP_LAWS[attr]
         reports.append(compare_maps(laws.alpha, *commuting_sides(getattr(s, attr), shape, alphas)))
-        reports.append(compare_maps(laws.assoc, *associativity_sides(s, attr)))
+        reports.append(compare_maps(laws.assoc, *_associativity_sides(s, attr)))
     return reports
 
 
@@ -296,8 +296,8 @@ def check_classical_bialgebra(bia: HomBialgebra) -> CheckReport:
     return CheckReport.combine(
         "classical_bialgebra",
         [
-            compare_maps("associativity", *associativity_sides(bia, "mu")),
-            compare_maps("coassociativity", *associativity_sides(bia, "delta")),
+            compare_maps("associativity", *_associativity_sides(bia, "mu")),
+            compare_maps("coassociativity", *_associativity_sides(bia, "delta")),
             _delta_multiplicative(bia.mu, bia.delta),
         ],
     )
