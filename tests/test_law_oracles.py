@@ -72,7 +72,8 @@ def _fixture_constants(draw, field):
     and N, and f a power of the base's structure map (the identity at 0)."""
     n, k = draw(st.sampled_from([(2, 1), (3, 1), (3, 2)]))
     base = cyclic_endo_twist(n, k, field)
-    regular = ModuleStruct(base, base.mu, base.alpha), ComoduleStruct(base, base.delta, base.alpha)
+    regular = (ModuleStruct(base, base.mu, base.alpha),
+               ComoduleStruct(base, base.delta, base.alpha))
 
     def carrier():
         grade = draw(st.sampled_from([None, *range(n)]))
