@@ -11,10 +11,14 @@ three arrays and ``den`` are.  Primitives compute in ints and multiply the
 denominators; ``Field.reduce_array`` brings each result to lowest terms.
 Multi-indices flatten row-major with the leftmost factor most significant;
 this one convention is fixed globally and everything else (Kronecker
-products, factor permutations, regrouping) is consistent with it.  Every
-primitive works on the nonzeros only, so the coherence maps of the paper,
+products, factor permutations, regrouping) is consistent with it.  The
+primitives work on the nonzeros, so the coherence maps of the paper,
 Kronecker products of structure-map powers and factor shuffles with almost
-every cell zero, cost what they store.  The constructor
+every cell zero, cost what they store.  Only ``compose`` of two maps that
+form at least one product per result cell multiplies them as dense float64
+matrices, and only where every partial sum is provably an integer below
+2^53, so that the result is exact and its one stored form unchanged.  The
+constructor
 ``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
 dense entry and exit points as (codomain, domain) matrices; they,
 ``column`` and ``inverse`` speak reduced field scalars (``int`` or
@@ -40,6 +44,19 @@ Dims = tuple[int, ...]
 # Products that ``compose`` materialises at once, rounded to whole columns of
 # the result: bounds its working memory on dense maps.
 COMPOSE_BLOCK = 4096
+
+# ``compose`` multiplies densely once it would form at least ``DENSE_FILL``
+# products per cell of the result.  Each float64 matrix product there takes at
+# most ``DENSE_BLOCK`` multiply-adds: the outer map whole times a block of
+# whole columns of the inner map.  That bounds every dense array by as many
+# cells (512 KiB), and keeps each product on the calling thread: OpenBLAS
+# hands products above 2^18 multiply-adds to its thread pool, whose wake-up
+# took milliseconds per product on a shared 2-CPU host.
+DENSE_FILL = 1
+DENSE_BLOCK = 2**16
+
+# Integers below this, and sums of them that stay below it, are exact in float64.
+_EXACT = 2**53
 
 # Flat positions ``col * nrows + row`` must fit in int64.
 _MAX_CELLS = 2**62
@@ -288,10 +305,18 @@ class LinearMap:
     def compose(self, other: "LinearMap") -> "LinearMap":
         """``self ∘ other``; defined when ``other.cod == self.dom``.
 
-        Entry ``(k, j)`` of ``other`` meets every entry of column ``k`` of
-        ``self``; the products are built for whole result columns at a time,
-        about ``COMPOSE_BLOCK`` of them, and summed per position over the
-        product of the two denominators."""
+        The numerators are multiplied over the product of the two
+        denominators by one of two exact routes, and the result is reduced.
+
+        - Sorted: entry ``(k, j)`` of ``other`` meets every entry of column
+          ``k`` of ``self``; the products are built for whole result columns
+          at a time, about ``COMPOSE_BLOCK`` of them, and summed per position.
+        - Dense: when the products number at least ``DENSE_FILL`` per result
+          cell and ``self`` has at most ``DENSE_BLOCK`` cells, one float64
+          matrix product per block of result columns, if the field proves every
+          partial sum an integer below 2^53.  With ``n`` the inner dimension,
+          that is ``n·(p-1)² < 2^53`` over GF(p), whose values are residues,
+          and ``n·max|self.values|·max|other.values| < 2^53`` over Q."""
         if self.field != other.field:
             raise ShapeError("cannot compose maps over different fields")
         if other.cod != self.dom:
@@ -300,14 +325,20 @@ class LinearMap:
                 f"outer map has domain {self.dom}"
             )
         g, f, field = self, other, self.field
-        den = g.den * f.den
         gcount = np.bincount(g.cols, minlength=g.ncols)
-        gstart = np.cumsum(gcount) - gcount
         counts = gcount[f.rows]  # products per entry of f
+        ends = np.cumsum(counts)
+        products = int(ends[-1]) if len(ends) else 0
+        if (g.nrows * g.ncols <= DENSE_BLOCK
+                and products >= DENSE_FILL * g.nrows * f.ncols
+                and g.ncols * _magnitude(g) * _magnitude(f) < _EXACT):
+            return _dense_compose(g, f)
+        den = g.den * f.den
+        gstart = np.cumsum(gcount) - gcount
         # cut f's entries where its column changes and the running product
         # count enters a new block
         firsts = _run_starts(f.cols)
-        block = (np.cumsum(counts) - counts)[firsts] // COMPOSE_BLOCK
+        block = (ends - counts)[firsts] // COMPOSE_BLOCK
         cuts = np.append(firsts[_run_starts(block)], len(counts)).tolist()
         blocks = []
         for a, b in zip(cuts[:-1], cuts[1:]):
@@ -469,6 +500,40 @@ class LinearMap:
         return LinearMap._coo(
             self.field, new_dom, self.cod, self.rows, cols, self.values, self.den, reduce=False
         )
+
+
+def _magnitude(m: LinearMap) -> int:
+    """A positive bound on the absolute values of the numerators of ``m``:
+    residues of GF(p) stay below p.  Being at least 1, it bounds every
+    numerator of the other operand in the dense test of ``compose`` too."""
+    if m.field.characteristic:
+        return m.field.characteristic - 1
+    return max(map(abs, m.values.tolist()), default=1)
+
+
+def _dense_compose(g: LinearMap, f: LinearMap) -> LinearMap:
+    """``g ∘ f`` by float64 matrix products, exact where ``compose`` sends
+    it.  Each block of result columns is read in (column, row) order, so
+    the nonzeros come out sorted."""
+    k = g.ncols
+    outer = np.zeros((g.nrows, k))
+    outer[g.rows, g.cols] = g.values.astype(np.int64)
+    width = DENSE_BLOCK // (g.nrows * k)
+    rows, cols, vals = [], [], []
+    for c0 in range(0, f.ncols, width):
+        c1 = min(c0 + width, f.ncols)
+        lo, hi = np.searchsorted(f.cols, (c0, c1))
+        inner = np.zeros((k, c1 - c0))
+        inner[f.rows[lo:hi], f.cols[lo:hi] - c0] = f.values[lo:hi].astype(np.int64)
+        block = (outer @ inner).astype(np.int64).T
+        c, r = np.nonzero(block)
+        rows.append(r)
+        cols.append(c + c0)
+        vals.append(block[c, r])
+    out = LinearMap._make(g.field, f.dom, g.cod, *map(np.concatenate, (rows, cols)),
+                          np.concatenate(vals).astype(object), g.den * f.den)
+    out._reduce()
+    return out
 
 
 def _eliminate(field, row, factor, pivot_row, holders=None, r=None):

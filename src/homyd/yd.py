@@ -247,9 +247,12 @@ def yd_associator(flavor: str, m: YDModule, n: YDModule, p: YDModule):
 
 # -- the braiding c -------------------------------------------------------
 
-def _braiding_c_matrix(m: YDModule, n: YDModule) -> LinearMap:
-    tagged = _tagged(m, n)
-    return (n.alpha.inverse() @ n.act).tensor(m.alpha.inverse()) @ tagged
+def _braiding_c_matrix(m: YDModule, n: YDModule, inv_m=None, inv_n=None) -> LinearMap:
+    """c as a map M⊗N -> N⊗M; ``inv_m`` and ``inv_n`` are α_M^{-1} and
+    α_N^{-1} where the caller has them, else they are computed."""
+    inv_m = m.alpha.inverse() if inv_m is None else inv_m
+    inv_n = n.alpha.inverse() if inv_n is None else inv_n
+    return (inv_n @ n.act).tensor(inv_m) @ _tagged(m, n)
 
 
 @constructor
@@ -335,9 +338,14 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
     def assoc(s, x, y, z):
         return _kron(_associator(s, [x.alpha], [y.dim], [z.alpha]))
 
+    def inverse_of(x, y):
+        # (α_X⊗α_Y)^{-1} = α_X^{-1}⊗α_Y^{-1}, from the inverses the gate took
+        d = x.dim * y.dim
+        return x.alpha.inverse().tensor(y.alpha.inverse()).with_shapes((d,), (d,))
+
     # first hexagon: a_{N,P,M} ∘ c_{M,N⊗P} ∘ a_{M,N,P}
     #              = (id_N ⊗ c_{M,P}) ∘ a_{N,M,P} ∘ (c_{M,N} ⊗ id_P)
-    c_m_np = _braiding_c_matrix(m, np_).with_shapes(
+    c_m_np = _braiding_c_matrix(m, np_, inv_n=inverse_of(n, p)).with_shapes(
         (m.dim, n.dim, p.dim), (n.dim, p.dim, m.dim)
     )
     a_mnp = assoc(e, m, n, p)
@@ -353,7 +361,7 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
 
     # second hexagon: a_{P,M,N}^{-1} ∘ c_{M⊗N,P} ∘ a_{M,N,P}^{-1}
     #               = (c_{M,P} ⊗ id_N) ∘ a_{M,P,N}^{-1} ∘ (id_M ⊗ c_{N,P})
-    c_mn_p = _braiding_c_matrix(mn, p).with_shapes(
+    c_mn_p = _braiding_c_matrix(mn, p, inv_m=inverse_of(m, n)).with_shapes(
         (m.dim, n.dim, p.dim), (p.dim, m.dim, n.dim)
     )
     a_mnp_inv = assoc(-e, m, n, p)

@@ -1,12 +1,15 @@
 import copy
 import json
+import math
 import pathlib
 import signal
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from homyd import linmap
 from homyd.cli import main
 
 SUITES = pathlib.Path(__file__).parents[1] / "suites"
@@ -246,6 +249,10 @@ def test_reports_match_golden_bytes(tmp_path, capsys, suite, code):
     # dense_q3, dense_gf11_4, ladder_n5 and ladder_n7 are the files that
     # perfbench/gen_inputs.py --seed 1 writes; the dense_q3 report is full of
     # fractions
+    _assert_golden(tmp_path, capsys, suite, code)
+
+
+def _assert_golden(tmp_path, capsys, suite, code):
     source = GOLDEN / "inputs" / f"{suite}.json"
     if not source.exists():
         source = SUITES / f"{suite}.json"
@@ -253,6 +260,19 @@ def test_reports_match_golden_bytes(tmp_path, capsys, suite, code):
     assert main(["report", str(source), "--json", str(out)]) == code
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == (GOLDEN / f"{suite}.json").read_bytes()
+
+
+@pytest.mark.parametrize("route", ["dense", "sorted"])
+@pytest.mark.parametrize("suite, code", [("dense_q3", 1), ("dense_gf11_4", 0),
+                                         ("standard_gf11", 0)])
+def test_golden_reports_under_both_compose_routes(tmp_path, capsys, suite, code, route):
+    # the float64 kernel of LinearMap.compose takes the high-fill products of
+    # these reports; with it disabled, the sorted kernel must give the same bytes
+    fill = linmap.DENSE_FILL if route == "dense" else math.inf
+    with mock.patch.object(linmap, "DENSE_FILL", fill), \
+            mock.patch.object(linmap, "_dense_compose", wraps=linmap._dense_compose) as dense:
+        _assert_golden(tmp_path, capsys, suite, code)
+    assert dense.called == (route == "dense")
 
 
 def _bumped(suite, name, copy_name, key, i, j, k):

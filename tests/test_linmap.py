@@ -407,6 +407,73 @@ def test_compose_matches_dense_sums(pair, block):
     assert dense_of(out) == ref_compose(g.field, g, f)
 
 
+def compose_by(route, g, f, dense_block=linmap.DENSE_BLOCK):
+    """``g ∘ f`` with the dense route forced on (``"dense"``) or off
+    (``"sorted"``), and whether that route ran."""
+    fill = 0 if route == "dense" else math.inf
+    with mock.patch.object(linmap, "DENSE_FILL", fill), \
+            mock.patch.object(linmap, "DENSE_BLOCK", dense_block), \
+            mock.patch.object(linmap, "_dense_compose", wraps=linmap._dense_compose) as dense:
+        out = g.compose(f)
+    return out, dense.called
+
+
+@given(composable(), st.sampled_from([4, 64, linmap.DENSE_BLOCK]))
+def test_both_compose_routes_match_dense_sums(pair, dense_block):
+    g, f = pair
+    want = ref_compose(g.field, g, f)
+    # a small budget splits the inner map into blocks of few columns, or
+    # leaves the outer map too large for the dense route
+    for route in ("dense", "sorted"):
+        with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
+            out, dense = compose_by(route, g, f, dense_block)
+        assert dense == (route == "dense" and g.nrows * g.ncols <= dense_block)
+        # the outer map whole, then blocks of the inner one: no float64 product
+        # takes more than dense_block multiply-adds
+        shapes = [c.args[0] for c in zeros.call_args_list]
+        assert shapes[:1] == ([(g.nrows, g.ncols)] if dense else [])
+        assert all(g.nrows * g.ncols * width <= dense_block for _, width in shapes[1:])
+        assert_canonical(out)
+        assert (out.dom, out.cod) == (f.dom, g.cod)
+        assert dense_of(out) == want
+
+
+def _full(field, rows, cols, value):
+    return LinearMap.from_rows(field, (cols,), (rows,), [[value] * cols] * rows)
+
+
+# k·(p-1)² < 2^53 for the first prime at inner dimension 3, not for the second
+@pytest.mark.parametrize("p, dense", [(54794149, True), (54794197, False)])
+def test_dense_route_over_gf_p_runs_just_below_the_float_bound(p, dense):
+    field = PrimeField(p)
+    assert (3 * (p - 1) ** 2 < 2**53) == dense
+    # the sum 3·(p-2)² is odd and, for the first prime, just below 2^53: a
+    # rounded sum would lose its last bit
+    g, f = _full(field, 2, 3, p - 2), _full(field, 3, 2, p - 2)
+    out, ran = compose_by("dense", g, f)
+    assert ran == dense
+    assert_canonical(out)
+    assert out == _full(field, 2, 2, 3 * (p - 2) ** 2 % p)
+    assert dense_of(out) == ref_compose(field, g, f)
+
+
+# odd numerators a of g and b of f with 3·a·b just below and just above 2^53
+@pytest.mark.parametrize("a, b, dense", [(2**26 + 9, 44739231, True),
+                                         (2**26 + 9, 44739237, False)])
+def test_dense_route_over_q_runs_just_below_the_float_bound(a, b, dense):
+    assert (3 * a * b < 2**53) == dense
+    # numerators over 5 and 7; those of f are negative, so that only their
+    # absolute values bound the sums
+    g = LinearMap.from_rows(Q, (3,), (2,), [[Fraction(a, 5), Fraction(-a, 5), Fraction(a, 5)]] * 2)
+    f = _full(Q, 3, 2, Fraction(-b, 7))
+    assert (g.den, f.den) == (5, 7)
+    out, ran = compose_by("dense", g, f)
+    assert ran == dense
+    assert_canonical(out)
+    assert out == _full(Q, 2, 2, Fraction(-a * b, 35))
+    assert dense_of(out) == ref_compose(Q, g, f)
+
+
 @given(FIELDS.flatmap(lambda fd: st.tuples(
     maps(fd, (2,), (3,)) | maps(fd, (1, 2), (2,)), maps(fd, (3,), (2, 1)))))
 def test_tensor_matches_dense_products(pair):
