@@ -285,6 +285,8 @@ class LinearMap:
         return True
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, LinearMap):
             return NotImplemented
         return (

@@ -13,10 +13,11 @@ squares of the structure maps, then of each map with h -> id and d -> f.
 ``induction`` writes the induction once, for modules, comodules and
 Yetter-Drinfeld modules alike: it twists every map of the carrier by
 ``twisted_maps`` and the base by ``twist``.  ``tensor`` writes the tensor
-product once for the same three kinds: ``tensor_maps`` reads the carrier's
-``MAPS``, and of the two flavours "hat" applies α_H^{-2} to the coaction and
-"tilde" to the action.  Modules therefore sit inside the hat tensor product
-and comodules inside the tilde one, untwisted.
+product once for the same three kinds: ``tensor_raw`` assembles the
+carrier's ``MAPS`` and structure map, each built by ``tensor_map``, and of
+the two flavours "hat" applies α_H^{-2} to the coaction and "tilde" to the
+action.  Modules therefore sit inside the hat tensor product and comodules
+inside the tilde one, untwisted.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .structures import (
     commuting_sides,
     constructor,
     map_laws,
+    memoised,
     require_bijective,
     require_identity,
     require_same_base,
@@ -162,41 +164,40 @@ def _flavor(name) -> str:
     return FLAVORS[name]
 
 
-def tensor_maps(flavor: str, m, n) -> list:
-    """Each map of M⊗N, in ``MAPS`` order, flattened to the product carrier.
+@memoised
+def tensor_map(flavor: str, attr: str, m, n) -> LinearMap:
+    """The map ``attr`` of M⊗N, one of the carrier's ``MAPS`` or its
+    structure map ``"alpha"`` = α_M⊗α_N, flattened to the product carrier.
     An action spreads h through the coproduct, h·(m⊗n) = h_1·m ⊗ h_2·n; a
     coaction gathers through the product, m⊗n -> m_(-1)n_(-1) ⊗ (m_(0)⊗n_(0)).
     The map that ``flavor`` twists takes α_H^{-2} on h: the hat coaction is
     α_H^{-2}(m_(-1)n_(-1)) ⊗ (m_(0)⊗n_(0)), the tilde action
     α_H^{-2}(h_1)·m ⊗ α_H^{-2}(h_2)·n."""
-    twisted = _flavor(flavor)
+    twisted = _flavor(flavor) == attr
     base = m.over
     dh, d = base.dim, m.dim * n.dim
+    if attr == "alpha":
+        return m.alpha.tensor(n.alpha).with_shapes((d,), (d,))
     ident = LinearMap.identity(base.field, (m.dim, n.dim))
-    out = []
-    for _, attr, _ in m.MAPS:
-        if attr == "act":
-            delta = base.delta
-            if twisted == "act":
-                alpha_inv2 = base.alpha.power(-2)
-                delta = alpha_inv2.tensor(alpha_inv2) @ delta
-            spread = delta.tensor(ident).permute_codomain((0, 2, 1, 3))
-            out.append((m.act.tensor(n.act) @ spread).with_shapes((dh, d), (d,)))
-        else:
-            paired = m.coact.tensor(n.coact).permute_codomain((0, 2, 1, 3))
-            coact = (base.mu.tensor(ident) @ paired).with_shapes((d,), (dh, d))
-            if twisted == "coact":
-                twist_h = base.alpha.power(-2).tensor(LinearMap.identity(base.field, (d,)))
-                coact = twist_h @ coact
-            out.append(coact)
-    return out
+    if attr == "act":
+        delta = base.delta
+        if twisted:
+            alpha_inv2 = base.alpha.power(-2)
+            delta = alpha_inv2.tensor(alpha_inv2) @ delta
+        spread = delta.tensor(ident).permute_codomain((0, 2, 1, 3))
+        return (m.act.tensor(n.act) @ spread).with_shapes((dh, d), (d,))
+    paired = m.coact.tensor(n.coact).permute_codomain((0, 2, 1, 3))
+    coact = (base.mu.tensor(ident) @ paired).with_shapes((d,), (dh, d))
+    if twisted:
+        coact = base.alpha.power(-2).tensor(LinearMap.identity(base.field, (d,))) @ coact
+    return coact
 
 
+@memoised
 def tensor_raw(flavor: str, m, n):
     """M⊗N of the kind of m, with structure map alpha_M⊗alpha_N, unchecked."""
-    d = m.dim * n.dim
-    return type(m)(m.over, *tensor_maps(flavor, m, n),
-                   m.alpha.tensor(n.alpha).with_shapes((d,), (d,)))
+    attrs = [attr for _, attr, _ in m.MAPS] + ["alpha"]
+    return type(m)(m.over, *(tensor_map(flavor, attr, m, n) for attr in attrs))
 
 
 @constructor
@@ -232,7 +233,7 @@ __all__ = [
     "induce_module",
     "induce_comodule",
     "FLAVORS",
-    "tensor_maps",
+    "tensor_map",
     "tensor_raw",
     "tensor",
     "tensor_modules",

@@ -26,6 +26,7 @@ from .structures import (
     commuting_sides,
     componentwise_product,
     constructor,
+    memoised,
     require,
     require_bijective,
     require_same_base,
@@ -57,6 +58,7 @@ class SigmaForm(Structure):
 
 # -- quasitriangular axioms ------------------------------------------------
 
+@memoised
 def check_qt(r: RElement) -> CheckReport:
     """The three axioms: coproduct splittings of R against the double copy
     of R, and the intertwining of the opposite coproduct."""
@@ -84,11 +86,13 @@ def check_qt(r: RElement) -> CheckReport:
     )
 
 
+@memoised
 def check_r_invariance(r: RElement) -> CheckReport:
     """(alpha⊗alpha)(R) = R."""
     return compare_maps("r_invariance", *commuting_sides(r.element, "->hh", {"h": r.over.alpha}))
 
 
+@memoised
 def qt_braiding(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
     """c(m⊗n) = alpha_N^{-1}(R2·n) ⊗ alpha_M^{-1}(R1·m)."""
     _route(r, m, n)
@@ -98,6 +102,7 @@ def qt_braiding(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
     return _r_paired(first, second, m, n, r)
 
 
+@memoised
 def qt_B(m: ModuleStruct, n: ModuleStruct, r: RElement) -> LinearMap:
     """B(m⊗n) = R2·n ⊗ R1·m; no bijectivity needed."""
     _route(r, m, n)
@@ -112,6 +117,7 @@ def _r_paired(first_leg, second_leg, m, n, r):
 
 # -- coquasitriangular axioms ----------------------------------------------
 
+@memoised
 def check_cqt(s: SigmaForm) -> CheckReport:
     """sigma(xy⊗alpha z)=sigma(alpha x⊗z_1)sigma(alpha y⊗z_2),
     sigma(alpha x⊗yz)=sigma(x_1⊗alpha z)sigma(x_2⊗alpha y), and
@@ -145,11 +151,13 @@ def check_cqt(s: SigmaForm) -> CheckReport:
     )
 
 
+@memoised
 def check_sigma_invariance(s: SigmaForm) -> CheckReport:
     """sigma = sigma∘(alpha⊗alpha)."""
     return compare_maps("sigma_invariance", *commuting_sides(s.form, "hh->", {"h": s.over.alpha}))
 
 
+@memoised
 def cqt_braiding(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> LinearMap:
     """c(m⊗n) = sigma(n_(-1)⊗m_(-1)) alpha_N^{-1}(n_(0)) ⊗ alpha_M^{-1}(m_(0))."""
     _route(s, m, n)
@@ -157,6 +165,7 @@ def cqt_braiding(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> LinearMa
     return _sigma_paired(n.alpha.inverse(), m.alpha.inverse(), m, n, s)
 
 
+@memoised
 def cqt_B(m: ComoduleStruct, n: ComoduleStruct, s: SigmaForm) -> LinearMap:
     """B(m⊗n) = sigma(n_(-1)⊗m_(-1)) n_(0) ⊗ m_(0)."""
     _route(s, m, n)
@@ -196,6 +205,7 @@ def _route(x, *carriers) -> _Route:
     return route
 
 
+@memoised
 def _induce(carrier, x) -> YDModule:
     """The Yetter-Drinfeld module, unchecked, that an R element induces on a
     module, with coaction m -> alpha(R2) ⊗ R1·m, or a sigma form on a

@@ -3,12 +3,15 @@
 Every task kind is one entry of ``TASKS``; ``specfile`` validates tasks
 against the same table that dispatches them here.  Tasks run one at a
 time in document order, and constructions register their results for
-later tasks.  A construction task calls the ``.build`` of a certifying
-constructor (see ``structures.constructor``) and reports the
-certification that it returns; this module uses only the public names of
-the other layers.  A task over an R element or a sigma form passes it to
-one ``quasitri`` check that serves both routes, so no task here names a
-route's braiding or constructor.  A task whose preconditions fail (bad
+later tasks.  ``run_tasks`` runs them inside ``structures.run_memo``, so
+a carrier, braiding or certificate that several tasks need is built once
+per document, and the memo is dropped when the run ends.  A construction
+task calls the ``.build`` of a certifying constructor (see
+``structures.constructor``) and reports the certification that it
+returns; this module uses only the public names of the other layers.  A
+task over an R element or a sigma form passes it to one ``quasitri``
+check that serves both routes, so no task here names a route's braiding
+or constructor.  A task whose preconditions fail (bad
 hypotheses, non-bijective structure maps, a construction result that was
 never registered) is reported as "inapplicable", which counts as
 non-passing.  Any other exception is a bug and propagates.
@@ -45,6 +48,7 @@ from .structures import (
     check_hom_bialgebra,
     check_hom_coalgebra,
     require_bijective,
+    run_memo,
     twist,
 )
 from .yd import (
@@ -292,10 +296,11 @@ def run_tasks(doc: SpecDocument, max_dim: int = MAX_DIM) -> ReportBundle:
             )
     ns = dict(doc.structures)
     results = []
-    for task in doc.tasks:
-        result, registrations = execute_task(task, ns)
-        results.append(result)
-        ns.update(registrations)
+    with run_memo():
+        for task in doc.tasks:
+            result, registrations = execute_task(task, ns)
+            results.append(result)
+            ns.update(registrations)
     return ReportBundle(doc.field.descriptor, results)
 
 

@@ -11,7 +11,11 @@ kind's laws, and ``map_laws`` scans them for every map of a structure.
 
 Every construction is one builder that returns ``(object, report)``, made a
 certifying constructor by ``constructor``: the public function refuses a
-failed report, and tasks call ``.build`` to report it.  ``twisted_maps``
+failed report, and tasks call ``.build`` to report it.  The builder is
+``memoised``: inside ``run_memo``, which ``runner.run_tasks`` opens for one
+document, it computes once per arguments (by identity; strings and ints by
+value), as do the other builders that tasks repeat.  Outside it every call
+computes, and the memo never outlives the block.  ``twisted_maps``
 twists the maps of every kind at once, each against the square of its
 twisting hypothesis, so ``twist`` serves algebras, coalgebras and
 bialgebras alike.
@@ -24,6 +28,7 @@ which every classical entry point calls on its source.
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import reduce, wraps
 
@@ -127,6 +132,8 @@ class Structure:
     def same_as(self, other) -> bool:
         """Whether ``other`` is of this kind with equal declared maps and
         structure map, whatever objects hold them."""
+        if other is self:
+            return True
         attrs = [attr for _, attr, _ in self.MAPS] + (["alpha"] if self.ALPHA else [])
         return type(other) is type(self) and all(
             getattr(self, a) == getattr(other, a) for a in attrs)
@@ -309,10 +316,51 @@ def certify(report: CheckReport) -> None:
         raise CertificationError(report)
 
 
+# the memo of the running ``run_memo`` block, None outside one
+_memo = None
+
+
+@contextmanager
+def run_memo():
+    """Within this block each ``memoised`` function computes once per
+    arguments; the memo is dropped when the block exits, however it exits."""
+    global _memo
+    outer, _memo = _memo, {}
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+def _arg_key(arg):
+    # a str or int by value, anything else by identity
+    return (type(arg), arg) if type(arg) in (str, int) else id(arg)
+
+
+def memoised(fn):
+    """``fn``, whose result inside ``run_memo`` is kept per positional
+    arguments.  Each entry holds its arguments, so no id is reused while it
+    lives; an exception is never kept, and a call with keyword arguments or
+    outside ``run_memo`` computes as usual."""
+    @wraps(fn)
+    def cached(*args, **kwargs):
+        if _memo is None or kwargs:
+            return fn(*args, **kwargs)
+        key = (fn, *map(_arg_key, args))
+        if key not in _memo:
+            _memo[key] = fn(*args), args
+        return _memo[key][0]
+
+    return cached
+
+
 def constructor(build):
     """The certifying constructor of ``build``, a builder that returns
     ``(object, report)``: it returns the object once the report passes.  The
-    builder stays as ``.build`` for tasks, which report what it checked."""
+    builder stays, memoised, as ``.build`` for tasks, which report what it
+    checked."""
+    build = memoised(build)
+
     @wraps(build)
     def construct(*args, **kwargs):
         obj, report = build(*args, **kwargs)

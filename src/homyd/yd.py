@@ -42,6 +42,7 @@ from .modules import (
     _morphism_report,
     induction,
     tensor,
+    tensor_map,
     tensor_raw,
 )
 from .reports import CheckReport, compare_maps
@@ -51,6 +52,7 @@ from .structures import (
     commuting_sides,
     constructor,
     map_laws,
+    memoised,
     require,
     require_bijective,
     require_identity,
@@ -125,6 +127,7 @@ def check_classical_yd(m: YDModule) -> CheckReport:
     return compare_maps("classical_yd_compatibility", lhs, rhs)
 
 
+@memoised
 def yd_suite(m: YDModule) -> CheckReport:
     """Module laws, comodule laws and the compatibility law, aggregated; an
     object with a singular structure map is noted as outside the category."""
@@ -144,6 +147,7 @@ twist_yd = induction("Yetter-Drinfeld twisting", bijective=True)
 
 # -- the braiding B and the Hom-Yang-Baxter equation ----------------------
 
+@memoised
 def braiding_B(m: YDModule, n: YDModule) -> LinearMap:
     """B(m⊗n) = α_H^{-1}(m_(-1))·n ⊗ m_(0), as a matrix M⊗N -> N⊗M."""
     require_same_base(m, n)
@@ -247,9 +251,11 @@ def yd_associator(flavor: str, m: YDModule, n: YDModule, p: YDModule):
 
 # -- the braiding c -------------------------------------------------------
 
-def _braiding_c_matrix(m: YDModule, n: YDModule, inv_m=None, inv_n=None) -> LinearMap:
-    """c as a map M⊗N -> N⊗M; ``inv_m`` and ``inv_n`` are α_M^{-1} and
-    α_N^{-1} where the caller has them, else they are computed."""
+@memoised
+def _braiding_c_matrix(m, n, inv_m=None, inv_n=None) -> LinearMap:
+    """c as a map M⊗N -> N⊗M, which reads the coaction of m and the action of
+    n alone; ``inv_m`` and ``inv_n`` are α_M^{-1} and α_N^{-1} where the
+    caller has them, else they are computed."""
     inv_m = m.alpha.inverse() if inv_m is None else inv_m
     inv_n = n.alpha.inverse() if inv_n is None else inv_n
     return (inv_n @ n.act).tensor(inv_m) @ _tagged(m, n)
@@ -332,8 +338,12 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
                       first=m.alpha, second=n.alpha, third=p.alpha)
     ident_m, ident_n, ident_p = (LinearMap.identity(m.field, (x.dim,)) for x in (m, n, p))
 
-    np_ = tensor_raw(flavor, n, p)
-    mn = tensor_raw(flavor, m, n)
+    def part(kind, attr, x, y):
+        # X⊗Y with only the map ``attr`` of its kind, the one that c reads
+        return kind(m.over, tensor_map(flavor, attr, x, y), tensor_map(flavor, "alpha", x, y))
+
+    np_ = part(ModuleStruct, "act", n, p)
+    mn = part(ComoduleStruct, "coact", m, n)
 
     def assoc(s, x, y, z):
         return _kron(_associator(s, [x.alpha], [y.dim], [z.alpha]))
@@ -383,6 +393,7 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
     )
 
 
+@memoised
 def check_braid_relation(c_mn: LinearMap, c_mp: LinearMap, c_np: LinearMap) -> CheckReport:
     """(id_P⊗c_MN)∘(c_MP⊗id_N)∘(id_M⊗c_NP) = (c_NP⊗id_M)∘(id_N⊗c_MP)∘(c_MN⊗id_P)."""
     (dm, dn), dp = c_mn.dom, c_np.dom[1]

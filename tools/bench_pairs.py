@@ -11,9 +11,11 @@ only their committed files run.  For each workload, pair ``i`` runs
 once on each side, the parent first in even pairs and the change first in odd
 ones.  The output has the layout of the earlier BENCH files: ``summary`` holds,
 per workload and end-to-end metric of BENCHMARK.json, each side's median and
-inclusive quartiles, the pairs the change won or tied and the ratio of the
-medians (change / parent); ``runs`` lists every run in execution order.  The
-file is rewritten after every run.  Only the standard library is used.
+inclusive quartiles, the pairs the change won or tied, the ratio of the
+medians (change / parent) and a ``verdict`` under the metric's bound (see
+``verdict``); ``runs`` lists every run in execution order.  The file is
+rewritten after every run.  BENCHMARK.json is only read.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -65,8 +67,12 @@ def _run(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}"}
 
 
+def _quartiles(values):
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def _stats(values) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = _quartiles(values)
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
             "n": len(values)}
 
@@ -75,14 +81,41 @@ def _value(run, metric):
     return run["result"].get("metrics", {}).get(metric, {}).get("value")
 
 
+# a gain needs the change to win at least this share of the pairs
+GAIN_SHARE = 0.9
+
+
+def verdict(parent, change, better, bound) -> str:
+    """The paired runs of one metric judged under its relative ``bound``:
+    "gain" when the change wins at least ``GAIN_SHARE`` of the pairs and its
+    median beats the parent's by more than the parent's interquartile range;
+    "regression" when its median is worse than the parent's by more than the
+    bound; "unresolved" when either side's interquartile range exceeds the
+    bound of its median, too wide to tell such a regression, unless every
+    run of the change reads better than every run of the parent; else
+    "within bound"."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    (p1, pm, p3), (c1, cm, c3) = _quartiles(parent), _quartiles(change)
+    if wins >= GAIN_SHARE * len(parent) and sign * (pm - cm) > p3 - p1:
+        return "gain"
+    if sign * (cm - pm) > bound * abs(pm):
+        return "regression"
+    wide = p3 - p1 > bound * abs(pm) or c3 - c1 > bound * abs(cm)
+    if wide and not all(sign * (p - c) > 0 for p in parent for c in change):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(runs, metrics) -> dict:
     """Per workload and metric: both sides' medians and quartiles, the change's
-    wins and ties over complete pairs, and the ratio of the medians."""
+    wins and ties over complete pairs, the ratio of the medians and the
+    verdict; ``metrics`` maps each name to its BENCHMARK.json entry."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         row = {}
-        for name, better in metrics.items():
+        for name, metric in metrics.items():
             pairs = {}
             for r in mine:
                 value = _value(r, name)
@@ -91,16 +124,16 @@ def summarize(runs, metrics) -> dict:
             full = [p for p in pairs.values() if len(p) == 2]
             if len(full) < 2:
                 continue
-            parent = _stats([p["parent"] for p in full])
-            change = _stats([p["change"] for p in full])
-            sign = 1 if better == "lower" else -1
+            parent, change = [p["parent"] for p in full], [p["change"] for p in full]
+            sign = 1 if metric["better"] == "lower" else -1
             row[name] = {
-                "parent": parent,
-                "change": change,
-                "change_wins": sum(sign * (p["parent"] - p["change"]) > 0 for p in full),
-                "ties": sum(p["parent"] == p["change"] for p in full),
+                "parent": _stats(parent),
+                "change": _stats(change),
+                "change_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+                "ties": sum(p == c for p, c in zip(parent, change)),
                 "pairs": len(full),
-                "median_ratio": round(change["median"] / parent["median"], 4),
+                "median_ratio": round(statistics.median(change) / statistics.median(parent), 4),
+                "verdict": verdict(parent, change, metric["better"], metric["bound"]),
             }
         row["all_correct"] = all(r["result"].get("correct") is True for r in mine)
         row["failed_operations"] = sum(r["result"].get("failed", 0) for r in mine)
@@ -129,7 +162,7 @@ def main(argv=None) -> int:
     revs = {side: _git("rev-parse", "--short", getattr(args, side))
             for side in ("parent", "change")}
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     doc = {
         "change": _git("log", "-1", "--format=%s", revs["change"]),
         "command": f"python3 perfbench/run.py --workload W --seed N "
