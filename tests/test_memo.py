@@ -10,6 +10,7 @@ import pathlib
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from homyd import runner, structures
@@ -171,8 +172,36 @@ def test_an_exception_is_never_kept():
     assert flaky("a") is not kept
 
 
-def test_self_comparisons_are_immediate():
+def test_a_call_with_keyword_arguments_computes():
+    @structures.memoised
+    def scaled(x, by=1):
+        return [x * by]
+
+    with structures.run_memo():
+        kept = scaled(2)
+        assert scaled(2) is kept
+        assert scaled(2, by=3) == [6]
+        assert scaled(2, by=1) is not kept
+
+
+def test_an_entry_holds_its_arguments():
+    # each argument is dropped by the caller at once; only the memo can keep
+    # its id from being handed to the next one
+    @structures.memoised
+    def fresh(x):
+        return []
+
+    with structures.run_memo():
+        results = [fresh(object()) for _ in range(3)]
+    assert len({id(r) for r in results}) == 3
+
+
+def test_self_comparisons_compare_no_maps(monkeypatch):
     m = cyclic_graded_yd(5, 4, 1, Q)
-    assert m.same_as(m) and m.over.same_as(m.over)
-    assert m.act == m.act
+    with monkeypatch.context() as patched:
+        patched.setattr(LinearMap, "__eq__", lambda *args: pytest.fail("a map was compared"))
+        assert m.same_as(m) and m.over.same_as(m.over)
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "array_equal", lambda *args: pytest.fail("arrays were compared"))
+        assert m.act == m.act
     assert LinearMap.identity(Q, (2,)) == LinearMap.identity(Q, (2,))
