@@ -1,12 +1,12 @@
 """Batch front end.
 
-    homyd check <file> [--json PATH] [--max-dim D]
-    homyd report <file> --json PATH [--max-dim D]
+    homyd check <file> [--json PATH]
+    homyd report <file> --json PATH
     homyd example <name> <params...> [--emit PATH]
 
 Exit status: 0 when every task passes, 1 when any task fails or is
-inapplicable, 2 for malformed files or usage errors.  The machine report
-is deterministic: identical inputs yield byte-identical JSON.
+inapplicable, 2 for malformed files, usage errors and work over the limits
+of ``linmap``.  Identical inputs yield byte-identical JSON reports.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from .errors import HomydError, SpecFileError
 from .fields import RATIONALS, FieldValueError, PrimeField
 from .fixtures import (
+    MAX_ORDER,
     conjugation_yd,
     cyclic_bicharacter_sigma,
     cyclic_endo_twist,
@@ -26,7 +27,7 @@ from .fixtures import (
     group_by_name,
     inner_automorphism,
 )
-from .runner import MAX_DIM, bundle_to_json, bundle_to_table, run_tasks
+from .runner import bundle_to_json, bundle_to_table, run_tasks
 from .specfile import SpecDocument, Task, parse_spec, serialize_spec
 
 
@@ -39,11 +40,12 @@ def _field_param(token: str):
 
 
 def _order_param(token: str) -> int:
-    """The parameter n, the group order and so the dimension of what a
-    generator builds, refused above the default guard before anything is built."""
+    """The group order n of a generator, refused outside 1..``MAX_ORDER`` before any build."""
     n = int(token)
-    if n > MAX_DIM:
-        raise SpecFileError(f"n = {n} exceeds the --max-dim default {MAX_DIM}")
+    if n < 1:
+        raise SpecFileError(f"n must be at least 1, got {n}")
+    if n > MAX_ORDER:
+        raise SpecFileError(f"n = {n} exceeds the largest example order {MAX_ORDER}")
     return n
 
 
@@ -138,8 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", help="structure file to run")
         p.add_argument("--json", metavar="PATH", help="write the machine report here")
-        p.add_argument("--max-dim", type=int, default=MAX_DIM, metavar="D",
-                       help=f"guard on declared structure dimensions (default {MAX_DIM})")
 
     common(sub.add_parser("check", help="run all tasks and print a table"))
     report = sub.add_parser("report", help="run all tasks, machine report only")
@@ -161,7 +161,7 @@ def _run_file(args, quiet: bool) -> int:
         return 2
     try:
         doc = parse_spec(text)
-        bundle = run_tasks(doc, max_dim=args.max_dim)
+        bundle = run_tasks(doc)
         report = bundle_to_json(bundle, doc.field) if args.json else None
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -176,6 +176,8 @@ def _run_file(args, quiet: bool) -> int:
 def _run_example(args) -> int:
     builder, usage = EXAMPLES[args.generator]
     try:
+        if len(args.params) > len(usage.split()):
+            raise IndexError("too many parameters")
         field, structures, tasks, meta = builder(args.params)
     except (HomydError, FieldValueError, IndexError, ValueError) as exc:
         detail = exc if not isinstance(exc, IndexError) else f"expected parameters: {usage}"

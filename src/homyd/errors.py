@@ -31,6 +31,10 @@ class InapplicableError(HomydError):
     """The requested check is undefined for this input (e.g. a bijectivity gate)."""
 
 
+class WorkLimitError(HomydError):
+    """One linear-map operation would exceed the work limits of ``linmap``."""
+
+
 class CertificationError(HomydError):
     """A constructor's own re-check failed; indicates an internal bug."""
 

@@ -18,9 +18,10 @@ from .errors import PreconditionError, ShapeError
 from .fields import RATIONALS, Field, PrimeField
 from .linmap import LinearMap
 from .quasitri import RElement, SigmaForm
-from .runner import MAX_DIM
 from .structures import HomBialgebra, check_classical_bialgebra, constructor, twist_bialgebra
 from .yd import YDModule, twist_yd
+
+MAX_ORDER = 16  # the largest group order, and so dimension, that ``homyd example`` builds
 
 
 @dataclass(frozen=True)
@@ -249,16 +250,18 @@ _GROUPS = {"c": (cyclic_group, lambda n: n), "s": (symmetric_group, math.factori
 
 
 def group_by_name(name: str) -> GroupPresentation:
-    """Resolve names like "c6" or "s3"; a group of more elements than the
-    dimension guard ``MAX_DIM`` is refused before it is built."""
+    """Resolve names like "c6" or "s3"; an empty group, or one of more
+    elements than ``MAX_ORDER``, is refused before it is built."""
     name = name.lower()
     if len(name) >= 2 and name[0] in _GROUPS and name[1:].isdigit():
         build, order = _GROUPS[name[0]]
         n = int(name[1:])
         # each order is at least n, so n! is computed only for small n
-        if n > MAX_DIM or order(n) > MAX_DIM:
+        if n > MAX_ORDER or order(n) > MAX_ORDER:
             raise ShapeError(
-                f"group {name} has more elements than the --max-dim default {MAX_DIM}"
+                f"group {name} has more elements than the largest example order {MAX_ORDER}"
             )
+        if order(n) < 1:
+            raise ShapeError(f"n must be at least 1, got {n}")
         return build(n)
     raise ShapeError(f"unknown group name {name!r} (expected c<n> or s<n>)")

@@ -17,8 +17,9 @@ Kronecker products of structure-map powers and factor shuffles with almost
 every cell zero, cost what they store.  Only ``compose`` of two maps that
 form at least one product per result cell multiplies them as dense float64
 matrices, and only where every partial sum is provably an integer below
-2^53, so that the result is exact and its one stored form unchanged.  The
-constructor
+2^53, so that the result is exact and its one stored form unchanged.
+Before it allocates, a ``compose`` or ``tensor`` beyond ``MAX_PRODUCTS``
+or ``MAX_STORED`` raises ``WorkLimitError``.  The constructor
 ``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
 dense entry and exit points as (codomain, domain) matrices; they,
 ``column`` and ``inverse`` speak reduced field scalars (``int`` or
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotInvertibleError, ShapeError
+from .errors import NotInvertibleError, ShapeError, WorkLimitError
 from .fields import Field
 
 Dims = tuple[int, ...]
@@ -60,6 +61,11 @@ _EXACT = 2**53
 
 # Flat positions ``col * nrows + row`` must fit in int64.
 _MAX_CELLS = 2**62
+
+# The work of one call: the products ``compose`` forms bound its time, and
+# the nonzeros ``compose`` or ``tensor`` could store bound its memory.
+MAX_PRODUCTS = 2**28
+MAX_STORED = 2**22
 
 
 def _as_dims(dims) -> Dims:
@@ -331,6 +337,7 @@ class LinearMap:
         counts = gcount[f.rows]  # products per entry of f
         ends = np.cumsum(counts)
         products = int(ends[-1]) if len(ends) else 0
+        _check_work("compose", products, min(products, g.nrows * f.ncols))
         if (g.nrows * g.ncols <= DENSE_BLOCK
                 and products >= DENSE_FILL * g.nrows * f.ncols
                 and g.ncols * _magnitude(g) * _magnitude(f) < _EXACT):
@@ -376,6 +383,8 @@ class LinearMap:
         if self.field != other.field:
             raise ShapeError("cannot tensor maps over different fields")
         f, g = self, other
+        n = len(f.values) * len(g.values)
+        _check_work("tensor", n, n)
         rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()
         cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()
         vals = np.multiply.outer(f.values, g.values).ravel()
@@ -502,6 +511,12 @@ class LinearMap:
         return LinearMap._coo(
             self.field, new_dom, self.cod, self.rows, cols, self.values, self.den, reduce=False
         )
+
+
+def _check_work(op: str, products: int, stored: int) -> None:
+    if products > MAX_PRODUCTS or stored > MAX_STORED:
+        raise WorkLimitError(f"{op} would form {products} products and store up to {stored} "
+                             f"nonzeros, over the limits {MAX_PRODUCTS} and {MAX_STORED}")
 
 
 def _magnitude(m: LinearMap) -> int:

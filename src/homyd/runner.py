@@ -14,7 +14,8 @@ check that serves both routes, so no task here names a route's braiding
 or constructor.  A task whose preconditions fail (bad
 hypotheses, non-bijective structure maps, a construction result that was
 never registered) is reported as "inapplicable", which counts as
-non-passing.  Any other exception is a bug and propagates.
+non-passing.  A task over the work limits of ``linmap`` stops the run with
+a ``SpecFileError`` that names it.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
     SpecFileError,
+    WorkLimitError,
 )
 from .linmap import LinearMap
 from .modules import check_comodule, check_module, tensor
@@ -68,16 +70,7 @@ from .yd import (
 if TYPE_CHECKING:
     from .specfile import SpecDocument, Task
 
-# the default guard on the dimension of a structure that a file declares or
-# a generator builds
-MAX_DIM = 16
-
-INAPPLICABLE_ERRORS = (
-    InapplicableError,
-    PreconditionError,
-    NotInvertibleError,
-    ShapeError,
-)
+INAPPLICABLE_ERRORS = (InapplicableError, PreconditionError, NotInvertibleError, ShapeError)
 
 
 @dataclass
@@ -273,6 +266,8 @@ def execute_task(task: Task, ns: dict) -> tuple[TaskResult, dict]:
         report = entry.run(spec, *(_resolve(spec, slot, ns) for slot in entry.slots))
     except INAPPLICABLE_ERRORS as exc:
         return _inapplicable(task, str(exc)), {}
+    except WorkLimitError as exc:
+        raise SpecFileError(f"task {task.name!r}: {exc}") from None
     registrations = {}
     if entry.result:
         obj, report = report
@@ -282,18 +277,9 @@ def execute_task(task: Task, ns: dict) -> tuple[TaskResult, dict]:
     return TaskResult(task.name, task.kind, status, report), registrations
 
 
-def run_tasks(doc: SpecDocument, max_dim: int = MAX_DIM) -> ReportBundle:
+def run_tasks(doc: SpecDocument) -> ReportBundle:
     """Execute every task in document order; constructions register their
-    results for later tasks.  ``max_dim`` guards declared structure sizes."""
-    for name, obj in doc.structures.items():
-        dim = getattr(obj, "dim", None)
-        if dim is None:
-            dim = obj.over.dim
-        if dim > max_dim:
-            raise SpecFileError(
-                f"structure {name!r} has dimension {dim}, "
-                f"which exceeds the guard --max-dim={max_dim}"
-            )
+    results for later tasks."""
     ns = dict(doc.structures)
     results = []
     with run_memo():

@@ -433,7 +433,7 @@ def test_criterion_11_cli_contract(tmp_path, capsys):
 
 @pytest.mark.parametrize("n, budget", [(9, 1.0), (16, 2.0)])
 def test_sparse_pentagon_on_cyclic_ladder(n, budget):
-    # n = 16 is the --max-dim default: the pentagon composites are
+    # n = 16 is the largest example order: the pentagon composites are
     # 65536 x 65536 maps, out of reach for dense storage
     start = time.perf_counter()
     a, b = cyclic_graded_yd(n, n - 1, 1, Q), cyclic_graded_yd(n, n - 1, 2, Q)
@@ -445,8 +445,10 @@ def test_sparse_pentagon_on_cyclic_ladder(n, budget):
 
 
 def test_dense_pentagon_at_the_dimension_guard():
-    # structure maps dense 16 x 16 over GF(11), the --max-dim default: the
+    # structure maps dense 16 x 16 over GF(11), the largest example order: the
     # composites would be dense 65536 x 65536 maps, checked factor by factor
+    # within the work limits of linmap (test_work_limits refuses the HYBE
+    # and hexagons of this pair)
     field = PrimeField(11)
     rng = random.Random(20261018)
     q = None

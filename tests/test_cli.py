@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from homyd import linmap
-from homyd.cli import main
+from homyd.cli import EXAMPLES, main
 
 SUITES = pathlib.Path(__file__).parents[1] / "suites"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -93,12 +93,11 @@ def test_parallel_runs_produce_identical_reports(tmp_path, capsys):
     assert tasks[1]["reason"] == "inapplicable: missing dependency 'H6T'"
 
 
-def test_max_dim_guard(capsys):
-    base = str(SUITES / "standard_gf7.json")
-    assert main(["check", base, "--max-dim", "3"]) == 0
-    capsys.readouterr()
-    assert main(["check", base, "--max-dim", "2"]) == 2
-    assert "exceeds the guard" in capsys.readouterr().err
+def test_removed_max_dim_option_is_a_usage_error(capsys):
+    # the work limits of linmap bound what a file may cost, not its dimensions
+    for command in (["check"], ["report", "--json", "unused.json"]):
+        assert main([*command, str(SUITES / "standard_gf7.json"), "--max-dim", "3"]) == 2
+        assert "unrecognized arguments: --max-dim 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -111,6 +110,8 @@ def test_max_dim_guard(capsys):
         ["cyclic_r_matrix", "2", "rational", "-1", "1"],
         ["cyclic_r_matrix", "5", "11", "3", "4"],
         ["cyclic_bicharacter_sigma", "3", "7", "2", "1"],
+        # the trivial group, the permutations of no letters
+        ["conjugation_yd", "s0", "0"],
     ],
 )
 def test_example_emit_then_check_passes(tmp_path, capsys, params):
@@ -136,6 +137,25 @@ def test_example_bad_parameters_exit_two(capsys):
     assert main(["example", "cyclic_bicharacter_sigma", "0", "7", "1", "1"]) == 2
     assert main(["example", "cyclic_r_matrix", "0", "7", "1", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["cyclic_endo_twist", "3", "1", "5"],
+        ["conjugation_yd", "s3", "1", "7"],
+        ["cyclic_graded_yd", "5", "4", "2", "11"],
+        ["cyclic_r_matrix", "5", "11", "3", "4"],
+        ["cyclic_bicharacter_sigma", "3", "7", "2", "1"],
+    ],
+)
+def test_example_refuses_more_parameters_than_it_lists(capsys, params):
+    name, usage = params[0], EXAMPLES[params[0]][1]
+    assert len(params) == 1 + len(usage.split())
+    assert main(["example", *params]) == 0
+    capsys.readouterr()
+    assert main(["example", *params, "99"]) == 2
+    assert capsys.readouterr().err == f"error: {name}: expected parameters: {usage}\n"
 
 
 def _timed_example(params):
@@ -173,22 +193,28 @@ BIG_PRIME = "2305843009213693951"  # 2^61 - 1
          "1 does not have multiplicative order 2"),
         (["cyclic_bicharacter_sigma", "4", "5", "4", "1"],
          "4 does not have multiplicative order 4 mod 5"),
-        # sizes above the --max-dim default are refused before anything is built
+        # orders above the largest example order are refused before anything
+        # is built
         (["conjugation_yd", "s5", "1"],
-         "group s5 has more elements than the --max-dim default 16"),
+         "group s5 has more elements than the largest example order 16"),
         (["conjugation_yd", "s4", "1"],
-         "group s4 has more elements than the --max-dim default 16"),
+         "group s4 has more elements than the largest example order 16"),
         (["conjugation_yd", "s99999999999", "1"],
-         "group s99999999999 has more elements than the --max-dim default 16"),
-        (["cyclic_endo_twist", "17", "1"], "n = 17 exceeds the --max-dim default 16"),
-        (["cyclic_graded_yd", "80", "1", "1"], "n = 80 exceeds the --max-dim default 16"),
+         "group s99999999999 has more elements than the largest example order 16"),
+        (["cyclic_endo_twist", "17", "1"], "n = 17 exceeds the largest example order 16"),
+        (["cyclic_graded_yd", "80", "1", "1"], "n = 80 exceeds the largest example order 16"),
         (["cyclic_r_matrix", "17", BIG_PRIME, "3", "1"],
-         "n = 17 exceeds the --max-dim default 16"),
+         "n = 17 exceeds the largest example order 16"),
         (["cyclic_bicharacter_sigma", "17", "103", "2", "1"],
-         "n = 17 exceeds the --max-dim default 16"),
+         "n = 17 exceeds the largest example order 16"),
         # t must index a group element, 0..order-1
         (["conjugation_yd", "s3", "-1"], "t = -1 is not an element of s3, which has order 6"),
         (["conjugation_yd", "s3", "99"], "t = 99 is not an element of s3, which has order 6"),
+        # and so must n: a group has at least one element
+        (["cyclic_endo_twist", "0", "1"], "n must be at least 1, got 0"),
+        (["cyclic_endo_twist", "-3", "1"], "n must be at least 1, got -3"),
+        (["cyclic_graded_yd", "0", "1", "1"], "n must be at least 1, got 0"),
+        (["conjugation_yd", "c0", "0"], "n must be at least 1, got 0"),
     ],
 )
 def test_unrooted_or_oversized_examples_are_refused_within_a_second(capsys, params, message):
