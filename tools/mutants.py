@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Apply each checked-in mutant to a copy of the tree and run the tests on it.
 
-    python3 tools/mutants.py [--only NAME ...] [--timeout 300] [--list]
-                             [-- PYTEST_ARGS ...]
+    python3 tools/mutants.py [--only NAME ...] [--timeout 300] [-- PYTEST_ARGS ...]
 
 A mutant is one exact source snippet of one file, the text that replaces it,
 and the law family it should break (``MUTANTS`` below).  The tree is copied
@@ -180,14 +179,9 @@ def main(argv=None) -> int:
     parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
     parser.add_argument("--timeout", type=float, default=TIMEOUT_S,
                         help=f"seconds per pytest run (default {TIMEOUT_S})")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     parser.add_argument("pytest_args", nargs="*", help="pytest selection (default: tests)")
     args = parser.parse_args(argv)
     mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    if args.list:
-        for m in mutants:
-            print(f"{m.name:40} {m.family:14} {m.file}")
-        return 0
     if args.only and len(mutants) != len(set(args.only)):
         parser.error(f"unknown mutants: {sorted(set(args.only) - {m.name for m in MUTANTS})}")
     selection = args.pytest_args or ["tests"]
