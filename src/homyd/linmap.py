@@ -9,6 +9,8 @@ factor with all of them (over a prime field ``den`` is 1 and the values are
 residues).  No zero is ever stored, so two maps are equal exactly when their
 three arrays and ``den`` are.  Primitives compute in ints and multiply the
 denominators; ``Field.reduce_array`` brings each result to lowest terms.
+Only ``compose`` can meet one position twice and sum there; ``tensor`` and
+the factor permutes place each entry at a distinct position and sort once.
 Multi-indices flatten row-major with the leftmost factor most significant;
 this one convention is fixed globally and everything else (Kronecker
 products, factor permutations, regrouping) is consistent with it.  The
@@ -17,7 +19,8 @@ Kronecker products of structure-map powers and factor shuffles with almost
 every cell zero, cost what they store.  Only ``compose`` of two maps that
 form at least one product per result cell multiplies them as dense float64
 matrices, and only where every partial sum is provably an integer below
-2^53, so that the result is exact and its one stored form unchanged.
+2^53, so that the result is exact and its one stored form unchanged; over
+GF(p) it reduces those sums in int64 before it stores them as Python ints.
 Before it allocates, a ``compose`` or ``tensor`` beyond ``MAX_PRODUCTS``
 or ``MAX_STORED`` raises ``WorkLimitError``.  The constructor
 ``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
@@ -108,9 +111,7 @@ def _shuffle(flat, dims: Dims, perm) -> np.ndarray:
 
 
 def _run_starts(key) -> np.ndarray:
-    """Start of every run of equal values in the sorted array ``key``."""
-    if len(key) == 0:
-        return _index([])
+    """Start of every run of equal values in the sorted nonempty array ``key``."""
     return np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
 
 
@@ -164,24 +165,18 @@ class LinearMap:
         self.values = _freeze(vals[keep])
 
     @classmethod
-    def _coo(cls, field, dom, cod, rows, cols, vals, den, reduce=True):
-        """A map from numerators over ``den`` at coordinates in any order:
-        sorted, the values at a repeated position summed, then reduced with
-        zeros dropped (``reduce``)."""
-        nrows = _size(cod)
-        key, vals = _sum_runs(cols * nrows + rows, vals)
-        cols, rows = np.divmod(key, nrows)
-        out = cls._make(field, dom, cod, rows, cols, vals, den)
-        if reduce:
-            out._reduce()
-        return out
-
-    @classmethod
     def _make(cls, field, dom, cod, rows, cols, vals, den=1) -> "LinearMap":
         """A map from arrays already in canonical form."""
         out = object.__new__(cls)
         out._set(field, dom, cod, rows, cols, vals, den)
         return out
+
+    @classmethod
+    def _sorted(cls, field, dom, cod, rows, cols, vals, den=1) -> "LinearMap":
+        """A map from reduced nonzero numerators over ``den`` at distinct
+        coordinates in any order: one sort brings them to canonical form."""
+        order = np.argsort(cols * _size(cod) + rows)
+        return cls._make(field, dom, cod, rows[order], cols[order], vals[order], den)
 
     # -- construction -------------------------------------------------
 
@@ -317,8 +312,9 @@ class LinearMap:
         denominators by one of two exact routes, and the result is reduced.
 
         - Sorted: entry ``(k, j)`` of ``other`` meets every entry of column
-          ``k`` of ``self``; the products are built for whole result columns
-          at a time, about ``COMPOSE_BLOCK`` of them, and summed per position.
+          ``k`` of ``self``, and the products are summed per position.  Up to
+          ``COMPOSE_BLOCK`` products are built at once; more are built for
+          whole result columns at a time, about ``COMPOSE_BLOCK`` of them.
         - Dense: when the products number at least ``DENSE_FILL`` per result
           cell and ``self`` has at most ``DENSE_BLOCK`` cells, one float64
           matrix product per block of result columns, if the field proves every
@@ -342,22 +338,26 @@ class LinearMap:
                 and products >= DENSE_FILL * g.nrows * f.ncols
                 and g.ncols * _magnitude(g) * _magnitude(f) < _EXACT):
             return _dense_compose(g, f)
+        if products == 0:
+            return LinearMap.zero(field, other.dom, self.cod)
         den = g.den * f.den
         gstart = np.cumsum(gcount) - gcount
-        # cut f's entries where its column changes and the running product
-        # count enters a new block
-        firsts = _run_starts(f.cols)
-        block = (ends - counts)[firsts] // COMPOSE_BLOCK
-        cuts = np.append(firsts[_run_starts(block)], len(counts)).tolist()
+        starts = ends - counts  # first product of each entry of f
+        if products <= COMPOSE_BLOCK:
+            cuts = [0, len(counts)]
+        else:
+            # cut f's entries where its column changes and the running
+            # product count enters a new block
+            firsts = _run_starts(f.cols)
+            block = starts[firsts] // COMPOSE_BLOCK
+            cuts = np.append(firsts[_run_starts(block)], len(counts)).tolist()
         blocks = []
         for a, b in zip(cuts[:-1], cuts[1:]):
-            cnt = counts[a:b]
-            total = int(cnt.sum())
-            if total == 0:
+            lo, hi = int(starts[a]), int(ends[b - 1])
+            if lo == hi:
                 continue
-            inner = np.repeat(np.arange(a, b), cnt)
-            offset = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            outer = gstart[f.rows[inner]] + offset
+            inner = np.repeat(np.arange(a, b), counts[a:b])
+            outer = gstart[f.rows[inner]] + np.arange(lo, hi) - starts[inner]
             key, prod = _sum_runs(
                 f.cols[inner] * g.nrows + g.rows[outer], g.values[outer] * f.values[inner]
             )
@@ -366,8 +366,6 @@ class LinearMap:
             prod, d = field.reduce_array(prod, den)
             keep = prod != 0
             blocks.append((key[keep], prod[keep], d))
-        if not blocks:
-            return LinearMap.zero(field, other.dom, self.cod)
         # blocks hold disjoint, increasing columns: the concatenation is sorted.
         # Brought to the lcm of their reduced denominators, they stay reduced.
         den = math.lcm(*(d for _, _, d in blocks))
@@ -387,10 +385,10 @@ class LinearMap:
         _check_work("tensor", n, n)
         rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()
         cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()
-        vals = np.multiply.outer(f.values, g.values).ravel()
-        return LinearMap._coo(
-            self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, f.den * g.den
-        )
+        # a product of nonzero field elements is nonzero: reduced, none drops
+        vals, den = self.field.reduce_array(np.multiply.outer(f.values, g.values).ravel(),
+                                            f.den * g.den)
+        return LinearMap._sorted(self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, den)
 
     def scaled(self, c) -> "LinearMap":
         c = self.field.normalize(c)
@@ -457,7 +455,7 @@ class LinearMap:
                 rows.append(c)
                 cols.append(j)
                 vals.append(v)
-        return LinearMap._coo(field, self.cod, self.dom, _index(rows), _index(cols), *_encode(vals))
+        return self._sorted(field, self.cod, self.dom, _index(rows), _index(cols), *_encode(vals))
 
     def power(self, k: int) -> "LinearMap":
         """``self^k`` of a square map by repeated squaring; negative via inverse."""
@@ -496,9 +494,7 @@ class LinearMap:
             return self
         new_cod = tuple(self.cod[p] for p in perm)
         rows = _shuffle(self.rows, self.cod, perm)
-        return LinearMap._coo(
-            self.field, self.dom, new_cod, rows, self.cols, self.values, self.den, reduce=False
-        )
+        return self._sorted(self.field, self.dom, new_cod, rows, self.cols, self.values, self.den)
 
     def permute_domain(self, perm) -> "LinearMap":
         """Precompose with the inverse factor shuffle: domain factor ``t`` of the
@@ -508,9 +504,7 @@ class LinearMap:
             return self
         new_dom = tuple(self.dom[p] for p in perm)
         cols = _shuffle(self.cols, self.dom, perm)
-        return LinearMap._coo(
-            self.field, new_dom, self.cod, self.rows, cols, self.values, self.den, reduce=False
-        )
+        return self._sorted(self.field, new_dom, self.cod, self.rows, cols, self.values, self.den)
 
 
 def _check_work(op: str, products: int, stored: int) -> None:
@@ -531,8 +525,9 @@ def _magnitude(m: LinearMap) -> int:
 def _dense_compose(g: LinearMap, f: LinearMap) -> LinearMap:
     """``g ∘ f`` by float64 matrix products, exact where ``compose`` sends
     it.  Each block of result columns is read in (column, row) order, so
-    the nonzeros come out sorted."""
-    k = g.ncols
+    the nonzeros come out sorted.  Over GF(p) the int64 sums become residues
+    before they are boxed, so only over Q does the field reduce the result."""
+    k, p = g.ncols, g.field.characteristic
     outer = np.zeros((g.nrows, k))
     outer[g.rows, g.cols] = g.values.astype(np.int64)
     width = DENSE_BLOCK // (g.nrows * k)
@@ -543,13 +538,16 @@ def _dense_compose(g: LinearMap, f: LinearMap) -> LinearMap:
         inner = np.zeros((k, c1 - c0))
         inner[f.rows[lo:hi], f.cols[lo:hi] - c0] = f.values[lo:hi].astype(np.int64)
         block = (outer @ inner).astype(np.int64).T
+        if p:
+            block %= p
         c, r = np.nonzero(block)
         rows.append(r)
         cols.append(c + c0)
         vals.append(block[c, r])
     out = LinearMap._make(g.field, f.dom, g.cod, *map(np.concatenate, (rows, cols)),
                           np.concatenate(vals).astype(object), g.den * f.den)
-    out._reduce()
+    if not p:
+        out._reduce()
     return out
 
 

@@ -98,3 +98,12 @@ def test_incomplete_pairs_are_left_out():
     assert row["verdict_s"]["pairs"] == 9
     assert "setup_s" not in row
     assert row["all_correct"] and row["failed_operations"] == 0
+
+
+def test_the_summary_prints_one_line_per_workload_and_metric():
+    runs = _runs(PARENT, [0.7] * 10, workload="a") + _runs(PARENT, PARENT, "peak_rss_mb", "b")
+    lines = bench_pairs.summary_lines(bench_pairs.summarize(runs, METRICS))
+    assert lines == [
+        "a verdict_s: parent 1.0 change 0.7 ratio 0.7 wins 10/10 gain",
+        "b peak_rss_mb: parent 1.0 change 1.0 ratio 1.0 wins 0/10 within bound",
+    ]

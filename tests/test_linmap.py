@@ -407,6 +407,41 @@ def test_compose_matches_dense_sums(pair, block):
     assert dense_of(out) == ref_compose(g.field, g, f)
 
 
+def _column_products(g, f):
+    """The products ``g ∘ f`` forms for each column of the result."""
+    counts = np.bincount(g.cols, minlength=g.ncols)[f.rows]
+    return np.bincount(f.cols, weights=counts, minlength=f.ncols).astype(np.int64)
+
+
+# sparse pairs whose products outnumber a block of 8 many times over, one
+# result column at a time or many at once
+BLOCKED = [
+    (LinearMap.identity(Q, (20,)), LinearMap.basis_map(Q, [(7 * j) % 20 for j in range(20)])),
+    (random_map(Q, 6, 5, random.Random(11)), random_map(Q, 7, 6, random.Random(12))),
+    (random_map(PrimeField(7), 9, 2, random.Random(13)),
+     random_map(PrimeField(7), 3, 9, random.Random(14))),
+]
+
+
+@pytest.mark.parametrize("g, f", BLOCKED)
+def test_sorted_compose_sums_at_most_one_block_of_whole_columns(g, f):
+    expected = compose_by("sorted", g, f)[0]
+    block = 8
+    per_column = _column_products(g, f)
+    assert per_column.sum() > 2 * block
+    with mock.patch.object(linmap, "COMPOSE_BLOCK", block), \
+            mock.patch.object(linmap, "_sum_runs", wraps=linmap._sum_runs) as sums:
+        out = compose_by("sorted", g, f)[0]
+    assert out == expected
+    assert_canonical(out)
+    summed = [len(c.args[0]) for c in sums.call_args_list]
+    assert sum(summed) == per_column.sum()
+    # a block ends with the column in which its count reaches the next
+    # multiple of the block: it holds fewer than a block plus one column
+    assert max(summed) < block + per_column.max()
+    assert len(summed) > 1
+
+
 def compose_by(route, g, f, dense_block=linmap.DENSE_BLOCK):
     """``g ∘ f`` with the dense route forced on (``"dense"``) or off
     (``"sorted"``), and whether that route ran."""
@@ -496,6 +531,30 @@ def test_permutes_match_dense_shuffles(m, data):
     assert_canonical(out)
     assert out.dom == tuple(m.dom[p] for p in perm)
     assert dense_of(out) == ref_permute_domain(m, perm)
+
+
+def test_tensor_comes_out_reduced():
+    half = LinearMap.from_rows(Q, (1,), (1,), [[Fraction(1, 2)]])
+    two_thirds = LinearMap.from_rows(Q, (1,), (1,), [[Fraction(2, 3)]])
+    out = half.tensor(two_thirds)
+    assert_canonical(out)
+    assert (out.values.tolist(), out.den) == ([1], 3)
+    assert out.entries.tolist() == [[Fraction(1, 3)]]
+
+
+@given(composable(), st.data())
+def test_tensor_and_permutes_sort_without_summing(pair, data):
+    # their positions are distinct by construction: nothing is summed
+    g, f = pair
+    codomain = data.draw(st.permutations(range(len(g.cod))))
+    domain = data.draw(st.permutations(range(len(g.dom))))
+    with mock.patch.object(linmap, "_sum_runs", side_effect=AssertionError):
+        outs = [g.tensor(f), g.permute_codomain(codomain), g.permute_domain(domain)]
+    for out in outs:
+        assert_canonical(out)
+    assert dense_of(outs[0]) == ref_tensor(g.field, g, f)
+    assert dense_of(outs[1]) == ref_permute_codomain(g, codomain)
+    assert dense_of(outs[2]) == ref_permute_domain(g, domain)
 
 
 @given(FIELDS.flatmap(lambda fd: DIMS.flatmap(lambda d: maps(fd, d, d))))

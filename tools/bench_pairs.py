@@ -14,7 +14,9 @@ per workload and end-to-end metric of BENCHMARK.json, each side's median and
 inclusive quartiles, the pairs the change won or tied, the ratio of the
 medians (change / parent) and a ``verdict`` under the metric's bound (see
 ``verdict``); ``runs`` lists every run in execution order.  The file is
-rewritten after every run.  BENCHMARK.json is only read.  Only the standard
+rewritten after every run.  At the end, one line per workload and metric
+gives both medians, their ratio, the change's wins over the pairs and the
+verdict (``summary_lines``).  BENCHMARK.json is only read.  Only the standard
 library is used.
 """
 
@@ -141,6 +143,15 @@ def summarize(runs, metrics) -> dict:
     return out
 
 
+def summary_lines(summary) -> list:
+    """One line per workload and metric of a ``summarize`` result."""
+    return [f"{workload} {name}: parent {row['parent']['median']} change "
+            f"{row['change']['median']} ratio {row['median_ratio']} "
+            f"wins {row['change_wins']}/{row['pairs']} {row['verdict']}"
+            for workload, rows in summary.items()
+            for name, row in rows.items() if isinstance(row, dict)]
+
+
 def _host() -> dict:
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
@@ -194,6 +205,7 @@ def main(argv=None) -> int:
                     args.out.write_text(json.dumps(doc, indent=1) + "\n")
                     verdict = result.get("metrics", {}).get("verdict_s", {}).get("value")
                     print(f"{workload} pair {pair} {side}: verdict_s {verdict}", flush=True)
+    print("\n".join(summary_lines(doc["summary"])))
     return 0 if all(row["all_correct"] for row in doc["summary"].values()) else 1
 
 

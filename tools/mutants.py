@@ -70,11 +70,9 @@ MUTANTS = [
     Mutant("tensor-limit-after-allocation", "work limits", LINMAP,
            '        _check_work("tensor", n, n)\n'
            "        rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()\n"
-           "        cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()\n"
-           "        vals = np.multiply.outer(f.values, g.values).ravel()\n",
+           "        cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()\n",
            "        rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()\n"
            "        cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()\n"
-           "        vals = np.multiply.outer(f.values, g.values).ravel()\n"
            '        _check_work("tensor", n, n)\n'),
     Mutant("runner-folds-limit-into-inapplicable", "refusals", RUNNER,
            '        raise SpecFileError(f"task {task.name!r}: {exc}") from None\n',
@@ -97,14 +95,33 @@ MUTANTS = [
            "block = (outer @ inner).astype(np.int64).T",
            "block = (outer.astype(np.float32) @ inner.astype(np.float32)).astype(np.int64).T"),
     Mutant("dense-no-reduce", "dense compose", LINMAP,
-           "    out._reduce()\n    return out\n\n\ndef _eliminate",
+           "    if not p:\n        out._reduce()\n    return out\n\n\ndef _eliminate",
            "    return out\n\n\ndef _eliminate"),
+    Mutant("dense-residues-unreduced", "dense compose", LINMAP,
+           "        if p:\n            block %= p\n", ""),
     Mutant("dense-lost-column-offset", "dense compose", LINMAP,
            "cols.append(c + c0)", "cols.append(c)"),
     Mutant("dense-blocks-over-budget", "dense compose", LINMAP,
            "width = DENSE_BLOCK // (g.nrows * k)", "width = 2 * DENSE_BLOCK // (g.nrows * k)"),
     Mutant("dense-magnitude-without-abs", "dense compose", LINMAP,
            "max(map(abs, m.values.tolist()), default=1)", "max(m.values.tolist(), default=1)"),
+    # the sparse kernels: one block of products, and sorts without summing
+    Mutant("compose-always-one-block", "sparse kernels", LINMAP,
+           "if products <= COMPOSE_BLOCK:", "if True:"),
+    # for the tensor of one-factor maps, the stride of g's rows alone
+    Mutant("sort-stride-last-factor", "sparse kernels", LINMAP,
+           "order = np.argsort(cols * _size(cod) + rows)",
+           "order = np.argsort(cols * cod[-1] + rows)"),
+    Mutant("permute-codomain-unsorted", "sparse kernels", LINMAP,
+           "return self._sorted(self.field, self.dom, new_cod,",
+           "return self._make(self.field, self.dom, new_cod,"),
+    Mutant("permute-domain-unsorted", "sparse kernels", LINMAP,
+           "return self._sorted(self.field, new_dom, self.cod,",
+           "return self._make(self.field, new_dom, self.cod,"),
+    Mutant("tensor-unreduced", "sparse kernels", LINMAP,
+           "vals, den = self.field.reduce_array(np.multiply.outer(f.values, g.values).ravel(),\n"
+           "                                            f.den * g.den)",
+           "vals, den = np.multiply.outer(f.values, g.values).ravel(), f.den * g.den"),
     Mutant("hexagon-factor-uninverted", "hexagons", YD,
            "return x.alpha.inverse().tensor(y.alpha.inverse())",
            "return x.alpha.tensor(y.alpha.inverse())"),
