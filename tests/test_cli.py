@@ -266,7 +266,8 @@ def test_inapplicable_yd_task_is_distinct_from_fail(tmp_path, capsys):
 @pytest.mark.parametrize(
     "suite, code",
     [("standard_rational", 0), ("standard_gf11", 0), ("standard_gf7", 0), ("perturbed", 1),
-     ("dense_q3", 1), ("ladder_n5", 1), ("ladder_n7", 0), ("dense_gf11_4", 0)],
+     ("dense_q3", 1), ("ladder_n5", 1), ("ladder_n7", 0), ("dense_gf11_4", 0),
+     ("s3_order3", 0)],
 )
 def test_reports_match_golden_bytes(tmp_path, capsys, suite, code):
     # tests/golden holds reports of an earlier release; any refactoring must
@@ -274,7 +275,8 @@ def test_reports_match_golden_bytes(tmp_path, capsys, suite, code):
     # suites/ or, for documents that are not shipped, tests/golden/inputs/:
     # dense_q3, dense_gf11_4, ladder_n5 and ladder_n7 are the files that
     # perfbench/gen_inputs.py --seed 1 writes; the dense_q3 report is full of
-    # fractions
+    # fractions.  s3_order3 is `homyd example conjugation_yd s3 3` with every
+    # braiding task on Y: its α_H has order 3, so it tells α_H^{-1} from α_H
     _assert_golden(tmp_path, capsys, suite, code)
 
 

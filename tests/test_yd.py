@@ -78,6 +78,15 @@ def s3_twisted():
 
 
 @pytest.fixture(scope="module")
+def s3_order3():
+    # conjugation by a 3-cycle: α_H has order 3, so α_H^{-1} differs from α_H,
+    # which no involutive or trivially acting fixture can tell apart
+    yd = conjugation_yd(S3, inner_automorphism(S3, 3), Q)
+    assert yd.over.alpha.power(3) == LinearMap.identity(Q, (6,)) != yd.over.alpha.power(2)
+    return yd
+
+
+@pytest.fixture(scope="module")
 def c5_pair():
     return cyclic_graded_yd(5, 4, 1, Q), cyclic_graded_yd(5, 4, 2, Q)
 
@@ -199,9 +208,9 @@ def test_braiding_B_is_flip_on_abelian_identity_fixture():
     assert b == LinearMap.permutation(Q, (3, 3), (1, 0))
 
 
-def test_braiding_B_matches_oracle(s3_twisted, c5_pair):
+def test_braiding_B_matches_oracle(s3_twisted, s3_order3, c5_pair):
     m, n = c5_pair
-    for x, y in [(s3_twisted, s3_twisted), (m, n), (n, m), (m, m)]:
+    for x, y in [(s3_twisted, s3_twisted), (s3_order3, s3_order3), (m, n), (n, m), (m, m)]:
         built = braiding_B(x, y)
         assert np.array_equal(built.entries, oracle_braiding_B(x, y))
 
@@ -232,9 +241,10 @@ def test_hybe_fails_for_random_non_braiding():
     assert all(f.lhs != f.rhs for f in report.failures)
 
 
-def test_hybe_passes_on_yd_triples(s3_twisted, c5_pair):
+def test_hybe_passes_on_yd_triples(s3_twisted, s3_order3, c5_pair):
     m, n = c5_pair
     assert check_hybe_for(s3_twisted, s3_twisted, s3_twisted).passed
+    assert check_hybe_for(s3_order3, s3_order3, s3_order3).passed
     assert check_hybe_for(m, n, m).passed
     assert check_hybe_for(n, m, m).passed
 
@@ -325,16 +335,16 @@ def test_braiding_c_classical_limit_is_braiding_B(s3_classical):
     assert braiding_c(hom, hom) == braiding_B(hom, hom)
 
 
-def test_braiding_c_matches_oracle(s3_twisted, c5_pair):
+def test_braiding_c_matches_oracle(s3_twisted, s3_order3, c5_pair):
     m, n = c5_pair
-    for x, y in [(s3_twisted, s3_twisted), (m, n), (n, m)]:
+    for x, y in [(s3_twisted, s3_twisted), (s3_order3, s3_order3), (m, n), (n, m)]:
         built = braiding_c(x, y)
         assert np.array_equal(built.entries, oracle_braiding_c(x, y))
 
 
-def test_bridge_identity_b_equals_alpha_pair_after_c(s3_twisted, c5_pair):
+def test_bridge_identity_b_equals_alpha_pair_after_c(s3_twisted, s3_order3, c5_pair):
     m, n = c5_pair
-    for x, y in [(s3_twisted, s3_twisted), (m, n), (n, m), (m, m)]:
+    for x, y in [(s3_twisted, s3_twisted), (s3_order3, s3_order3), (m, n), (n, m), (m, m)]:
         c = braiding_c(x, y)
         assert braiding_B(x, y) == b_from_c(c, x.alpha, y.alpha)
 
@@ -530,12 +540,13 @@ def test_multi_operand_checks_run_exactly_over_one_base(drawn):
                 check(*operands)
 
 
-def test_hexagons_classical_and_twisted(s3_classical, c5_pair):
+def test_hexagons_classical_and_twisted(s3_classical, s3_order3, c5_pair):
     hom = s3_classical
     assert check_hexagons(hom, hom, hom, "hat").passed
     m, n = c5_pair
     for flavor in ("hat", "tilde"):
         assert check_hexagons(m, n, m, flavor).passed, flavor
+        assert check_hexagons(s3_order3, s3_order3, s3_order3, flavor).passed, flavor
 
 
 def _vandermonde(*points):
@@ -592,12 +603,13 @@ def test_hexagon_fails_for_rescaled_braiding(c5_pair):
     assert all(f.lhs != f.rhs for f in report.failures)
 
 
-def test_braid_relation_for_flips_and_fixtures(s3_twisted, c5_pair):
+def test_braid_relation_for_flips_and_fixtures(s3_twisted, s3_order3, c5_pair):
     flip = LinearMap.permutation(Q, (2, 2), (1, 0))
     assert check_braid_relation(flip, flip, flip).passed
     m, n = c5_pair
     assert check_braid_relation_for(m, n, m).passed
     assert check_braid_relation_for(s3_twisted, s3_twisted, s3_twisted).passed
+    assert check_braid_relation_for(s3_order3, s3_order3, s3_order3).passed
 
 
 def test_braid_relation_fails_for_random_maps():
