@@ -14,10 +14,10 @@ squares of the structure maps, then of each map with h -> id and d -> f.
 Yetter-Drinfeld modules alike: it twists every map of the carrier by
 ``twisted_maps`` and the base by ``twist``.  ``tensor`` writes the tensor
 product once for the same three kinds: ``tensor_raw`` assembles the
-carrier's ``MAPS`` and structure map, each built by ``tensor_map``, and of
-the two flavours "hat" applies α_H^{-2} to the coaction and "tilde" to the
-action.  Modules therefore sit inside the hat tensor product and comodules
-inside the tilde one, untwisted.
+carrier's ``MAPS``, each built by ``tensor_map``, and its structure map
+α_M⊗α_N.  Of the two flavours "hat" applies α_H^{-2} to the coaction and
+"tilde" to the action.  Modules therefore sit inside the hat tensor product
+and comodules inside the tilde one, untwisted.
 """
 
 from __future__ import annotations
@@ -166,9 +166,9 @@ def _flavor(name) -> str:
 
 @memoised
 def tensor_map(flavor: str, attr: str, m, n) -> LinearMap:
-    """The map ``attr`` of M⊗N, one of the carrier's ``MAPS`` or its
-    structure map ``"alpha"`` = α_M⊗α_N, flattened to the product carrier.
-    An action spreads h through the coproduct, h·(m⊗n) = h_1·m ⊗ h_2·n; a
+    """The map ``attr`` of M⊗N, one of the carrier's ``MAPS``, flattened to
+    the product carrier; ``tensor_raw`` adds the structure map α_M⊗α_N.  An
+    action spreads h through the coproduct, h·(m⊗n) = h_1·m ⊗ h_2·n; a
     coaction gathers through the product, m⊗n -> m_(-1)n_(-1) ⊗ (m_(0)⊗n_(0)).
     The map that ``flavor`` twists takes α_H^{-2} on h: the hat coaction is
     α_H^{-2}(m_(-1)n_(-1)) ⊗ (m_(0)⊗n_(0)), the tilde action
@@ -176,8 +176,6 @@ def tensor_map(flavor: str, attr: str, m, n) -> LinearMap:
     twisted = _flavor(flavor) == attr
     base = m.over
     dh, d = base.dim, m.dim * n.dim
-    if attr == "alpha":
-        return m.alpha.tensor(n.alpha).with_shapes((d,), (d,))
     ident = LinearMap.identity(base.field, (m.dim, n.dim))
     if attr == "act":
         delta = base.delta
@@ -196,8 +194,9 @@ def tensor_map(flavor: str, attr: str, m, n) -> LinearMap:
 @memoised
 def tensor_raw(flavor: str, m, n):
     """M⊗N of the kind of m, with structure map alpha_M⊗alpha_N, unchecked."""
-    attrs = [attr for _, attr, _ in m.MAPS] + ["alpha"]
-    return type(m)(m.over, *(tensor_map(flavor, attr, m, n) for attr in attrs))
+    d = m.dim * n.dim
+    maps = [tensor_map(flavor, attr, m, n) for _, attr, _ in m.MAPS]
+    return type(m)(m.over, *maps, m.alpha.tensor(n.alpha).with_shapes((d,), (d,)))
 
 
 @constructor

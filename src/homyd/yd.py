@@ -10,6 +10,10 @@ two tensor-product structures are ``modules.tensor`` in its hat and tilde
 flavours, kept here under the names ``yd_tensor``, ``hat_tensor`` and
 ``tilde_tensor``.
 
+Both braidings are one kernel, ``_yd_paired``, which reads maps only.  The
+hexagons feed it the action of N⊗P or the coaction of M⊗N from
+``modules.tensor_map`` to build c_{M,N⊗P} and c_{M⊗N,P}.
+
 An associator is built as its Kronecker factors, one per tensor factor, and
 ``_kron`` multiplies them out where a law needs the full map.  By the
 mixed-product rule (A⊗B)∘(C⊗D) = (A∘C)⊗(B∘D) the pentagon's sides and
@@ -152,14 +156,17 @@ def braiding_B(m: YDModule, n: YDModule) -> LinearMap:
     """B(m⊗n) = α_H^{-1}(m_(-1))·n ⊗ m_(0), as a matrix M⊗N -> N⊗M."""
     require_same_base(m, n)
     require_bijective("braiding", base=m.over.alpha)
-    return n.act.tensor(LinearMap.identity(m.field, (m.dim,))) @ _tagged(m, n)
+    return _yd_paired(n.act, LinearMap.identity(m.field, (m.dim,)), m.over.alpha, m.coact)
 
 
-def _tagged(m: YDModule, n: YDModule) -> LinearMap:
-    """m⊗n -> α_H^{-1}(m_(-1))⊗n⊗m_(0), the first step of both braidings."""
-    ident_m = LinearMap.identity(m.field, (m.dim,))
-    coact = m.over.alpha.inverse().tensor(ident_m) @ m.coact
-    return coact.tensor(LinearMap.identity(m.field, (n.dim,))).permute_codomain((0, 2, 1))
+def _yd_paired(first_leg, second_leg, alpha_h, coact) -> LinearMap:
+    """(first_leg⊗second_leg) ∘ (m⊗n -> α_H^{-1}(m_(-1))⊗n⊗m_(0)), with
+    ``coact`` the coaction of M, ``first_leg`` a map on H⊗N and ``second_leg``
+    one on M.  B takes the legs (act_N, id_M), c (α_N^{-1}∘act_N, α_M^{-1})."""
+    field, dm, dn = coact.field, coact.dom[0], first_leg.dom[1]
+    tagged = alpha_h.inverse().tensor(LinearMap.identity(field, (dm,))) @ coact
+    spread = tagged.tensor(LinearMap.identity(field, (dn,))).permute_codomain((0, 2, 1))
+    return first_leg.tensor(second_leg) @ spread
 
 
 def check_hybe(
@@ -223,6 +230,11 @@ def _kron(factors) -> LinearMap:
     return reduce(LinearMap.tensor, factors)
 
 
+def _assoc(e, x, y, z) -> LinearMap:
+    """α_X^e ⊗ id_Y ⊗ α_Z^{-e} on X⊗Y⊗Z, as one map."""
+    return _kron(_associator(e, [x.alpha], [y.dim], [z.alpha]))
+
+
 def associator_a(m: YDModule, n: YDModule, p: YDModule) -> LinearMap:
     """(M⊗̂N)⊗̂P -> M⊗̂(N⊗̂P), (m⊗n)⊗p -> α_M^{-1}(m)⊗(n⊗α_P(p))."""
     return yd_associator("hat", m, n, p)
@@ -241,7 +253,7 @@ def yd_associator(flavor: str, m: YDModule, n: YDModule, p: YDModule):
     e = _exponent(flavor)
     inverted = {"first": m.alpha} if e < 0 else {"third": p.alpha}
     require_bijective(f"{flavor} associator", base=m.over.alpha, **inverted)
-    a = _kron(_associator(e, [m.alpha], [n.dim], [p.alpha]))
+    a = _assoc(e, m, n, p)
     # raw towers: the inputs are certified already and the morphism scans
     # below are the verification this constructor owes
     left = tensor_raw(flavor, tensor_raw(flavor, m, n), p)
@@ -252,13 +264,9 @@ def yd_associator(flavor: str, m: YDModule, n: YDModule, p: YDModule):
 # -- the braiding c -------------------------------------------------------
 
 @memoised
-def _braiding_c_matrix(m, n, inv_m=None, inv_n=None) -> LinearMap:
-    """c as a map M⊗N -> N⊗M, which reads the coaction of m and the action of
-    n alone; ``inv_m`` and ``inv_n`` are α_M^{-1} and α_N^{-1} where the
-    caller has them, else they are computed."""
-    inv_m = m.alpha.inverse() if inv_m is None else inv_m
-    inv_n = n.alpha.inverse() if inv_n is None else inv_n
-    return (inv_n @ n.act).tensor(inv_m) @ _tagged(m, n)
+def _braiding_c_matrix(m: YDModule, n: YDModule) -> LinearMap:
+    """c as a map M⊗N -> N⊗M."""
+    return _yd_paired(n.alpha.inverse() @ n.act, m.alpha.inverse(), m.over.alpha, m.coact)
 
 
 @constructor
@@ -338,16 +346,6 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
                       first=m.alpha, second=n.alpha, third=p.alpha)
     ident_m, ident_n, ident_p = (LinearMap.identity(m.field, (x.dim,)) for x in (m, n, p))
 
-    def part(kind, attr, x, y):
-        # X⊗Y with only the map ``attr`` of its kind, the one that c reads
-        return kind(m.over, tensor_map(flavor, attr, x, y), tensor_map(flavor, "alpha", x, y))
-
-    np_ = part(ModuleStruct, "act", n, p)
-    mn = part(ComoduleStruct, "coact", m, n)
-
-    def assoc(s, x, y, z):
-        return _kron(_associator(s, [x.alpha], [y.dim], [z.alpha]))
-
     def inverse_of(x, y):
         # (α_X⊗α_Y)^{-1} = α_X^{-1}⊗α_Y^{-1}, from the inverses the gate took
         d = x.dim * y.dim
@@ -355,34 +353,21 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
 
     # first hexagon: a_{N,P,M} ∘ c_{M,N⊗P} ∘ a_{M,N,P}
     #              = (id_N ⊗ c_{M,P}) ∘ a_{N,M,P} ∘ (c_{M,N} ⊗ id_P)
-    c_m_np = _braiding_c_matrix(m, np_, inv_n=inverse_of(n, p)).with_shapes(
-        (m.dim, n.dim, p.dim), (n.dim, p.dim, m.dim)
-    )
-    a_mnp = assoc(e, m, n, p)
-    a_npm = assoc(e, n, p, m)
-    lhs1 = a_npm @ c_m_np @ a_mnp
-    a_nmp = assoc(e, n, m, p)
+    act_np = inverse_of(n, p) @ tensor_map(flavor, "act", n, p)
+    c_m_np = _yd_paired(act_np, m.alpha.inverse(), m.over.alpha, m.coact).with_shapes(
+        (m.dim, n.dim, p.dim), (n.dim, p.dim, m.dim))
+    lhs1 = _assoc(e, n, p, m) @ c_m_np @ _assoc(e, m, n, p)
     c_mp = _braiding_c_matrix(m, p)
-    rhs1 = (
-        ident_n.tensor(c_mp)
-        @ a_nmp
-        @ _braiding_c_matrix(m, n).tensor(ident_p)
-    )
+    rhs1 = ident_n.tensor(c_mp) @ _assoc(e, n, m, p) @ _braiding_c_matrix(m, n).tensor(ident_p)
 
     # second hexagon: a_{P,M,N}^{-1} ∘ c_{M⊗N,P} ∘ a_{M,N,P}^{-1}
     #               = (c_{M,P} ⊗ id_N) ∘ a_{M,P,N}^{-1} ∘ (id_M ⊗ c_{N,P})
-    c_mn_p = _braiding_c_matrix(mn, p, inv_m=inverse_of(m, n)).with_shapes(
-        (m.dim, n.dim, p.dim), (p.dim, m.dim, n.dim)
-    )
-    a_mnp_inv = assoc(-e, m, n, p)
-    a_pmn_inv = assoc(-e, p, m, n)
-    lhs2 = a_pmn_inv @ c_mn_p @ a_mnp_inv
-    a_mpn_inv = assoc(-e, m, p, n)
-    rhs2 = (
-        c_mp.tensor(ident_n)
-        @ a_mpn_inv
-        @ ident_m.tensor(_braiding_c_matrix(n, p))
-    )
+    act_p = p.alpha.inverse() @ p.act
+    coact_mn = tensor_map(flavor, "coact", m, n)
+    c_mn_p = _yd_paired(act_p, inverse_of(m, n), m.over.alpha, coact_mn).with_shapes(
+        (m.dim, n.dim, p.dim), (p.dim, m.dim, n.dim))
+    lhs2 = _assoc(-e, p, m, n) @ c_mn_p @ _assoc(-e, m, n, p)
+    rhs2 = c_mp.tensor(ident_n) @ _assoc(-e, m, p, n) @ ident_m.tensor(_braiding_c_matrix(n, p))
 
     return CheckReport.combine(
         f"hexagons_{flavor}",

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import carried_yd, identity_rows
 from homyd.errors import InapplicableError, PreconditionError, ShapeError
 from homyd.fields import RATIONALS, PrimeField
+import homyd.yd as ydmod
 from homyd.fixtures import (
     crossed_gset,
     conjugation_yd,
@@ -589,18 +590,55 @@ def test_flip_is_no_braiding_on_noncommutative_coactions(s3_twisted):
 
 def test_hexagon_fails_for_rescaled_braiding(c5_pair):
     # the hexagon sides are linear and quadratic in c respectively, so any
-    # nonzero rescaling of a true braiding must break them
+    # nonzero rescaling of a true braiding must break them; every c of both
+    # hexagons, c_{M,N⊗P} and c_{M⊗N,P} too, comes out of the one kernel
     m, _ = c5_pair
-    import homyd.yd as ydmod
-
-    real = ydmod._braiding_c_matrix
-    try:
-        ydmod._braiding_c_matrix = lambda *args, **kw: real(*args, **kw).scaled(2)
+    real = ydmod._yd_paired
+    with mock.patch.object(ydmod, "_yd_paired", lambda *legs: real(*legs).scaled(2)):
         report = check_hexagons(m, m, m, "hat")
-    finally:
-        ydmod._braiding_c_matrix = real
     assert not report.passed
     assert all(f.lhs != f.rhs for f in report.failures)
+
+
+def _hexagon_triples():
+    """``id -> (m, n, p)``: pairs carried along a dense change of basis and the
+    module whose α_H has order 3, over Q and GF(11), and the dense triple of
+    distinct structure maps over Q."""
+    triples = {}
+    for name, field in (("q", Q), ("gf11", PrimeField(11))):
+        q = LinearMap.from_rows(field, (3,), (3,), [[2, 2, 1], [1, 2, 1], [1, 2, 0]])
+        a, b = (carried_yd(cyclic_graded_yd(3, 2, g, field), q) for g in (1, 2))
+        triples[f"dense_{name}"] = (a, b, a)
+        y = conjugation_yd(S3, inner_automorphism(S3, 3), field)
+        triples[f"s3_order3_{name}"] = (y, y, y)
+    qs = [_vandermonde(1, 2, 3, 4, 5), _vandermonde(-2, -1, 1, 2, 3), _vandermonde(3, 1, 4, 5, 9)]
+    triples["vandermonde_q"] = tuple(
+        carried_yd(cyclic_graded_yd(5, 2, g, Q), q) for g, q in zip((1, 2, 3), qs))
+    return triples
+
+
+HEXAGON_TRIPLES = _hexagon_triples()
+
+
+@pytest.mark.parametrize("flavor", ["hat", "tilde"])
+@pytest.mark.parametrize("triple", HEXAGON_TRIPLES.values(), ids=HEXAGON_TRIPLES.keys())
+def test_hexagon_braidings_on_tensor_carriers_are_c_of_those_carriers(triple, flavor):
+    # the hexagons build c_{M,N⊗P} and c_{M⊗N,P} with the kernel from the
+    # tensor action or coaction alone; each must equal c of the carrier that
+    # tensor_raw assembles, whose structure map is inverted by elimination
+    m, n, p = triple
+    real, built = ydmod._yd_paired, []
+
+    def record(*legs):
+        built.append(real(*legs))
+        return built[-1]
+
+    with mock.patch.object(ydmod, "_yd_paired", record):
+        assert check_hexagons(m, n, p, flavor).passed
+    c_m_np = [c for c in built if c.dom == (m.dim, n.dim * p.dim)]
+    c_mn_p = [c for c in built if c.dom == (m.dim * n.dim, p.dim)]
+    assert c_m_np == [ydmod._braiding_c_matrix(m, tensor_raw(flavor, n, p))]
+    assert c_mn_p == [ydmod._braiding_c_matrix(tensor_raw(flavor, m, n), p)]
 
 
 def test_braid_relation_for_flips_and_fixtures(s3_twisted, s3_order3, c5_pair):

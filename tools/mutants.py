@@ -122,6 +122,19 @@ MUTANTS = [
            "vals, den = self.field.reduce_array(np.multiply.outer(f.values, g.values).ravel(),\n"
            "                                            f.den * g.den)",
            "vals, den = np.multiply.outer(f.values, g.values).ravel(), f.den * g.den"),
+    # the one kernel of the braidings B and c, and its legs
+    Mutant("kernel-alpha-h-uninverted", "braidings", YD,
+           "tagged = alpha_h.inverse().tensor(", "tagged = alpha_h.tensor("),
+    Mutant("c-m-leg-uninverted", "braidings", YD,
+           "n.alpha.inverse() @ n.act, m.alpha.inverse(), m.over.alpha",
+           "n.alpha.inverse() @ n.act, m.alpha, m.over.alpha"),
+    # α_N^{-1}∘act_N turned into act_N∘α_N^{-1}, which does not compose: a
+    # direct call raises ShapeError, but the CLI reports every task that builds
+    # c as inapplicable, and among its tests only the golden reports notice
+    Mutant("c-n-leg-swapped", "braidings", YD,
+           "_yd_paired(n.alpha.inverse() @ n.act,", "_yd_paired(n.act @ n.alpha.inverse(),"),
+    Mutant("hexagon-m-leg-uninverted", "hexagons", YD,
+           "_yd_paired(act_np, m.alpha.inverse(),", "_yd_paired(act_np, m.alpha,"),
     Mutant("hexagon-factor-uninverted", "hexagons", YD,
            "return x.alpha.inverse().tensor(y.alpha.inverse())",
            "return x.alpha.tensor(y.alpha.inverse())"),
