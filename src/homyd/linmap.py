@@ -22,7 +22,15 @@ matrices, and only where every partial sum is provably an integer below
 2^53, so that the result is exact and its one stored form unchanged; over
 GF(p) it reduces those sums in int64 before it stores them as Python ints.
 Before it allocates, a ``compose`` or ``tensor`` beyond ``MAX_PRODUCTS``
-or ``MAX_STORED`` raises ``WorkLimitError``.  The constructor
+or ``MAX_STORED`` raises ``WorkLimitError``.  Inside a ``structures.run_memo``
+block (one document), ``compose``, ``tensor`` and the factor permutes
+compute each result once: a call whose operands and result store at most
+``COMPOSE_BLOCK`` nonzeros each, the size below which fixed cost dominates,
+is kept under its op, its operand maps and its permutation.  Maps hash and
+compare by their canonical form, and a dict compares keys by ``==`` after
+the hash, so a later call on equal operands returns an equal map: the kept
+one, once the work limits pass on the counts it recorded.  The table goes
+with the block; outside one every call computes.  The constructor
 ``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
 dense entry and exit points as (codomain, domain) matrices; they,
 ``column`` and ``inverse`` speak reduced field scalars (``int`` or
@@ -48,6 +56,10 @@ Dims = tuple[int, ...]
 # Products that ``compose`` materialises at once, rounded to whole columns of
 # the result: bounds its working memory on dense maps.
 COMPOSE_BLOCK = 4096
+
+# The maps that ``compose``, ``tensor`` and the factor permutes computed in the
+# running ``structures.run_memo`` block, by key (see ``_kept``); None outside one.
+_results = None
 
 # ``compose`` multiplies densely once it would form at least ``DENSE_FILL``
 # products per cell of the result.  Each float64 matrix product there takes at
@@ -132,7 +144,7 @@ class LinearMap:
     # arrays sorted by (column, row); ``values`` holds the nonzero numerators
     # there, each over the common denominator ``den``
     __slots__ = ("field", "dom", "cod", "nrows", "ncols", "rows", "cols", "values", "den",
-                 "_inverse")
+                 "_inverse", "_hash")
 
     def __init__(self, field: Field, dom, cod, entries):
         """Build from a dense entry matrix indexed by (codomain, domain) index."""
@@ -154,7 +166,7 @@ class LinearMap:
         if self.nrows * self.ncols >= _MAX_CELLS:
             raise ShapeError(f"map {dom} -> {cod} has too many cells to index")
         self.rows, self.cols, self.values = _freeze(rows), _freeze(cols), _freeze(vals)
-        self._inverse = None
+        self._inverse = self._hash = None
 
     def _reduce(self):
         """Reduce the values through the field and drop the zeros among them."""
@@ -286,6 +298,8 @@ class LinearMap:
         return True
 
     def __eq__(self, other):
+        """Equality of the canonical forms: field, factors, ``den``, the int64
+        bytes of ``cols`` and ``rows`` and the ints of ``values``."""
         if other is self:
             return True
         if not isinstance(other, LinearMap):
@@ -295,10 +309,18 @@ class LinearMap:
             and self.dom == other.dom
             and self.cod == other.cod
             and self.den == other.den
-            and np.array_equal(self.cols, other.cols)
-            and np.array_equal(self.rows, other.rows)
-            and bool(np.array_equal(self.values, other.values))
+            and self.cols.tobytes() == other.cols.tobytes()
+            and self.rows.tobytes() == other.rows.tobytes()
+            and self.values.tolist() == other.values.tolist()
         )
+
+    def __hash__(self):
+        """A hash of the stored arrays and ``den``, taken once: equal maps hash
+        alike, and ``__eq__`` tells apart the rest."""
+        if self._hash is None:
+            self._hash = hash((self.den, self.rows.tobytes(), self.cols.tobytes(),
+                               tuple(self.values.tolist())))
+        return self._hash
 
     def __repr__(self):
         return f"LinearMap({self.dom} -> {self.cod} over {self.field.descriptor})"
@@ -328,18 +350,23 @@ class LinearMap:
                 f"compose mismatch: inner map has codomain {other.cod}, "
                 f"outer map has domain {self.dom}"
             )
+        return _kept(LinearMap._compose, self, other)
+
+    def _compose(self, other):
+        """``self ∘ other`` and its work, for ``compose``."""
         g, f, field = self, other, self.field
         gcount = np.bincount(g.cols, minlength=g.ncols)
         counts = gcount[f.rows]  # products per entry of f
         ends = np.cumsum(counts)
         products = int(ends[-1]) if len(ends) else 0
-        _check_work("compose", products, min(products, g.nrows * f.ncols))
+        work = "compose", products, min(products, g.nrows * f.ncols)
+        _check_work(*work)
         if (g.nrows * g.ncols <= DENSE_BLOCK
                 and products >= DENSE_FILL * g.nrows * f.ncols
                 and g.ncols * _magnitude(g) * _magnitude(f) < _EXACT):
-            return _dense_compose(g, f)
+            return _dense_compose(g, f), work
         if products == 0:
-            return LinearMap.zero(field, other.dom, self.cod)
+            return LinearMap.zero(field, other.dom, self.cod), work
         den = g.den * f.den
         gstart = np.cumsum(gcount) - gcount
         starts = ends - counts  # first product of each entry of f
@@ -371,7 +398,8 @@ class LinearMap:
         den = math.lcm(*(d for _, _, d in blocks))
         vals = [v if d == den else v * (den // d) for _, v, d in blocks]
         cols, rows = np.divmod(np.concatenate([k for k, _, _ in blocks]), g.nrows)
-        return LinearMap._make(field, other.dom, self.cod, rows, cols, np.concatenate(vals), den)
+        out = LinearMap._make(field, other.dom, self.cod, rows, cols, np.concatenate(vals), den)
+        return out, work
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -380,15 +408,21 @@ class LinearMap:
         """Kronecker product acting factor-wise: ``(f⊗g)(x⊗y) = f(x)⊗g(y)``."""
         if self.field != other.field:
             raise ShapeError("cannot tensor maps over different fields")
+        return _kept(LinearMap._tensor, self, other)
+
+    def _tensor(self, other):
+        """``self ⊗ other`` and its work, for ``tensor``."""
         f, g = self, other
         n = len(f.values) * len(g.values)
-        _check_work("tensor", n, n)
+        work = "tensor", n, n
+        _check_work(*work)
         rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()
         cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()
         # a product of nonzero field elements is nonzero: reduced, none drops
         vals, den = self.field.reduce_array(np.multiply.outer(f.values, g.values).ravel(),
                                             f.den * g.den)
-        return LinearMap._sorted(self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, den)
+        out = LinearMap._sorted(self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, den)
+        return out, work
 
     def scaled(self, c) -> "LinearMap":
         c = self.field.normalize(c)
@@ -492,9 +526,13 @@ class LinearMap:
         perm = _check_perm(perm, len(self.cod))
         if perm == tuple(range(len(perm))):
             return self
+        return _kept(LinearMap._permute_codomain, self, perm)
+
+    def _permute_codomain(self, perm):
         new_cod = tuple(self.cod[p] for p in perm)
         rows = _shuffle(self.rows, self.cod, perm)
-        return self._sorted(self.field, self.dom, new_cod, rows, self.cols, self.values, self.den)
+        return self._sorted(self.field, self.dom, new_cod, rows, self.cols, self.values,
+                            self.den), None
 
     def permute_domain(self, perm) -> "LinearMap":
         """Precompose with the inverse factor shuffle: domain factor ``t`` of the
@@ -502,9 +540,39 @@ class LinearMap:
         perm = _check_perm(perm, len(self.dom))
         if perm == tuple(range(len(perm))):
             return self
+        return _kept(LinearMap._permute_domain, self, perm)
+
+    def _permute_domain(self, perm):
         new_dom = tuple(self.dom[p] for p in perm)
         cols = _shuffle(self.cols, self.dom, perm)
-        return self._sorted(self.field, new_dom, self.cod, self.rows, cols, self.values, self.den)
+        return self._sorted(self.field, new_dom, self.cod, self.rows, cols, self.values,
+                            self.den), None
+
+
+def _kept(compute, m: LinearMap, arg):
+    """``compute(m, arg)``: a primitive of ``m`` and a map or a factor
+    permutation ``arg``, which returns its map and the work it passed to
+    ``_check_work`` (None for a permute).  Inside a ``run_memo`` block a call
+    whose operands and result each store at most ``COMPOSE_BLOCK`` nonzeros
+    keeps its map and work under the key ``(compute, m, arg)``.  The hash of a
+    map only buckets the key; maps in it compare by ``__eq__``, that is by
+    field, factors, ``den`` and the three arrays of the canonical form.  So a
+    later call on equal operands returns that map, once its work passes the
+    limits again."""
+    maps = (m, arg) if isinstance(arg, LinearMap) else (m,)
+    if _results is None or any(len(x.values) > COMPOSE_BLOCK for x in maps):
+        return compute(m, arg)[0]
+    key = compute, m, arg
+    hit = _results.get(key)
+    if hit is not None:
+        out, work = hit
+        if work is not None:
+            _check_work(*work)
+        return out
+    out, work = compute(m, arg)
+    if len(out.values) <= COMPOSE_BLOCK:
+        _results[key] = out, work
+    return out
 
 
 def _check_work(op: str, products: int, stored: int) -> None:

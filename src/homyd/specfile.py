@@ -3,8 +3,9 @@ structures as dense structure-constant arrays, and a list of tasks.
 
 Scalars are strings ("3/2", "5") so that exact values never pass through
 floating point.  Parsing validates shapes, name resolution (in document
-order, including names defined by construction tasks) and scalar syntax;
-serialization is canonical and byte-deterministic.
+order, including names defined by construction tasks) and scalar syntax,
+parsing each distinct literal once per document; serialization is canonical
+and byte-deterministic.
 
 Two tables drive the format.  ``STRUCTURES`` maps every structure kind to
 its class, which declares the classes its base may be, whether it has a
@@ -78,31 +79,40 @@ def _fail(message, path=None):
     raise SpecFileError(f"{message}{where}")
 
 
-def _parse_scalar(field, value, path):
-    if not isinstance(value, str):
-        _fail(f"scalars must be strings, got {value!r}", path)
-    try:
-        return field.parse(value)
-    except FieldValueError as exc:
-        _fail(str(exc), path)
+def _scalar_parser(field):
+    """The scalar parser of one document: it parses each distinct literal once
+    and refuses a bad one at every path where it occurs."""
+    parsed = {}
+
+    def scalar(value, path):
+        if not isinstance(value, str):
+            _fail(f"scalars must be strings, got {value!r}", path)
+        if value not in parsed:
+            try:
+                parsed[value] = field.parse(value)
+            except FieldValueError as exc:
+                _fail(str(exc), path)
+        return parsed[value]
+
+    return scalar
 
 
-def _parse_matrix(field, data, rows, cols, path):
+def _parse_matrix(scalar, data, rows, cols, path):
     if not isinstance(data, list) or len(data) != rows:
         _fail(f"expected {rows} rows", path)
     out = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             _fail(f"expected {cols} columns", f"{path}[{i}]")
-        out.append([_parse_scalar(field, x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
+        out.append([scalar(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
     return out
 
 
-def _parse_rank3(field, data, d0, d1, d2, path):
+def _parse_rank3(scalar, data, d0, d1, d2, path):
     if not isinstance(data, list) or len(data) != d0:
         _fail(f"expected {d0} slices", path)
     return [
-        _parse_matrix(field, sl, d1, d2, f"{path}[{i}]") for i, sl in enumerate(data)
+        _parse_matrix(scalar, sl, d1, d2, f"{path}[{i}]") for i, sl in enumerate(data)
     ]
 
 
@@ -119,7 +129,7 @@ def _keys(cls) -> set:
             | {key for key, _, _ in cls.MAPS})
 
 
-def _parse_structure(field, name, raw, resolved):
+def _parse_structure(field, scalar, name, raw, resolved):
     if not isinstance(raw, dict):
         _fail("structure entries must be objects", name)
     kind = raw.get("kind")
@@ -148,10 +158,10 @@ def _parse_structure(field, name, raw, resolved):
     for key, _, shape in cls.MAPS:
         dims = [sizes[c] for c in shape.replace("->", "")]
         parse = _parse_matrix if len(dims) == 2 else _parse_rank3
-        constants.append(parse(field, raw.get(key), *dims, f"{name}.{key}"))
+        constants.append(parse(scalar, raw.get(key), *dims, f"{name}.{key}"))
     if cls.ALPHA and raw.get("alpha") is not None:
         d = sizes["d"]
-        constants.append(_parse_matrix(field, raw["alpha"], d, d, f"{name}.alpha"))
+        constants.append(_parse_matrix(scalar, raw["alpha"], d, d, f"{name}.alpha"))
     try:
         return kind, cls.from_constants(base_or_field, *constants)
     except HomydError as exc:
@@ -161,7 +171,7 @@ def _parse_structure(field, name, raw, resolved):
 _WHAT = {"r": "R element", "sigma": "sigma form"}
 
 
-def _validate_task(field, index, raw, kinds, declared):
+def _validate_task(scalar, index, raw, kinds, declared):
     if not isinstance(raw, dict):
         _fail(f"task #{index} must be an object")
     name = raw.get("name", f"task{index}")
@@ -216,7 +226,7 @@ def _validate_task(field, index, raw, kinds, declared):
             dim = getattr(source, facet).dim if facet else source.dim
         else:
             dim = len(data)
-        _parse_matrix(field, data, dim, dim, f"task {name!r} {key}")
+        _parse_matrix(scalar, data, dim, dim, f"task {name!r} {key}")
     result = raw.get("result")
     if entry.result and result is not None:
         if not isinstance(result, str) or not result:
@@ -244,6 +254,7 @@ def parse_spec(text: str) -> SpecDocument:
         field = field_from_descriptor(data.get("field"))
     except FieldValueError as exc:
         raise SpecFileError(str(exc))
+    scalar = _scalar_parser(field)
 
     raw_structures = data.get("structures", {})
     if not isinstance(raw_structures, dict):
@@ -252,7 +263,7 @@ def parse_spec(text: str) -> SpecDocument:
     for name, raw in raw_structures.items():
         if not isinstance(name, str) or not name:
             _fail(f"bad structure name {name!r}")
-        resolved[name] = _parse_structure(field, name, raw, resolved)
+        resolved[name] = _parse_structure(field, scalar, name, raw, resolved)
 
     raw_tasks = data.get("tasks", [])
     if not isinstance(raw_tasks, list):
@@ -262,7 +273,7 @@ def parse_spec(text: str) -> SpecDocument:
     seen_names = set()
     tasks = []
     for index, raw in enumerate(raw_tasks):
-        task = _validate_task(field, index, raw, kinds, declared)
+        task = _validate_task(scalar, index, raw, kinds, declared)
         if task.name in seen_names:
             _fail(f"duplicate task name {task.name!r}")
         seen_names.add(task.name)

@@ -14,8 +14,10 @@ certifying constructor by ``constructor``: the public function refuses a
 failed report, and tasks call ``.build`` to report it.  The builder is
 ``memoised``: inside ``run_memo``, which ``runner.run_tasks`` opens for one
 document, it computes once per arguments (by identity; strings and ints by
-value), as do the other builders that tasks repeat.  Outside it every call
-computes, and the memo never outlives the block.  ``twisted_maps``
+value), as do the other builders that tasks repeat.  The same block keeps
+the results of ``linmap``'s primitives by the values of their operands, so
+equal maps held by distinct objects are multiplied once.  Outside it every
+call computes, and neither table outlives the block.  ``twisted_maps``
 twists the maps of every kind at once, each against the square of its
 twisting hypothesis, so ``twist`` serves algebras, coalgebras and
 bialgebras alike.
@@ -32,6 +34,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from functools import reduce, wraps
 
+from . import linmap
 from .errors import CertificationError, InapplicableError, PreconditionError, ShapeError
 from .linmap import LinearMap
 from .reports import CheckReport, compare_maps
@@ -323,13 +326,16 @@ _memo = None
 @contextmanager
 def run_memo():
     """Within this block each ``memoised`` function computes once per
-    arguments; the memo is dropped when the block exits, however it exits."""
+    arguments, and ``compose``, ``tensor`` and the factor permutes of
+    ``linmap`` once per operand values (``linmap._kept``).  Both tables are
+    dropped when the block exits, however it exits."""
     global _memo
-    outer, _memo = _memo, {}
+    outer = _memo, linmap._results
+    _memo, linmap._results = {}, {}
     try:
         yield
     finally:
-        _memo = outer
+        _memo, linmap._results = outer
 
 
 def _arg_key(arg):

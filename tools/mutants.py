@@ -47,33 +47,35 @@ STRUCTURES, YD = "src/homyd/structures.py", "src/homyd/yd.py"
 MUTANTS = [
     # the work limits of compose and tensor, and the runner's handling of them
     Mutant("compose-limit-dropped", "work limits", LINMAP,
-           '        _check_work("compose", products, min(products, g.nrows * f.ncols))\n', ""),
+           "        _check_work(*work)\n        if (g.nrows * g.ncols <= DENSE_BLOCK\n",
+           "        if (g.nrows * g.ncols <= DENSE_BLOCK\n"),
     Mutant("tensor-limit-dropped", "work limits", LINMAP,
-           '        _check_work("tensor", n, n)\n', ""),
+           "        _check_work(*work)\n        rows = (f.rows[:, None]",
+           "        rows = (f.rows[:, None]"),
     Mutant("products-limit-inclusive", "work limits", LINMAP,
            "if products > MAX_PRODUCTS or", "if products >= MAX_PRODUCTS or"),
     Mutant("stored-limit-inclusive", "work limits", LINMAP,
            "or stored > MAX_STORED:", "or stored >= MAX_STORED:"),
     Mutant("stored-from-products-alone", "work limits", LINMAP,
-           "products, min(products, g.nrows * f.ncols))", "products, products)"),
+           "products, min(products, g.nrows * f.ncols)\n", "products, products\n"),
     Mutant("compose-limit-after-dense-route", "work limits", LINMAP,
-           '        _check_work("compose", products, min(products, g.nrows * f.ncols))\n'
+           "        _check_work(*work)\n"
            "        if (g.nrows * g.ncols <= DENSE_BLOCK\n"
            "                and products >= DENSE_FILL * g.nrows * f.ncols\n"
            "                and g.ncols * _magnitude(g) * _magnitude(f) < _EXACT):\n"
-           "            return _dense_compose(g, f)\n",
+           "            return _dense_compose(g, f), work\n",
            "        if (g.nrows * g.ncols <= DENSE_BLOCK\n"
            "                and products >= DENSE_FILL * g.nrows * f.ncols\n"
            "                and g.ncols * _magnitude(g) * _magnitude(f) < _EXACT):\n"
-           "            return _dense_compose(g, f)\n"
-           '        _check_work("compose", products, min(products, g.nrows * f.ncols))\n'),
+           "            return _dense_compose(g, f), work\n"
+           "        _check_work(*work)\n"),
     Mutant("tensor-limit-after-allocation", "work limits", LINMAP,
-           '        _check_work("tensor", n, n)\n'
+           "        _check_work(*work)\n"
            "        rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()\n"
            "        cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()\n",
            "        rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()\n"
            "        cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()\n"
-           '        _check_work("tensor", n, n)\n'),
+           "        _check_work(*work)\n"),
     Mutant("runner-folds-limit-into-inapplicable", "refusals", RUNNER,
            '        raise SpecFileError(f"task {task.name!r}: {exc}") from None\n',
            "        return _inapplicable(task, str(exc)), {}\n"),
@@ -146,7 +148,7 @@ MUTANTS = [
            "return (type(arg), arg) if type(arg) in (str, int) else id(arg)",
            "return type(arg)"),
     Mutant("memo-kept-after-run", "memo", STRUCTURES,
-           "    finally:\n        _memo = outer\n", "    finally:\n        pass\n"),
+           "_memo, linmap._results = outer\n", "linmap._results = outer[1]\n"),
     Mutant("build-not-memoised", "memo", STRUCTURES, "    build = memoised(build)\n", ""),
     Mutant("memo-keyword-calls", "memo", STRUCTURES,
            "if _memo is None or kwargs:", "if _memo is None:"),
@@ -158,6 +160,27 @@ MUTANTS = [
            "        if other is self:\n            return True\n", ""),
     Mutant("memo-entry-without-arguments", "memo", STRUCTURES,
            "_memo[key] = fn(*args), args", "_memo[key] = fn(*args), None"),
+    # the primitive results that linmap keeps within a run, by operand value
+    Mutant("results-key-without-field", "result memo", LINMAP,
+           "            self.field == other.field\n            and self.dom",
+           "            self.dom"),
+    Mutant("results-key-without-factors", "result memo", LINMAP,
+           "            and self.dom == other.dom\n            and self.cod == other.cod\n", ""),
+    Mutant("results-key-without-op", "result memo", LINMAP,
+           "    key = compute, m, arg\n", "    key = m, arg\n"),
+    Mutant("results-hit-by-hash-alone", "result memo", LINMAP,
+           "    key = compute, m, arg\n", "    key = compute, hash(m), hash(arg)\n"),
+    Mutant("results-hit-skips-limits", "result memo", LINMAP,
+           "        out, work = hit\n        if work is not None:\n            _check_work(*work)\n",
+           "        out, work = hit\n"),
+    Mutant("results-operand-cap-dropped", "result memo", LINMAP,
+           "if _results is None or any(len(x.values) > COMPOSE_BLOCK for x in maps):",
+           "if _results is None:"),
+    Mutant("results-result-cap-dropped", "result memo", LINMAP,
+           "    if len(out.values) <= COMPOSE_BLOCK:\n        _results[key] = out, work\n",
+           "    _results[key] = out, work\n"),
+    Mutant("results-kept-after-run", "result memo", STRUCTURES,
+           "_memo, linmap._results = outer\n", "_memo = outer[0]\n"),
     # the verdicts of tools/bench_pairs.py
     Mutant("gain-without-iqr", "bench verdict", "tools/bench_pairs.py",
            "sign * (pm - cm) > p3 - p1", "sign * (pm - cm) > 0"),
