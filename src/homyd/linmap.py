@@ -26,10 +26,11 @@ or ``MAX_STORED`` raises ``WorkLimitError``.  Inside a ``structures.run_memo``
 block (one document), ``compose``, ``tensor`` and the factor permutes
 compute each result once: a call whose operands and result store at most
 ``COMPOSE_BLOCK`` nonzeros each, the size below which fixed cost dominates,
-is kept under its op, its operand maps and its permutation.  Maps hash and
-compare by their canonical form, and a dict compares keys by ``==`` after
-the hash, so a later call on equal operands returns an equal map: the kept
-one, once the work limits pass on the counts it recorded.  The table goes
+is kept under its op, its operand maps and its permutation.  Maps hash by
+their stored arrays and compare by their whole canonical form, and a dict
+compares keys by ``==`` after the hash, so a later call on equal operands
+returns an equal map: the kept one, once the work limits pass on the counts
+it recorded.  The table goes
 with the block; outside one every call computes.  The constructor
 ``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
 dense entry and exit points as (codomain, domain) matrices; they,

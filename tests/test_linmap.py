@@ -596,6 +596,32 @@ def test_with_shapes_keeps_dense_entries(m):
     assert flat_map.with_shapes(m.dom, m.cod) == m
 
 
+@given(same_shape())
+def test_maps_are_equal_exactly_when_their_dense_cells_are_and_then_hash_alike(pair):
+    f, g = pair
+    rebuilt = LinearMap(f.field, f.dom, f.cod, f.entries)
+    assert rebuilt == f and hash(rebuilt) == hash(f)
+    assert (f == g) == (f.field == g.field and dense_of(f) == dense_of(g))
+    if f == g:
+        assert hash(f) == hash(g)
+    # the same arrays under other factors or over another field are another map
+    flat_map = f.with_shapes((f.ncols,), (f.nrows,))
+    assert (flat_map == f) == ((flat_map.dom, flat_map.cod) == (f.dom, f.cod))
+    other = PrimeField(11) if f.field is Q else Q
+    assert LinearMap._make(other, f.dom, f.cod, f.rows, f.cols, f.values, f.den) != f
+
+
+def test_a_map_equals_itself_without_reading_its_arrays():
+    m = LinearMap.identity(Q, (3,))
+    twin = LinearMap.identity(Q, (3,))
+    hash(m)
+    m.rows = m.cols = m.values = None
+    assert m == m
+    assert m in {m: 1}
+    with pytest.raises(AttributeError):
+        m == twin
+
+
 @given(same_shape(), st.data())
 def test_compare_maps_matches_dense_columns(pair, data):
     a, b = pair

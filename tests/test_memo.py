@@ -9,12 +9,16 @@ import contextlib
 import pathlib
 import sys
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from homyd import runner, structures
-from homyd.fields import RATIONALS as Q
+from homyd import linmap, runner, structures
+from homyd.errors import ShapeError
+from homyd.fields import RATIONALS as Q, PrimeField
 from homyd.fixtures import cyclic_graded_yd
 from homyd.linmap import LinearMap
 from homyd.modules import tensor_raw
@@ -205,3 +209,147 @@ def test_self_comparisons_compare_no_maps(monkeypatch):
         patched.setattr(np, "array_equal", lambda *args: pytest.fail("arrays were compared"))
         assert m.act == m.act
     assert LinearMap.identity(Q, (2,)) == LinearMap.identity(Q, (2,))
+
+
+# -- the results that linmap keeps within a run --------------------------------
+
+GF5 = PrimeField(5)
+# each operand as (dom, cod) regroupings of one 4 x 4 array
+SHAPES = [((4,), (4,)), ((2, 2), (2, 2)), ((2, 2), (4,)), ((4,), (2, 2))]
+
+
+def _form(m):
+    """Everything a map holds, as plain values: a test must not read a map
+    through the ``==`` under test."""
+    return (m.field, m.dom, m.cod, m.den, m.rows.tolist(), m.cols.tolist(), m.values.tolist())
+
+
+def _call_form(op, m, arg):
+    try:
+        if op == "compose":
+            return _form(m @ arg)
+        if op == "tensor":
+            return _form(m.tensor(arg))
+        return _form(getattr(m, op)(arg))
+    except ShapeError as exc:
+        return str(exc)
+
+
+@st.composite
+def _arrays(draw):
+    """One or two 4 x 4 arrays, each held over Q and over GF(5) and under every
+    regrouping in SHAPES: distinct maps with equal arrays, the Q ones scaled
+    by 1 or 1/2."""
+    out = []
+    for cells in draw(st.lists(st.lists(st.integers(0, 4), min_size=16, max_size=16),
+                               min_size=1, max_size=2)):
+        dense = np.array(cells, dtype=object).reshape(4, 4)
+        scale = draw(st.sampled_from([1, Fraction(1, 2)]))
+        out.append({(field, shape): LinearMap(field, *shape, dense * scale if field is Q else dense)
+                    for field in (Q, GF5) for shape in SHAPES})
+    return out
+
+
+def _outcomes(arrays, calls):
+    """Every call, over each field in turn and on every regrouping of its
+    operands."""
+    out = []
+    for op, i, j, perm in calls:
+        for field in (Q, GF5):
+            for s in SHAPES:
+                m = arrays[i][(field, s)]
+                if op.startswith("permute"):
+                    out.append(_call_form(op, m, perm))
+                    continue
+                out.extend(_call_form(op, m, arrays[j][(field, t)]) for t in SHAPES)
+    return out
+
+
+@pytest.mark.parametrize("constant_hash", [False, True])
+@given(data=st.data())
+def test_every_primitive_in_a_run_gives_what_it_gives_outside(constant_hash, data):
+    arrays = data.draw(_arrays())
+    index = st.integers(0, len(arrays) - 1)
+    calls = data.draw(st.lists(st.tuples(
+        st.sampled_from(["compose", "tensor", "permute_codomain", "permute_domain"]),
+        index, index, st.sampled_from([(0,), (1, 0), (0, 1)])), min_size=1, max_size=6))
+    with contextlib.ExitStack() as stack:
+        if constant_hash:
+            # with every hash equal, only ``==`` can tell the keys apart
+            stack.enter_context(mock.patch.object(LinearMap, "__hash__", lambda self: 0))
+        expected = _outcomes(arrays, calls)
+        with structures.run_memo():
+            got = _outcomes(arrays, calls)
+            again = _outcomes(arrays, calls)
+    assert got == expected
+    assert again == expected
+
+
+def test_a_repeated_call_returns_the_kept_map_only_inside_a_run():
+    m = cyclic_graded_yd(5, 4, 1, Q).act
+    assert m.tensor(m) is not m.tensor(m)
+    with structures.run_memo():
+        kept = m.tensor(m)
+        assert m.tensor(m.with_shapes(m.dom, m.cod)) is kept
+        assert m.permute_domain((1, 0)) is m.permute_domain([1, 0])
+        assert m.tensor(m.permute_domain((1, 0))) is not kept
+    assert linmap._results is None
+    assert m.tensor(m) is not kept
+
+
+def test_the_results_are_dropped_when_a_task_raises(monkeypatch):
+    doc = parse_spec((ROOT / "suites" / "standard_gf7.json").read_text())
+    m = cyclic_graded_yd(5, 4, 1, Q).act
+    seen = []
+
+    def boom(*args):
+        m.tensor(m)
+        seen.append(len(linmap._results))
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(runner, "execute_task", boom)
+    with pytest.raises(RuntimeError):
+        runner.run_tasks(doc)
+    assert seen == [1]
+    assert linmap._results is None
+    assert structures._memo is None
+
+
+def test_no_kept_operand_or_result_stores_more_than_the_cap():
+    cap = linmap.COMPOSE_BLOCK
+    big = LinearMap.identity(Q, (cap + 1,))
+    wide = LinearMap.identity(Q, (65,))  # its tensor square stores 4225 > cap
+    with structures.run_memo():
+        big @ big
+        LinearMap.zero(Q, big.cod, (1,)) @ big
+        wide.tensor(wide)
+        big.permute_codomain((0,))
+        for path in FILES[:3]:
+            doc = parse_spec(path.read_text())
+            names = dict(doc.structures)
+            for task in doc.tasks:
+                names.update(runner.execute_task(task, names)[1])
+        kept = dict(linmap._results)
+    assert len(kept) > 100
+    for (compute, m, arg), (out, _) in kept.items():
+        operands = (m, arg) if isinstance(arg, LinearMap) else (m,)
+        assert all(len(x.values) <= cap for x in operands)
+        assert len(out.values) <= cap
+
+
+def test_a_hit_passes_its_recorded_work_through_the_limits():
+    m = cyclic_graded_yd(3, 2, 1, Q).act  # (3, 3) -> (3,)
+    f = m.tensor(LinearMap.identity(Q, (3,)))
+    with structures.run_memo():
+        with mock.patch.object(linmap, "_check_work", wraps=linmap._check_work) as check:
+            composed, tensored = m @ f, m.tensor(m)
+        computed = check.call_args_list
+        assert [c.args[0] for c in computed] == ["compose", "tensor"]
+        with mock.patch.object(linmap, "_check_work", wraps=linmap._check_work) as check, \
+                mock.patch.object(np, "bincount", side_effect=AssertionError), \
+                mock.patch.object(linmap, "_dense_compose", side_effect=AssertionError), \
+                mock.patch.object(linmap, "_sum_runs", side_effect=AssertionError), \
+                mock.patch.object(LinearMap, "_sorted", side_effect=AssertionError):
+            assert m @ f is composed
+            assert m.tensor(m) is tensored
+        assert check.call_args_list == computed

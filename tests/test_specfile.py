@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +189,23 @@ def test_non_reduced_residue_is_rejected():
     bad["structures"]["H"]["mu"][0][0] = ["7", "0"]
     with pytest.raises(SpecFileError, match="non-reduced residue"):
         parse_spec(json.dumps(bad))
+
+
+def test_each_distinct_literal_is_parsed_once_per_document():
+    data = json.loads(json.dumps(MINIMAL))
+    data["field"] = "prime:5"
+    with mock.patch.object(PrimeField, "parse", autospec=True,
+                           side_effect=PrimeField.parse) as parse:
+        for _ in range(2):
+            parse_spec(json.dumps(data))
+    assert sorted(c.args[1] for c in parse.call_args_list) == ["0", "0", "1", "1"]
+    # a refused literal is never kept: each of its places is refused by path
+    data["structures"]["H"]["delta"][1][1] = ["0", "7"]
+    with pytest.raises(SpecFileError, match=r"non-reduced residue 7 .* at H\.delta\[1\]\[1\]\[1\]$"):
+        parse_spec(json.dumps(data))
+    data["structures"]["H"]["mu"][1][0] = ["7", "1"]
+    with pytest.raises(SpecFileError, match=r"non-reduced residue 7 .* at H\.mu\[1\]\[0\]\[0\]$"):
+        parse_spec(json.dumps(data))
 
 
 def test_fraction_literals_parse_exactly():
