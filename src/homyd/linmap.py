@@ -22,16 +22,12 @@ matrices, and only where every partial sum is provably an integer below
 2^53, so that the result is exact and its one stored form unchanged; over
 GF(p) it reduces those sums in int64 before it stores them as Python ints.
 Before it allocates, a ``compose`` or ``tensor`` beyond ``MAX_PRODUCTS``
-or ``MAX_STORED`` raises ``WorkLimitError``.  Inside a ``structures.run_memo``
-block (one document), ``compose``, ``tensor`` and the factor permutes
-compute each result once: a call whose operands and result store at most
-``COMPOSE_BLOCK`` nonzeros each, the size below which fixed cost dominates,
-is kept under its op, its operand maps and its permutation.  Maps hash by
-their stored arrays and compare by their whole canonical form, and a dict
-compares keys by ``==`` after the hash, so a later call on equal operands
-returns an equal map: the kept one, once the work limits pass on the counts
-it recorded.  The table goes
-with the block; outside one every call computes.  The constructor
+or ``MAX_STORED`` raises ``WorkLimitError``.  Inside a ``run_memo`` block,
+which ``runner.run_tasks`` opens for one document, each ``memoised``
+function computes once per argument values: the kernels of ``compose``,
+``tensor`` and the factor permutes here, and the builders of ``structures``,
+``modules``, ``yd`` and ``quasitri``.  Maps compare by their canonical form
+and structures by their kind, base and maps.  The constructor
 ``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
 dense entry and exit points as (codomain, domain) matrices; they,
 ``column`` and ``inverse`` speak reduced field scalars (``int`` or
@@ -45,7 +41,9 @@ are immutable after construction.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import wraps
 
 import numpy as np
 
@@ -57,10 +55,6 @@ Dims = tuple[int, ...]
 # Products that ``compose`` materialises at once, rounded to whole columns of
 # the result: bounds its working memory on dense maps.
 COMPOSE_BLOCK = 4096
-
-# The maps that ``compose``, ``tensor`` and the factor permutes computed in the
-# running ``structures.run_memo`` block, by key (see ``_kept``); None outside one.
-_results = None
 
 # ``compose`` multiplies densely once it would form at least ``DENSE_FILL``
 # products per cell of the result.  Each float64 matrix product there takes at
@@ -82,6 +76,55 @@ _MAX_CELLS = 2**62
 # the nonzeros ``compose`` or ``tensor`` could store bound its memory.
 MAX_PRODUCTS = 2**28
 MAX_STORED = 2**22
+
+
+# The results of the ``memoised`` calls of the running ``run_memo`` block, by
+# ``(fn, *args)``; None outside one.
+_table = None
+
+
+@contextmanager
+def run_memo():
+    """Within this block each ``memoised`` function computes once per argument
+    values.  The table is dropped when the block exits, however it exits."""
+    global _table
+    outer, _table = _table, {}
+    try:
+        yield
+    finally:
+        _table = outer
+
+
+def _over_cap(values) -> bool:
+    """Whether one of ``values`` is a map that stores more than ``COMPOSE_BLOCK``
+    nonzeros, the size below which the fixed cost of a call dominates."""
+    return any(isinstance(v, LinearMap) and len(v.values) > COMPOSE_BLOCK for v in values)
+
+
+def memoised(fn):
+    """``fn``, whose result inside ``run_memo`` is kept under the key
+    ``(fn, *args)``.  A dict finds a key by its hash and takes it only when
+    ``==`` holds on every part, so a hit is an exact equality of the
+    arguments' values: a map's field, factors, ``den``, coordinates and
+    numerators, a structure's kind, base and maps.  A call computes without
+    being kept outside ``run_memo``, with keyword arguments, or on a map
+    argument over the cap; a result that is, or is a tuple holding, a map
+    over the cap is not kept, and an exception never is."""
+    @wraps(fn)
+    def cached(*args, **kwargs):
+        if _table is None or kwargs or _over_cap(args):
+            return fn(*args, **kwargs)
+        key = (fn, *args)
+        try:
+            return _table[key]
+        except KeyError:
+            pass
+        out = fn(*args)
+        if not _over_cap(out if type(out) is tuple else (out,)):
+            _table[key] = out
+        return out
+
+    return cached
 
 
 def _as_dims(dims) -> Dims:
@@ -351,10 +394,13 @@ class LinearMap:
                 f"compose mismatch: inner map has codomain {other.cod}, "
                 f"outer map has domain {self.dom}"
             )
-        return _kept(LinearMap._compose, self, other)
+        out, work = self._compose(other)
+        _check_work(*work)  # again, for a kept result
+        return out
 
+    @memoised
     def _compose(self, other):
-        """``self ∘ other`` and its work, for ``compose``."""
+        """``self ∘ other`` and the work it passed to ``_check_work``."""
         g, f, field = self, other, self.field
         gcount = np.bincount(g.cols, minlength=g.ncols)
         counts = gcount[f.rows]  # products per entry of f
@@ -409,10 +455,13 @@ class LinearMap:
         """Kronecker product acting factor-wise: ``(f⊗g)(x⊗y) = f(x)⊗g(y)``."""
         if self.field != other.field:
             raise ShapeError("cannot tensor maps over different fields")
-        return _kept(LinearMap._tensor, self, other)
+        out, work = self._tensor(other)
+        _check_work(*work)  # again, for a kept result
+        return out
 
+    @memoised
     def _tensor(self, other):
-        """``self ⊗ other`` and its work, for ``tensor``."""
+        """``self ⊗ other`` and the work it passed to ``_check_work``."""
         f, g = self, other
         n = len(f.values) * len(g.values)
         work = "tensor", n, n
@@ -527,13 +576,14 @@ class LinearMap:
         perm = _check_perm(perm, len(self.cod))
         if perm == tuple(range(len(perm))):
             return self
-        return _kept(LinearMap._permute_codomain, self, perm)
+        return self._permute_codomain(perm)
 
+    @memoised
     def _permute_codomain(self, perm):
         new_cod = tuple(self.cod[p] for p in perm)
         rows = _shuffle(self.rows, self.cod, perm)
         return self._sorted(self.field, self.dom, new_cod, rows, self.cols, self.values,
-                            self.den), None
+                            self.den)
 
     def permute_domain(self, perm) -> "LinearMap":
         """Precompose with the inverse factor shuffle: domain factor ``t`` of the
@@ -541,39 +591,14 @@ class LinearMap:
         perm = _check_perm(perm, len(self.dom))
         if perm == tuple(range(len(perm))):
             return self
-        return _kept(LinearMap._permute_domain, self, perm)
+        return self._permute_domain(perm)
 
+    @memoised
     def _permute_domain(self, perm):
         new_dom = tuple(self.dom[p] for p in perm)
         cols = _shuffle(self.cols, self.dom, perm)
         return self._sorted(self.field, new_dom, self.cod, self.rows, cols, self.values,
-                            self.den), None
-
-
-def _kept(compute, m: LinearMap, arg):
-    """``compute(m, arg)``: a primitive of ``m`` and a map or a factor
-    permutation ``arg``, which returns its map and the work it passed to
-    ``_check_work`` (None for a permute).  Inside a ``run_memo`` block a call
-    whose operands and result each store at most ``COMPOSE_BLOCK`` nonzeros
-    keeps its map and work under the key ``(compute, m, arg)``.  The hash of a
-    map only buckets the key; maps in it compare by ``__eq__``, that is by
-    field, factors, ``den`` and the three arrays of the canonical form.  So a
-    later call on equal operands returns that map, once its work passes the
-    limits again."""
-    maps = (m, arg) if isinstance(arg, LinearMap) else (m,)
-    if _results is None or any(len(x.values) > COMPOSE_BLOCK for x in maps):
-        return compute(m, arg)[0]
-    key = compute, m, arg
-    hit = _results.get(key)
-    if hit is not None:
-        out, work = hit
-        if work is not None:
-            _check_work(*work)
-        return out
-    out, work = compute(m, arg)
-    if len(out.values) <= COMPOSE_BLOCK:
-        _results[key] = out, work
-    return out
+                            self.den)
 
 
 def _check_work(op: str, products: int, stored: int) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import ShapeError
-from .linmap import LinearMap
+from .linmap import LinearMap, memoised
 from .reports import CheckReport, compare_maps
 from .structures import (
     MAP_LAWS,
@@ -36,7 +36,6 @@ from .structures import (
     commuting_sides,
     constructor,
     map_laws,
-    memoised,
     require_bijective,
     require_identity,
     require_same_base,

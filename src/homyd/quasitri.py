@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import ShapeError
-from .linmap import LinearMap
+from .linmap import LinearMap, memoised
 from .modules import ComoduleStruct, ModuleStruct, tensor_raw
 from .reports import CheckReport, compare_maps
 from .structures import (
@@ -26,7 +26,6 @@ from .structures import (
     commuting_sides,
     componentwise_product,
     constructor,
-    memoised,
     require,
     require_bijective,
     require_same_base,

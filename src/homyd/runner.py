@@ -3,9 +3,10 @@
 Every task kind is one entry of ``TASKS``; ``specfile`` validates tasks
 against the same table that dispatches them here.  Tasks run one at a
 time in document order, and constructions register their results for
-later tasks.  ``run_tasks`` runs them inside ``structures.run_memo``, so
-a carrier, braiding or certificate that several tasks need is built once
-per document, and the memo is dropped when the run ends.  A construction
+later tasks.  ``run_tasks`` runs them inside ``linmap.run_memo``, so
+a carrier, braiding, certificate or small primitive result that several
+tasks need is built once per document, for equal arguments held by
+distinct objects too, and the memo is dropped when the run ends.  A construction
 task calls the ``.build`` of a certifying constructor (see
 ``structures.constructor``) and reports the certification that it
 returns; this module uses only the public names of the other layers.  A
@@ -33,7 +34,7 @@ from .errors import (
     SpecFileError,
     WorkLimitError,
 )
-from .linmap import LinearMap
+from .linmap import LinearMap, run_memo
 from .modules import check_comodule, check_module, tensor
 from .quasitri import (
     check_cqt,
@@ -50,7 +51,6 @@ from .structures import (
     check_hom_bialgebra,
     check_hom_coalgebra,
     require_bijective,
-    run_memo,
     twist,
 )
 from .yd import (

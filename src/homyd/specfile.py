@@ -320,7 +320,7 @@ def document_to_json(doc: SpecDocument) -> dict:
         if type(obj).OVER:
             earlier = [(n, doc.structures[n]) for n in names]
             matches = ([n for n, other in earlier if other is obj.over]
-                       + [n for n, other in earlier if obj.over.same_as(other)])
+                       + [n for n, other in earlier if obj.over == other])
             if not matches:
                 raise SpecFileError(
                     f"structure {name!r} sits over a {type(obj.over).__name__} "

@@ -12,15 +12,13 @@ kind's laws, and ``map_laws`` scans them for every map of a structure.
 Every construction is one builder that returns ``(object, report)``, made a
 certifying constructor by ``constructor``: the public function refuses a
 failed report, and tasks call ``.build`` to report it.  The builder is
-``memoised``: inside ``run_memo``, which ``runner.run_tasks`` opens for one
-document, it computes once per arguments (by identity; strings and ints by
-value), as do the other builders that tasks repeat.  The same block keeps
-the results of ``linmap``'s primitives by the values of their operands, so
-equal maps held by distinct objects are multiplied once.  Outside it every
-call computes, and neither table outlives the block.  ``twisted_maps``
-twists the maps of every kind at once, each against the square of its
-twisting hypothesis, so ``twist`` serves algebras, coalgebras and
-bialgebras alike.
+``linmap.memoised``: inside ``linmap.run_memo``, which ``runner.run_tasks``
+opens for one document, it computes once per argument values, as do the
+other builders that tasks repeat and the primitives of ``linmap``.  A
+structure compares, and so keys the memo, by its kind, its base and its
+maps, whatever objects hold them.  ``twisted_maps`` twists the maps of every
+kind at once, each against the square of its twisting hypothesis, so
+``twist`` serves algebras, coalgebras and bialgebras alike.
 
 Operands are refused by one helper per contract: ``require`` (a hypothesis
 holds), ``require_same_base``, ``require_bijective`` and ``require_identity``,
@@ -30,13 +28,11 @@ which every classical entry point calls on its source.
 from __future__ import annotations
 
 from collections import namedtuple
-from contextlib import contextmanager
 from dataclasses import replace
 from functools import reduce, wraps
 
-from . import linmap
 from .errors import CertificationError, InapplicableError, PreconditionError, ShapeError
-from .linmap import LinearMap
+from .linmap import LinearMap, memoised
 from .reports import CheckReport, compare_maps
 
 
@@ -132,14 +128,22 @@ class Structure:
                      else LinearMap.identity(field, d),)
         return cls(*over, *maps, *alpha)
 
-    def same_as(self, other) -> bool:
-        """Whether ``other`` is of this kind with equal declared maps and
-        structure map, whatever objects hold them."""
-        if other is self:
-            return True
-        attrs = [attr for _, attr, _ in self.MAPS] + (["alpha"] if self.ALPHA else [])
-        return type(other) is type(self) and all(
-            getattr(self, a) == getattr(other, a) for a in attrs)
+    def _parts(self) -> tuple:
+        """The base, the declared maps and the structure map, in argument order."""
+        over = (self.over,) if self.OVER else ()
+        alpha = (self.alpha,) if self.ALPHA else ()
+        return over + tuple(getattr(self, attr) for _, attr, _ in self.MAPS) + alpha
+
+    def __eq__(self, other):
+        """Whether ``other`` is of this kind over an equal base, with equal
+        declared maps and structure map, whatever objects hold them."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._parts() == other._parts()
+
+    def __hash__(self):
+        """A hash of the kind and the parts: equal structures hash alike."""
+        return hash((type(self), self._parts()))
 
     def __repr__(self):
         shown = [f"dim={self.dim}"] if hasattr(self, "dim") else []
@@ -319,47 +323,6 @@ def certify(report: CheckReport) -> None:
         raise CertificationError(report)
 
 
-# the memo of the running ``run_memo`` block, None outside one
-_memo = None
-
-
-@contextmanager
-def run_memo():
-    """Within this block each ``memoised`` function computes once per
-    arguments, and ``compose``, ``tensor`` and the factor permutes of
-    ``linmap`` once per operand values (``linmap._kept``).  Both tables are
-    dropped when the block exits, however it exits."""
-    global _memo
-    outer = _memo, linmap._results
-    _memo, linmap._results = {}, {}
-    try:
-        yield
-    finally:
-        _memo, linmap._results = outer
-
-
-def _arg_key(arg):
-    # a str or int by value, anything else by identity
-    return (type(arg), arg) if type(arg) in (str, int) else id(arg)
-
-
-def memoised(fn):
-    """``fn``, whose result inside ``run_memo`` is kept per positional
-    arguments.  Each entry holds its arguments, so no id is reused while it
-    lives; an exception is never kept, and a call with keyword arguments or
-    outside ``run_memo`` computes as usual."""
-    @wraps(fn)
-    def cached(*args, **kwargs):
-        if _memo is None or kwargs:
-            return fn(*args, **kwargs)
-        key = (fn, *map(_arg_key, args))
-        if key not in _memo:
-            _memo[key] = fn(*args), args
-        return _memo[key][0]
-
-    return cached
-
-
 def constructor(build):
     """The certifying constructor of ``build``, a builder that returns
     ``(object, report)``: it returns the object once the report passes.  The
@@ -386,7 +349,7 @@ def require(report: CheckReport) -> None:
 
 def require_same_base(x, *others) -> None:
     """All operands live over one base, compared by its maps, not by identity."""
-    if not all(x.over.same_as(y.over) for y in others):
+    if not all(x.over == y.over for y in others):
         raise ShapeError("operands live over different base structures")
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import partial, reduce
 
-from .linmap import LinearMap
+from .linmap import LinearMap, memoised
 from .modules import (
     FLAVORS,
     ComoduleStruct,
@@ -56,7 +56,6 @@ from .structures import (
     commuting_sides,
     constructor,
     map_laws,
-    memoised,
     require,
     require_bijective,
     require_identity,

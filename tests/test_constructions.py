@@ -96,7 +96,7 @@ def test_twisted_maps_match_the_textbook_formulas(field):
             assert getattr(out, attr) == textbook, (kind, attr)
         if base is not None:
             # the base twisted on the way is the base twisted on its own
-            assert out.over.same_as(twist(base, alpha)), kind
+            assert out.over == twist(base, alpha), kind
 
 
 def _broken(field):

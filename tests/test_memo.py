@@ -1,4 +1,5 @@
-"""The run-scoped memo: what ``run_tasks`` builds once lives only for that run.
+"""The one run-scoped memo: what ``run_tasks`` builds once lives only for that
+run, keyed by the values of its arguments.
 
 A memoised body is watched through ``sys.setprofile``, so these tests count
 the computations that really ran, whichever path reached them, without
@@ -16,30 +17,34 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from homyd import linmap, runner, structures
+from homyd import linmap, runner
 from homyd.errors import ShapeError
 from homyd.fields import RATIONALS as Q, PrimeField
-from homyd.fixtures import cyclic_graded_yd
-from homyd.linmap import LinearMap
+from homyd.fixtures import conjugation_yd, cyclic_graded_yd, inner_automorphism, symmetric_group
+from homyd.linmap import LinearMap, memoised, run_memo
 from homyd.modules import tensor_raw
 from homyd.specfile import SpecDocument, parse_spec
+from homyd.structures import HomBialgebra
+from homyd.yd import YDModule, braiding_B
 
 ROOT = pathlib.Path(__file__).parents[1]
 FILES = sorted((ROOT / "suites").glob("standard_*.json")) + [ROOT / "suites" / "perturbed.json"]
 FILES += sorted((ROOT / "tests" / "golden" / "inputs").glob("*.json"))
 
-_CACHED = structures.memoised(lambda: None).__code__
+_CACHED = memoised(lambda: None).__code__
 
 
 def _memoised_bodies() -> dict:
     """Every memoised function of homyd's modules, constructors' ``.build``
-    included, as its body's code object -> its qualified name."""
+    and ``LinearMap``'s kernels included, as its body's code object -> its
+    qualified name."""
     bodies = {}
     for name, module in list(sys.modules.items()):
         if not name.startswith("homyd"):
             continue
         for value in vars(module).values():
-            for fn in (value, getattr(value, "build", None)):
+            members = vars(value).values() if isinstance(value, type) else ()
+            for fn in (value, getattr(value, "build", None), *members):
                 if getattr(fn, "__code__", None) is _CACHED:
                     bodies[fn.__wrapped__.__code__] = f"{fn.__module__}.{fn.__qualname__}"
     return bodies
@@ -47,18 +52,25 @@ def _memoised_bodies() -> dict:
 
 @contextlib.contextmanager
 def body_runs():
-    """A Counter of (body name, argument keys) per memoised body that ran,
-    with arguments keyed as the memo keys them; the arguments are kept alive
-    so that no id is reused while counting."""
-    bodies, runs, kept = _memoised_bodies(), Counter(), []
+    """A Counter of (body name, arguments) per memoised body that ran, with
+    the arguments compared by value as the memo compares them.  A call on a
+    map argument over the cap, or whose result is or holds one, is not
+    counted: the memo does not keep it."""
+    bodies, runs, calls = _memoised_bodies(), Counter(), {}
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in bodies:
+        if frame.f_code not in bodies:
+            return
+        if event == "call":
             code = frame.f_code
             args = [frame.f_locals[v] for v in code.co_varnames[:code.co_argcount]]
             free = [frame.f_locals.get(v) for v in code.co_freevars]
-            kept.append(args + free)
-            runs[(bodies[code], *map(structures._arg_key, args + free))] += 1
+            calls[frame] = (bodies[code], *args, *free)
+        elif event == "return":
+            key = calls.pop(frame)
+            if not linmap._over_cap(key) and not linmap._over_cap(
+                    arg if type(arg) is tuple else (arg,)):
+                runs[key] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -78,7 +90,10 @@ def _by_body(runs) -> Counter:
 def test_the_memoised_bodies_are_found():
     names = set(_memoised_bodies().values())
     for name in ("homyd.modules.tensor_raw", "homyd.modules.tensor", "homyd.yd.braiding_c",
-                 "homyd.yd.yd_suite", "homyd.quasitri._induce", "homyd.quasitri.check_qt"):
+                 "homyd.yd.yd_suite", "homyd.quasitri._induce", "homyd.quasitri.check_qt",
+                 "homyd.linmap.LinearMap._compose", "homyd.linmap.LinearMap._tensor",
+                 "homyd.linmap.LinearMap._permute_codomain",
+                 "homyd.linmap.LinearMap._permute_domain"):
         assert name in names
 
 
@@ -132,11 +147,11 @@ def test_outside_a_run_every_call_computes():
         first, second = tensor_raw("hat", m, n), tensor_raw("hat", m, n)
     assert first is not second
     assert _by_body(runs)["homyd.modules.tensor_raw"] == 2
-    assert structures._memo is None
+    assert linmap._table is None
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.stem)
-def test_no_body_runs_twice_on_the_same_arguments_within_a_run(path):
+def test_no_body_runs_twice_on_equal_arguments_within_a_run(path):
     doc = parse_spec(path.read_text())
     with body_runs() as runs:
         runner.run_tasks(doc)
@@ -144,29 +159,17 @@ def test_no_body_runs_twice_on_the_same_arguments_within_a_run(path):
     assert [key for key, count in runs.items() if count > 1] == []
 
 
-def test_a_run_drops_its_memo_when_a_task_raises(monkeypatch):
-    doc = parse_spec((ROOT / "suites" / "standard_gf7.json").read_text())
-
-    def boom(*args):
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(runner, "execute_task", boom)
-    with pytest.raises(RuntimeError):
-        runner.run_tasks(doc)
-    assert structures._memo is None
-
-
 def test_an_exception_is_never_kept():
     calls = []
 
-    @structures.memoised
+    @memoised
     def flaky(x):
         calls.append(x)
         if len(calls) == 1:
             raise ValueError("first call fails")
         return [x]
 
-    with structures.run_memo():
+    with run_memo():
         with pytest.raises(ValueError):
             flaky("a")
         kept = flaky("a")
@@ -177,11 +180,11 @@ def test_an_exception_is_never_kept():
 
 
 def test_a_call_with_keyword_arguments_computes():
-    @structures.memoised
+    @memoised
     def scaled(x, by=1):
         return [x * by]
 
-    with structures.run_memo():
+    with run_memo():
         kept = scaled(2)
         assert scaled(2) is kept
         assert scaled(2, by=3) == [6]
@@ -189,13 +192,13 @@ def test_a_call_with_keyword_arguments_computes():
 
 
 def test_an_entry_holds_its_arguments():
-    # each argument is dropped by the caller at once; only the memo can keep
-    # its id from being handed to the next one
-    @structures.memoised
+    # an object() compares by identity, and each is dropped by the caller at
+    # once: only the key that holds it keeps its id from the next one
+    @memoised
     def fresh(x):
         return []
 
-    with structures.run_memo():
+    with run_memo():
         results = [fresh(object()) for _ in range(3)]
     assert len({id(r) for r in results}) == 3
 
@@ -204,7 +207,7 @@ def test_self_comparisons_compare_no_maps(monkeypatch):
     m = cyclic_graded_yd(5, 4, 1, Q)
     with monkeypatch.context() as patched:
         patched.setattr(LinearMap, "__eq__", lambda *args: pytest.fail("a map was compared"))
-        assert m.same_as(m) and m.over.same_as(m.over)
+        assert m == m and m.over == m.over
     with monkeypatch.context() as patched:
         patched.setattr(np, "array_equal", lambda *args: pytest.fail("arrays were compared"))
         assert m.act == m.act
@@ -278,7 +281,7 @@ def test_every_primitive_in_a_run_gives_what_it_gives_outside(constant_hash, dat
             # with every hash equal, only ``==`` can tell the keys apart
             stack.enter_context(mock.patch.object(LinearMap, "__hash__", lambda self: 0))
         expected = _outcomes(arrays, calls)
-        with structures.run_memo():
+        with run_memo():
             got = _outcomes(arrays, calls)
             again = _outcomes(arrays, calls)
     assert got == expected
@@ -288,38 +291,41 @@ def test_every_primitive_in_a_run_gives_what_it_gives_outside(constant_hash, dat
 def test_a_repeated_call_returns_the_kept_map_only_inside_a_run():
     m = cyclic_graded_yd(5, 4, 1, Q).act
     assert m.tensor(m) is not m.tensor(m)
-    with structures.run_memo():
+    with run_memo():
         kept = m.tensor(m)
         assert m.tensor(m.with_shapes(m.dom, m.cod)) is kept
         assert m.permute_domain((1, 0)) is m.permute_domain([1, 0])
         assert m.tensor(m.permute_domain((1, 0))) is not kept
-    assert linmap._results is None
+    assert linmap._table is None
     assert m.tensor(m) is not kept
 
 
-def test_the_results_are_dropped_when_a_task_raises(monkeypatch):
+def test_the_table_is_dropped_when_a_task_raises(monkeypatch):
     doc = parse_spec((ROOT / "suites" / "standard_gf7.json").read_text())
     m = cyclic_graded_yd(5, 4, 1, Q).act
     seen = []
 
     def boom(*args):
         m.tensor(m)
-        seen.append(len(linmap._results))
+        seen.append(len(linmap._table))
         raise RuntimeError("boom")
 
     monkeypatch.setattr(runner, "execute_task", boom)
     with pytest.raises(RuntimeError):
         runner.run_tasks(doc)
     assert seen == [1]
-    assert linmap._results is None
-    assert structures._memo is None
+    assert linmap._table is None
 
 
-def test_no_kept_operand_or_result_stores_more_than_the_cap():
+def _maps(values):
+    return [v for v in values if isinstance(v, LinearMap)]
+
+
+def test_no_kept_argument_or_result_stores_more_than_the_cap():
     cap = linmap.COMPOSE_BLOCK
     big = LinearMap.identity(Q, (cap + 1,))
     wide = LinearMap.identity(Q, (65,))  # its tensor square stores 4225 > cap
-    with structures.run_memo():
+    with run_memo():
         big @ big
         LinearMap.zero(Q, big.cod, (1,)) @ big
         wide.tensor(wide)
@@ -329,22 +335,22 @@ def test_no_kept_operand_or_result_stores_more_than_the_cap():
             names = dict(doc.structures)
             for task in doc.tasks:
                 names.update(runner.execute_task(task, names)[1])
-        kept = dict(linmap._results)
+        kept = dict(linmap._table)
     assert len(kept) > 100
-    for (compute, m, arg), (out, _) in kept.items():
-        operands = (m, arg) if isinstance(arg, LinearMap) else (m,)
-        assert all(len(x.values) <= cap for x in operands)
-        assert len(out.values) <= cap
+    for (fn, *args), out in kept.items():
+        assert all(len(x.values) <= cap for x in _maps(args)), fn
+        assert all(len(x.values) <= cap for x in _maps(out if type(out) is tuple else (out,))), fn
 
 
 def test_a_hit_passes_its_recorded_work_through_the_limits():
     m = cyclic_graded_yd(3, 2, 1, Q).act  # (3, 3) -> (3,)
     f = m.tensor(LinearMap.identity(Q, (3,)))
-    with structures.run_memo():
+    with run_memo():
         with mock.patch.object(linmap, "_check_work", wraps=linmap._check_work) as check:
             composed, tensored = m @ f, m.tensor(m)
+        # a kernel checks before it allocates, and its caller checks again
         computed = check.call_args_list
-        assert [c.args[0] for c in computed] == ["compose", "tensor"]
+        assert [c.args[0] for c in computed] == ["compose", "compose", "tensor", "tensor"]
         with mock.patch.object(linmap, "_check_work", wraps=linmap._check_work) as check, \
                 mock.patch.object(np, "bincount", side_effect=AssertionError), \
                 mock.patch.object(linmap, "_dense_compose", side_effect=AssertionError), \
@@ -352,4 +358,51 @@ def test_a_hit_passes_its_recorded_work_through_the_limits():
                 mock.patch.object(LinearMap, "_sorted", side_effect=AssertionError):
             assert m @ f is composed
             assert m.tensor(m) is tensored
-        assert check.call_args_list == computed
+        assert check.call_args_list == computed[1::2]
+
+
+# -- one key rule for every memoised call ----------------------------------------
+
+def test_equal_carriers_held_by_distinct_objects_get_back_the_kept_object():
+    m, n = cyclic_graded_yd(5, 4, 1, Q), cyclic_graded_yd(5, 4, 2, Q)
+    m2, n2 = cyclic_graded_yd(5, 4, 1, Q), cyclic_graded_yd(5, 4, 2, Q)
+    assert m2 is not m and m2.over is not m.over and m2 == m
+    with run_memo():
+        kept = tensor_raw("hat", m, n)
+        assert tensor_raw("hat", m2, n2) is kept
+        assert tensor_raw("tilde", m2, n2) is not kept
+        assert tensor_raw("hat", n2, m2) is not kept
+
+
+def _variants():
+    """A Yetter-Drinfeld module with a non-trivial action, the same maps over
+    a base that differs only in α_H, and the same maps with another α."""
+    s3 = symmetric_group(3)
+    m = conjugation_yd(s3, inner_automorphism(s3, 1))
+    h = m.over
+    flat = HomBialgebra(h.mu, h.delta, LinearMap.identity(Q, (h.dim,)))
+    other = conjugation_yd(s3, inner_automorphism(s3, 2)).alpha
+    return m, YDModule(flat, m.act, m.coact, m.alpha), YDModule(h, m.act, m.coact, other)
+
+
+def test_structures_that_differ_only_in_a_structure_map_key_apart():
+    m, over_flat, other_alpha = _variants()
+    assert len({m, over_flat, other_alpha}) == 3
+    expected = [(braiding_B(x, x), tensor_raw("hat", x, x)) for x in (m, over_flat, other_alpha)]
+    assert expected[0][0] != expected[1][0]  # B reads α_H^{-1}
+    assert expected[0][1] != expected[2][1]  # the carrier's α is α⊗α
+    with run_memo():
+        got = [(braiding_B(x, x), tensor_raw("hat", x, x)) for x in (m, over_flat, other_alpha)]
+    assert got == expected
+
+
+def test_equal_arrays_over_q_and_over_gf_p_do_not_collide():
+    gf11 = PrimeField(11)
+    q_map, p_map = LinearMap.identity(Q, (3,)), LinearMap.identity(gf11, (3,))
+    q_yd, p_yd = cyclic_graded_yd(5, 4, 1, Q), cyclic_graded_yd(5, 4, 1, gf11)
+    assert hash(q_map) == hash(p_map) and q_map != p_map and q_yd != p_yd
+    with run_memo():
+        assert q_map.tensor(q_map).field == Q
+        assert p_map.tensor(p_map).field == gf11
+        assert tensor_raw("hat", q_yd, q_yd).field == Q
+        assert tensor_raw("hat", p_yd, p_yd).field == gf11

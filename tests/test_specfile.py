@@ -152,6 +152,9 @@ def test_a_base_is_matched_by_equal_maps_for_every_kind():
     text = serialize_spec(SpecDocument(RATIONALS, {"B": copy, "M": module}, []))
     assert json.loads(text)["structures"]["M"]["over"] == "B"
     assert parse_spec(text).structures["M"].act == module.act
+    # the base itself is matched before an equal one listed earlier
+    text = serialize_spec(SpecDocument(RATIONALS, {"B": copy, "A": algebra, "M": module}, []))
+    assert json.loads(text)["structures"]["M"]["over"] == "A"
     # an algebra with another structure map is no match
     other = HomAlgebra(algebra.mu, algebra.alpha.power(2))
     with pytest.raises(SpecFileError, match="structure 'M' sits over a HomAlgebra"):

@@ -23,7 +23,7 @@ from homyd.fixtures import cyclic_graded_yd
 from homyd.linmap import LinearMap
 from homyd.runner import INAPPLICABLE_ERRORS, execute_task, run_tasks
 from homyd.specfile import SpecDocument, Task, parse_spec, serialize_spec
-from homyd.structures import run_memo
+from homyd.linmap import run_memo
 
 SUITES = pathlib.Path(__file__).parents[1] / "suites"
 GF11 = PrimeField(11)

@@ -533,7 +533,7 @@ MULTI_OPERAND = [
 def test_multi_operand_checks_run_exactly_over_one_base(drawn):
     for arity, check in MULTI_OPERAND:
         operands = [drawn[i % len(drawn)] for i in range(arity)]
-        if all(operands[0].over.same_as(x.over) for x in operands):
+        if all(operands[0].over == x.over for x in operands):
             out = check(*operands)  # a construction certifies itself
             assert not isinstance(out, CheckReport) or out.passed
         else:

@@ -143,44 +143,49 @@ MUTANTS = [
     Mutant("hexagon-factors-swapped", "hexagons", YD,
            "return x.alpha.inverse().tensor(y.alpha.inverse())",
            "return y.alpha.inverse().tensor(x.alpha.inverse())"),
-    # the run-scoped memo and the self-comparison shortcuts
-    Mutant("memo-keys-by-type", "memo", STRUCTURES,
-           "return (type(arg), arg) if type(arg) in (str, int) else id(arg)",
-           "return type(arg)"),
-    Mutant("memo-kept-after-run", "memo", STRUCTURES,
-           "_memo, linmap._results = outer\n", "linmap._results = outer[1]\n"),
+    # the one run-scoped memo: its key rule, its guards and its lifetime
+    Mutant("memo-keys-by-type", "memo", LINMAP,
+           "        key = (fn, *args)\n", "        key = (fn, *map(type, args))\n"),
+    Mutant("memo-key-without-fn", "memo", LINMAP,
+           "        key = (fn, *args)\n", "        key = args\n"),
+    Mutant("memo-hit-by-hash-alone", "memo", LINMAP,
+           "        key = (fn, *args)\n", "        key = (fn, *map(hash, args))\n"),
+    Mutant("memo-kept-after-run", "memo", LINMAP,
+           "    finally:\n        _table = outer\n", "    finally:\n        pass\n"),
+    Mutant("memo-keyword-calls", "memo", LINMAP,
+           "if _table is None or kwargs or _over_cap(args):", "if _table is None or _over_cap(args):"),
+    Mutant("memo-argument-cap-dropped", "memo", LINMAP,
+           "if _table is None or kwargs or _over_cap(args):", "if _table is None or kwargs:"),
+    Mutant("memo-result-cap-dropped", "memo", LINMAP,
+           "        if not _over_cap(out if type(out) is tuple else (out,)):\n"
+           "            _table[key] = out\n",
+           "        _table[key] = out\n"),
+    # a kernel returns its map in a tuple with its work
+    Mutant("memo-result-cap-ignores-tuples", "memo", LINMAP,
+           "_over_cap(out if type(out) is tuple else (out,))", "_over_cap((out,))"),
+    Mutant("memo-hit-skips-compose-limits", "memo", LINMAP,
+           "        out, work = self._compose(other)\n        _check_work(*work)",
+           "        out, work = self._compose(other)\n        pass"),
+    Mutant("memo-hit-skips-tensor-limits", "memo", LINMAP,
+           "        out, work = self._tensor(other)\n        _check_work(*work)",
+           "        out, work = self._tensor(other)\n        pass"),
     Mutant("build-not-memoised", "memo", STRUCTURES, "    build = memoised(build)\n", ""),
-    Mutant("memo-keyword-calls", "memo", STRUCTURES,
-           "if _memo is None or kwargs:", "if _memo is None:"),
     Mutant("run-without-memo", "memo", RUNNER, "    with run_memo():\n", "    if True:\n"),
-    Mutant("same-as-without-shortcut", "memo", STRUCTURES,
-           "        if other is self:\n            return True\n        attrs",
-           "        attrs"),
     Mutant("map-eq-without-shortcut", "memo", LINMAP,
            "        if other is self:\n            return True\n", ""),
-    Mutant("memo-entry-without-arguments", "memo", STRUCTURES,
-           "_memo[key] = fn(*args), args", "_memo[key] = fn(*args), None"),
-    # the primitive results that linmap keeps within a run, by operand value
-    Mutant("results-key-without-field", "result memo", LINMAP,
+    Mutant("map-key-without-field", "memo", LINMAP,
            "            self.field == other.field\n            and self.dom",
            "            self.dom"),
-    Mutant("results-key-without-factors", "result memo", LINMAP,
+    Mutant("map-key-without-factors", "memo", LINMAP,
            "            and self.dom == other.dom\n            and self.cod == other.cod\n", ""),
-    Mutant("results-key-without-op", "result memo", LINMAP,
-           "    key = compute, m, arg\n", "    key = m, arg\n"),
-    Mutant("results-hit-by-hash-alone", "result memo", LINMAP,
-           "    key = compute, m, arg\n", "    key = compute, hash(m), hash(arg)\n"),
-    Mutant("results-hit-skips-limits", "result memo", LINMAP,
-           "        out, work = hit\n        if work is not None:\n            _check_work(*work)\n",
-           "        out, work = hit\n"),
-    Mutant("results-operand-cap-dropped", "result memo", LINMAP,
-           "if _results is None or any(len(x.values) > COMPOSE_BLOCK for x in maps):",
-           "if _results is None:"),
-    Mutant("results-result-cap-dropped", "result memo", LINMAP,
-           "    if len(out.values) <= COMPOSE_BLOCK:\n        _results[key] = out, work\n",
-           "    _results[key] = out, work\n"),
-    Mutant("results-kept-after-run", "result memo", STRUCTURES,
-           "_memo, linmap._results = outer\n", "_memo = outer[0]\n"),
+    Mutant("structure-key-without-over", "memo", STRUCTURES,
+           "        over = (self.over,) if self.OVER else ()\n", "        over = ()\n"),
+    Mutant("structure-key-without-alpha", "memo", STRUCTURES,
+           "        alpha = (self.alpha,) if self.ALPHA else ()\n", "        alpha = ()\n"),
+    Mutant("serialized-base-equal-before-identical", "memo", "src/homyd/specfile.py",
+           "            matches = ([n for n, other in earlier if other is obj.over]\n"
+           "                       + [n for n, other in earlier if obj.over == other])\n",
+           "            matches = [n for n, other in earlier if obj.over == other]\n"),
     # the verdicts of tools/bench_pairs.py
     Mutant("gain-without-iqr", "bench verdict", "tools/bench_pairs.py",
            "sign * (pm - cm) > p3 - p1", "sign * (pm - cm) > 0"),
