@@ -98,7 +98,10 @@ def run_memo():
 def _over_cap(values) -> bool:
     """Whether one of ``values`` is a map that stores more than ``COMPOSE_BLOCK``
     nonzeros, the size below which the fixed cost of a call dominates."""
-    return any(isinstance(v, LinearMap) and len(v.values) > COMPOSE_BLOCK for v in values)
+    for v in values:  # a loop: ``any`` over a generator costs more on every call
+        if isinstance(v, LinearMap) and len(v.values) > COMPOSE_BLOCK:
+            return True
+    return False
 
 
 def memoised(fn):

@@ -58,7 +58,7 @@ class Structure:
     - ``ALPHA``: whether it carries a structure map ``alpha: d -> d``.
     """
 
-    __slots__ = ("field",)
+    __slots__ = ("field", "_parts", "_hash")
     MAPS: tuple = ()
     OVER: tuple = ()
     ALPHA = False
@@ -79,7 +79,8 @@ class Structure:
         parts = over + maps + alpha
         if any(part.field != parts[0].field for part in parts):
             raise ShapeError(f"{name} data lives over different fields")
-        self.field = parts[0].field
+        # the base, the maps and alpha in argument order: what ``==`` compares
+        self.field, self._parts, self._hash = parts[0].field, parts, None
         if over:
             self.over = over[0]
         for (_, attr, _), m in zip(self.MAPS, maps):
@@ -128,22 +129,19 @@ class Structure:
                      else LinearMap.identity(field, d),)
         return cls(*over, *maps, *alpha)
 
-    def _parts(self) -> tuple:
-        """The base, the declared maps and the structure map, in argument order."""
-        over = (self.over,) if self.OVER else ()
-        alpha = (self.alpha,) if self.ALPHA else ()
-        return over + tuple(getattr(self, attr) for _, attr, _ in self.MAPS) + alpha
-
     def __eq__(self, other):
         """Whether ``other`` is of this kind over an equal base, with equal
         declared maps and structure map, whatever objects hold them."""
         if type(other) is not type(self):
             return NotImplemented
-        return self._parts() == other._parts()
+        return self._parts == other._parts
 
     def __hash__(self):
-        """A hash of the kind and the parts: equal structures hash alike."""
-        return hash((type(self), self._parts()))
+        """A hash of the kind and the parts, taken once: equal structures
+        hash alike."""
+        if self._hash is None:
+            self._hash = hash((type(self), self._parts))
+        return self._hash
 
     def __repr__(self):
         shown = [f"dim={self.dim}"] if hasattr(self, "dim") else []

@@ -179,9 +179,9 @@ MUTANTS = [
     Mutant("map-key-without-factors", "memo", LINMAP,
            "            and self.dom == other.dom\n            and self.cod == other.cod\n", ""),
     Mutant("structure-key-without-over", "memo", STRUCTURES,
-           "        over = (self.over,) if self.OVER else ()\n", "        over = ()\n"),
+           "self._hash = parts[0].field, parts, None", "self._hash = parts[0].field, maps + alpha, None"),
     Mutant("structure-key-without-alpha", "memo", STRUCTURES,
-           "        alpha = (self.alpha,) if self.ALPHA else ()\n", "        alpha = ()\n"),
+           "self._hash = parts[0].field, parts, None", "self._hash = parts[0].field, over + maps, None"),
     Mutant("serialized-base-equal-before-identical", "memo", "src/homyd/specfile.py",
            "            matches = ([n for n, other in earlier if other is obj.over]\n"
            "                       + [n for n, other in earlier if obj.over == other])\n",
