@@ -2,10 +2,11 @@
 
 Group algebras are the canonical source: the diagonal coproduct makes
 every coalgebra-side law exactly computable, and twisting along a group
-endomorphism produces Hom-structures of every kind.  The classical
-fixtures are Hom-structures with identity structure maps, and anchor the
-classical-limit tests.  All generators are pure functions of their
-integer parameters.
+endomorphism produces Hom-structures of every kind.  Each of their maps
+sends a basis tensor to one basis tensor, and is built from its index images
+by ``LinearMap.basis_map``.  The classical fixtures are Hom-structures with
+identity structure maps, and anchor the classical-limit tests.  All
+generators are pure functions of their integer parameters.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ MAX_ORDER = 16  # the largest group order, and so dimension, that ``homyd exampl
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """A finite group as an explicit multiplication table on 0..order-1."""
+    """A finite group as an explicit multiplication table on 0..order-1, with
+    the ``identity`` and the inverses that validation finds."""
 
     order: int
     cayley: tuple[tuple[int, ...], ...]
@@ -52,22 +54,14 @@ class GroupPresentation:
             )
         e = identities[0]
         for a in range(n):
-            if not any(t[a][b] == e for b in range(n)):
+            if e not in t[a]:
                 raise PreconditionError("group_inverses", (a,))
-
-    @property
-    def identity(self) -> int:
-        for e in range(self.order):
-            if all(self.cayley[e][a] == a for a in range(self.order)):
-                return e
-        raise AssertionError("validated table lost its identity")
+        # set past the frozen dataclass: neither is a field, so neither compares
+        object.__setattr__(self, "identity", e)
+        object.__setattr__(self, "_inverses", tuple(row.index(e) for row in t))
 
     def inverse(self, a: int) -> int:
-        e = self.identity
-        for b in range(self.order):
-            if self.cayley[a][b] == e:
-                return b
-        raise AssertionError("validated table lost an inverse")
+        return self._inverses[a]
 
 
 def cyclic_group(n: int) -> GroupPresentation:
@@ -118,19 +112,13 @@ def power_endomorphism(n: int, k: int) -> tuple[int, ...]:
 
 @constructor
 def group_bialgebra(group: GroupPresentation, field: Field = RATIONALS):
-    """Group algebra with basis the group elements and diagonal coproduct,
-    under the identity structure map."""
-    n = group.order
-    mu = [
-        [[field.one if k == group.cayley[i][j] else field.zero for k in range(n)]
-         for j in range(n)]
-        for i in range(n)
-    ]
-    delta = [
-        [[field.one if i == j == k else field.zero for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    out = HomBialgebra.from_constants(field, mu, delta)
+    """Group algebra with basis the group elements, product g ⊗ h -> gh read
+    off the Cayley table and diagonal coproduct g -> g ⊗ g, under the identity
+    structure map."""
+    n, t = group.order, group.cayley
+    mu = LinearMap.basis_map(field, [t[g][h] for g in range(n) for h in range(n)], (n, n), (n,))
+    delta = LinearMap.basis_map(field, [g * n + g for g in range(n)], (n,), (n, n))
+    out = HomBialgebra(mu, delta, LinearMap.identity(field, (n,)))
     return out, check_classical_bialgebra(out)
 
 
@@ -143,23 +131,13 @@ def cyclic_endo_twist(n: int, k: int, field: Field = RATIONALS) -> HomBialgebra:
 
 def crossed_gset(group: GroupPresentation, field: Field = RATIONALS) -> YDModule:
     """Carrier k[G] with conjugation action h·m = h m h^{-1} and diagonal
-    coaction m -> m ⊗ m: the classical crossed G-set, under identity
-    structure maps."""
-    n = group.order
+    coaction m -> m ⊗ m, which is the coproduct: the classical crossed G-set,
+    under identity structure maps."""
+    n, t = group.order, group.cayley
     base = group_bialgebra(group, field)
-    act = [
-        [[field.one if k == group.cayley[group.cayley[i][m]][group.inverse(i)]
-          else field.zero
-          for k in range(n)]
-         for m in range(n)]
-        for i in range(n)
-    ]
-    coact = [
-        [[field.one if i == m and p == m else field.zero for p in range(n)]
-         for i in range(n)]
-        for m in range(n)
-    ]
-    return YDModule.from_constants(base, act, coact)
+    conjugate = [t[t[h][m]][group.inverse(h)] for h in range(n) for m in range(n)]
+    act = LinearMap.basis_map(field, conjugate, (n, n), (n,))
+    return YDModule(base, act, base.delta, base.alpha)
 
 
 def conjugation_yd(group: GroupPresentation, aut, field: Field = RATIONALS) -> YDModule:
@@ -182,17 +160,9 @@ def cyclic_graded_yd(
     twisted along g -> g^k; distinct grades give distinct Yetter-Drinfeld
     modules over one base."""
     base = group_bialgebra(cyclic_group(n), field)
-    act = [
-        [[field.one if p == m else field.zero for p in range(n)] for m in range(n)]
-        for _ in range(n)
-    ]
-    coact = [
-        [[field.one if i == (grade * m) % n and p == m else field.zero
-          for p in range(n)]
-         for i in range(n)]
-        for m in range(n)
-    ]
-    classical = YDModule.from_constants(base, act, coact)
+    act = LinearMap.basis_map(field, [m for _ in range(n) for m in range(n)], (n, n), (n,))
+    coact = LinearMap.basis_map(field, [(grade * m) % n * n + m for m in range(n)], (n,), (n, n))
+    classical = YDModule(base, act, coact, base.alpha)
     alpha = LinearMap.basis_map(field, power_endomorphism(n, k))
     return twist_yd(classical, alpha, alpha)
 

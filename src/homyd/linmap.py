@@ -34,8 +34,9 @@ dense entry and exit points as (codomain, domain) matrices; they,
 ``Fraction``).  Structure constants of every kind (products, coproducts,
 actions, coactions, R elements and sigma forms) go through one codec:
 ``from_constants`` reads a nested array indexed by the domain factors
-first, then the codomain factors, and ``constants`` gives it back.  Maps
-are immutable after construction.
+first, then the codomain factors, and ``constants`` gives it back; a map
+that sends each basis tensor to one basis tensor is built from its index
+images by ``basis_map``.  Maps are immutable after construction.
 """
 
 from __future__ import annotations
@@ -259,13 +260,21 @@ class LinearMap:
         return cls(field, dom, cod, ent)
 
     @classmethod
-    def basis_map(cls, field, images) -> "LinearMap":
-        """The map sending basis vector ``e_j`` to ``e_{images[j]}``."""
+    def basis_map(cls, field, images, dom=None, cod=None) -> "LinearMap":
+        """The map ``⊗ dom -> ⊗ cod`` sending basis vector ``e_j`` to
+        ``e_{images[j]}``, flat indices row-major; ``dom`` and ``cod`` are each
+        ``(len(images),)`` when left out.  Structure maps that send each basis
+        tensor to one basis tensor are built here, not from dense constants."""
         n = len(images)
+        dom = (n,) if dom is None else _as_dims(dom)
+        cod = (n,) if cod is None else _as_dims(cod)
+        if _size(dom) != n:
+            raise ShapeError(f"{n} basis images for domain {dom}, which has dimension {_size(dom)}")
+        m = _size(cod)
         for i in images:
-            if not 0 <= i < n:
-                raise ShapeError(f"basis image {i} out of range for dimension {n}")
-        return cls._make(field, (n,), (n,), _index(images), np.arange(n, dtype=np.int64),
+            if not 0 <= i < m:
+                raise ShapeError(f"basis image {i} out of range for dimension {m}")
+        return cls._make(field, dom, cod, _index(images), np.arange(n, dtype=np.int64),
                          _ones(field, n))
 
     @classmethod

@@ -5,7 +5,8 @@ entries plus index arithmetic on permutation matrices, deliberately
 avoiding the package's compose/tensor/inverse machinery.  The braiding,
 tensor and compatibility evaluators need structure maps that are basis
 permutations (true for every fixture in the suite); the per-map law
-evaluators at the end take any maps.
+evaluators take any maps.  The reference builders at the end write the
+group-algebra fixtures out as dense nested structure constants.
 """
 
 import itertools
@@ -280,3 +281,72 @@ def oracle_morphism_laws(f, src, dst, attr):
                                 [(0, 2, S), (0, 1, F)], [(1, 1, F), (0, 2, D)])
     return out + oracle_law(f.field, "morphism_coaction_compat", (src.dim,), (dh, dst.dim),
                             [(0, 1, S), (1, 1, F)], [(0, 1, F), (0, 1, D)])
+
+
+# -- dense structure constants of the group-algebra fixtures ---------------
+#
+# Each builder writes one map of ``homyd.fixtures`` out cell by cell, with the
+# group's identity and inverses found by scanning its table, for
+# ``from_constants`` to read.  The fixtures build the same maps as index maps.
+
+
+def group_inverses(group):
+    """The inverse of every element, found by scanning the table."""
+    t, n = group.cayley, group.order
+    e = next(e for e in range(n) if all(t[e][a] == a for a in range(n)))
+    return [next(b for b in range(n) if t[a][b] == e) for a in range(n)]
+
+
+def group_mu(group, field):
+    """The product of k[G]: e_i ⊗ e_j -> e_{ij}."""
+    n = group.order
+    return [
+        [[field.one if k == group.cayley[i][j] else field.zero for k in range(n)]
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def group_delta(n, field):
+    """The diagonal coproduct e_i -> e_i ⊗ e_i on n basis vectors."""
+    return [
+        [[field.one if i == j == k else field.zero for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def conjugation_act(group, field):
+    """The conjugation action h ⊗ m -> h m h^{-1}."""
+    n, t, inv = group.order, group.cayley, group_inverses(group)
+    return [
+        [[field.one if k == t[t[i][m]][inv[i]] else field.zero for k in range(n)]
+         for m in range(n)]
+        for i in range(n)
+    ]
+
+
+def diagonal_coact(n, field):
+    """The diagonal coaction m -> m ⊗ m on n basis vectors."""
+    return [
+        [[field.one if i == m and p == m else field.zero for p in range(n)]
+         for i in range(n)]
+        for m in range(n)
+    ]
+
+
+def trivial_act(n, field):
+    """The trivial action h ⊗ m -> m of k[C_n] on n basis vectors."""
+    return [
+        [[field.one if p == m else field.zero for p in range(n)] for m in range(n)]
+        for _ in range(n)
+    ]
+
+
+def graded_coact(n, grade, field):
+    """The coaction f_m -> g^{grade·m} ⊗ f_m over k[C_n]."""
+    return [
+        [[field.one if i == (grade * m) % n and p == m else field.zero
+          for p in range(n)]
+         for i in range(n)]
+        for m in range(n)
+    ]

@@ -28,15 +28,14 @@ from homyd.fixtures import (
     cyclic_r_matrix,
     group_bialgebra,
     inner_automorphism,
+    power_endomorphism,
     symmetric_group,
 )
 from homyd.linmap import LinearMap
 from homyd.modules import (
-    ComoduleStruct,
     ModuleStruct,
     check_comodule,
     check_module,
-    induce_comodule,
     induce_module,
 )
 from homyd.quasitri import (
@@ -186,34 +185,6 @@ def test_criterion_06_bridge_and_braid_implies_hybe(s3_fixture, c5_pair):
               "braid relation implies the HYBE with hypotheses verified")
 
 
-def _regular_module(base, field, n, k, shift=0):
-    classical_base = group_bialgebra(cyclic_group(n), field)
-    act = [
-        [[field.one if p == (i + j) % n else field.zero for p in range(n)]
-         for j in range(n)]
-        for i in range(n)
-    ]
-    classical = ModuleStruct.from_constants(classical_base, act)
-    alpha_a = LinearMap.basis_map(field, tuple((k * j) % n for j in range(n)))
-    alpha_m = LinearMap.basis_map(field, tuple((k * j + shift) % n for j in range(n)))
-    out = induce_module(classical, alpha_a, alpha_m)
-    return ModuleStruct(base, out.act, out.alpha)
-
-
-def _graded_comodule(base, field, n, k, grade=1):
-    classical_base = group_bialgebra(cyclic_group(n), field)
-    coact = [
-        [[field.one if i == (grade * m) % n and p == m else field.zero
-          for p in range(n)]
-         for i in range(n)]
-        for m in range(n)
-    ]
-    classical = ComoduleStruct.from_constants(classical_base, coact)
-    alpha = LinearMap.basis_map(field, tuple((k * j) % n for j in range(n)))
-    out = induce_comodule(classical, alpha, alpha)
-    return ComoduleStruct(base, out.coact, out.alpha)
-
-
 def test_criterion_07_quasitriangular_route():
     start = time.perf_counter()
     cases = [
@@ -224,7 +195,15 @@ def test_criterion_07_quasitriangular_route():
         base, r = cyclic_r_matrix(n, field, field.normalize(omega) if field.characteristic else omega, k)
         assert check_qt(r).passed
         assert check_r_invariance(r).passed
-        mods = [_regular_module(base, field, n, k, s) for s in shifts]
+        # the regular action is the product of k[C_n], induced along g -> g^k
+        # on the base and f_j -> f_{kj+shift} on the carrier
+        classical = group_bialgebra(cyclic_group(n), field)
+        alpha_a = LinearMap.basis_map(field, power_endomorphism(n, k))
+        mods = [
+            induce_module(ModuleStruct(classical, classical.mu, classical.alpha), alpha_a,
+                          LinearMap.basis_map(field, [(k * j + s) % n for j in range(n)]))
+            for s in shifts
+        ]
         induced = [yd_from_module(m, r) for m in mods]
         for yd in induced:
             assert check_yd(yd).passed
@@ -249,7 +228,7 @@ def test_criterion_08_coquasitriangular_route():
         field = base.field
         assert check_cqt(s).passed
         assert check_sigma_invariance(s).passed
-        coms = [_graded_comodule(base, field, n, k, g) for g in grades]
+        coms = [cyclic_graded_yd(n, k, g, field).comodule for g in grades]
         induced = [yd_from_comodule(c, s) for c in coms]
         for yd in induced:
             assert check_yd(yd).passed

@@ -121,6 +121,30 @@ def test_example_emit_then_check_passes(tmp_path, capsys, params):
     capsys.readouterr()
 
 
+# one parameter set per generator; its output, written before the generators
+# built index maps, is kept under golden/examples/ as "<params joined by _>.json"
+GOLDEN_EXAMPLES = [
+    ["cyclic_endo_twist", "4", "3"],
+    ["conjugation_yd", "s3", "2"],
+    ["cyclic_graded_yd", "5", "4", "2", "11"],
+    ["cyclic_r_matrix", "5", "11", "3", "4"],
+    ["cyclic_bicharacter_sigma", "4", "5", "2", "3"],
+]
+
+
+def test_every_generator_has_one_golden_example():
+    assert sorted(p[0] for p in GOLDEN_EXAMPLES) == sorted(EXAMPLES)
+    assert sorted(p.name for p in (GOLDEN / "examples").iterdir()) == sorted(
+        "_".join(p) + ".json" for p in GOLDEN_EXAMPLES)
+
+
+@pytest.mark.parametrize("params", GOLDEN_EXAMPLES, ids="_".join)
+def test_example_output_is_byte_identical_to_its_golden_file(capsys, params):
+    assert main(["example", *params]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / "examples" / ("_".join(params) + ".json")).read_bytes()
+
+
 def test_example_to_stdout_parses(capsys):
     assert main(["example", "cyclic_endo_twist", "4", "2"]) == 0
     text = capsys.readouterr().out

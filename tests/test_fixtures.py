@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from homyd.errors import PreconditionError, ShapeError
 from homyd.fields import RATIONALS, PrimeField
 from homyd.fixtures import (
@@ -19,10 +20,13 @@ from homyd.fixtures import (
     power_endomorphism,
     symmetric_group,
 )
-from homyd.structures import check_classical_bialgebra, check_hom_bialgebra
-from homyd.yd import check_classical_yd, check_yd, twist_yd, yd_suite
+from homyd.linmap import LinearMap
+from homyd.modules import ComoduleStruct, ModuleStruct, induce_comodule, induce_module
+from homyd.structures import HomBialgebra, check_classical_bialgebra, check_hom_bialgebra
+from homyd.yd import YDModule, check_classical_yd, check_yd, twist_yd, yd_suite
 
 Q = RATIONALS
+GF7, GF11 = PrimeField(7), PrimeField(11)
 
 
 def test_group_table_validation():
@@ -130,7 +134,6 @@ def test_twisting_closure_matches_acceptance_sweep():
 
 
 def test_s3_inner_automorphism_twist_passes():
-    from homyd.linmap import LinearMap
     from homyd.structures import twist_bialgebra
 
     s3 = symmetric_group(3)
@@ -138,3 +141,69 @@ def test_s3_inner_automorphism_twist_passes():
     for t in range(6):
         alpha = LinearMap.basis_map(RATIONALS, inner_automorphism(s3, t))
         assert check_hom_bialgebra(twist_bialgebra(bia, alpha)).passed
+
+
+# -- the index-map generators against their dense references (tests/oracles.py)
+
+def _reference_base(group, field):
+    return HomBialgebra.from_constants(
+        field, oracles.group_mu(group, field), oracles.group_delta(group.order, field))
+
+
+@pytest.mark.parametrize("field", [Q, GF11], ids=["Q", "GF11"])
+@pytest.mark.parametrize(
+    "group",
+    [cyclic_group(1), cyclic_group(2), cyclic_group(5), cyclic_group(16), symmetric_group(3)],
+    ids=lambda g: g.name,
+)
+def test_group_bialgebra_and_crossed_gset_match_their_dense_references(group, field):
+    base = _reference_base(group, field)
+    assert group_bialgebra(group, field) == base
+    reference = YDModule.from_constants(
+        base, oracles.conjugation_act(group, field), oracles.diagonal_coact(group.order, field))
+    assert crossed_gset(group, field) == reference
+
+
+# (n, k, grade, field): the graded modules and comodules of tools/gen_suites.py
+# and perfbench/gen_inputs.py, and the golden example cyclic_graded_yd 5 4 2 11
+GRADED = [(5, 4, 1, Q), (5, 4, 2, Q), (3, 1, 1, GF7), (3, 1, 2, GF7), (5, 4, 1, GF11),
+          (5, 4, 2, GF11), (3, 2, 1, Q), (3, 2, 2, Q), (4, 3, 1, GF11), (4, 3, 2, GF11),
+          (7, 6, 1, Q), (7, 6, 2, Q)]
+
+
+@pytest.mark.parametrize("n, k, grade, field", GRADED,
+                         ids=lambda x: getattr(x, "descriptor", str(x)))
+def test_cyclic_graded_yd_and_its_comodule_match_their_dense_references(n, k, grade, field):
+    base = _reference_base(cyclic_group(n), field)
+    alpha = LinearMap.basis_map(field, power_endomorphism(n, k))
+    classical = YDModule.from_constants(
+        base, oracles.trivial_act(n, field), oracles.graded_coact(n, grade, field))
+    yd = cyclic_graded_yd(n, k, grade, field)
+    assert yd == twist_yd(classical, alpha, alpha)
+    comodule = ComoduleStruct.from_constants(base, oracles.graded_coact(n, grade, field))
+    assert yd.comodule == induce_comodule(comodule, alpha, alpha)
+
+
+# (n, k, shift, field): the regular modules of tools/gen_suites.py
+@pytest.mark.parametrize("n, k, shift, field",
+                         [(2, 1, 0, Q), (3, 1, 0, GF7), (5, 4, 0, GF11), (5, 4, 1, GF11)],
+                         ids=lambda x: getattr(x, "descriptor", str(x)))
+def test_regular_module_from_the_product_matches_its_dense_reference(n, k, shift, field):
+    # the regular action of k[C_n] is its product, so the generated suites
+    # take the base's own mu as the action
+    alpha_a = LinearMap.basis_map(field, power_endomorphism(n, k))
+    alpha_m = LinearMap.basis_map(field, [(k * j + shift) % n for j in range(n)])
+    base = group_bialgebra(cyclic_group(n), field)
+    reference = ModuleStruct.from_constants(
+        _reference_base(cyclic_group(n), field), oracles.group_mu(cyclic_group(n), field))
+    assert (induce_module(ModuleStruct(base, base.mu, base.alpha), alpha_a, alpha_m)
+            == induce_module(reference, alpha_a, alpha_m))
+
+
+def test_group_presentation_keeps_the_identity_and_inverses_it_validated():
+    s3 = symmetric_group(3)
+    assert s3.identity == 0
+    assert [s3.inverse(a) for a in range(6)] == oracles.group_inverses(s3)
+    assert [s3.inverse(a) for a in range(6)] != list(range(6))  # 3-cycles are not involutions
+    # neither kept value takes part in equality or the repr
+    assert s3 == symmetric_group(3) and "inverses" not in repr(s3)

@@ -533,6 +533,43 @@ def test_permutes_match_dense_shuffles(m, data):
     assert dense_of(out) == ref_permute_domain(m, perm)
 
 
+# factor dims that may be empty: () is the one-dimensional ground space
+FACTOR_DIMS = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+
+
+@given(FIELDS, FACTOR_DIMS, FACTOR_DIMS, st.data())
+def test_basis_map_with_factor_dims_matches_its_dense_constants(field, dom, cod, data):
+    n, m = math.prod(dom), math.prod(cod)
+    images = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    dense = np.full((n, m), 0, dtype=object)
+    dense[np.arange(n), images] = 1
+    out = LinearMap.basis_map(field, images, dom, cod)
+    assert_canonical(out)
+    assert out == LinearMap.from_constants(field, dense.reshape(dom + cod).tolist(), len(dom))
+
+
+def test_basis_map_keeps_empty_factor_lists():
+    point = LinearMap.basis_map(Q, [0], (), ())
+    assert (point.dom, point.cod) == ((), ()) and point.entries.tolist() == [[1]]
+    counit = LinearMap.basis_map(Q, [0, 0, 0], cod=())
+    assert (counit.dom, counit.cod) == ((3,), ()) and counit.entries.tolist() == [[1, 1, 1]]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([0, 4], (2,), (2, 2)), "basis image 4 out of range for dimension 4"),
+        (([0, 1, 2], (2, 2), (3,)), "3 basis images for domain (2, 2), which has dimension 4"),
+        # the one-argument form keeps its message
+        (([0, 3, 1],), "basis image 3 out of range for dimension 3"),
+    ],
+)
+def test_basis_map_refusals_name_their_cause(args, message):
+    with pytest.raises(ShapeError) as exc:
+        LinearMap.basis_map(Q, *args)
+    assert str(exc.value) == message
+
+
 def test_tensor_comes_out_reduced():
     half = LinearMap.from_rows(Q, (1,), (1,), [[Fraction(1, 2)]])
     two_thirds = LinearMap.from_rows(Q, (1,), (1,), [[Fraction(2, 3)]])

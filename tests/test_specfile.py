@@ -410,7 +410,8 @@ def test_gen_suites_regenerates_the_shipped_suites(tmp_path, monkeypatch, capsys
 
 def test_gen_inputs_regenerates_the_golden_dense_input(tmp_path, monkeypatch):
     # the benchmark's input generator builds its files through the public
-    # fixture API; seed 1 must still give the golden dense_q3 input
+    # fixture API; seed 1 must still give every golden input it wrote, the
+    # dense files and the ladder files alike
     import importlib.util
 
     monkeypatch.setattr(sys, "path", list(sys.path))  # generate() prepends src/
@@ -418,9 +419,12 @@ def test_gen_inputs_regenerates_the_golden_dense_input(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("gen_inputs", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    gen.generate("dense_transport", 1, tmp_path)
-    golden = SUITES.parent / "tests" / "golden" / "inputs" / "dense_q3.json"
-    assert (tmp_path / "dense_q3.json").read_bytes() == golden.read_bytes()
+    written = [p for workload in gen.WORKLOADS for p in gen.generate(workload, 1, tmp_path)]
+    assert sorted(p.name for p in written) == [
+        "dense_gf11_4.json", "dense_q3.json", "ladder_n5.json", "ladder_n7.json"]
+    golden = SUITES.parent / "tests" / "golden" / "inputs"
+    for p in written:
+        assert p.read_bytes() == (golden / p.name).read_bytes(), p.name
 
 
 @pytest.mark.parametrize("suite", ["standard_gf7", "standard_rational"])

@@ -4,6 +4,11 @@
 The outputs are deterministic; run from the repository root:
 
     python3 tools/gen_suites.py
+
+The structures are built from the generators of ``homyd.fixtures``: the
+regular module takes the base's own product as its action and is induced
+along a pair of twists, and each graded comodule is the comodule half of
+``cyclic_graded_yd``.
 """
 
 import json
@@ -27,7 +32,7 @@ from homyd.fixtures import (
     symmetric_group,
 )
 from homyd.linmap import LinearMap
-from homyd.modules import ComoduleStruct, ModuleStruct, induce_comodule, induce_module
+from homyd.modules import ModuleStruct, induce_module
 from homyd.specfile import SpecDocument, Task, serialize_spec
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "suites"
@@ -38,29 +43,12 @@ def tasks(*specs):
 
 
 def regular_module_over_twist(n, k, field, shift=0):
+    """k[C_n] acting on itself by its product, induced along g -> g^k on the
+    base and f_j -> f_{kj+shift} on the carrier."""
     base = group_bialgebra(cyclic_group(n), field)
-    act = [
-        [[field.one if p == (i + j) % n else field.zero for p in range(n)]
-         for j in range(n)]
-        for i in range(n)
-    ]
-    classical = ModuleStruct.from_constants(base, act)
     alpha_a = LinearMap.basis_map(field, power_endomorphism(n, k))
     alpha_m = LinearMap.basis_map(field, tuple((k * j + shift) % n for j in range(n)))
-    return induce_module(classical, alpha_a, alpha_m)
-
-
-def graded_comodule_over_twist(n, k, field, grade=1):
-    base = group_bialgebra(cyclic_group(n), field)
-    coact = [
-        [[field.one if i == (grade * m) % n and p == m else field.zero
-          for p in range(n)]
-         for i in range(n)]
-        for m in range(n)
-    ]
-    classical = ComoduleStruct.from_constants(base, coact)
-    alpha = LinearMap.basis_map(field, power_endomorphism(n, k))
-    return induce_comodule(classical, alpha, alpha)
+    return induce_module(ModuleStruct(base, base.mu, base.alpha), alpha_a, alpha_m)
 
 
 def rational_suite():
@@ -140,8 +128,8 @@ def gf7_suite():
     base_s, s = cyclic_bicharacter_sigma(3, 7, 2, 1)
     field = base_r.field
     m = regular_module_over_twist(3, 1, field)
-    cm1 = graded_comodule_over_twist(3, 1, field, grade=1)
-    cm2 = graded_comodule_over_twist(3, 1, field, grade=2)
+    cm1 = cyclic_graded_yd(3, 1, 1, field).comodule
+    cm2 = cyclic_graded_yd(3, 1, 2, field).comodule
     structures = {
         "H": base_r,
         "R": r,
@@ -176,8 +164,8 @@ def gf11_suite():
     field = base.field
     m0 = regular_module_over_twist(5, 4, field, shift=0)
     m1 = regular_module_over_twist(5, 4, field, shift=1)
-    cm1 = graded_comodule_over_twist(5, 4, field, grade=1)
-    cm2 = graded_comodule_over_twist(5, 4, field, grade=2)
+    cm1 = cyclic_graded_yd(5, 4, 1, field).comodule
+    cm2 = cyclic_graded_yd(5, 4, 2, field).comodule
     structures = {
         "H": base,
         "R": r,

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 LINMAP, RUNNER, CLI = "src/homyd/linmap.py", "src/homyd/runner.py", "src/homyd/cli.py"
 STRUCTURES, YD = "src/homyd/structures.py", "src/homyd/yd.py"
+FIXTURES = "src/homyd/fixtures.py"
 
 MUTANTS = [
     # the work limits of compose and tensor, and the runner's handling of them
@@ -82,12 +83,30 @@ MUTANTS = [
     Mutant("example-order-below-one", "refusals", CLI,
            "    if n < 1:\n"
            '        raise SpecFileError(f"n must be at least 1, got {n}")\n', ""),
-    Mutant("empty-group-by-name", "refusals", "src/homyd/fixtures.py",
+    Mutant("empty-group-by-name", "refusals", FIXTURES,
            "        if order(n) < 1:\n"
            '            raise ShapeError(f"n must be at least 1, got {n}")\n', ""),
     Mutant("example-extra-parameters", "refusals", CLI,
            "        if len(args.params) > len(usage.split()):\n"
            '            raise IndexError("too many parameters")\n', ""),
+    # index maps with factor dims, and the group-algebra fixtures built from them
+    Mutant("basis-range-from-domain", "index maps", LINMAP,
+           "        m = _size(cod)\n", "        m = _size(dom)\n"),
+    Mutant("basis-dims-by-truthiness", "index maps", LINMAP,
+           "        dom = (n,) if dom is None else _as_dims(dom)\n"
+           "        cod = (n,) if cod is None else _as_dims(cod)\n",
+           "        dom = _as_dims(dom) if dom else (n,)\n"
+           "        cod = _as_dims(cod) if cod else (n,)\n"),
+    # a transposed table is the product of the opposite group: only s3 tells
+    Mutant("mu-transposed-cayley", "index maps", FIXTURES,
+           "[t[g][h] for g in range(n) for h in range(n)]",
+           "[t[h][g] for g in range(n) for h in range(n)]"),
+    Mutant("conjugation-inverse-first", "index maps", FIXTURES,
+           "[t[t[h][m]][group.inverse(h)] for h", "[t[t[group.inverse(h)][m]][h] for h"),
+    Mutant("graded-coaction-without-mod", "index maps", FIXTURES,
+           "(grade * m) % n * n + m", "grade * m * n + m"),
+    Mutant("inverses-are-identities", "index maps", FIXTURES,
+           "tuple(row.index(e) for row in t)", "tuple(range(n))"),
     # the exact float64 kernel of compose
     Mutant("dense-bound-without-n", "dense compose", LINMAP,
            "and g.ncols * _magnitude(g) * _magnitude(f) < _EXACT",
