@@ -121,8 +121,8 @@ def test_example_emit_then_check_passes(tmp_path, capsys, params):
     capsys.readouterr()
 
 
-# one parameter set per generator; its output, written before the generators
-# built index maps, is kept under golden/examples/ as "<params joined by _>.json"
+# one parameter set per generator, whose output is pinned byte for byte under
+# golden/examples/ as "<params joined by _>.json"
 GOLDEN_EXAMPLES = [
     ["cyclic_endo_twist", "4", "3"],
     ["conjugation_yd", "s3", "2"],
