@@ -11,6 +11,12 @@ three arrays and ``den`` are.  Primitives compute in ints and multiply the
 denominators; ``Field.reduce_array`` brings each result to lowest terms.
 Only ``compose`` can meet one position twice and sum there; ``tensor`` and
 the factor permutes place each entry at a distinct position and sort once.
+A map is column-single when each of its columns holds at most one nonzero
+(``cols`` strictly increasing), as permutations, identities, basis maps,
+their Kronecker products and their scalings are.  On such operands the
+products come out in canonical order: ``compose`` of two of them forms one
+product per entry of the inner map, and ``tensor`` with one on the left and
+``permute_codomain`` of one store their products without sorting them.
 Multi-indices flatten row-major with the leftmost factor most significant;
 this one convention is fixed globally and everything else (Kronecker
 products, factor permutations, regrouping) is consistent with it.  The
@@ -25,13 +31,13 @@ Before it allocates, a ``compose`` or ``tensor`` beyond ``MAX_PRODUCTS``
 or ``MAX_STORED`` raises ``WorkLimitError``.  Inside a ``run_memo`` block,
 which ``runner.run_tasks`` opens for one document, each ``memoised``
 function computes once per argument values: the kernels of ``compose``,
-``tensor`` and the factor permutes here, and the builders of ``structures``,
-``modules``, ``yd`` and ``quasitri``.  Maps compare by their canonical form
-and structures by their kind, base and maps.  The constructor
-``LinearMap(field, dom, cod, dense)`` and the ``entries`` property are the
-dense entry and exit points as (codomain, domain) matrices; they,
-``column`` and ``inverse`` speak reduced field scalars (``int`` or
-``Fraction``).  Structure constants of every kind (products, coproducts,
+``tensor``, the factor permutes and ``inverse`` here, and the builders of
+``structures``, ``modules``, ``yd`` and ``quasitri``.  Maps compare by their
+canonical form and structures by their kind, base and maps.  The
+constructor ``LinearMap(field, dom, cod, dense)`` and the ``entries``
+property are the dense entry and exit points as (codomain, domain)
+matrices; they, ``column`` and ``inverse`` speak reduced field scalars
+(``int`` or ``Fraction``).  Structure constants of every kind (products, coproducts,
 actions, coactions, R elements and sigma forms) go through one codec:
 ``from_constants`` reads a nested array indexed by the domain factors
 first, then the codomain factors, and ``constants`` gives it back; a map
@@ -192,7 +198,7 @@ class LinearMap:
     # arrays sorted by (column, row); ``values`` holds the nonzero numerators
     # there, each over the common denominator ``den``
     __slots__ = ("field", "dom", "cod", "nrows", "ncols", "rows", "cols", "values", "den",
-                 "_inverse", "_hash")
+                 "_inverse", "_hash", "_single")
 
     def __init__(self, field: Field, dom, cod, entries):
         """Build from a dense entry matrix indexed by (codomain, domain) index."""
@@ -214,7 +220,7 @@ class LinearMap:
         if self.nrows * self.ncols >= _MAX_CELLS:
             raise ShapeError(f"map {dom} -> {cod} has too many cells to index")
         self.rows, self.cols, self.values = _freeze(rows), _freeze(cols), _freeze(vals)
-        self._inverse = self._hash = None
+        self._inverse = self._hash = self._single = None
 
     def _reduce(self):
         """Reduce the values through the field and drop the zeros among them."""
@@ -332,6 +338,13 @@ class LinearMap:
             col[i] = v
         return tuple(col)
 
+    def _column_single(self) -> bool:
+        """Whether each column holds at most one nonzero, taken once."""
+        if self._single is None:
+            self._single = (len(self.cols) <= self.ncols
+                            and bool((self.cols[1:] > self.cols[:-1]).all()))
+        return self._single
+
     def is_zero(self) -> bool:
         return len(self.values) == 0
 
@@ -387,8 +400,12 @@ class LinearMap:
         """``self ∘ other``; defined when ``other.cod == self.dom``.
 
         The numerators are multiplied over the product of the two
-        denominators by one of two exact routes, and the result is reduced.
+        denominators by one of three exact routes, and the result is reduced.
 
+        - Column-single: when both maps hold at most one nonzero per column,
+          entry ``(k, j)`` of ``other`` meets the one entry of column ``k`` of
+          ``self``, if any, and its product is the only one in column ``j``:
+          one gather and one multiply, with nothing to sort or sum.
         - Sorted: entry ``(k, j)`` of ``other`` meets every entry of column
           ``k`` of ``self``, and the products are summed per position.  Up to
           ``COMPOSE_BLOCK`` products are built at once; more are built for
@@ -414,6 +431,8 @@ class LinearMap:
     def _compose(self, other):
         """``self ∘ other`` and the work it passed to ``_check_work``."""
         g, f, field = self, other, self.field
+        if g._column_single() and f._column_single():
+            return _single_compose(g, f)
         gcount = np.bincount(g.cols, minlength=g.ncols)
         counts = gcount[f.rows]  # products per entry of f
         ends = np.cumsum(counts)
@@ -464,7 +483,10 @@ class LinearMap:
         return self.compose(other)
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
-        """Kronecker product acting factor-wise: ``(f⊗g)(x⊗y) = f(x)⊗g(y)``."""
+        """Kronecker product acting factor-wise: ``(f⊗g)(x⊗y) = f(x)⊗g(y)``.
+        The products are placed in one sort, or in none when ``self`` is
+        column-single: then the raveled outer product is already in (column,
+        row) order."""
         if self.field != other.field:
             raise ShapeError("cannot tensor maps over different fields")
         out, work = self._tensor(other)
@@ -483,8 +505,8 @@ class LinearMap:
         # a product of nonzero field elements is nonzero: reduced, none drops
         vals, den = self.field.reduce_array(np.multiply.outer(f.values, g.values).ravel(),
                                             f.den * g.den)
-        out = LinearMap._sorted(self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, den)
-        return out, work
+        build = LinearMap._make if f._column_single() else LinearMap._sorted
+        return build(self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, den), work
 
     def scaled(self, c) -> "LinearMap":
         c = self.field.normalize(c)
@@ -497,7 +519,8 @@ class LinearMap:
 
     def inverse(self) -> "LinearMap":
         """Exact two-sided inverse via Gauss-Jordan elimination, computed once
-        per map; a singular map raises ``NotInvertibleError`` every time."""
+        per map, and inside ``run_memo`` once per value; a singular map raises
+        ``NotInvertibleError`` every time."""
         if self.ncols != self.nrows:
             raise ShapeError(f"cannot invert non-square map {self.dom} -> {self.cod}")
         if self._inverse is None:
@@ -508,6 +531,7 @@ class LinearMap:
             )
         return self._inverse
 
+    @memoised
     def _gauss_jordan(self):
         """The inverse map, or the rank reached when the map is singular.
 
@@ -592,10 +616,12 @@ class LinearMap:
 
     @memoised
     def _permute_codomain(self, perm):
+        """The shuffled map, sorted once; a column-single map needs no sort,
+        since its rows move only within their own columns."""
         new_cod = tuple(self.cod[p] for p in perm)
         rows = _shuffle(self.rows, self.cod, perm)
-        return self._sorted(self.field, self.dom, new_cod, rows, self.cols, self.values,
-                            self.den)
+        build = self._make if self._column_single() else self._sorted
+        return build(self.field, self.dom, new_cod, rows, self.cols, self.values, self.den)
 
     def permute_domain(self, perm) -> "LinearMap":
         """Precompose with the inverse factor shuffle: domain factor ``t`` of the
@@ -617,6 +643,25 @@ def _check_work(op: str, products: int, stored: int) -> None:
     if products > MAX_PRODUCTS or stored > MAX_STORED:
         raise WorkLimitError(f"{op} would form {products} products and store up to {stored} "
                              f"nonzeros, over the limits {MAX_PRODUCTS} and {MAX_STORED}")
+
+
+def _single_compose(g: LinearMap, f: LinearMap):
+    """``g ∘ f`` of two column-single maps and its work.  Each entry of ``f``
+    whose row is a nonempty column of ``g`` forms one product, the only one
+    in its column: the products come out sorted, and none is zero."""
+    at, cols, vals = f.rows, f.cols, f.values
+    if len(g.cols) < g.ncols:
+        # the entry of g in each column, -1 in an empty one; otherwise entry k
+        # of g is its column k
+        pos = np.full(g.ncols, -1, dtype=np.int64)
+        pos[g.cols] = np.arange(len(g.cols))
+        at = pos[at]
+        hit = at >= 0
+        at, cols, vals = at[hit], cols[hit], vals[hit]
+    work = "compose", len(at), len(at)
+    _check_work(*work)
+    vals, den = g.field.reduce_array(g.values[at] * vals, g.den * f.den)
+    return LinearMap._make(g.field, f.dom, g.cod, g.rows[at], cols, vals, den), work
 
 
 def _magnitude(m: LinearMap) -> int:

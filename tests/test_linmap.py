@@ -413,10 +413,13 @@ def _column_products(g, f):
     return np.bincount(f.cols, weights=counts, minlength=f.ncols).astype(np.int64)
 
 
-# sparse pairs whose products outnumber a block of 8 many times over, one
-# result column at a time or many at once
+# sparse pairs whose products outnumber a block of 8 many times over, a few
+# result columns at a time or many at once; each inner map holds two
+# nonzeros in some column, so that the column-single route does not take them
 BLOCKED = [
-    (LinearMap.identity(Q, (20,)), LinearMap.basis_map(Q, [(7 * j) % 20 for j in range(20)])),
+    (LinearMap.basis_map(Q, [(3 * j) % 20 for j in range(20)]),
+     LinearMap(Q, (20,), (20,), [[1 if i == 7 * j % 20 else 2 if i == (7 * j + 1) % 20 else 0
+                                  for j in range(20)] for i in range(20)])),
     (random_map(Q, 6, 5, random.Random(11)), random_map(Q, 7, 6, random.Random(12))),
     (random_map(PrimeField(7), 9, 2, random.Random(13)),
      random_map(PrimeField(7), 3, 9, random.Random(14))),
@@ -443,26 +446,40 @@ def test_sorted_compose_sums_at_most_one_block_of_whole_columns(g, f):
 
 
 def compose_by(route, g, f, dense_block=linmap.DENSE_BLOCK):
-    """``g ∘ f`` with the dense route forced on (``"dense"``) or off
-    (``"sorted"``), and whether that route ran."""
+    """``g ∘ f`` by the route ``"dense"``, ``"sorted"`` or ``"single"``, and
+    whether that route ran.  The first two switch the column-single route
+    off and the dense route on or off; ``"single"`` switches the dense route
+    off, and the column-single route runs where both maps are column-single."""
     fill = 0 if route == "dense" else math.inf
+    single = LinearMap._column_single
     with mock.patch.object(linmap, "DENSE_FILL", fill), \
             mock.patch.object(linmap, "DENSE_BLOCK", dense_block), \
-            mock.patch.object(linmap, "_dense_compose", wraps=linmap._dense_compose) as dense:
+            mock.patch.object(LinearMap, "_column_single",
+                              lambda m: route == "single" and single(m)), \
+            mock.patch.object(linmap, "_dense_compose", wraps=linmap._dense_compose) as dense, \
+            mock.patch.object(linmap, "_single_compose", wraps=linmap._single_compose) as one:
         out = g.compose(f)
-    return out, dense.called
+    ran = {"dense": dense.called, "single": one.called,
+           "sorted": not (dense.called or one.called)}
+    return out, ran[route]
 
 
 @given(composable(), st.sampled_from([4, 64, linmap.DENSE_BLOCK]))
-def test_both_compose_routes_match_dense_sums(pair, dense_block):
+def test_every_compose_route_matches_dense_sums(pair, dense_block):
     g, f = pair
     want = ref_compose(g.field, g, f)
     # a small budget splits the inner map into blocks of few columns, or
     # leaves the outer map too large for the dense route
-    for route in ("dense", "sorted"):
+    for route in ("dense", "sorted", "single"):
         with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
-            out, dense = compose_by(route, g, f, dense_block)
-        assert dense == (route == "dense" and g.nrows * g.ncols <= dense_block)
+            out, ran = compose_by(route, g, f, dense_block)
+        dense = route == "dense" and g.nrows * g.ncols <= dense_block
+        if route == "dense":
+            assert ran == dense
+        elif route == "single":
+            assert ran == (g._column_single() and f._column_single())
+        else:
+            assert ran
         # the outer map whole, then blocks of the inner one: no float64 product
         # takes more than dense_block multiply-adds
         shapes = [c.args[0] for c in zeros.call_args_list]
@@ -577,6 +594,68 @@ def test_tensor_comes_out_reduced():
     assert_canonical(out)
     assert (out.values.tolist(), out.den) == ([1], 3)
     assert out.entries.tolist() == [[Fraction(1, 3)]]
+
+
+def nonzero_scalars(field):
+    return scalars(field).filter(lambda v: v != 0)
+
+
+@st.composite
+def column_single_maps(draw, field, dom, cod):
+    """A map with at most one nonzero in each column: one in every column (a
+    basis map, a permutation or a scaling of one), one in some columns, or
+    none at all."""
+    nrows, ncols = math.prod(cod), math.prod(dom)
+    fill = draw(st.sampled_from(["every", "some", "none"]))
+    row = {"every": st.integers(0, nrows - 1),
+           "some": st.none() | st.integers(0, nrows - 1), "none": st.none()}[fill]
+    dense = np.full((nrows, ncols), 0, dtype=object)
+    for j, i in enumerate(draw(st.lists(row, min_size=ncols, max_size=ncols))):
+        if i is not None:
+            dense[i, j] = draw(nonzero_scalars(field))
+    return LinearMap(field, dom, cod, dense)
+
+
+@st.composite
+def column_single_triples(draw):
+    """Composable column-single maps ``g``, ``f`` and a map of any pattern."""
+    field = draw(FIELDS)
+    a, b, c = draw(DIMS), draw(DIMS), draw(DIMS)
+    return (draw(column_single_maps(field, b, c)), draw(column_single_maps(field, a, b)),
+            draw(maps(field, draw(DIMS), draw(DIMS))))
+
+
+@given(column_single_triples(), st.data())
+def test_column_single_route_matches_dense_references(triple, data):
+    g, f, other = triple
+    assert g._column_single() and f._column_single()
+    want = ref_compose(g.field, g, f)
+    for route in ("single", "sorted", "dense"):
+        out, ran = compose_by(route, g, f)
+        assert ran
+        assert_canonical(out)
+        assert (out.dom, out.cod) == (f.dom, g.cod)
+        assert dense_of(out) == want
+    perm = data.draw(st.permutations(range(len(g.cod))))
+    with mock.patch.object(np, "argsort", side_effect=AssertionError):
+        outs = [g.tensor(f), g.tensor(other), g.permute_codomain(perm)]
+    for out in outs:
+        assert_canonical(out)
+    assert dense_of(outs[0]) == ref_tensor(g.field, g, f)
+    assert dense_of(outs[1]) == ref_tensor(g.field, g, other)
+    assert dense_of(outs[2]) == ref_permute_codomain(g, perm)
+
+
+def test_column_single_compose_and_tensor_neither_sort_nor_sum():
+    perm = LinearMap.permutation(Q, (2, 3), (1, 0))
+    basis = LinearMap.basis_map(Q, [1, 1, 0, 2, 5, 4], (6,), (2, 3))
+    with mock.patch.object(linmap, "_sum_runs", side_effect=AssertionError), \
+            mock.patch.object(np, "argsort", side_effect=AssertionError):
+        composed, tensored = perm @ basis, basis.tensor(basis)
+    assert_canonical(composed)
+    assert dense_of(composed) == ref_compose(Q, perm, basis)
+    assert_canonical(tensored)
+    assert dense_of(tensored) == ref_tensor(Q, basis, basis)
 
 
 @given(composable(), st.data())

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homyd import linmap, runner
-from homyd.errors import ShapeError
+from homyd.errors import NotInvertibleError, ShapeError
 from homyd.fields import RATIONALS as Q, PrimeField
 from homyd.fixtures import conjugation_yd, cyclic_graded_yd, inner_automorphism, symmetric_group
 from homyd.linmap import LinearMap, memoised, run_memo
@@ -93,7 +93,8 @@ def test_the_memoised_bodies_are_found():
                  "homyd.yd.yd_suite", "homyd.quasitri._induce", "homyd.quasitri.check_qt",
                  "homyd.linmap.LinearMap._compose", "homyd.linmap.LinearMap._tensor",
                  "homyd.linmap.LinearMap._permute_codomain",
-                 "homyd.linmap.LinearMap._permute_domain"):
+                 "homyd.linmap.LinearMap._permute_domain",
+                 "homyd.linmap.LinearMap._gauss_jordan"):
         assert name in names
 
 
@@ -136,6 +137,10 @@ def test_consecutive_runs_compute_the_same():
         with body_runs() as runs:
             runner.run_tasks(doc)
         counts.append(_by_body(runs))
+    # a map also keeps its own inverse: the second run inverts the parsed
+    # maps of the document without eliminating them again
+    eliminated = [c.pop("homyd.linmap.LinearMap._gauss_jordan") for c in counts]
+    assert 0 < eliminated[1] < eliminated[0]
     assert counts[0] == counts[1]
     assert counts[0]["homyd.modules.tensor_raw"] > 0
     assert counts[0]["homyd.yd.braiding_c"] > 0
@@ -372,6 +377,27 @@ def test_equal_carriers_held_by_distinct_objects_get_back_the_kept_object():
         assert tensor_raw("hat", m2, n2) is kept
         assert tensor_raw("tilde", m2, n2) is not kept
         assert tensor_raw("hat", n2, m2) is not kept
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3, 4]], [[1, 2], [2, 4]]], ids=["regular", "singular"])
+def test_equal_maps_held_by_distinct_objects_are_eliminated_once_within_a_run(rows):
+    def outcome(m):
+        try:
+            return m.inverse()
+        except NotInvertibleError as exc:
+            return exc.rank
+
+    a, b = (LinearMap.from_rows(Q, (2,), (2,), rows) for _ in range(2))
+    assert a is not b and a == b
+    with body_runs() as runs, run_memo():
+        first, second = outcome(a), outcome(b)
+    assert first is second
+    assert _by_body(runs)["homyd.linmap.LinearMap._gauss_jordan"] == 1
+    # outside a run each object eliminates once
+    c, d = (LinearMap.from_rows(Q, (2,), (2,), rows) for _ in range(2))
+    with body_runs() as runs:
+        outcome(c), outcome(c), outcome(d)
+    assert _by_body(runs)["homyd.linmap.LinearMap._gauss_jordan"] == 2
 
 
 def _variants():

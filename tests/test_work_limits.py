@@ -125,7 +125,9 @@ def test_compose_computes_at_the_limits_and_refuses_past_them_before_any_product
     g, f = outer(rng), inner(rng)
     expected = g @ f
     fill = linmap.DENSE_FILL if route == "dense" else math.inf
-    with _run_or_not(inside_run), mock.patch.object(linmap, "DENSE_FILL", fill):
+    # the column-single route, which takes the low-fill pair, is switched off
+    with _run_or_not(inside_run), mock.patch.object(linmap, "DENSE_FILL", fill), \
+            mock.patch.object(LinearMap, "_column_single", lambda m: False):
         with mock.patch.object(linmap, "MAX_PRODUCTS", products), \
                 mock.patch.object(linmap, "MAX_STORED", stored), \
                 mock.patch.object(linmap, "_dense_compose", wraps=linmap._dense_compose) as dense:
@@ -155,6 +157,30 @@ def test_tensor_computes_at_the_limits_and_refuses_past_them(inside_run):
             with mock.patch.object(linmap, limit, 23), pytest.raises(WorkLimitError, match=(
                     "^tensor would form 24 products and store up to 24 nonzeros")):
                 f.tensor(g)
+
+
+@pytest.mark.parametrize("inside_run", [False, True])
+def test_column_single_compose_and_tensor_count_their_products_and_refuse_past_them(
+        inside_run):
+    # g leaves column 5 empty: the entry of f in row 5 forms no product
+    g = LinearMap(GF11, (6,), (6,), [[i if i == j else 0 for j in range(6)] for i in range(1, 7)])
+    f = LinearMap.basis_map(GF11, [1, 2, 3, 4, 5, 0])
+    h = LinearMap.permutation(GF11, (2, 3), (1, 0))
+    assert all(m._column_single() for m in (g, f, h))
+    composed, tensored = g @ f, f.tensor(h)
+    with _run_or_not(inside_run), \
+            mock.patch.object(linmap, "_single_compose", wraps=linmap._single_compose) as one:
+        with mock.patch.object(linmap, "MAX_STORED", 5):
+            assert g @ f == composed
+        with mock.patch.object(linmap, "MAX_STORED", 36):
+            assert f.tensor(h) == tensored
+        assert one.called
+        for call, stored in ((lambda: g @ f, 5), (lambda: f.tensor(h), 36)):
+            with mock.patch.object(linmap, "MAX_STORED", stored - 1), \
+                    mock.patch.object(type(GF11), "reduce_array", side_effect=AssertionError), \
+                    pytest.raises(WorkLimitError, match=(
+                        f"would form {stored} products and store up to {stored} nonzeros")):
+                call()
 
 
 @pytest.mark.parametrize("inside_run", [False, True])

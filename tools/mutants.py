@@ -134,8 +134,8 @@ MUTANTS = [
            "order = np.argsort(cols * _size(cod) + rows)",
            "order = np.argsort(cols * cod[-1] + rows)"),
     Mutant("permute-codomain-unsorted", "sparse kernels", LINMAP,
-           "return self._sorted(self.field, self.dom, new_cod,",
-           "return self._make(self.field, self.dom, new_cod,"),
+           "build = self._make if self._column_single() else self._sorted",
+           "build = self._make"),
     Mutant("permute-domain-unsorted", "sparse kernels", LINMAP,
            "return self._sorted(self.field, new_dom, self.cod,",
            "return self._make(self.field, new_dom, self.cod,"),
@@ -143,6 +143,21 @@ MUTANTS = [
            "vals, den = self.field.reduce_array(np.multiply.outer(f.values, g.values).ravel(),\n"
            "                                            f.den * g.den)",
            "vals, den = np.multiply.outer(f.values, g.values).ravel(), f.den * g.den"),
+    # the column-single route: one product per entry of the inner map, and
+    # no sort where the stored order is already canonical
+    Mutant("single-empty-column-unfiltered", "column-single", LINMAP,
+           "        at, cols, vals = at[hit], cols[hit], vals[hit]\n", ""),
+    Mutant("column-single-non-strict", "column-single", LINMAP,
+           "(self.cols[1:] > self.cols[:-1]).all()", "(self.cols[1:] >= self.cols[:-1]).all()"),
+    Mutant("tensor-unsorted-right-single", "column-single", LINMAP,
+           "build = LinearMap._make if f._column_single() else LinearMap._sorted",
+           "build = LinearMap._make if g._column_single() else LinearMap._sorted"),
+    Mutant("single-compose-limit-dropped", "column-single", LINMAP,
+           "    work = \"compose\", len(at), len(at)\n    _check_work(*work)\n",
+           "    work = \"compose\", len(at), len(at)\n"),
+    Mutant("single-products-unfiltered", "column-single", LINMAP,
+           "    work = \"compose\", len(at), len(at)\n",
+           "    work = \"compose\", len(f.rows), len(f.rows)\n"),
     # the one kernel of the braidings B and c, and its legs
     Mutant("kernel-alpha-h-uninverted", "braidings", YD,
            "tagged = alpha_h.inverse().tensor(", "tagged = alpha_h.tensor("),
