@@ -163,7 +163,7 @@ def test_tensor_computes_at_the_limits_and_refuses_past_them(inside_run):
 def test_column_single_compose_and_tensor_count_their_products_and_refuse_past_them(
         inside_run):
     # g leaves column 5 empty: the entry of f in row 5 forms no product
-    g = LinearMap(GF11, (6,), (6,), [[i if i == j else 0 for j in range(6)] for i in range(1, 7)])
+    g = LinearMap(GF11, (6,), (6,), [[i + 1 if i == j < 5 else 0 for j in range(6)] for i in range(6)])
     f = LinearMap.basis_map(GF11, [1, 2, 3, 4, 5, 0])
     h = LinearMap.permutation(GF11, (2, 3), (1, 0))
     assert all(m._column_single() for m in (g, f, h))
