@@ -17,16 +17,6 @@ import sys
 
 from .errors import HomydError, SpecFileError
 from .fields import RATIONALS, FieldValueError, PrimeField
-from .fixtures import (
-    MAX_ORDER,
-    conjugation_yd,
-    cyclic_bicharacter_sigma,
-    cyclic_endo_twist,
-    cyclic_graded_yd,
-    cyclic_r_matrix,
-    group_by_name,
-    inner_automorphism,
-)
 from .runner import bundle_to_json, bundle_to_table, run_tasks
 from .specfile import SpecDocument, Task, parse_spec, serialize_spec
 
@@ -39,8 +29,11 @@ def _field_param(token: str):
     raise SpecFileError(f"field parameter must be 'rational' or a prime, got {token!r}")
 
 
+# The generators import ``fixtures`` when they run: ``check`` and ``report``
+# never build a fixture, and skip its import.
 def _order_param(token: str) -> int:
     """The group order n of a generator, refused outside 1..``MAX_ORDER`` before any build."""
+    from .fixtures import MAX_ORDER
     n = int(token)
     if n < 1:
         raise SpecFileError(f"n must be at least 1, got {n}")
@@ -50,6 +43,7 @@ def _order_param(token: str) -> int:
 
 
 def _example_cyclic_endo_twist(params):
+    from .fixtures import cyclic_endo_twist
     n, k = _order_param(params[0]), int(params[1])
     field = _field_param(params[2]) if len(params) > 2 else RATIONALS
     h = cyclic_endo_twist(n, k, field)
@@ -63,6 +57,7 @@ def _example_cyclic_endo_twist(params):
 
 
 def _example_conjugation_yd(params):
+    from .fixtures import conjugation_yd, group_by_name, inner_automorphism
     group = group_by_name(params[0])
     t = int(params[1])
     field = _field_param(params[2]) if len(params) > 2 else RATIONALS
@@ -76,6 +71,7 @@ def _example_conjugation_yd(params):
 
 
 def _example_cyclic_graded_yd(params):
+    from .fixtures import cyclic_graded_yd
     n, k, grade = _order_param(params[0]), int(params[1]), int(params[2])
     field = _field_param(params[3]) if len(params) > 3 else RATIONALS
     yd = cyclic_graded_yd(n, k, grade, field)
@@ -88,6 +84,7 @@ def _example_cyclic_graded_yd(params):
 
 
 def _example_cyclic_r_matrix(params):
+    from .fixtures import cyclic_r_matrix
     n = _order_param(params[0])
     field = _field_param(params[1])
     omega = field.parse(params[2])
@@ -105,6 +102,7 @@ def _example_cyclic_r_matrix(params):
 
 
 def _example_cyclic_bicharacter_sigma(params):
+    from .fixtures import cyclic_bicharacter_sigma
     n, p = _order_param(params[0]), int(params[1])
     omega, k = int(params[2]), int(params[3])
     base, s = cyclic_bicharacter_sigma(n, p, omega, k)

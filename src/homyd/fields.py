@@ -5,11 +5,14 @@ Rational scalars are plain Python ints or ``fractions.Fraction`` values
 into ``[0, p)``.  Every downstream verification is an equality check, so
 no operation here is allowed to round.
 
-A ``LinearMap`` stores its values fraction-free: Python-int numerators over
-one positive common denominator.  Each field's ``reduce_array`` brings
-such an array to the field's canonical form: over Q, lowest terms (the gcd
-of the denominator and every numerator is 1); over GF(p), residues over
-denominator 1.
+A ``LinearMap`` stores its values fraction-free: int numerators over one
+positive common denominator, in a numpy array of the field's ``dtype``.
+That is ``int64`` for GF(p) with p < 2^31, whose residues then multiply and
+sum in machine words: a product of two residues is below 2^62.  It is
+``object`` (Python ints of any size) over Q and for larger primes.  Each
+field's ``reduce_array`` brings such an array to the field's canonical form,
+in its dtype: over Q, lowest terms (the gcd of the denominator and every
+numerator is 1); over GF(p), residues over denominator 1.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import HomydError
 
@@ -37,6 +42,9 @@ class FieldValueError(HomydError, ValueError):
 # With the bases up to 37 only, 318665857834031151167461 would pass as prime.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MAX_MODULUS = 3317044064679887385961981
+
+# Primes below this store their residues as int64.
+INT64_MODULUS = 2**31
 
 
 def is_prime(n: int) -> bool:
@@ -79,6 +87,7 @@ class Rationals:
 
     descriptor = "rational"
     characteristic = 0
+    dtype = np.dtype(object)
     zero = 0
     one = 1
 
@@ -140,6 +149,7 @@ class PrimeField:
     """The field of integers modulo a prime ``p``; values stay reduced."""
 
     characteristic: int
+    dtype: np.dtype
     zero = 0
     one = 1
 
@@ -148,6 +158,7 @@ class PrimeField:
             raise FieldValueError(f"modulus must be prime, got {p!r}")
         self.p = p
         self.characteristic = p
+        self.dtype = np.dtype(np.int64 if p < INT64_MODULUS else object)
 
     @property
     def descriptor(self) -> str:
@@ -189,10 +200,11 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def reduce_array(self, arr, den):
-        """Int values ``arr`` over ``den`` as residues over 1."""
+        """Int values ``arr`` over ``den`` as residues over 1, narrowed to the
+        field's dtype only once they are residues."""
         if den != 1:
             arr = arr * pow(den, -1, self.p)
-        return arr % self.p, 1
+        return (arr % self.p).astype(self.dtype, copy=False), 1
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -3,12 +3,15 @@
 A ``LinearMap`` carries its domain and codomain as tuples of tensor-factor
 dimensions and its nonzero entries in one canonical coordinate form: int64
 ``rows`` (codomain index) and ``cols`` (domain index) sorted by (column,
-row), and an object array ``values`` of the nonzero Python-int numerators
-at those positions over one positive denominator ``den`` that shares no
-factor with all of them (over a prime field ``den`` is 1 and the values are
-residues).  No zero is ever stored, so two maps are equal exactly when their
-three arrays and ``den`` are.  Primitives compute in ints and multiply the
-denominators; ``Field.reduce_array`` brings each result to lowest terms.
+row), and an array ``values`` of the nonzero int numerators at those
+positions over one positive denominator ``den`` that shares no factor with
+all of them (over a prime field ``den`` is 1 and the values are residues).
+``values`` has the field's ``dtype``: int64 over GF(p) with p < 2^31, whose
+residues multiply below 2^62 in machine words, and Python ints (object)
+otherwise.  A value is narrowed to int64 only once it is reduced.  No zero
+is ever stored, so two maps are equal exactly when their three arrays and
+``den`` are.  Primitives compute in ints and multiply the denominators;
+``Field.reduce_array`` brings each result to lowest terms.
 Only ``compose`` can meet one position twice and sum there; ``tensor`` and
 the factor permutes place each entry at a distinct position and sort once.
 A map is column-single when each of its columns holds at most one nonzero
@@ -26,7 +29,7 @@ every cell zero, cost what they store.  Only ``compose`` of two maps that
 form at least one product per result cell multiplies them as dense float64
 matrices, and only where every partial sum is provably an integer below
 2^53, so that the result is exact and its one stored form unchanged; over
-GF(p) it reduces those sums in int64 before it stores them as Python ints.
+GF(p) it reduces those sums in int64 and stores them so.
 Before it allocates, a ``compose`` or ``tensor`` beyond ``MAX_PRODUCTS``
 or ``MAX_STORED`` raises ``WorkLimitError``.  Inside a ``run_memo`` block,
 which ``runner.run_tasks`` opens for one document, each ``memoised``
@@ -37,7 +40,7 @@ canonical form and structures by their kind, base and maps.  The
 constructor ``LinearMap(field, dom, cod, dense)`` and the ``entries``
 property are the dense entry and exit points as (codomain, domain)
 matrices; they, ``column`` and ``inverse`` speak reduced field scalars
-(``int`` or ``Fraction``).  Structure constants of every kind (products, coproducts,
+(Python ``int`` or ``Fraction``, never numpy scalars).  Structure constants of every kind (products, coproducts,
 actions, coactions, R elements and sigma forms) go through one codec:
 ``from_constants`` reads a nested array indexed by the domain factors
 first, then the codomain factors, and ``constants`` gives it back; a map
@@ -80,7 +83,8 @@ _EXACT = 2**53
 _MAX_CELLS = 2**62
 
 # The work of one call: the products ``compose`` forms bound its time, and
-# the nonzeros ``compose`` or ``tensor`` could store bound its memory.
+# the nonzeros ``compose`` or ``tensor`` could store bound its memory.  A sum
+# of at most MAX_PRODUCTS residues below 2^31 stays below 2^59 in int64.
 MAX_PRODUCTS = 2**28
 MAX_STORED = 2**22
 
@@ -153,13 +157,14 @@ def _index(values) -> np.ndarray:
 
 
 def _ones(field, n: int) -> np.ndarray:
-    return np.full(n, field.one, dtype=object)
+    return np.full(n, field.one, dtype=field.dtype)
 
 
-def _encode(scalars):
-    """Exact scalars as int numerators over their least common denominator."""
+def _encode(scalars, dtype=object):
+    """Exact scalars as int numerators over their least common denominator,
+    in ``dtype``: a field's dtype only for scalars that are already reduced."""
     den = math.lcm(*(v.denominator for v in scalars))
-    return np.array([int(v.numerator) * (den // v.denominator) for v in scalars], dtype=object), den
+    return np.array([int(v.numerator) * (den // v.denominator) for v in scalars], dtype=dtype), den
 
 
 def _freeze(arr):
@@ -179,6 +184,12 @@ def _shuffle(flat, dims: Dims, perm) -> np.ndarray:
 def _run_starts(key) -> np.ndarray:
     """Start of every run of equal values in the sorted nonempty array ``key``."""
     return np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+
+
+def _value_key(values):
+    """Stored values as a key that compares and hashes by value: the bytes of
+    int64 residues, else the ints; one field stores one dtype."""
+    return tuple(values.tolist()) if values.dtype == object else values.tobytes()
 
 
 def _sum_runs(key, vals):
@@ -255,7 +266,7 @@ class LinearMap:
     @classmethod
     def zero(cls, field, dom, cod) -> "LinearMap":
         return cls._make(field, _as_dims(dom), _as_dims(cod), _index([]), _index([]),
-                         np.empty(0, dtype=object))
+                         np.empty(0, dtype=field.dtype))
 
     @classmethod
     def from_rows(cls, field, dom, cod, rows) -> "LinearMap":
@@ -334,7 +345,7 @@ class LinearMap:
     def column(self, j: int) -> tuple:
         lo, hi = np.searchsorted(self.cols, (j, j + 1))
         col = [0] * self.nrows
-        for i, v in zip(self.rows[lo:hi].tolist(), self._scalars(self.values[lo:hi])):
+        for i, v in zip(self.rows[lo:hi].tolist(), self._scalars(self.values[lo:hi]).tolist()):
             col[i] = v
         return tuple(col)
 
@@ -368,7 +379,7 @@ class LinearMap:
 
     def __eq__(self, other):
         """Equality of the canonical forms: field, factors, ``den``, the int64
-        bytes of ``cols`` and ``rows`` and the ints of ``values``."""
+        bytes of ``cols`` and ``rows`` and the values, by ``_value_key``."""
         if other is self:
             return True
         if not isinstance(other, LinearMap):
@@ -380,7 +391,7 @@ class LinearMap:
             and self.den == other.den
             and self.cols.tobytes() == other.cols.tobytes()
             and self.rows.tobytes() == other.rows.tobytes()
-            and self.values.tolist() == other.values.tolist()
+            and _value_key(self.values) == _value_key(other.values)
         )
 
     def __hash__(self):
@@ -388,7 +399,7 @@ class LinearMap:
         alike, and ``__eq__`` tells apart the rest."""
         if self._hash is None:
             self._hash = hash((self.den, self.rows.tobytes(), self.cols.tobytes(),
-                               tuple(self.values.tolist())))
+                               _value_key(self.values)))
         return self._hash
 
     def __repr__(self):
@@ -410,6 +421,7 @@ class LinearMap:
           ``k`` of ``self``, and the products are summed per position.  Up to
           ``COMPOSE_BLOCK`` products are built at once; more are built for
           whole result columns at a time, about ``COMPOSE_BLOCK`` of them.
+          Int64 residues are reduced product by product before they are summed.
         - Dense: when the products number at least ``DENSE_FILL`` per result
           cell and ``self`` has at most ``DENSE_BLOCK`` cells, one float64
           matrix product per block of result columns, if the field proves every
@@ -463,9 +475,12 @@ class LinearMap:
                 continue
             inner = np.repeat(np.arange(a, b), counts[a:b])
             outer = gstart[f.rows[inner]] + np.arange(lo, hi) - starts[inner]
-            key, prod = _sum_runs(
-                f.cols[inner] * g.nrows + g.rows[outer], g.values[outer] * f.values[inner]
-            )
+            prod = g.values[outer] * f.values[inner]
+            if prod.dtype != object:
+                # residues below 2^31: each product is below 2^62, and a cell
+                # sums at most MAX_PRODUCTS residues, below 2^59
+                prod %= field.p
+            key, prod = _sum_runs(f.cols[inner] * g.nrows + g.rows[outer], prod)
             # reduce each block at once, so that neither zeros nor unreduced
             # residues pile up until the end
             prod, d = field.reduce_array(prod, den)
@@ -575,7 +590,8 @@ class LinearMap:
                 rows.append(c)
                 cols.append(j)
                 vals.append(v)
-        return self._sorted(field, self.cod, self.dom, _index(rows), _index(cols), *_encode(vals))
+        return self._sorted(field, self.cod, self.dom, _index(rows), _index(cols),
+                            *_encode(vals, field.dtype))
 
     def power(self, k: int) -> "LinearMap":
         """``self^k`` of a square map by repeated squaring; negative via inverse."""
@@ -677,7 +693,8 @@ def _dense_compose(g: LinearMap, f: LinearMap) -> LinearMap:
     """``g ∘ f`` by float64 matrix products, exact where ``compose`` sends
     it.  Each block of result columns is read in (column, row) order, so
     the nonzeros come out sorted.  Over GF(p) the int64 sums become residues
-    before they are boxed, so only over Q does the field reduce the result."""
+    and stay int64, so only over Q, where they are boxed, does the field
+    reduce the result."""
     k, p = g.ncols, g.field.characteristic
     outer = np.zeros((g.nrows, k))
     outer[g.rows, g.cols] = g.values.astype(np.int64)
@@ -696,7 +713,7 @@ def _dense_compose(g: LinearMap, f: LinearMap) -> LinearMap:
         cols.append(c + c0)
         vals.append(block[c, r])
     out = LinearMap._make(g.field, f.dom, g.cod, *map(np.concatenate, (rows, cols)),
-                          np.concatenate(vals).astype(object), g.den * f.den)
+                          np.concatenate(vals).astype(g.field.dtype, copy=False), g.den * f.den)
     if not p:
         out._reduce()
     return out

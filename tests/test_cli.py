@@ -3,6 +3,8 @@ import json
 import math
 import pathlib
 import signal
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -36,6 +38,25 @@ def test_check_malformed_file_exits_two(capsys):
 
 def test_missing_file_exits_two(capsys):
     assert main(["check", str(SUITES / "no_such_file.json")]) == 2
+
+
+# a fresh interpreter: this one has imported the fixtures for other tests
+CHECK_WITHOUT_FIXTURES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from homyd.cli import main
+code = main(["check", sys.argv[2]])
+print(code, "homyd.fixtures" in sys.modules)
+"""
+
+
+def test_check_runs_without_importing_the_fixtures():
+    src = pathlib.Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", CHECK_WITHOUT_FIXTURES, str(src), str(SUITES / "standard_gf7.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.split()[-2:] == ["0", "False"], done.stderr
 
 
 def test_usage_error_exits_two(capsys):

@@ -243,7 +243,10 @@ def test_entries_are_immutable():
 # Each reference below works on ``.entries`` with explicit sums of field
 # operations, independent of the sparse coordinate arithmetic.
 
-FIELDS = st.sampled_from([Q, PrimeField(2), PrimeField(5), PrimeField(7)])
+# the largest prime with int64 residues, and the least prime above it, whose
+# residues are Python ints
+FIELDS = st.sampled_from([Q, PrimeField(2), PrimeField(5), PrimeField(7),
+                          PrimeField(2**31 - 1), PrimeField(2147483659)])
 DIMS = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
 
@@ -354,12 +357,14 @@ def assert_canonical(m):
     field = m.field
     key = m.cols * m.nrows + m.rows
     assert m.rows.dtype == np.int64 and m.cols.dtype == np.int64
-    assert m.values.dtype == object and len(m.values) == len(key)
+    # int64 residues over GF(p) with p < 2^31, Python ints otherwise
+    assert m.values.dtype == np.dtype(field.dtype) and len(m.values) == len(key)
+    assert m.values.dtype == (np.int64 if field is not Q and field.p < 2**31 else object)
     assert np.all(np.diff(key) > 0)  # sorted by (column, row), no repeats
     # int numerators over one positive denominator, in lowest terms
     assert type(m.den) is int and m.den > 0
     assert math.gcd(m.den, *m.values.tolist()) == 1
-    for v in m.values:
+    for v in m.values.tolist():
         assert type(v) is int and v != 0
         if field is not Q:
             assert 0 <= v < field.p
@@ -464,6 +469,13 @@ def compose_by(route, g, f, dense_block=linmap.DENSE_BLOCK):
     return out, ran[route]
 
 
+def float_exact(g, f):
+    """Whether every partial sum of ``g ∘ f`` is provably an integer below
+    2^53, as the dense route requires; the numerators over Q drawn here are
+    small enough always."""
+    return g.field is Q or g.ncols * (g.field.p - 1) ** 2 < 2**53
+
+
 @given(composable(), st.sampled_from([4, 64, linmap.DENSE_BLOCK]))
 def test_every_compose_route_matches_dense_sums(pair, dense_block):
     g, f = pair
@@ -473,7 +485,7 @@ def test_every_compose_route_matches_dense_sums(pair, dense_block):
     for route in ("dense", "sorted", "single"):
         with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
             out, ran = compose_by(route, g, f, dense_block)
-        dense = route == "dense" and g.nrows * g.ncols <= dense_block
+        dense = route == "dense" and g.nrows * g.ncols <= dense_block and float_exact(g, f)
         if route == "dense":
             assert ran == dense
         elif route == "single":
@@ -507,6 +519,55 @@ def test_dense_route_over_gf_p_runs_just_below_the_float_bound(p, dense):
     assert_canonical(out)
     assert out == _full(field, 2, 2, 3 * (p - 2) ** 2 % p)
     assert dense_of(out) == ref_compose(field, g, f)
+
+
+# the largest prime with int64 residues, the least prime above it, and the
+# largest prime below 2^32, whose squared residues would overflow int64
+@pytest.mark.parametrize("p, dtype", [(2**31 - 1, np.int64), (2147483659, object),
+                                      (4294967291, object)])
+def test_sorted_compose_and_tensor_at_the_int64_bound_stay_exact(p, dtype):
+    field = PrimeField(p)
+    assert field.dtype == dtype
+    # every product (p-1)² ≡ 1 is below 2^62 at the first prime, where three
+    # of them would sum past 2^63 unless each is reduced before the sum
+    g, f = _full(field, 2, 3, p - 1), _full(field, 3, 2, p - 1)
+    out, ran = compose_by("sorted", g, f)
+    assert ran
+    assert_canonical(out)
+    assert out == _full(field, 2, 2, 3)
+    out = g.tensor(f)
+    assert_canonical(out)
+    assert dense_of(out) == [[1] * 6] * 6
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1, 2147483659])
+def test_unreduced_and_huge_scalars_are_reduced_before_they_are_stored(p):
+    field, big = PrimeField(p), 10**30
+    built = [
+        LinearMap(field, (2,), (1,), [[big, -big]]),
+        LinearMap.from_rows(field, (2,), (1,), [[big, -big]]),
+        LinearMap.from_constants(field, [[big], [-big]], 1),
+        LinearMap.from_rows(field, (2,), (1,), [[1, -1]]).scaled(big),
+    ]
+    for m in built:
+        assert_canonical(m)
+        assert dense_of(m) == [[big % p, -big % p]]
+    # a Fraction entry means its residue, however large its terms
+    m = LinearMap(field, (2,), (1,), np.array([[Fraction(1, 2), Fraction(big + 1, 3)]],
+                                              dtype=object))
+    assert_canonical(m)
+    assert dense_of(m) == [[pow(2, -1, p), (big + 1) * pow(3, -1, p) % p]]
+
+
+@pytest.mark.parametrize("field", [PrimeField(11), PrimeField(2**31 - 1)])
+def test_scalars_leave_a_prime_field_map_as_python_ints(field):
+    m = LinearMap.from_rows(field, (2,), (2,), [[3, 0], [5, 7]])
+    report = compare_maps("law", m, m.scaled(2))
+    assert str(report.failures[0]) == "law at (0,): lhs=(3, 5) rhs=(6, 10)"
+    scalars = [*m.entries.flat, *m.inverse().entries.flat, *m.column(0), *m.column(1),
+               *itertools.chain(*m.constants())]
+    scalars += [x for f in report.failures for x in f.lhs + f.rhs]
+    assert all(type(x) is int for x in scalars)
 
 
 # odd numerators a of g and b of f with 3·a·b just below and just above 2^53
@@ -632,7 +693,7 @@ def test_column_single_route_matches_dense_references(triple, data):
     want = ref_compose(g.field, g, f)
     for route in ("single", "sorted", "dense"):
         out, ran = compose_by(route, g, f)
-        assert ran
+        assert ran == (route != "dense" or float_exact(g, f))
         assert_canonical(out)
         assert (out.dom, out.cod) == (f.dom, g.cod)
         assert dense_of(out) == want

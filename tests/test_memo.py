@@ -423,12 +423,16 @@ def test_structures_that_differ_only_in_a_structure_map_key_apart():
 
 
 def test_equal_arrays_over_q_and_over_gf_p_do_not_collide():
-    gf11 = PrimeField(11)
-    q_map, p_map = LinearMap.identity(Q, (3,)), LinearMap.identity(gf11, (3,))
-    q_yd, p_yd = cyclic_graded_yd(5, 4, 1, Q), cyclic_graded_yd(5, 4, 1, gf11)
-    assert hash(q_map) == hash(p_map) and q_map != p_map and q_yd != p_yd
-    with run_memo():
-        assert q_map.tensor(q_map).field == Q
-        assert p_map.tensor(p_map).field == gf11
-        assert tensor_raw("hat", q_yd, q_yd).field == Q
-        assert tensor_raw("hat", p_yd, p_yd).field == gf11
+    q_map, q_yd = LinearMap.identity(Q, (3,)), cyclic_graded_yd(5, 4, 1, Q)
+    # the residues of a prime above 2^31 are Python ints, as the numerators
+    # over Q are, so that equal arrays hash alike; those of 11 are int64
+    for p in (2147483659, 11):
+        field = PrimeField(p)
+        p_map, p_yd = LinearMap.identity(field, (3,)), cyclic_graded_yd(5, 4, 1, field)
+        assert (hash(q_map) == hash(p_map)) == (p > 2**31)
+        assert q_map != p_map and q_yd != p_yd
+        with run_memo():
+            assert q_map.tensor(q_map).field == Q
+            assert p_map.tensor(p_map).field == field
+            assert tensor_raw("hat", q_yd, q_yd).field == Q
+            assert tensor_raw("hat", p_yd, p_yd).field == field

@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 
 LINMAP, RUNNER, CLI = "src/homyd/linmap.py", "src/homyd/runner.py", "src/homyd/cli.py"
 STRUCTURES, YD = "src/homyd/structures.py", "src/homyd/yd.py"
-FIXTURES = "src/homyd/fixtures.py"
+FIXTURES, FIELDS = "src/homyd/fixtures.py", "src/homyd/fields.py"
 
 MUTANTS = [
     # the work limits of compose and tensor, and the runner's handling of them
@@ -86,6 +86,10 @@ MUTANTS = [
     Mutant("empty-group-by-name", "refusals", FIXTURES,
            "        if order(n) < 1:\n"
            '            raise ShapeError(f"n must be at least 1, got {n}")\n', ""),
+    Mutant("fixtures-imported-eagerly", "cli imports", CLI,
+           "from .specfile import SpecDocument, Task, parse_spec, serialize_spec\n",
+           "from .specfile import SpecDocument, Task, parse_spec, serialize_spec\n"
+           "from . import fixtures  # noqa: F401\n"),
     Mutant("example-extra-parameters", "refusals", CLI,
            "        if len(args.params) > len(usage.split()):\n"
            '            raise IndexError("too many parameters")\n', ""),
@@ -126,6 +130,17 @@ MUTANTS = [
            "width = DENSE_BLOCK // (g.nrows * k)", "width = 2 * DENSE_BLOCK // (g.nrows * k)"),
     Mutant("dense-magnitude-without-abs", "dense compose", LINMAP,
            "max(map(abs, m.values.tolist()), default=1)", "max(m.values.tolist(), default=1)"),
+    # int64 residues over GF(p) with p < 2^31: reduced before they are summed,
+    # stored unboxed, and leaving linmap as Python ints
+    Mutant("sorted-products-unreduced", "int64 residues", LINMAP,
+           "                prod %= field.p\n", "                pass\n"),
+    Mutant("int64-bound-2^32", "int64 residues", FIELDS,
+           "INT64_MODULUS = 2**31", "INT64_MODULUS = 2**32"),
+    Mutant("dense-boxed-to-object", "int64 residues", LINMAP,
+           "np.concatenate(vals).astype(g.field.dtype, copy=False)",
+           "np.concatenate(vals).astype(object)"),
+    Mutant("column-scalars-unboxed", "int64 residues", LINMAP,
+           "self._scalars(self.values[lo:hi]).tolist()", "self._scalars(self.values[lo:hi])"),
     # the sparse kernels: one block of products, and sorts without summing
     Mutant("compose-always-one-block", "sparse kernels", LINMAP,
            "if products <= COMPOSE_BLOCK:", "if True:"),
