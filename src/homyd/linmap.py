@@ -40,8 +40,9 @@ canonical form and structures by their kind, base and maps.  The
 constructor ``LinearMap(field, dom, cod, dense)`` and the ``entries``
 property are the dense entry and exit points as (codomain, domain)
 matrices; they, ``column`` and ``inverse`` speak reduced field scalars
-(Python ``int`` or ``Fraction``, never numpy scalars).  Structure constants of every kind (products, coproducts,
-actions, coactions, R elements and sigma forms) go through one codec:
+(Python ``int`` or ``Fraction``, never numpy scalars).  Structure constants
+of every kind (products, coproducts, actions, coactions, R elements and
+sigma forms) go through one codec:
 ``from_constants`` reads a nested array indexed by the domain factors
 first, then the codomain factors, and ``constants`` gives it back; a map
 that sends each basis tensor to one basis tensor is built from its index
