@@ -17,6 +17,7 @@ import sys
 
 from .errors import HomydError, SpecFileError
 from .fields import RATIONALS, FieldValueError, PrimeField
+from .linmap import run_memo
 from .runner import bundle_to_json, bundle_to_table, run_tasks
 from .specfile import SpecDocument, Task, parse_spec, serialize_spec
 
@@ -176,7 +177,8 @@ def _run_example(args) -> int:
     try:
         if len(args.params) > len(usage.split()):
             raise IndexError("too many parameters")
-        field, structures, tasks, meta = builder(args.params)
+        with run_memo():
+            field, structures, tasks, meta = builder(args.params)
     except (HomydError, FieldValueError, IndexError, ValueError) as exc:
         detail = exc if not isinstance(exc, IndexError) else f"expected parameters: {usage}"
         print(f"error: {args.generator}: {detail}", file=sys.stderr)

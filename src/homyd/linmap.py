@@ -32,11 +32,13 @@ matrices, and only where every partial sum is provably an integer below
 GF(p) it reduces those sums in int64 and stores them so.
 Before it allocates, a ``compose`` or ``tensor`` beyond ``MAX_PRODUCTS``
 or ``MAX_STORED`` raises ``WorkLimitError``.  Inside a ``run_memo`` block,
-which ``runner.run_tasks`` opens for one document, each ``memoised``
-function computes once per argument values: the kernels of ``compose``,
-``tensor``, the factor permutes and ``inverse`` here, and the builders of
-``structures``, ``modules``, ``yd`` and ``quasitri``.  Maps compare by their
-canonical form and structures by their kind, base and maps.  The
+which ``runner.run_tasks`` opens for one document and ``homyd example`` for
+one generator, each ``memoised`` function computes once per argument values:
+the kernels of ``compose``, ``tensor``, the factor permutes and ``inverse``
+here, and the builders of ``structures``, ``modules``, ``yd`` and
+``quasitri``.  The memo is the only cache of a kernel result, an inverse
+included, so outside a block every call computes again.  Maps compare by
+their canonical form and structures by their kind, base and maps.  The
 constructor ``LinearMap(field, dom, cod, dense)`` and the ``entries``
 property are the dense entry and exit points as (codomain, domain)
 matrices; they, ``column`` and ``inverse`` speak reduced field scalars
@@ -210,7 +212,7 @@ class LinearMap:
     # arrays sorted by (column, row); ``values`` holds the nonzero numerators
     # there, each over the common denominator ``den``
     __slots__ = ("field", "dom", "cod", "nrows", "ncols", "rows", "cols", "values", "den",
-                 "_inverse", "_hash", "_single")
+                 "_hash", "_single")
 
     def __init__(self, field: Field, dom, cod, entries):
         """Build from a dense entry matrix indexed by (codomain, domain) index."""
@@ -232,7 +234,7 @@ class LinearMap:
         if self.nrows * self.ncols >= _MAX_CELLS:
             raise ShapeError(f"map {dom} -> {cod} has too many cells to index")
         self.rows, self.cols, self.values = _freeze(rows), _freeze(cols), _freeze(vals)
-        self._inverse = self._hash = self._single = None
+        self._hash = self._single = None
 
     def _reduce(self):
         """Reduce the values through the field and drop the zeros among them."""
@@ -357,9 +359,6 @@ class LinearMap:
                             and bool((self.cols[1:] > self.cols[:-1]).all()))
         return self._single
 
-    def is_zero(self) -> bool:
-        return len(self.values) == 0
-
     def is_identity(self) -> bool:
         return (
             self.dom == self.cod
@@ -370,13 +369,7 @@ class LinearMap:
         )
 
     def is_invertible(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        try:
-            self.inverse()
-        except NotInvertibleError:
-            return False
-        return True
+        return self.nrows == self.ncols and not isinstance(self._gauss_jordan(), int)
 
     def __eq__(self, other):
         """Equality of the canonical forms: field, factors, ``den``, the int64
@@ -534,18 +527,16 @@ class LinearMap:
         return out
 
     def inverse(self) -> "LinearMap":
-        """Exact two-sided inverse via Gauss-Jordan elimination, computed once
-        per map, and inside ``run_memo`` once per value; a singular map raises
-        ``NotInvertibleError`` every time."""
+        """Exact two-sided inverse via Gauss-Jordan elimination.  Only the memo
+        keeps it: inside ``run_memo`` each value eliminates once, outside it
+        every call eliminates.  A singular map raises ``NotInvertibleError``
+        every time."""
         if self.ncols != self.nrows:
             raise ShapeError(f"cannot invert non-square map {self.dom} -> {self.cod}")
-        if self._inverse is None:
-            self._inverse = self._gauss_jordan()
-        if isinstance(self._inverse, int):
-            raise NotInvertibleError(
-                f"map {self.dom} -> {self.cod} is not invertible", rank=self._inverse
-            )
-        return self._inverse
+        out = self._gauss_jordan()
+        if isinstance(out, int):
+            raise NotInvertibleError(f"map {self.dom} -> {self.cod} is not invertible", rank=out)
+        return out
 
     @memoised
     def _gauss_jordan(self):

@@ -346,7 +346,8 @@ def check_hexagons(m: YDModule, n: YDModule, p: YDModule, flavor: str = "hat") -
     ident_m, ident_n, ident_p = (LinearMap.identity(m.field, (x.dim,)) for x in (m, n, p))
 
     def inverse_of(x, y):
-        # (α_X⊗α_Y)^{-1} = α_X^{-1}⊗α_Y^{-1}, from the inverses the gate took
+        # (α_X⊗α_Y)^{-1} = α_X^{-1}⊗α_Y^{-1}: within a run the memo returns
+        # the inverses that the bijectivity gate eliminated
         d = x.dim * y.dim
         return x.alpha.inverse().tensor(y.alpha.inverse()).with_shapes((d,), (d,))
 

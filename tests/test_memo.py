@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from homyd import linmap, runner
+from homyd import cli, linmap, runner
 from homyd.errors import NotInvertibleError, ShapeError
 from homyd.fields import RATIONALS as Q, PrimeField
 from homyd.fixtures import conjugation_yd, cyclic_graded_yd, inner_automorphism, symmetric_group
@@ -130,20 +130,29 @@ def test_each_task_alone_gives_the_whole_file_result(path):
         assert _outcome(alone) == _outcome(whole[k]), task.name
 
 
-def test_consecutive_runs_compute_the_same():
-    doc = parse_spec((ROOT / "suites" / "standard_rational.json").read_text())
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.stem)
+def test_consecutive_runs_compute_the_same(path):
+    # no map keeps its own inverse past a run, so the second run of one
+    # parsed document also pays the eliminations of the first
+    doc = parse_spec(path.read_text())
     counts = []
     for _ in range(2):
         with body_runs() as runs:
             runner.run_tasks(doc)
         counts.append(_by_body(runs))
-    # a map also keeps its own inverse: the second run inverts the parsed
-    # maps of the document without eliminating them again
-    eliminated = [c.pop("homyd.linmap.LinearMap._gauss_jordan") for c in counts]
-    assert 0 < eliminated[1] < eliminated[0]
     assert counts[0] == counts[1]
-    assert counts[0]["homyd.modules.tensor_raw"] > 0
-    assert counts[0]["homyd.yd.braiding_c"] > 0
+    assert counts[0]["homyd.linmap.LinearMap._gauss_jordan"] > 0
+
+
+@pytest.mark.parametrize("params", [["cyclic_graded_yd", "16", "15", "1"],
+                                    ["conjugation_yd", "s3", "1"]], ids="_".join)
+def test_an_example_eliminates_its_structure_map_once(capsys, params):
+    # the generator's certification gates invert one structure map four
+    # times; ``homyd example`` runs the generator in one memo
+    with body_runs() as runs:
+        assert cli.main(["example", *params]) == 0
+    capsys.readouterr()
+    assert _by_body(runs)["homyd.linmap.LinearMap._gauss_jordan"] == 1
 
 
 def test_outside_a_run_every_call_computes():
@@ -393,11 +402,12 @@ def test_equal_maps_held_by_distinct_objects_are_eliminated_once_within_a_run(ro
         first, second = outcome(a), outcome(b)
     assert first is second
     assert _by_body(runs)["homyd.linmap.LinearMap._gauss_jordan"] == 1
-    # outside a run each object eliminates once
+    # outside a run every call eliminates, and gives an equal map or rank
     c, d = (LinearMap.from_rows(Q, (2,), (2,), rows) for _ in range(2))
     with body_runs() as runs:
-        outcome(c), outcome(c), outcome(d)
-    assert _by_body(runs)["homyd.linmap.LinearMap._gauss_jordan"] == 2
+        outcomes = [outcome(c), outcome(c), outcome(d)]
+    assert _by_body(runs)["homyd.linmap.LinearMap._gauss_jordan"] == 3
+    assert outcomes[0] == outcomes[1] == outcomes[2] == first
 
 
 def _variants():

@@ -186,7 +186,7 @@ def test_tensor_with_zero_product_algebra_kills_products():
     )
     out = tensor_algebra(alg, zero)
     assert out.dim == 2
-    assert out.mu.is_zero()
+    assert len(out.mu.values) == 0
 
 
 def test_tensor_algebra_of_twisted_c2_passes_checks():

@@ -20,7 +20,7 @@ from homyd.fixtures import (
     inner_automorphism,
     symmetric_group,
 )
-from homyd.linmap import LinearMap
+from homyd.linmap import LinearMap, memoised, run_memo
 from homyd.modules import (
     check_comodule_morphism,
     check_module_morphism,
@@ -558,7 +558,8 @@ def _vandermonde(*points):
 @pytest.mark.parametrize("flavor", ["hat", "tilde"])
 def test_hexagons_eliminate_no_map_beyond_the_factors(flavor):
     # the inverses of α_N⊗α_P and α_M⊗α_N are the Kronecker products of the
-    # inverses that the bijectivity gate has cached on the factors.  Carried
+    # factors' inverses, which the memo keeps from the bijectivity gate: one
+    # elimination per distinct factor map (α_H, α_M, α_N, α_P).  Carried
     # along three dense changes of basis, the structure maps are dense,
     # distinct and of order 4, so a factor left uninverted or out of order
     # breaks the hexagons
@@ -566,13 +567,18 @@ def test_hexagons_eliminate_no_map_beyond_the_factors(flavor):
     triple = [carried_yd(cyclic_graded_yd(5, 2, g, Q), q) for g, q in zip((1, 2, 3), qs)]
     assert all(len(x.alpha.values) >= 20 for x in triple)
     assert len({tuple(x.alpha.entries.flat) for x in triple}) == 3
-    for alpha in [triple[0].over.alpha] + [x.alpha for x in triple]:
-        alpha.inverse()
-    with mock.patch.object(LinearMap, "_gauss_jordan", autospec=True,
-                           side_effect=LinearMap._gauss_jordan) as eliminate:
+    body, eliminated = LinearMap._gauss_jordan.__wrapped__, []
+
+    def counted(m):
+        eliminated.append(m)
+        return body(m)
+
+    with mock.patch.object(LinearMap, "_gauss_jordan", memoised(counted)), run_memo():
         report = check_hexagons(*triple, flavor)
     assert report.passed
-    assert eliminate.call_count == 0
+    factors = [triple[0].over.alpha] + [x.alpha for x in triple]
+    assert len(eliminated) == len(factors)
+    assert all(sum(m == f for m in eliminated) == 1 for f in factors)
 
 
 def test_flip_is_no_braiding_on_noncommutative_coactions(s3_twisted):
@@ -720,10 +726,15 @@ def test_classical_limit_coherence(s3_classical):
 
 
 def test_inverse_is_computed_once_per_map(c5_pair):
+    # only the memo keeps an inverse: within a run every call returns the one
+    # map it eliminated, and outside one each call eliminates an equal map
     alpha = c5_pair[0].alpha
-    inverse = alpha.inverse()
-    assert alpha.inverse() is inverse
-    assert alpha.is_invertible() and alpha.inverse() is inverse
+    with run_memo():
+        inverse = alpha.inverse()
+        assert alpha.inverse() is inverse
+        assert alpha.is_invertible() and alpha.inverse() is inverse
+    again = alpha.inverse()
+    assert again == inverse and again is not inverse
 
 
 @pytest.mark.parametrize("k", range(-3, 6))

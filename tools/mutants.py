@@ -220,6 +220,13 @@ MUTANTS = [
            "        out, work = self._tensor(other)\n        pass"),
     Mutant("build-not-memoised", "memo", STRUCTURES, "    build = memoised(build)\n", ""),
     Mutant("run-without-memo", "memo", RUNNER, "    with run_memo():\n", "    if True:\n"),
+    # the memo is the only cache of an inverse, and ``homyd example`` runs in one
+    Mutant("inverse-bypasses-memo", "memo", LINMAP,
+           "        out = self._gauss_jordan()\n",
+           "        out = type(self)._gauss_jordan.__wrapped__(self)\n"),
+    Mutant("example-outside-memo", "memo", CLI,
+           "        with run_memo():\n            field, structures, tasks, meta = builder(args.params)\n",
+           "        field, structures, tasks, meta = builder(args.params)\n"),
     Mutant("map-eq-without-shortcut", "memo", LINMAP,
            "        if other is self:\n            return True\n", ""),
     Mutant("map-key-without-field", "memo", LINMAP,
