@@ -30,14 +30,16 @@ form at least one product per result cell multiplies them as dense float64
 matrices, and only where every partial sum is provably an integer below
 2^53, so that the result is exact and its one stored form unchanged; over
 GF(p) it reduces those sums in int64 and stores them so.
-Before it allocates, a ``compose`` or ``tensor`` beyond ``MAX_PRODUCTS``
-or ``MAX_STORED`` raises ``WorkLimitError``.  Inside a ``run_memo`` block,
-which ``runner.run_tasks`` opens for one document and ``homyd example`` for
-one generator, each ``memoised`` function computes once per argument values:
-the kernels of ``compose``, ``tensor``, the factor permutes and ``inverse``
-here, and the builders of ``structures``, ``modules``, ``yd`` and
-``quasitri``.  The memo is the only cache of a kernel result, an inverse
-included, so outside a block every call computes again.  Maps compare by
+Before it allocates, a ``compose`` or ``tensor`` kernel beyond
+``MAX_PRODUCTS`` or ``MAX_STORED`` raises ``WorkLimitError``, checked once
+per computation: a kept result passed, and is not checked again.  Inside a
+``run_memo`` block, which ``runner.run_tasks`` opens for one document and
+``homyd example`` for one generator, each ``memoised`` function computes
+once per argument values: the kernels of ``compose``, ``tensor``, the factor
+permutes and ``inverse`` here, and the builders of ``structures``,
+``modules``, ``yd`` and ``quasitri``.  The memo is the only cache of a
+kernel result, an inverse included, so outside a block every call computes
+again.  Maps compare by
 their canonical form and structures by their kind, base and maps.  The
 constructor ``LinearMap(field, dom, cod, dense)`` and the ``entries``
 property are the dense entry and exit points as (codomain, domain)
@@ -88,6 +90,8 @@ _MAX_CELLS = 2**62
 # The work of one call: the products ``compose`` forms bound its time, and
 # the nonzeros ``compose`` or ``tensor`` could store bound its memory.  A sum
 # of at most MAX_PRODUCTS residues below 2^31 stays below 2^59 in int64.
+# Nothing assigns the limits at run time, so a kernel result that the memo
+# keeps passed them once, and a hit is not checked again.
 MAX_PRODUCTS = 2**28
 MAX_STORED = 2**22
 
@@ -123,10 +127,12 @@ def memoised(fn):
     ``(fn, *args)``.  A dict finds a key by its hash and takes it only when
     ``==`` holds on every part, so a hit is an exact equality of the
     arguments' values: a map's field, factors, ``den``, coordinates and
-    numerators, a structure's kind, base and maps.  A call computes without
-    being kept outside ``run_memo``, with keyword arguments, or on a map
-    argument over the cap; a result that is, or is a tuple holding, a map
-    over the cap is not kept, and an exception never is."""
+    numerators, a structure's kind, base and maps.  A hit returns the kept
+    result as it is: a kernel's work limits, checked once when it computed,
+    are not checked again.  A call computes without being kept outside
+    ``run_memo``, with keyword arguments, or on a map argument over the cap;
+    a result that is, or is a tuple holding (as a ``.build`` result does), a
+    map over the cap is not kept, and an exception never is."""
     @wraps(fn)
     def cached(*args, **kwargs):
         if _table is None or kwargs or _over_cap(args):
@@ -429,13 +435,12 @@ class LinearMap:
                 f"compose mismatch: inner map has codomain {other.cod}, "
                 f"outer map has domain {self.dom}"
             )
-        out, work = self._compose(other)
-        _check_work(*work)  # again, for a kept result
-        return out
+        return self._compose(other)
 
     @memoised
     def _compose(self, other):
-        """``self ∘ other`` and the work it passed to ``_check_work``."""
+        """``self ∘ other``, whose work passes ``_check_work`` once, before
+        any product is formed; a kept result is not checked again."""
         g, f, field = self, other, self.field
         if g._column_single() and f._column_single():
             return _single_compose(g, f)
@@ -443,14 +448,13 @@ class LinearMap:
         counts = gcount[f.rows]  # products per entry of f
         ends = np.cumsum(counts)
         products = int(ends[-1]) if len(ends) else 0
-        work = "compose", products, min(products, g.nrows * f.ncols)
-        _check_work(*work)
+        _check_work("compose", products, min(products, g.nrows * f.ncols))
         if (g.nrows * g.ncols <= DENSE_BLOCK
                 and products >= DENSE_FILL * g.nrows * f.ncols
                 and g.ncols * _magnitude(g) * _magnitude(f) < _EXACT):
-            return _dense_compose(g, f), work
+            return _dense_compose(g, f)
         if products == 0:
-            return LinearMap.zero(field, other.dom, self.cod), work
+            return LinearMap.zero(field, other.dom, self.cod)
         den = g.den * f.den
         gstart = np.cumsum(gcount) - gcount
         starts = ends - counts  # first product of each entry of f
@@ -485,8 +489,7 @@ class LinearMap:
         den = math.lcm(*(d for _, _, d in blocks))
         vals = [v if d == den else v * (den // d) for _, v, d in blocks]
         cols, rows = np.divmod(np.concatenate([k for k, _, _ in blocks]), g.nrows)
-        out = LinearMap._make(field, other.dom, self.cod, rows, cols, np.concatenate(vals), den)
-        return out, work
+        return LinearMap._make(field, other.dom, self.cod, rows, cols, np.concatenate(vals), den)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -498,24 +501,22 @@ class LinearMap:
         row) order."""
         if self.field != other.field:
             raise ShapeError("cannot tensor maps over different fields")
-        out, work = self._tensor(other)
-        _check_work(*work)  # again, for a kept result
-        return out
+        return self._tensor(other)
 
     @memoised
     def _tensor(self, other):
-        """``self ⊗ other`` and the work it passed to ``_check_work``."""
+        """``self ⊗ other``, whose work passes ``_check_work`` once, before
+        it allocates; a kept result is not checked again."""
         f, g = self, other
         n = len(f.values) * len(g.values)
-        work = "tensor", n, n
-        _check_work(*work)
+        _check_work("tensor", n, n)
         rows = (f.rows[:, None] * g.nrows + g.rows[None, :]).ravel()
         cols = (f.cols[:, None] * g.ncols + g.cols[None, :]).ravel()
         # a product of nonzero field elements is nonzero: reduced, none drops
         vals, den = self.field.reduce_array(np.multiply.outer(f.values, g.values).ravel(),
                                             f.den * g.den)
         build = LinearMap._make if f._column_single() else LinearMap._sorted
-        return build(self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, den), work
+        return build(self.field, f.dom + g.dom, f.cod + g.cod, rows, cols, vals, den)
 
     def scaled(self, c) -> "LinearMap":
         c = self.field.normalize(c)
@@ -654,9 +655,10 @@ def _check_work(op: str, products: int, stored: int) -> None:
 
 
 def _single_compose(g: LinearMap, f: LinearMap):
-    """``g ∘ f`` of two column-single maps and its work.  Each entry of ``f``
-    whose row is a nonempty column of ``g`` forms one product, the only one
-    in its column: the products come out sorted, and none is zero."""
+    """``g ∘ f`` of two column-single maps, checked once against the work
+    limits before it multiplies.  Each entry of ``f`` whose row is a nonempty
+    column of ``g`` forms one product, the only one in its column: the
+    products come out sorted, and none is zero."""
     at, cols, vals = f.rows, f.cols, f.values
     if len(g.cols) < g.ncols:
         # the entry of g in each column, -1 in an empty one; otherwise entry k
@@ -666,10 +668,9 @@ def _single_compose(g: LinearMap, f: LinearMap):
         at = pos[at]
         hit = at >= 0
         at, cols, vals = at[hit], cols[hit], vals[hit]
-    work = "compose", len(at), len(at)
-    _check_work(*work)
+    _check_work("compose", len(at), len(at))
     vals, den = g.field.reduce_array(g.values[at] * vals, g.den * f.den)
-    return LinearMap._make(g.field, f.dom, g.cod, g.rows[at], cols, vals, den), work
+    return LinearMap._make(g.field, f.dom, g.cod, g.rows[at], cols, vals, den)
 
 
 def _magnitude(m: LinearMap) -> int:

@@ -50,7 +50,6 @@ from .structures import (
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
-    require_bijective,
     twist,
 )
 from .yd import (
@@ -63,8 +62,8 @@ from .yd import (
     check_hexagons,
     check_hybe_for,
     check_pentagon,
+    check_yd,
     twist_yd,
-    yd_suite,
 )
 
 if TYPE_CHECKING:
@@ -126,13 +125,6 @@ def _matrix_arg(field, raw, dim, what):
         raise ShapeError(f"{what} must be a {dim}x{dim} matrix of scalar strings")
     rows = [[field.parse(x) for x in row] for row in raw]
     return LinearMap.from_rows(field, (dim,), (dim,), rows)
-
-
-def _check_yd(m):
-    """The suite of a module in the Yetter-Drinfeld category, whose structure
-    maps must be bijective."""
-    require_bijective("the Yetter-Drinfeld category", base=m.over.alpha, carrier=m.alpha)
-    return yd_suite(m)
 
 
 def _bridge(m, n):
@@ -209,7 +201,7 @@ TASKS = {
     ("check", "hom_bialgebra"): _unary(("bialgebra",), check_hom_bialgebra),
     ("check", "module"): _unary(("module", "yd_module"), check_module, "module"),
     ("check", "comodule"): _unary(("comodule", "yd_module"), check_comodule, "comodule"),
-    ("check", "yd"): _unary(("yd_module",), _check_yd),
+    ("check", "yd"): _unary(("yd_module",), check_yd),
     ("check", "classical_yd"): _unary(("yd_module",), check_classical_yd),
     ("check", "qt"): _unary(("r_element",), check_qt),
     ("check", "r_invariance"): _unary(("r_element",), check_r_invariance),

@@ -21,16 +21,18 @@ diagonal are Kronecker products of d × d composites, so equal factors prove
 it; only if some factor differs (a scalar may have moved between factors)
 are the full maps built and compared, for the exact failure list.
 
-The bijectivity gates follow the category definition: ``check_yd``
-refuses non-invertible structure maps with an error rather than a
-failure, while the compatibility equation itself (which only involves
-nonnegative powers of the base map) can be scanned without the gate, as
-``yd_suite`` does, noting an object outside the category.  Every
-braiding, associator and coherence law refuses, by name, each structure
-map it inverts that is not bijective.  A classical Yetter-Drinfeld module
-is one whose structure maps, its own and its base's, are identities; the
-classical check and twisting refuse any other.  Twisting is the module and
-comodule induction on one carrier, with the category's bijectivity gate.
+Both Yetter-Drinfeld checks scan the module and comodule laws before the
+compatibility law.  The bijectivity gates follow the category definition:
+``check_yd`` refuses non-invertible structure maps with an error rather
+than a failure, then runs ``yd_suite``, which scans the same laws without
+the gate (the compatibility equation only involves nonnegative powers of
+the base map), noting an object outside the category.  Every braiding,
+associator and coherence law refuses, by name, each structure map it
+inverts that is not bijective.  A classical Yetter-Drinfeld module is one
+whose structure maps, its own and its base's, are identities; the
+classical check, which scans the same laws at those identities, and
+twisting refuse any other.  Twisting is the module and comodule induction
+on one carrier, with the category's bijectivity gate.
 """
 
 from __future__ import annotations
@@ -109,32 +111,32 @@ def _yd_sides(base: HomBialgebra, act, coact, alpha_h_sq):
     return lhs, rhs
 
 
-def yd_compatibility_report(m: YDModule) -> CheckReport:
-    """The compatibility scan itself, with no bijectivity gate."""
-    lhs, rhs = _yd_sides(m.over, m.act, m.coact, m.over.alpha.power(2))
-    return compare_maps("yd_compatibility", lhs, rhs)
-
-
 def check_yd(m: YDModule) -> CheckReport:
-    """Gate on bijective structure maps, then scan the compatibility law over
-    all (algebra basis, carrier basis) pairs."""
+    """Gate on bijective structure maps, then ``yd_suite``: the module and
+    comodule laws and the compatibility law over all (algebra basis, carrier
+    basis) pairs."""
     require_bijective("the Yetter-Drinfeld category", base=m.over.alpha, carrier=m.alpha)
-    return yd_compatibility_report(m)
+    return yd_suite(m)
 
 
 def check_classical_yd(m: YDModule) -> CheckReport:
-    """(h_1·m)_(-1) h_2 ⊗ (h_1·m)_(0) = h_1 m_(-1) ⊗ h_2·m_(0): the
-    compatibility law at the identity structure maps that the check requires."""
+    """The module and comodule laws, then (h_1·m)_(-1) h_2 ⊗ (h_1·m)_(0) =
+    h_1 m_(-1) ⊗ h_2·m_(0): the laws at the identity structure maps that the
+    check requires."""
     require_identity("classical Yetter-Drinfeld check", base=m.over.alpha, carrier=m.alpha)
-    lhs, rhs = _yd_sides(m.over, m.act, m.coact, m.over.alpha)
-    return compare_maps("classical_yd_compatibility", lhs, rhs)
+    law = "classical_yd_compatibility"
+    reports = map_laws(m)
+    reports.append(compare_maps(law, *_yd_sides(m.over, m.act, m.coact, m.over.alpha)))
+    return CheckReport.combine(law, reports)
 
 
 @memoised
 def yd_suite(m: YDModule) -> CheckReport:
     """Module laws, comodule laws and the compatibility law, aggregated; an
     object with a singular structure map is noted as outside the category."""
-    reports = [*map_laws(m), yd_compatibility_report(m)]
+    reports = map_laws(m)
+    reports.append(compare_maps("yd_compatibility",
+                                *_yd_sides(m.over, m.act, m.coact, m.over.alpha.power(2))))
     if not (m.over.alpha.is_invertible() and m.alpha.is_invertible()):
         reports[-1] = reports[-1].with_notes(
             "structure maps are not all bijective: compatibility verified "
@@ -436,7 +438,6 @@ __all__ = [
     "YDModule",
     "check_yd",
     "check_classical_yd",
-    "yd_compatibility_report",
     "yd_suite",
     "twist_yd",
     "braiding_B",

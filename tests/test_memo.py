@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homyd import cli, linmap, runner
-from homyd.errors import NotInvertibleError, ShapeError
+from homyd.errors import NotInvertibleError, ShapeError, WorkLimitError
 from homyd.fields import RATIONALS as Q, PrimeField
 from homyd.fixtures import conjugation_yd, cyclic_graded_yd, inner_automorphism, symmetric_group
 from homyd.linmap import LinearMap, memoised, run_memo
 from homyd.modules import tensor_raw
+from homyd.reports import CheckReport
 from homyd.specfile import SpecDocument, parse_spec
 from homyd.structures import HomBialgebra
 from homyd.yd import YDModule, braiding_B
@@ -339,7 +340,10 @@ def test_no_kept_argument_or_result_stores_more_than_the_cap():
     cap = linmap.COMPOSE_BLOCK
     big = LinearMap.identity(Q, (cap + 1,))
     wide = LinearMap.identity(Q, (65,))  # its tensor square stores 4225 > cap
+    # a builder's (object, report), here holding a map over the cap
+    build = memoised(lambda n: (LinearMap.identity(Q, (n,)), CheckReport("law")))
     with run_memo():
+        build(cap + 1)
         big @ big
         LinearMap.zero(Q, big.cod, (1,)) @ big
         wide.tensor(wide)
@@ -356,23 +360,41 @@ def test_no_kept_argument_or_result_stores_more_than_the_cap():
         assert all(len(x.values) <= cap for x in _maps(out if type(out) is tuple else (out,))), fn
 
 
-def test_a_hit_passes_its_recorded_work_through_the_limits():
-    m = cyclic_graded_yd(3, 2, 1, Q).act  # (3, 3) -> (3,)
-    f = m.tensor(LinearMap.identity(Q, (3,)))
+def _kernel_calls():
+    """One call per route of the kernels: dense, sorted and column-single
+    ``compose``, and ``tensor``."""
+    d = LinearMap.from_rows(Q, (2,), (2,), [[1, 2], [3, 4]])  # 8 products on 4 cells
+    s = LinearMap.from_rows(Q, (3,), (3,), [[1, 1, 0], [1, 0, 0], [0, 0, 0]])  # 5 on 9
+    p = LinearMap.basis_map(Q, [1, 2, 0])
+    return [lambda: d @ d, lambda: s @ s, lambda: p @ p, lambda: d.tensor(d)]
+
+
+def test_a_kernel_checks_its_work_once_and_a_hit_not_at_all():
+    calls = _kernel_calls()
     with run_memo():
-        with mock.patch.object(linmap, "_check_work", wraps=linmap._check_work) as check:
-            composed, tensored = m @ f, m.tensor(m)
-        # a kernel checks before it allocates, and its caller checks again
-        computed = check.call_args_list
-        assert [c.args[0] for c in computed] == ["compose", "compose", "tensor", "tensor"]
         with mock.patch.object(linmap, "_check_work", wraps=linmap._check_work) as check, \
+                mock.patch.object(linmap, "_dense_compose", wraps=linmap._dense_compose) as dense, \
+                mock.patch.object(linmap, "_sum_runs", wraps=linmap._sum_runs) as summed, \
+                mock.patch.object(linmap, "_single_compose",
+                                  wraps=linmap._single_compose) as single:
+            kept = [call() for call in calls]
+        assert [c.args[0] for c in check.call_args_list] == ["compose"] * 3 + ["tensor"]
+        assert dense.call_count == summed.call_count == single.call_count == 1
+        with mock.patch.object(linmap, "_check_work", side_effect=AssertionError), \
                 mock.patch.object(np, "bincount", side_effect=AssertionError), \
                 mock.patch.object(linmap, "_dense_compose", side_effect=AssertionError), \
                 mock.patch.object(linmap, "_sum_runs", side_effect=AssertionError), \
-                mock.patch.object(LinearMap, "_sorted", side_effect=AssertionError):
-            assert m @ f is composed
-            assert m.tensor(m) is tensored
-        assert check.call_args_list == computed[1::2]
+                mock.patch.object(linmap, "_single_compose", side_effect=AssertionError):
+            assert all(call() is out for call, out in zip(calls, kept))
+    # a refusal is an exception, never kept: a repeat is checked and refused again
+    with run_memo(), mock.patch.object(linmap, "MAX_STORED", 0), \
+            mock.patch.object(linmap, "_check_work", wraps=linmap._check_work) as check:
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(WorkLimitError, match="over the limits"):
+                    call()
+        assert linmap._table == {}
+    assert [c.args[0] for c in check.call_args_list] == ["compose"] * 6 + ["tensor"] * 2
 
 
 # -- one key rule for every memoised call ----------------------------------------

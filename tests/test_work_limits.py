@@ -103,6 +103,9 @@ def _dense(rng, nrows, ncols) -> LinearMap:
 
 
 def _run_or_not(inside_run):
+    """A fresh ``run_memo`` block, or none.  Each call below under other
+    limits opens its own: nothing assigns the limits at run time, so a
+    result kept within one run is not checked against them again."""
     return run_memo() if inside_run else contextlib.nullcontext()
 
 
@@ -126,15 +129,15 @@ def test_compose_computes_at_the_limits_and_refuses_past_them_before_any_product
     expected = g @ f
     fill = linmap.DENSE_FILL if route == "dense" else math.inf
     # the column-single route, which takes the low-fill pair, is switched off
-    with _run_or_not(inside_run), mock.patch.object(linmap, "DENSE_FILL", fill), \
+    with mock.patch.object(linmap, "DENSE_FILL", fill), \
             mock.patch.object(LinearMap, "_column_single", lambda m: False):
-        with mock.patch.object(linmap, "MAX_PRODUCTS", products), \
+        with _run_or_not(inside_run), mock.patch.object(linmap, "MAX_PRODUCTS", products), \
                 mock.patch.object(linmap, "MAX_STORED", stored), \
                 mock.patch.object(linmap, "_dense_compose", wraps=linmap._dense_compose) as dense:
             assert g @ f == expected
         assert dense.called == (route == "dense" and case == "high-fill")
         for limit, value in (("MAX_PRODUCTS", products - 1), ("MAX_STORED", stored - 1)):
-            with mock.patch.object(linmap, limit, value), \
+            with _run_or_not(inside_run), mock.patch.object(linmap, limit, value), \
                     mock.patch.object(linmap, "_dense_compose", side_effect=AssertionError), \
                     mock.patch.object(linmap, "_sum_runs", side_effect=AssertionError):
                 with pytest.raises(WorkLimitError, match=(
@@ -149,14 +152,15 @@ def test_tensor_computes_at_the_limits_and_refuses_past_them(inside_run):
     rng = random.Random(5)
     f, g = _dense(rng, 3, 2), _dense(rng, 2, 2)
     expected = f.tensor(g)
-    with _run_or_not(inside_run):
-        with mock.patch.object(linmap, "MAX_PRODUCTS", 24), \
-                mock.patch.object(linmap, "MAX_STORED", 24):
-            assert f.tensor(g) == expected
-        for limit in ("MAX_PRODUCTS", "MAX_STORED"):
-            with mock.patch.object(linmap, limit, 23), pytest.raises(WorkLimitError, match=(
+    with _run_or_not(inside_run), mock.patch.object(linmap, "MAX_PRODUCTS", 24), \
+            mock.patch.object(linmap, "MAX_STORED", 24):
+        assert f.tensor(g) == expected
+    for limit in ("MAX_PRODUCTS", "MAX_STORED"):
+        with _run_or_not(inside_run), mock.patch.object(linmap, limit, 23), \
+                mock.patch.object(type(GF11), "reduce_array", side_effect=AssertionError), \
+                pytest.raises(WorkLimitError, match=(
                     "^tensor would form 24 products and store up to 24 nonzeros")):
-                f.tensor(g)
+            f.tensor(g)
 
 
 @pytest.mark.parametrize("inside_run", [False, True])
@@ -168,15 +172,14 @@ def test_column_single_compose_and_tensor_count_their_products_and_refuse_past_t
     h = LinearMap.permutation(GF11, (2, 3), (1, 0))
     assert all(m._column_single() for m in (g, f, h))
     composed, tensored = g @ f, f.tensor(h)
-    with _run_or_not(inside_run), \
-            mock.patch.object(linmap, "_single_compose", wraps=linmap._single_compose) as one:
-        with mock.patch.object(linmap, "MAX_STORED", 5):
+    with mock.patch.object(linmap, "_single_compose", wraps=linmap._single_compose) as one:
+        with _run_or_not(inside_run), mock.patch.object(linmap, "MAX_STORED", 5):
             assert g @ f == composed
-        with mock.patch.object(linmap, "MAX_STORED", 36):
+        with _run_or_not(inside_run), mock.patch.object(linmap, "MAX_STORED", 36):
             assert f.tensor(h) == tensored
         assert one.called
         for call, stored in ((lambda: g @ f, 5), (lambda: f.tensor(h), 36)):
-            with mock.patch.object(linmap, "MAX_STORED", stored - 1), \
+            with _run_or_not(inside_run), mock.patch.object(linmap, "MAX_STORED", stored - 1), \
                     mock.patch.object(type(GF11), "reduce_array", side_effect=AssertionError), \
                     pytest.raises(WorkLimitError, match=(
                         f"would form {stored} products and store up to {stored} nonzeros")):

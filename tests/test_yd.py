@@ -200,6 +200,48 @@ def test_check_yd_gates_on_non_invertible_carrier_map(s3_classical):
         check_yd(candidate)
 
 
+def _doubled(m: YDModule) -> YDModule:
+    """``m`` with its action doubled: h·(k·x) picks up 4 where the
+    Hom-associativity law wants 2, while both sides of the compatibility law
+    hold the action once and stay equal."""
+    return YDModule(m.over, m.act.scaled(2), m.coact, m.alpha)
+
+
+DOUBLED = {
+    "crossed_gset": lambda: _doubled(crossed_gset(S3, Q)),
+    "conjugation": lambda: _doubled(conjugation_yd(S3, inner_automorphism(S3, 1), Q)),
+}
+
+
+@pytest.mark.parametrize("carrier", DOUBLED)
+def test_check_yd_scans_the_module_law_of_a_doubled_action(carrier):
+    m = DOUBLED[carrier]()
+    assert compare_maps("yd_compatibility", *ydmod._yd_sides(
+        m.over, m.act, m.coact, m.over.alpha.power(2))).passed
+    report = check_yd(m)
+    assert not report.passed
+    assert {f.law for f in report.failures} == {"action_hom_associativity"}
+    assert len(report.failures) == 216  # every (h, k, x) of S3
+    assert report == yd_suite(m)
+
+
+def test_classical_yd_scans_the_module_law_of_a_doubled_action():
+    m = DOUBLED["crossed_gset"]()
+    report = check_classical_yd(m)
+    assert report.law == "classical_yd_compatibility"
+    assert report.failures == yd_suite(m).failures
+    assert {f.law for f in report.failures} == {"action_hom_associativity"}
+
+
+def test_yd_and_classical_yd_tasks_fail_alike_on_a_doubled_action():
+    names = {"M": DOUBLED["crossed_gset"]()}
+    yd, classical = (execute_task(Task(kind, {"check": kind, "target": "M"}), names)[0]
+                     for kind in ("yd", "classical_yd"))
+    assert yd.status == classical.status == "fail"
+    assert len(classical.report.failures) == 216
+    assert classical.report.failures == yd.report.failures
+
+
 # -- braiding B and HYBE ---------------------------------------------------
 
 
